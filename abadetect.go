@@ -89,9 +89,6 @@ type options struct {
 	guardImpl   string
 	guardedPool bool
 	reclaim     string
-	elimination int
-	localCache  int
-	combining   bool
 	growTo      int
 	traceCap    int
 }

@@ -18,7 +18,6 @@
 //	abalab -reclaim hp -app stack   # ... filtered to one scheme/structure
 //	abalab -load all        # traffic matrix (E13): map × regime × SMR × profile
 //	abalab -load zipf-hot -reclaim hp   # ... filtered to one profile/scheme
-//	abalab -load poisson -app stack -elim 2 -cache 16   # pin the fast-path knobs
 //	abalab -load poisson-shed -seed 42  # replay a profile on a different RNG seed
 //	abalab -scale map       # read-scaling matrix (E14) for one structure
 //	abalab -grow            # growth matrix (E15): map growth 10k→1M keys under live traffic
@@ -37,11 +36,12 @@
 // (BENCH_baseline.json is the seed, BENCH_pr2.json the slab/devirtualized
 // substrate, BENCH_pr3.json adds the application matrix, BENCH_pr4.json the
 // reclamation matrix, BENCH_pr5.json the map and traffic matrices,
-// BENCH_pr6.json the fast-path variants and backpressure profiles,
-// BENCH_pr7.json the wait-free read paths and the read-scaling matrix,
-// BENCH_pr8.json the growth matrix, BENCH_pr9.json the reclamation-pressure
-// matrix, BENCH_pr10.json the observability matrix — and, from pr10 on, a
-// Machine header identifying the recording host, echoed by -bench-compare):
+// BENCH_pr6.json the backpressure profiles (plus since-retired fast-path
+// variants), BENCH_pr7.json the wait-free read paths and the read-scaling
+// matrix, BENCH_pr8.json the growth matrix, BENCH_pr9.json the
+// reclamation-pressure matrix, BENCH_pr10.json the observability matrix —
+// and, from pr10 on, a Machine header identifying the recording host,
+// echoed by -bench-compare):
 //
 //	abalab -bench-compare BENCH_pr10.json
 //	abalab -json > BENCH_pr11.json   # record a new snapshot
@@ -88,9 +88,6 @@ func run(args []string, out io.Writer) error {
 		serveAt  = fs.String("serve", "", "serve live metrics over a traced structure under background churn at this address (e.g. :8080): /metrics, /debug/vars, /trace, /debug/pprof")
 		dump     = fs.String("trace-dump", "", "run a deterministic ABA scenario (stack, queue, map, map-grow, or 'all') under raw+none and pretty-print its incident flight record")
 		seed     = fs.Uint64("seed", 0, "override the load profiles' RNG seed for -load runs (0 = each profile's committed default)")
-		elim     = fs.Int("elim", 0, "for -load: pin every cell to an elimination array of this many slots (stack)")
-		cache    = fs.Int("cache", 0, "for -load: pin every cell to per-worker node caches of this capacity")
-		combine  = fs.Bool("combine", false, "for -load: pin every cell to flat-combining hot buckets (map)")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -180,11 +177,7 @@ func run(args []string, out io.Writer) error {
 		if schemeFilter == "" {
 			schemeFilter = "all"
 		}
-		opts := bench.E13Options{Seed: *seed}
-		if *elim != 0 || *cache != 0 || *combine {
-			opts.Tuning = &bench.Tuning{Elimination: *elim, LocalCache: *cache, Combining: *combine}
-		}
-		tbl, err := bench.E13LoadMatrixOpts(structFilter, schemeFilter, *loadP, opts)
+		tbl, err := bench.E13LoadMatrixOpts(structFilter, schemeFilter, *loadP, bench.E13Options{Seed: *seed})
 		if err != nil {
 			return err
 		}

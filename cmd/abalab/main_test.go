@@ -3,6 +3,7 @@ package main
 import (
 	"bytes"
 	"encoding/json"
+	"regexp"
 	"strings"
 	"testing"
 
@@ -277,15 +278,26 @@ func TestBenchComparePR3CoversApps(t *testing.T) {
 }
 
 // pr6Row reports whether an E13 row key names a cell that postdates the PR5
-// snapshot: a tuned fast-path variant (+elim/+fc/+cache label suffixes), one
-// of the backpressure profiles, or a stack traffic cell.
+// snapshot: one of the backpressure profiles, or a stack traffic cell.
 func pr6Row(key string) bool {
-	for _, marker := range []string{"+elim", "+fc", "+cache", "/poisson-shed", "/burst-block"} {
+	for _, marker := range []string{"/poisson-shed", "/burst-block"} {
 		if strings.Contains(key, marker) {
 			return true
 		}
 	}
 	return strings.HasPrefix(key, "stack/")
+}
+
+// retiredSuffix matches the label suffix of an E13 row tuned with the
+// removed elimination, flat-combining, and local-cache knobs
+// ("+elim2+cache16", "+fc+cache16"); snapshots from PR6 on still carry
+// those rows, and a fresh run no longer produces them.
+var retiredSuffix = regexp.MustCompile(`(\+(elim\d+|fc|cache\d+))+$`)
+
+// retiredRow reports whether a comparison row may legitimately be
+// "removed": only an E13 row carrying a retired tuning suffix.
+func retiredRow(tableID, key string) bool {
+	return tableID == "E13-compare" && retiredSuffix.MatchString(key)
 }
 
 // pr9Row reports whether a row key names a cell that postdates the pre-PR9
@@ -334,9 +346,9 @@ func TestBenchComparePR5CoversTraffic(t *testing.T) {
 func TestBenchComparePR6CoversTraffic(t *testing.T) {
 	// The PR6 snapshot was taken after the tuned variants, backpressure
 	// profiles, and stack cells landed, so a fresh run must line up with it
-	// exactly: no "new" rows, no "removed" rows, anywhere.  It also carries
-	// the p999 column, so the E13 comparison must grow the tail-gain
-	// columns.
+	// exactly: no "new" rows, and no "removed" rows except the retired
+	// tuned variants.  It also carries the p999 column, so the E13
+	// comparison must grow the tail-gain columns.
 	var buf bytes.Buffer
 	if err := run([]string{"-bench-compare", "../../BENCH_pr6.json", "-json"}, &buf); err != nil {
 		t.Fatal(err)
@@ -351,11 +363,16 @@ func TestBenchComparePR6CoversTraffic(t *testing.T) {
 	if len(tables) != len(wantIDs) {
 		t.Fatalf("comparison has %d tables, want %d", len(tables), len(wantIDs))
 	}
+	retired := 0
 	for i, tbl := range tables {
 		if tbl.ID != wantIDs[i] {
 			t.Fatalf("table %d is %q, want %q", i, tbl.ID, wantIDs[i])
 		}
 		for _, row := range tbl.Rows {
+			if row[4] == "removed" && retiredRow(tbl.ID, row[0]) {
+				retired++
+				continue
+			}
 			if (row[4] == "new" && !pr9Row(row[0])) || row[4] == "removed" {
 				t.Errorf("%s row %v does not line up with the PR6 snapshot", tbl.ID, row)
 			}
@@ -371,6 +388,9 @@ func TestBenchComparePR6CoversTraffic(t *testing.T) {
 				}
 			}
 		}
+	}
+	if retired == 0 {
+		t.Error("no retired tuned row reported as removed; the PR6 snapshot carries them")
 	}
 }
 
@@ -412,8 +432,9 @@ func TestScaleMatrixFlag(t *testing.T) {
 func TestBenchComparePR7CoversReadScaling(t *testing.T) {
 	// The PR7 snapshot was taken after the wait-free read paths and the E14
 	// read-scaling matrix landed, so a fresh run must produce all five
-	// comparison tables and line up with the snapshot exactly — and the
-	// E14 diff must carry the scale columns alongside the throughput diff.
+	// comparison tables and line up with the snapshot exactly, retired tuned
+	// variants aside — and the E14 diff must carry the scale columns
+	// alongside the throughput diff.
 	var buf bytes.Buffer
 	if err := run([]string{"-bench-compare", "../../BENCH_pr7.json", "-json"}, &buf); err != nil {
 		t.Fatal(err)
@@ -428,6 +449,7 @@ func TestBenchComparePR7CoversReadScaling(t *testing.T) {
 	if len(tables) != len(wantIDs) {
 		t.Fatalf("comparison has %d tables, want %d", len(tables), len(wantIDs))
 	}
+	retired := 0
 	for i, tbl := range tables {
 		if tbl.ID != wantIDs[i] {
 			t.Fatalf("table %d is %q, want %q", i, tbl.ID, wantIDs[i])
@@ -436,6 +458,10 @@ func TestBenchComparePR7CoversReadScaling(t *testing.T) {
 			t.Errorf("%s has no rows", tbl.ID)
 		}
 		for _, row := range tbl.Rows {
+			if row[4] == "removed" && retiredRow(tbl.ID, row[0]) {
+				retired++
+				continue
+			}
 			if (row[4] == "new" && !pr9Row(row[0])) || row[4] == "removed" {
 				t.Errorf("%s row %v does not line up with the PR7 snapshot", tbl.ID, row)
 			}
@@ -451,6 +477,9 @@ func TestBenchComparePR7CoversReadScaling(t *testing.T) {
 				}
 			}
 		}
+	}
+	if retired == 0 {
+		t.Error("no retired tuned row reported as removed; the PR7 snapshot carries them")
 	}
 }
 
@@ -486,10 +515,10 @@ func TestLoadMatrixFlag(t *testing.T) {
 	if len(tables) != 1 || tables[0].ID != "E13" {
 		t.Fatalf("unexpected JSON shape: %+v", tables)
 	}
-	if len(tables[0].Rows) != 8 { // map × 4 regimes × 1 scheme × 1 profile × 2 variants
-		t.Fatalf("steady/none matrix has %d rows, want 8", len(tables[0].Rows))
+	if len(tables[0].Rows) != 4 { // map × 4 regimes × 1 scheme × 1 profile
+		t.Fatalf("steady/none matrix has %d rows, want 4", len(tables[0].Rows))
 	}
-	wantCols := []string{"p50", "p99", "p999", "shed", "fast-path"}
+	wantCols := []string{"p50", "p99", "p999", "shed"}
 	for _, col := range wantCols {
 		found := false
 		for _, h := range tables[0].Header {
@@ -502,8 +531,7 @@ func TestLoadMatrixFlag(t *testing.T) {
 		}
 	}
 	for _, row := range tables[0].Rows {
-		if !strings.HasPrefix(row[0], "map/") ||
-			!(strings.HasSuffix(row[0], "+none/steady") || strings.HasSuffix(row[0], "+none/steady+fc+cache16")) {
+		if !strings.HasPrefix(row[0], "map/") || !strings.HasSuffix(row[0], "+none/steady") {
 			t.Errorf("unexpected row key %q", row[0])
 		}
 	}
@@ -516,11 +544,11 @@ func TestLoadMatrixFlag(t *testing.T) {
 }
 
 func TestLoadMatrixTuningFlags(t *testing.T) {
-	// -elim/-cache/-combine pin every cell to one explicit tuning, and
-	// -seed replays the profile on a different RNG stream.
+	// -seed replays the profile on a different RNG stream and still yields
+	// every baseline cell.
 	var buf bytes.Buffer
 	if err := run([]string{"-load", "steady", "-reclaim", "none", "-app", "stack",
-		"-elim", "2", "-cache", "8", "-seed", "42", "-json"}, &buf); err != nil {
+		"-seed", "42", "-json"}, &buf); err != nil {
 		t.Fatal(err)
 	}
 	var tables []struct {
@@ -529,10 +557,10 @@ func TestLoadMatrixTuningFlags(t *testing.T) {
 	}
 	unmarshalTables(t, buf.Bytes(), &tables)
 	if len(tables) != 1 || len(tables[0].Rows) != 4 {
-		t.Fatalf("pinned matrix has %d tables / %d rows, want 1 / 4", len(tables), len(tables[0].Rows))
+		t.Fatalf("seeded matrix has %d tables / %d rows, want 1 / 4", len(tables), len(tables[0].Rows))
 	}
 	for _, row := range tables[0].Rows {
-		if !strings.HasPrefix(row[0], "stack/") || !strings.HasSuffix(row[0], "+elim2+cache8") {
+		if !strings.HasPrefix(row[0], "stack/") || !strings.HasSuffix(row[0], "+none/steady") {
 			t.Errorf("unexpected row key %q", row[0])
 		}
 	}

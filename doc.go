@@ -164,38 +164,14 @@
 // structural checks.  Experiment E15 (abalab -grow) sweeps the growth
 // matrix to 1M keys / 10M ops under live traffic.
 //
-// # Tail-latency knobs
+// # Tail latency: admission control
 //
-// Three contention-diffusion options trade m(n) space for t(n) steps on the
-// tail, all registry-wired and all off by default:
-//
-//   - WithElimination(slots) adds an elimination-backoff exchanger to
-//     push/pop-shaped structures: a push that loses its head commit parks
-//     its node in one of `slots` extra guards and a concurrent pop takes it
-//     there, so the colliding pair completes in O(1) without ever touching
-//     the hot head word.  The handoff is ABA-immune by construction — the
-//     parked node is never linked into the structure and its value is read
-//     only after the take commit — so it is sound under every regime,
-//     including ProtectionRaw.  Cost: slots extra guards.
-//   - WithCombining() adds flat combining to keyed structures: one lock
-//     word and n publication slots per bucket; a writer that wins the lock
-//     applies every pending op in one cache-hot sweep while losers publish
-//     and wait.  Uncontended reads bypass the protocol entirely.  Cost:
-//     n+1 words per bucket, none on the read path.
-//   - WithLocalCache(capacity) puts a per-process LIFO free stack in front
-//     of the shared node pool; an alloc/release pair that stays on one
-//     process is two private operations with no shared steps at all.  The
-//     cache sits below retirement, so hp/epoch accounting is exact.  Cost:
-//     n·capacity node slots parked out of the shared pool.
-//
-// The load tier adds the other half of tail control: admission.  An
-// open-loop profile with a Queue bound sheds (or blocks) arrivals that are
-// more than Queue·interarrival behind schedule, so the latency table
-// reports the p50/p99/p999 of *admitted* operations plus an explicit shed
-// count — goodput (admitted ops per second) and shed are reported
-// separately rather than letting overload masquerade as throughput.
-// StructureAudit exposes the fast-path ledger: elimination hits and misses,
-// combined ops and batches, local-cache hits and spills.
+// The load tier bounds the tail with admission.  An open-loop profile with
+// a Queue bound sheds (or blocks) arrivals that are more than
+// Queue·interarrival behind schedule, so the latency table reports the
+// p50/p99/p999 of *admitted* operations plus an explicit shed count —
+// goodput (admitted ops per second) and shed are reported separately rather
+// than letting overload masquerade as throughput.
 //
 // # Safe memory reclamation
 //

@@ -254,95 +254,6 @@ func TestHotPathAllocsMapRegimes(t *testing.T) {
 	}
 }
 
-// TestHotPathAllocsTuned pins the PR-6 fast paths at zero allocations: a
-// stack with the elimination exchanger and a per-process node cache, and a
-// map with flat-combining on — the tuning knobs buy tail latency with
-// preallocated state, never with the heap.
-func TestHotPathAllocsTuned(t *testing.T) {
-	t.Run("stack+elim+cache", func(t *testing.T) {
-		s, err := NewStack(hotProcs, 8,
-			WithBackend(SlabBackend()), WithGuardedPool(),
-			WithProtection(ProtectionLLSC), WithElimination(2), WithLocalCache(4))
-		if err != nil {
-			t.Fatal(err)
-		}
-		h, err := s.Handle(0)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var i Word
-		if got := testing.AllocsPerRun(200, func() {
-			h.Push(i)
-			h.Pop()
-			i++
-		}); got != 0 {
-			t.Errorf("cached Push+Pop allocates %.1f/op, want 0", got)
-		}
-		if a := s.Audit(); a.LocalCacheHits == 0 {
-			t.Error("the cycle never hit the local cache")
-		}
-	})
-	t.Run("map+combining", func(t *testing.T) {
-		m, err := NewMap(hotProcs, 16,
-			WithBackend(SlabBackend()), WithGuardedPool(),
-			WithProtection(ProtectionLLSC), WithCombining())
-		if err != nil {
-			t.Fatal(err)
-		}
-		h, err := m.Handle(0)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var i Word
-		if got := testing.AllocsPerRun(200, func() {
-			h.Put(i&7, i)
-			h.Get(i & 7)
-			h.Delete(i & 7)
-			i++
-		}); got != 0 {
-			t.Errorf("combined map cycle allocates %.1f/op, want 0", got)
-		}
-		if a := m.Audit(); a.CombinedOps == 0 {
-			t.Error("no op went through the combiner")
-		}
-	})
-	t.Run("option-validation", func(t *testing.T) {
-		// Invalid knob values must surface as constructor errors through the
-		// public facade, not be silently dropped.
-		if _, err := NewStack(2, 4, WithElimination(-1)); err == nil {
-			t.Error("negative elimination accepted")
-		}
-		if _, err := NewStack(2, 4, WithLocalCache(-1)); err == nil {
-			t.Error("negative local cache accepted")
-		}
-		if _, err := NewMap(2, 8, WithReclamation("epoch:0")); err == nil {
-			t.Error("epoch:0 accepted")
-		}
-	})
-	t.Run("stack+cache+reclaim", func(t *testing.T) {
-		// The cache sits below retirement: the retire → limbo → cache → alloc
-		// round trip must also stay off the heap.
-		s, err := NewStack(hotProcs, 16,
-			WithBackend(SlabBackend()), WithGuardedPool(),
-			WithProtection(ProtectionLLSC), WithLocalCache(4), WithReclamation("hp"))
-		if err != nil {
-			t.Fatal(err)
-		}
-		h, err := s.Handle(0)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var i Word
-		if got := testing.AllocsPerRun(200, func() {
-			h.Push(i)
-			h.Pop()
-			i++
-		}); got != 0 {
-			t.Errorf("cached+reclaimed Push+Pop allocates %.1f/op, want 0", got)
-		}
-	})
-}
-
 // TestHotPathAllocsTracing pins the flight recorder's two promises: with
 // tracing OFF the structures are byte-identical to the untraced builds
 // (every other test in this file is that pin — no recorder is attached

@@ -78,16 +78,6 @@ type StructConfig struct {
 	// Reclaim, when non-nil, wraps the pool in a safe-memory-reclamation
 	// scheme.
 	Reclaim reclaim.Maker
-	// Elimination, when positive, adds an elimination-backoff exchanger of
-	// that many slots to structures that pair inverse operations (the
-	// stack); other structures ignore it.
-	Elimination int
-	// LocalCache, when positive, fronts the shared pool with per-process
-	// free stacks of that capacity.
-	LocalCache int
-	// Combining enables flat-combining batching on structures with
-	// publication-slot support (the map's buckets); others ignore it.
-	Combining bool
 	// GrowTo, when positive, enables online growth on structures that
 	// support it (the map): the structure starts at its constructor capacity
 	// and extends its node space geometrically through Pool.Grow, up to
@@ -130,28 +120,6 @@ func WithReclaimer(mk reclaim.Maker) StructOption {
 	return func(o *StructConfig) { o.Reclaim = mk }
 }
 
-// WithElimination adds an elimination-backoff exchanger of `slots` slots to
-// structures that pair inverse operations: a contending Push hands its node
-// directly to a colliding Pop through an exchanger slot, skipping the
-// top-of-stack guard entirely on a hit.  Each slot is a Guard from the same
-// maker as the structure, so the handoff protocol runs — and is audited —
-// under the structure's own protection regime.  Structures without an
-// inverse-operation pair (the map, the event flag) ignore the option.
-func WithElimination(slots int) StructOption {
-	return func(o *StructConfig) { o.Elimination = slots }
-}
-
-// WithLocalCache fronts the shared node pool with a bounded per-process
-// free stack of the given capacity: alloc/release pairs that stay on one
-// process never touch the shared allocator (no mutex, no free-list guard
-// traffic), and overflow spills back to the shared pool so no process can
-// hoard nodes.  Under a reclaimer the cache sits *below* the retire path —
-// nodes still pass through limbo before landing in a cache — so hp/epoch
-// accounting stays exact.
-func WithLocalCache(capacity int) StructOption {
-	return func(o *StructConfig) { o.LocalCache = capacity }
-}
-
 // WithGrowth lets the structure grow its node space online, up to
 // maxCapacity nodes: the constructor capacity becomes the *initial* size,
 // and when live occupancy crosses a threshold the structure doubles its
@@ -161,17 +129,6 @@ func WithLocalCache(capacity int) StructOption {
 // mid-run.  Structures without a growth protocol ignore the option.
 func WithGrowth(maxCapacity int) StructOption {
 	return func(o *StructConfig) { o.GrowTo = maxCapacity }
-}
-
-// WithCombining enables flat-combining on structures with publication-slot
-// support (the hash map's buckets): a writer that finds a bucket's combiner
-// lock free applies pending operations from other processes in a batch, so
-// the bucket chain is walked cache-hot by one process instead of being
-// fought over; when the lock is taken, operations publish and wait instead
-// of adding guard and SMR traffic.  Uncontended reads keep the existing
-// lock-free path.  Structures without combining support ignore the option.
-func WithCombining() StructOption {
-	return func(o *StructConfig) { o.Combining = true }
 }
 
 // WithTrace routes every seam of the structure — guards, pool, reclaimer,

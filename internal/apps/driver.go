@@ -82,9 +82,8 @@ type ReadMostly interface {
 	ReadMostlyWorker(pid int) (func(i int), error)
 }
 
-// InstanceOptions selects the allocator and fast-path configuration of a
-// benchmark instance: a guarded free list, a reclaimer, and the tail-latency
-// knobs (elimination, combining, local caches).
+// InstanceOptions selects the allocator configuration of a benchmark
+// instance: a guarded free list, a reclaimer, growth, and tracing.
 type InstanceOptions struct {
 	// GuardedPool routes the free list through a guard of the structure's
 	// regime (see WithGuardedPool).
@@ -92,16 +91,6 @@ type InstanceOptions struct {
 	// Reclaim, when non-nil, routes node releases through a safe-memory-
 	// reclamation scheme (see WithReclaimer).
 	Reclaim reclaim.Maker
-	// Elimination, when positive, enables the elimination-backoff exchanger
-	// with that many slots on structures that support it (see
-	// WithElimination).
-	Elimination int
-	// LocalCache, when positive, fronts the pool with per-process free
-	// stacks of that capacity (see WithLocalCache).
-	LocalCache int
-	// Combining enables flat-combining batching on structures that support
-	// it (see WithCombining).
-	Combining bool
 	// GrowTo, when positive, enables online growth up to that many nodes on
 	// structures that support it (see WithGrowth).
 	GrowTo int
@@ -119,15 +108,6 @@ func (io InstanceOptions) StructOpts(mk guard.Maker) []StructOption {
 	if io.Reclaim != nil {
 		opts = append(opts, WithReclaimer(io.Reclaim))
 	}
-	if io.Elimination > 0 {
-		opts = append(opts, WithElimination(io.Elimination))
-	}
-	if io.LocalCache > 0 {
-		opts = append(opts, WithLocalCache(io.LocalCache))
-	}
-	if io.Combining {
-		opts = append(opts, WithCombining())
-	}
 	if io.GrowTo > 0 {
 		opts = append(opts, WithGrowth(io.GrowTo))
 	}
@@ -135,23 +115,6 @@ func (io InstanceOptions) StructOpts(mk guard.Maker) []StructOption {
 		opts = append(opts, WithTrace(io.Trace))
 	}
 	return opts
-}
-
-// FastPathStats counts the work the tail-latency fast paths absorbed: ops
-// that skipped the contended mainline entirely.  Cache hits live in
-// PoolStats.Local, next to the allocator they bypass.
-type FastPathStats struct {
-	// ElimHits and ElimMisses are the elimination exchanger's counters.
-	ElimHits, ElimMisses int64
-	// CombinedOps counts operations a combiner applied on behalf of other
-	// processes; CombineBatches counts combiner acquisitions.
-	CombinedOps, CombineBatches int64
-}
-
-// FastPather is the optional Instance seam for structures with elimination
-// or combining fast paths; instances without one simply don't implement it.
-type FastPather interface {
-	FastPathStats() FastPathStats
 }
 
 // maxSpin bounds the queue's retry loops in matrix runs: a raw-guarded
@@ -210,11 +173,6 @@ func (in stackInstance) Audit() (bool, string) {
 func (in stackInstance) GuardMetrics() guard.Metrics    { return in.s.GuardMetrics() }
 func (in stackInstance) FreelistMetrics() guard.Metrics { return in.s.FreelistMetrics() }
 func (in stackInstance) PoolStats() PoolStats           { return in.s.PoolStats() }
-
-func (in stackInstance) FastPathStats() FastPathStats {
-	hits, misses := in.s.ElimStats()
-	return FastPathStats{ElimHits: hits, ElimMisses: misses}
-}
 
 // NewQueueInstance builds a queue of the given capacity whose workload is
 // an enq/deq pair per op, with bounded retry loops (see QueueHandle.MaxSpin).

@@ -100,23 +100,9 @@ type PoolStats struct {
 	Scheme string
 	// Reclaim holds the reclaimer's counters (zero without one).
 	Reclaim reclaim.Metrics
-	// Local holds the per-process cache counters (zero without
-	// WithLocalCache).
-	Local LocalCacheStats
 	// Grows counts capacity extensions that actually extended the pool
 	// (no-op Grow calls at or below the current capacity don't count).
 	Grows int64
-}
-
-// LocalCacheStats are the per-process free-stack counters of a pool built
-// WithLocalCache, aggregated across processes.
-type LocalCacheStats struct {
-	// Hits counts Allocs served from a process's own cache — alloc/release
-	// cycles that never touched the shared allocator.
-	Hits int64
-	// Spills counts nodes pushed back to the shared pool because a cache
-	// overflowed its bound.
-	Spills int64
 }
 
 // NewPool builds the pool selected by the resolved structure configuration:
@@ -132,16 +118,6 @@ func NewPool(f shmem.Factory, cfg StructConfig, name string, n, capacity int, id
 		p = gp
 	} else {
 		p = newFIFOPool(capacity)
-	}
-	if cfg.LocalCache < 0 {
-		return nil, fmt.Errorf("apps: local cache capacity must be >= 0, got %d", cfg.LocalCache)
-	}
-	if cfg.LocalCache > 0 {
-		// The cache sits *below* the reclaimer wrapper: a retired node must
-		// clear limbo before it can land in a process's cache, so hp/epoch
-		// accounting is untouched — the cache only short-circuits the truly
-		// free nodes.
-		p = newCachedPool(p, cfg.LocalCache)
 	}
 	if cfg.Reclaim != nil {
 		// Size the reclaimer for the growth ceiling up front: limbo buffers
@@ -529,7 +505,7 @@ func (p *reclaimedPool) Handle(pid int) (PoolHandle, error) {
 func (p *reclaimedPool) Metrics() guard.Metrics { return p.inner.Metrics() }
 
 func (p *reclaimedPool) Stats() PoolStats {
-	st := p.inner.Stats() // inherit the inner pool's Local cache counters
+	st := p.inner.Stats() // inherit the inner pool's Grows counter
 	st.Exhaustions = p.exhaustions.Load()
 	st.Scheme = p.rec.Scheme()
 	st.Reclaim = p.rec.Metrics()
@@ -588,119 +564,3 @@ func (h *reclaimedHandle) Protect(slot, idx int)   { h.rh.Protect(slot, idx) }
 func (h *reclaimedHandle) Clear()                  { h.rh.Clear() }
 func (h *reclaimedHandle) Drain() int              { return h.rh.Drain() }
 func (h *reclaimedHandle) Reclaiming() bool        { return true }
-
-// cachedPool fronts a shared pool with bounded per-process free stacks
-// (WithLocalCache): an alloc/release pair that stays on one process is two
-// slice operations — no mutex, no free-list guard commits, no cross-process
-// cache traffic — which is the t(n) the shared allocator charges on every
-// recycle.  The bound keeps the m(n) cost explicit: at most `size` nodes per
-// process can sit outside the shared pool, and an overflow spills the
-// oldest half back so no process can hoard the pool dry.
-type cachedPool struct {
-	inner Pool
-	size  int
-
-	// Striped: the cache exists to keep the hot alloc/release cycle free of
-	// cross-process cache traffic; a shared hit counter would put it back.
-	hits   *shmem.StripedCounter
-	spills *shmem.StripedCounter
-
-	mu      sync.Mutex
-	handles map[int]*cachedHandle
-}
-
-func newCachedPool(inner Pool, size int) *cachedPool {
-	return &cachedPool{
-		inner:   inner,
-		size:    size,
-		hits:    shmem.NewStripedCounter(),
-		spills:  shmem.NewStripedCounter(),
-		handles: make(map[int]*cachedHandle),
-	}
-}
-
-// Handle is idempotent per pid: a process's cache is per-process state,
-// exactly like its hazard slots, so every structure handle of one process
-// must share one cache.
-func (p *cachedPool) Handle(pid int) (PoolHandle, error) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if h, ok := p.handles[pid]; ok {
-		return h, nil
-	}
-	ih, err := p.inner.Handle(pid)
-	if err != nil {
-		return nil, err
-	}
-	h := &cachedHandle{p: p, inner: ih, lane: shmem.StripeFor(pid), local: make([]int, 0, p.size)}
-	p.handles[pid] = h
-	return h, nil
-}
-
-func (p *cachedPool) Metrics() guard.Metrics { return p.inner.Metrics() }
-
-// Grow passes through: caches hold indices, and indices never move.
-func (p *cachedPool) Grow(newCapacity int) (int, error) { return p.inner.Grow(newCapacity) }
-
-func (p *cachedPool) Stats() PoolStats {
-	st := p.inner.Stats()
-	st.Local = LocalCacheStats{Hits: p.hits.Load(), Spills: p.spills.Load()}
-	return st
-}
-
-// Snapshot includes every process's cached nodes: cached is a free state,
-// and audits must see it that way (quiescence only, like all snapshots).
-func (p *cachedPool) Snapshot() []int {
-	out := p.inner.Snapshot()
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	for _, h := range p.handles {
-		out = append(out, h.local...)
-	}
-	return out
-}
-
-type cachedHandle struct {
-	p     *cachedPool
-	inner PoolHandle
-	lane  int   // counter stripe, shmem.StripeFor(pid)
-	local []int // LIFO free stack; fixed backing array, never reallocates
-}
-
-// Alloc serves from the local stack when it can; the fall-through to the
-// shared pool keeps exhaustion accounting where it always was.
-func (h *cachedHandle) Alloc() int {
-	if n := len(h.local); n > 0 {
-		idx := h.local[n-1]
-		h.local = h.local[:n-1]
-		h.p.hits.Add(h.lane, 1)
-		return idx
-	}
-	return h.inner.Alloc()
-}
-
-// Release pushes onto the local stack, spilling the oldest (coldest) half
-// to the shared pool in one batch when the bound is hit.
-func (h *cachedHandle) Release(idx int) {
-	if len(h.local) == cap(h.local) {
-		spill := cap(h.local)/2 + 1
-		h.inner.ReleaseBatch(h.local[:spill])
-		n := copy(h.local, h.local[spill:])
-		h.local = h.local[:n]
-		h.p.spills.Add(h.lane, int64(spill))
-	}
-	h.local = append(h.local, idx)
-}
-
-// ReleaseBatch feeds the local stack; overflow spills ride the same batched
-// path Release uses.
-func (h *cachedHandle) ReleaseBatch(idxs []int) {
-	for _, idx := range idxs {
-		h.Release(idx)
-	}
-}
-
-func (h *cachedHandle) Protect(slot, idx int) { h.inner.Protect(slot, idx) }
-func (h *cachedHandle) Clear()                { h.inner.Clear() }
-func (h *cachedHandle) Drain() int            { return h.inner.Drain() }
-func (h *cachedHandle) Reclaiming() bool      { return h.inner.Reclaiming() }

@@ -160,9 +160,6 @@ func TestPoolGrowthBooks(t *testing.T) {
 		{"guarded+epoch", func(mk guard.Maker) StructConfig {
 			return StructConfig{Maker: mk, GuardedPool: true, Reclaim: reclaim.NewEpoch, GrowTo: ceiling}
 		}},
-		{"guarded+epoch+cache", func(mk guard.Maker) StructConfig {
-			return StructConfig{Maker: mk, GuardedPool: true, Reclaim: reclaim.NewEpoch, LocalCache: 4, GrowTo: ceiling}
-		}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			f := shmem.NewNativeFactory()

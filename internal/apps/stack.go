@@ -39,7 +39,6 @@ type Stack struct {
 
 	pool Pool
 	head guard.Guard
-	elim *elimArray      // nil unless built WithElimination
 	tr   *trace.Recorder // nil unless built WithTrace
 }
 
@@ -74,14 +73,6 @@ func NewStack(f shmem.Factory, n, capacity int, prot Protection, tagBits uint, o
 		return nil, fmt.Errorf("apps: stack head needs a conditional guard; %s guard is detection-only", head.Regime())
 	}
 	s.head = head
-	if o.Elimination < 0 {
-		return nil, fmt.Errorf("apps: elimination slots must be >= 0, got %d", o.Elimination)
-	}
-	if o.Elimination > 0 {
-		if s.elim, err = newElimArray(o.Maker, "stack", o.Elimination, idxBits); err != nil {
-			return nil, err
-		}
-	}
 	if s.pool, err = NewPool(f, o, "stack", n, capacity, idxBits); err != nil {
 		return nil, err
 	}
@@ -107,27 +98,6 @@ func (s *Stack) FreelistMetrics() guard.Metrics { return s.pool.Metrics() }
 // PoolStats returns the allocator's exhaustion and reclamation counters.
 func (s *Stack) PoolStats() PoolStats { return s.pool.Stats() }
 
-// ElimStats returns the elimination exchanger's counters: hits are
-// completed push/pop handoffs (ops that never touched the head guard),
-// misses are withdrawn or rejected exchange attempts.  Both are zero unless
-// the stack was built WithElimination.
-func (s *Stack) ElimStats() (hits, misses int64) {
-	if s.elim == nil {
-		return 0, 0
-	}
-	return s.elim.stats()
-}
-
-// ElimMetrics returns the aggregated guard counters of the elimination
-// slots (zero without WithElimination).  They are reported separately from
-// GuardMetrics: a lost take race is slot contention, not a structure ABA.
-func (s *Stack) ElimMetrics() guard.Metrics {
-	if s.elim == nil {
-		return guard.Metrics{}
-	}
-	return s.elim.metrics()
-}
-
 // Handle returns process pid's handle.  Handles are single-goroutine.
 func (s *Stack) Handle(pid int) (*StackHandle, error) {
 	if pid < 0 || pid >= s.n {
@@ -148,11 +118,6 @@ func (s *Stack) Handle(pid int) (*StackHandle, error) {
 	// a reclaimer keeps the protected path so its reads stay as sound as the
 	// reclaimer makes them — same eligibility rule as the map's fast Get.
 	sh.fastOK = !sh.smr || s.head.Regime() != guard.Raw
-	if s.elim != nil {
-		if sh.elim, err = s.elim.handle(pid); err != nil {
-			return nil, err
-		}
-	}
 	return sh, nil
 }
 
@@ -165,11 +130,9 @@ type StackHandle struct {
 	smr    bool        // pool defers releases: run the protect/revalidate fence
 	fastOK bool        // wait-free read fast path is sound for this configuration
 	ring   *trace.Ring // nil without WithTrace; Record on nil is a no-op
-	elim   *elimHandle
 
-	pending  int // node loaded by PopBegin
-	next     int // its successor, as read by PopBegin
-	offerIdx int // node parked by ElimOffer
+	pending int // node loaded by PopBegin
+	next    int // its successor, as read by PopBegin
 
 	// relBuf is the commit path's scratch for the pool's batch-release
 	// seam: a pop kills exactly one node, and routing it through
@@ -191,35 +154,13 @@ func (h *StackHandle) Push(v Word) bool {
 		return false
 	}
 	h.s.value[idx].Write(h.pid, v)
-	h.pushNode(idx)
-	return true
-}
-
-// pushNode links idx (value already written) onto the stack — or, under
-// contention with elimination enabled, hands it to a colliding pop.
-func (h *StackHandle) pushNode(idx int) {
 	for {
 		top, _ := h.head.Load()
 		h.s.next[idx].Write(h.pid, top)
 		if h.head.Commit(Word(idx)) {
-			return
-		}
-		// The head is contended: back off into the exchanger instead of
-		// retrying the hottest word immediately.
-		if h.elim != nil && h.elimPush(idx) {
-			return
+			return true
 		}
 	}
-}
-
-// elimPush offers idx to the exchanger, waits out the backoff window, and
-// settles.  true = a pop took the node; false = withdrawn, caller retries.
-func (h *StackHandle) elimPush(idx int) bool {
-	if !h.elim.offer(idx) {
-		return false
-	}
-	h.elim.await()
-	return h.elim.settle()
 }
 
 // Pop pops the top value.  It returns false when the stack is empty.
@@ -227,22 +168,10 @@ func (h *StackHandle) Pop() (Word, bool) {
 	for {
 		top, next, empty := h.PopBegin()
 		if empty {
-			// A pending offer is a concurrent push: taking it is the
-			// linearizable answer, not "empty".
-			if h.elim != nil {
-				if v, ok := h.ElimTake(); ok {
-					return v, true
-				}
-			}
 			return 0, false
 		}
 		if v, ok := h.popCommit(top, next); ok {
 			return v, true
-		}
-		if h.elim != nil {
-			if v, ok := h.ElimTake(); ok {
-				return v, true
-			}
 		}
 	}
 }
@@ -397,78 +326,12 @@ func (h *StackHandle) IsEmpty() bool {
 	return top == 0
 }
 
-// ElimOffer stages v for elimination: it allocates a node, writes v, and
-// parks the node in an exchanger slot without waiting — the first half of
-// an eliminated push, exposed for the deterministic handoff scripts and the
-// hot-path allocation pins.  It returns false (and stages nothing) when the
-// stack has no exchanger, an offer is already pending, the pool is
-// exhausted, or no slot could be claimed.  Every successful ElimOffer must
-// be resolved by ElimSettle before the next offer.
-func (h *StackHandle) ElimOffer(v Word) bool {
-	if h.elim == nil || h.elim.offerSlot >= 0 {
-		return false
-	}
-	idx := h.pool.Alloc()
-	if idx == 0 {
-		return false
-	}
-	h.s.value[idx].Write(h.pid, v)
-	if !h.elim.offer(idx) {
-		h.pool.Release(idx)
-		return false
-	}
-	h.offerIdx = idx
-	return true
-}
-
-// ElimSettle resolves the offer staged by ElimOffer.  exchanged=true means
-// a pop consumed the value; exchanged=false means the offer was withdrawn
-// and the push completed through the main stack instead — either way the
-// offered value is now in the structure's custody, never lost.  With no
-// pending offer it reports false without touching the stack.
-func (h *StackHandle) ElimSettle() (exchanged bool) {
-	if h.elim == nil || h.elim.offerSlot < 0 {
-		return false
-	}
-	idx := h.offerIdx
-	h.offerIdx = 0
-	if h.elim.settle() {
-		return true
-	}
-	h.pushNode(idx)
-	return false
-}
-
-// ElimTake consumes a waiting offer from the exchanger: the taking side of
-// an eliminated pop.  On a hit the node is exclusively ours — the value is
-// read after the winning commit — and recycles through the normal pool
-// path, so reclamation accounting is identical to a mainline pop's.
-func (h *StackHandle) ElimTake() (Word, bool) {
-	if h.elim == nil {
-		return 0, false
-	}
-	idx, ok := h.elim.take()
-	if !ok {
-		return 0, false
-	}
-	v := h.s.value[idx].Read(h.pid)
-	h.pool.Release(idx)
-	return v, true
-}
-
 // StackAudit is a quiescent-state structural check.
 type StackAudit struct {
 	// InStack is the number of nodes reachable from the head.
 	InStack int
 	// InFree is the number of nodes in the allocator's free queue.
 	InFree int
-	// InElim is the number of nodes parked in elimination slots (zero at
-	// true quiescence; a scripted mid-exchange pause is counted here, not
-	// as lost).
-	InElim int
-	// ElimHits and ElimMisses are the exchanger's counters: completed
-	// handoffs vs withdrawn or rejected exchange attempts.
-	ElimHits, ElimMisses int64
 	// Doubled lists nodes that are both reachable and free, or reachable
 	// twice — the smoking gun of an ABA corruption.
 	Doubled []int
@@ -483,12 +346,8 @@ func (a StackAudit) Corrupt() bool { return len(a.Doubled) > 0 || a.Lost > 0 || 
 
 // String renders the audit result.
 func (a StackAudit) String() string {
-	s := fmt.Sprintf("inStack=%d inFree=%d doubled=%v lost=%d cycle=%v",
+	return fmt.Sprintf("inStack=%d inFree=%d doubled=%v lost=%d cycle=%v",
 		a.InStack, a.InFree, a.Doubled, a.Lost, a.Cycle)
-	if a.InElim > 0 || a.ElimHits > 0 || a.ElimMisses > 0 {
-		s += fmt.Sprintf(" inElim=%d elimHits=%d elimMisses=%d", a.InElim, a.ElimHits, a.ElimMisses)
-	}
-	return s
 }
 
 // Audit walks the stack and the free queue.  It must only be called while no
@@ -511,13 +370,6 @@ func (s *Stack) Audit() StackAudit {
 	for _, idx := range s.pool.Snapshot() {
 		seen[idx]++
 		a.InFree++
-	}
-	if s.elim != nil {
-		for _, idx := range s.elim.waiting() {
-			seen[idx]++
-			a.InElim++
-		}
-		a.ElimHits, a.ElimMisses = s.elim.stats()
 	}
 	for idx, count := range seen {
 		if count > 1 {

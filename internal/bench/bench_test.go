@@ -158,16 +158,15 @@ func TestE10ThroughputShape(t *testing.T) {
 }
 
 func TestE13LoadMatrixShape(t *testing.T) {
-	// One profile, one scheme: 4 regimes × (baseline + tuned variant) rows
-	// with parseable latency columns; the filters reject unknown IDs.
+	// One profile, one scheme: one row per regime with parseable latency
+	// columns; the filters reject unknown IDs.
 	tbl, err := E13LoadMatrix("map", "none", "steady")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(tbl.Rows) != 8 {
-		t.Fatalf("rows = %d, want 8 (baseline + tuned per regime)", len(tbl.Rows))
+	if len(tbl.Rows) != 4 {
+		t.Fatalf("rows = %d, want 4 (one per regime)", len(tbl.Rows))
 	}
-	tuned := 0
 	for _, row := range tbl.Rows {
 		if len(row) != len(tbl.Header) {
 			t.Fatalf("row %v has %d cells, want %d", row, len(row), len(tbl.Header))
@@ -175,15 +174,6 @@ func TestE13LoadMatrixShape(t *testing.T) {
 		if row[6] == "" || row[7] == "" || row[8] == "" {
 			t.Errorf("row %v lacks latency percentiles", row)
 		}
-		if strings.HasSuffix(row[0], "+fc+cache16") {
-			tuned++
-			if row[10] == "-" {
-				t.Errorf("tuned row %v reports no fast-path traffic", row)
-			}
-		}
-	}
-	if tuned != 4 {
-		t.Errorf("tuned rows = %d, want 4 (one per regime)", tuned)
 	}
 	if _, err := E13LoadMatrix("no-such-structure", "all", "all"); err == nil {
 		t.Error("want error for an unknown structure")
@@ -197,20 +187,19 @@ func TestE13LoadMatrixShape(t *testing.T) {
 }
 
 func TestE13TrafficFilterAndTuningPin(t *testing.T) {
-	// "traffic" covers map and stack; an explicit Tuning pins every cell to
-	// exactly one variant, and a Seed override still produces full rows.
-	tbl, err := E13LoadMatrixOpts("traffic", "none", "steady",
-		E13Options{Seed: 42, Tuning: &Tuning{Elimination: 2, LocalCache: 8}})
+	// "traffic" covers map and stack, and a Seed override pins every cell
+	// to one RNG stream while still producing full baseline rows.
+	tbl, err := E13LoadMatrixOpts("traffic", "none", "steady", E13Options{Seed: 42})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(tbl.Rows) != 8 {
-		t.Fatalf("rows = %d, want 8 (map + stack, 4 regimes, one pinned variant)", len(tbl.Rows))
+		t.Fatalf("rows = %d, want 8 (map + stack, 4 regimes)", len(tbl.Rows))
 	}
 	structs := map[string]bool{}
 	for _, row := range tbl.Rows {
-		if !strings.HasSuffix(row[0], "+elim2+cache8") {
-			t.Errorf("row %q lacks the pinned tuning label", row[0])
+		if !strings.HasSuffix(row[0], "+none/steady") {
+			t.Errorf("row %q is not a baseline steady/none cell", row[0])
 		}
 		structs[strings.SplitN(row[0], "/", 2)[0]] = true
 	}
@@ -232,8 +221,8 @@ func TestE13BackpressureProfile(t *testing.T) {
 		if _, err := strconv.Atoi(row[9]); err != nil {
 			t.Errorf("row %q shed column %q is not a count: %v", row[0], row[9], err)
 		}
-		if strings.HasPrefix(row[0], "map/llsc") && strings.Contains(row[11], "corrupt=true") {
-			t.Errorf("row %q corrupted under llsc: %s", row[0], row[11])
+		if strings.HasPrefix(row[0], "map/llsc") && strings.Contains(row[10], "corrupt=true") {
+			t.Errorf("row %q corrupted under llsc: %s", row[0], row[10])
 		}
 	}
 }

@@ -30,7 +30,7 @@ func Experiments() []Experiment {
 			func() (*Table, error) { return E11Apps("all") }},
 		{"E12", "reclamation matrix: structure × regime × reclaimer (SMR as the ABA defense)",
 			func() (*Table, error) { return E12Reclaim("all", "all") }},
-		{"E13", "traffic matrix: map+stack × regime × reclaimer × load profile, with latency percentiles and fast-path counters",
+		{"E13", "traffic matrix: map+stack × regime × reclaimer × load profile, with latency percentiles",
 			func() (*Table, error) { return E13LoadMatrix("traffic", "all", "all") }},
 		{"E14", "read scaling: read-mostly traffic × regime × reclaimer × workers (wait-free read fast paths)",
 			func() (*Table, error) { return E14ReadScaling("all", "all") }},

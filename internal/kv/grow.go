@@ -126,9 +126,6 @@ func newGrowMap(f shmem.Factory, cfg apps.StructConfig, n, capacity, buckets int
 	if maxCap < capacity {
 		return nil, fmt.Errorf("kv: growth ceiling %d below initial capacity %d", maxCap, capacity)
 	}
-	if cfg.Combining {
-		return nil, fmt.Errorf("kv: combining and growth are mutually exclusive (combiner slots are per-bucket and the directory resizes)")
-	}
 	s0 := nextPow2(buckets)
 	maxBuckets := floorPow2(maxCap / growThreshold)
 	if maxBuckets < s0 {

@@ -40,7 +40,7 @@ func TestGrowMapOracle(t *testing.T) {
 		{"raw+hp", apps.Raw, 0, []apps.StructOption{apps.WithReclaimer(reclaim.NewHazard)}},
 		{"llsc+epoch", apps.LLSC, 0, []apps.StructOption{apps.WithReclaimer(reclaim.NewEpoch)}},
 		{"llsc+guarded", apps.LLSC, 0, []apps.StructOption{apps.WithGuardedPool()}},
-		{"llsc+hp+cache", apps.LLSC, 0, []apps.StructOption{apps.WithReclaimer(reclaim.NewHazard), apps.WithLocalCache(8)}},
+		{"llsc+hp", apps.LLSC, 0, []apps.StructOption{apps.WithReclaimer(reclaim.NewHazard)}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			const keys = 600 // well past the initial capacity of 8
@@ -265,15 +265,6 @@ func TestGrowMapConcurrent(t *testing.T) {
 				t.Errorf("no segment appends under %d-key traffic from capacity %d: %s", keys, initial, a)
 			}
 		})
-	}
-}
-
-// TestGrowMapRejectsCombining documents the one unsupported composition.
-func TestGrowMapRejectsCombining(t *testing.T) {
-	f := shmem.NewNativeFactory()
-	_, err := NewMap(f, 2, 8, 1, apps.LLSC, 0, apps.WithGrowth(64), apps.WithCombining())
-	if err == nil {
-		t.Fatal("combining+growth accepted; want a construction error")
 	}
 }
 

@@ -118,8 +118,3 @@ func (in mapInstance) GrowthStats() (splits, appends, retries int64, capNow int)
 	g := in.m.grow
 	return g.splits.Load(), g.appends.Load(), g.retries.Load(), in.m.Capacity()
 }
-
-func (in mapInstance) FastPathStats() apps.FastPathStats {
-	batches, ops := in.m.CombineStats()
-	return apps.FastPathStats{CombinedOps: ops, CombineBatches: batches}
-}

@@ -33,7 +33,6 @@ package kv
 
 import (
 	"fmt"
-	"sync/atomic"
 
 	"abadetect/internal/apps"
 	"abadetect/internal/guard"
@@ -80,10 +79,6 @@ type Map struct {
 	head []guard.Guard    // head[b]: packed (idx<<1), never marked
 
 	pool apps.Pool
-
-	comb        []combiner // one per bucket; nil = combining off
-	combBatches atomic.Int64
-	combOps     atomic.Int64 // ops applied on behalf of other processes
 
 	// Read-path counters (striped: retries happen exactly under the write
 	// contention a shared counter would amplify).  The clean fast path bumps
@@ -157,12 +152,6 @@ func NewMap(f shmem.Factory, n, capacity, buckets int, prot Protection, tagBits 
 	}
 	if m.pool, err = apps.NewPool(f, cfg, "map", n, capacity, idxBits); err != nil {
 		return nil, err
-	}
-	if cfg.Combining {
-		m.comb = make([]combiner, buckets)
-		for b := range m.comb {
-			m.comb[b].slots = make([]combSlot, n)
-		}
 	}
 	return m, nil
 }
@@ -245,18 +234,6 @@ func (m *Map) FreelistMetrics() guard.Metrics { return m.pool.Metrics() }
 
 // PoolStats returns the allocator's exhaustion and reclamation counters.
 func (m *Map) PoolStats() apps.PoolStats { return m.pool.Stats() }
-
-// Combining reports whether the map was built apps.WithCombining.
-func (m *Map) Combining() bool { return m.comb != nil }
-
-// CombineStats returns the flat-combining counters: batches is the number
-// of combiner acquisitions, ops the number of operations applied inside
-// combiner runs — the combiner's own op plus every waiter op it swept, so
-// ops/batches is the average batch width (1.0 means no waiter ever
-// piggybacked).
-func (m *Map) CombineStats() (batches, ops int64) {
-	return m.combBatches.Load(), m.combOps.Load()
-}
 
 // bucket hashes k to its chain (murmur3 finalizer, deterministic).
 func (m *Map) bucket(k Word) int {
@@ -522,12 +499,21 @@ func (h *Handle) Get(k Word) (Word, bool) {
 		}
 		h.m.readFallbacks.Add(h.lane, 1)
 	}
-	if h.m.comb != nil {
-		if v, ok, done := h.combined(apps.OpGet, k, 0); done {
-			return v, ok
+	b := h.m.bucket(k)
+	spins := 0
+	for {
+		prev, cur, _, ok := h.seek(b, k, 0, &spins)
+		if !ok || cur == 0 {
+			h.endOp(true)
+			return 0, false
 		}
+		v := h.m.val[cur].Read(h.pid)
+		if !h.smr && !prev.Validate() {
+			continue // the node moved while we read it: retry
+		}
+		h.endOp(false)
+		return v, true
 	}
-	return h.get(k)
 }
 
 // fastGetRetries bounds the fast path's torn-read restarts before Get falls
@@ -604,25 +590,6 @@ func (h *Handle) tryGetFast(b int, k Word) (v Word, ok, clean bool) {
 	}
 }
 
-// get is the lock-free Get body; the combiner applies it for waiters too.
-func (h *Handle) get(k Word) (Word, bool) {
-	b := h.m.bucket(k)
-	spins := 0
-	for {
-		prev, cur, _, ok := h.seek(b, k, 0, &spins)
-		if !ok || cur == 0 {
-			h.endOp(true)
-			return 0, false
-		}
-		v := h.m.val[cur].Read(h.pid)
-		if !h.smr && !prev.Validate() {
-			continue // the node moved while we read it: retry
-		}
-		h.endOp(false)
-		return v, true
-	}
-}
-
 // Put binds k to v.  It returns false when the node pool is exhausted (or a
 // MaxSpin budget ran out) — a fresh node is needed even to overwrite, since
 // keys and values are immutable per node.
@@ -630,16 +597,6 @@ func (h *Handle) Put(k, v Word) bool {
 	if h.m.grow != nil {
 		return h.putG(k, v)
 	}
-	if h.m.comb != nil {
-		if _, ok, done := h.combined(apps.OpPut, k, v); done {
-			return ok
-		}
-	}
-	return h.put(k, v)
-}
-
-// put is the lock-free Put body; the combiner applies it for waiters too.
-func (h *Handle) put(k, v Word) bool {
 	idx := h.pool.Alloc()
 	if idx == 0 {
 		h.endOp(true)
@@ -676,16 +633,6 @@ func (h *Handle) Delete(k Word) bool {
 	if h.m.grow != nil {
 		return h.delG(k)
 	}
-	if h.m.comb != nil {
-		if _, ok, done := h.combined(apps.OpDelete, k, 0); done {
-			return ok
-		}
-	}
-	return h.del(k)
-}
-
-// del is the lock-free Delete body; the combiner applies it for waiters too.
-func (h *Handle) del(k Word) bool {
 	spins := 0
 	deleted := h.sweep(h.m.bucket(k), k, 0, &spins)
 	h.endOp(!deleted)

@@ -112,20 +112,6 @@ type StructureAudit struct {
 	// stalled drains, and increases after drains that emptied the pending
 	// list.  Zero for the fixed-cadence schemes.
 	CadenceTightens, CadenceRelaxes int64
-	// LocalCacheHits and LocalCacheSpills are the per-worker node-cache
-	// counters (zero unless built WithLocalCache): allocations served from a
-	// worker's private free stack, and nodes spilled back to the shared pool
-	// when a cache overflowed.
-	LocalCacheHits, LocalCacheSpills int64
-	// ElimHits and ElimMisses are the elimination-array counters (zero
-	// unless a stack is built WithElimination): push/pop pairs that
-	// exchanged through a collision slot without touching the top-of-stack
-	// guard, and offers or takes that failed to pair.
-	ElimHits, ElimMisses int64
-	// CombinedOps and CombineBatches are the flat-combining counters (zero
-	// unless a map is built WithCombining): operations a combiner applied
-	// on behalf of other processes, and combiner passes that ran.
-	CombinedOps, CombineBatches int64
 	// ReadRetries and ReadFallbacks are the map's wait-free read-path
 	// counters: torn fast-path Get attempts that were detected and retried,
 	// and Gets that exhausted the retry budget and fell back to the guarded
@@ -141,21 +127,19 @@ type StructureAudit struct {
 // poolAudit merges the allocator counters into a structure audit.
 func poolAudit(corrupt bool, detail string, ps apps.PoolStats) StructureAudit {
 	return StructureAudit{
-		Corrupt:          corrupt,
-		Detail:           detail,
-		PoolExhaustions:  ps.Exhaustions,
-		Reclaimer:        ps.Scheme,
-		Retired:          ps.Reclaim.Retired,
-		Reclaimed:        ps.Reclaim.Freed,
-		Deferred:         ps.Reclaim.Deferred(),
-		ReclaimStalls:    ps.Reclaim.Stalls,
-		RetireBatches:    ps.Reclaim.Batches,
-		SkippedScans:     ps.Reclaim.SkippedScans,
-		AllocPressure:    ps.Reclaim.Pressure,
-		CadenceTightens:  ps.Reclaim.Tightens,
-		CadenceRelaxes:   ps.Reclaim.Relaxes,
-		LocalCacheHits:   ps.Local.Hits,
-		LocalCacheSpills: ps.Local.Spills,
+		Corrupt:         corrupt,
+		Detail:          detail,
+		PoolExhaustions: ps.Exhaustions,
+		Reclaimer:       ps.Scheme,
+		Retired:         ps.Reclaim.Retired,
+		Reclaimed:       ps.Reclaim.Freed,
+		Deferred:        ps.Reclaim.Deferred(),
+		ReclaimStalls:   ps.Reclaim.Stalls,
+		RetireBatches:   ps.Reclaim.Batches,
+		SkippedScans:    ps.Reclaim.SkippedScans,
+		AllocPressure:   ps.Reclaim.Pressure,
+		CadenceTightens: ps.Reclaim.Tightens,
+		CadenceRelaxes:  ps.Reclaim.Relaxes,
 	}
 }
 
@@ -212,31 +196,6 @@ func WithGuardedPool() Option {
 	return func(o *options) { o.guardedPool = true }
 }
 
-// WithElimination gives a stack an elimination array of the given number of
-// collision slots: a contending push hands its node directly to a colliding
-// pop, and the pair linearizes without touching the top-of-stack guard.
-// The exchange is ABA-free by construction (the taker reads the value only
-// after winning a conditional take), so it tightens the contended tail
-// without weakening any regime's guarantee.  The cost in the paper's
-// vocabulary is explicit: `slots` extra guards of m(n) space buy the
-// removal of the head guard from the t(n) of every eliminated pair.  The
-// counters surface in Audit().  Structures without a push/pop shape accept
-// the option and ignore it.
-func WithElimination(slots int) Option {
-	return func(o *options) { o.elimination = slots }
-}
-
-// WithLocalCache puts a bounded private free stack of the given capacity in
-// front of each worker's node allocator: release feeds the local stack,
-// alloc drains it, and only overflow or underflow touches the shared pool.
-// Under a reclaimer the cache sits *below* retirement — a retired node
-// clears limbo before it can land in any cache — so the Audit() reclaim
-// accounting stays exact.  The trade is n·capacity nodes of m(n) space for
-// the removal of the shared free-list round trip from the common-case t(n).
-func WithLocalCache(capacity int) Option {
-	return func(o *options) { o.localCache = capacity }
-}
-
 // WithGrowth lets a map grow its node pool and bucket directory up to
 // maxCapacity keys, with no stop-the-world: the node space extends by
 // geometric segment appends (existing nodes never move — new segments extend
@@ -248,21 +207,11 @@ func WithLocalCache(capacity int) Option {
 // around it — the deterministic resize corruption script provably fools
 // ProtectionRaw and is rejected by every sounder regime.  Guards and tag
 // widths are sized for maxCapacity up front, so the m(n) ledger prices the
-// ceiling, not the current occupancy.  Structures without a growable shape
-// accept the option and ignore it.
+// ceiling, not the current occupancy.  A negative ceiling is a constructor
+// error; 0 leaves the map at its fixed capacity.  Structures without a
+// growable shape accept the option and ignore it.
 func WithGrowth(maxCapacity int) Option {
 	return func(o *options) { o.growTo = maxCapacity }
-}
-
-// WithCombining turns on flat combining for a map's hot buckets: one lock
-// word plus n publication slots per bucket; a writer that wins the lock
-// applies the other contenders' published operations back-to-back on a
-// cache-warm chain, and uncontended reads keep the plain lock-free path.
-// Combining is layered over the already-guarded structure, so it changes
-// the contended t(n), never the soundness story.  Structures without keyed
-// buckets accept the option and ignore it.
-func WithCombining() Option {
-	return func(o *options) { o.combining = true }
 }
 
 // WithTracing attaches a flight recorder to a structure: one fixed ring of
@@ -274,7 +223,8 @@ func WithCombining() Option {
 // happens-before-consistent dump.  Without this option tracing costs nothing:
 // the hooks are nil and the hot paths are byte-identical to the untraced
 // build.  The m(n) price is explicit: n rings × capacity events of fixed
-// space, O(1) steps per event.
+// space, O(1) steps per event.  A negative capacity is a constructor error;
+// 0 builds no recorder.
 func WithTracing(capacity int) Option {
 	return func(o *options) { o.traceCap = capacity }
 }
@@ -343,15 +293,6 @@ func (o options) structOpts(n int, mk guard.Maker) ([]apps.StructOption, *trace.
 	if o.guardedPool {
 		opts = append(opts, apps.WithGuardedPool())
 	}
-	if o.elimination != 0 {
-		opts = append(opts, apps.WithElimination(o.elimination))
-	}
-	if o.localCache != 0 {
-		opts = append(opts, apps.WithLocalCache(o.localCache))
-	}
-	if o.combining {
-		opts = append(opts, apps.WithCombining())
-	}
 	if o.growTo != 0 {
 		opts = append(opts, apps.WithGrowth(o.growTo))
 	}
@@ -368,10 +309,17 @@ func (o options) structOpts(n int, mk guard.Maker) ([]apps.StructOption, *trace.
 	return opts, rec, nil
 }
 
-// checkTagBits validates an explicit WithTagBits width against the
-// structure's reference width (refBits).  An unset option keeps the
-// 16-bit default.
-func (o options) checkTagBits(refBits uint) error {
+// validate rejects explicit option values no structure can honor: a
+// negative growth ceiling or recorder capacity (0 keeps meaning "off"), and
+// a WithTagBits width that does not fit the structure's reference width
+// (refBits).  An unset WithTagBits keeps the 16-bit default.
+func (o options) validate(refBits uint) error {
+	if o.growTo < 0 {
+		return fmt.Errorf("abadetect: WithGrowth(%d): the growth ceiling cannot be negative; omit the option (or pass 0) for a fixed-capacity map", o.growTo)
+	}
+	if o.traceCap < 0 {
+		return fmt.Errorf("abadetect: WithTracing(%d): the recorder capacity cannot be negative; omit the option (or pass 0) to build without tracing", o.traceCap)
+	}
 	if !o.tagBitsSet {
 		return nil
 	}
@@ -400,7 +348,7 @@ type Stack struct {
 // NewStack builds a stack for n processes with the given node capacity.
 func NewStack(n, capacity int, opts ...Option) (*Stack, error) {
 	o := buildOptions(opts)
-	if err := o.checkTagBits(shmem.BitsFor(capacity + 1)); err != nil {
+	if err := o.validate(shmem.BitsFor(capacity + 1)); err != nil {
 		return nil, err
 	}
 	f := o.factory()
@@ -445,9 +393,7 @@ func (s *Stack) FreelistMetrics() GuardMetrics { return publicMetrics(s.inner.Fr
 // Audit checks the structure at quiescence (no handle mid-operation).
 func (s *Stack) Audit() StructureAudit {
 	a := s.inner.Audit()
-	out := poolAudit(a.Corrupt(), a.String(), s.inner.PoolStats())
-	out.ElimHits, out.ElimMisses = s.inner.ElimStats()
-	return out
+	return poolAudit(a.Corrupt(), a.String(), s.inner.PoolStats())
 }
 
 // Handle returns the endpoint for process pid in [0, n).  A handle must be
@@ -504,7 +450,7 @@ type Queue struct {
 // nodes beyond the internal dummy).
 func NewQueue(n, capacity int, opts ...Option) (*Queue, error) {
 	o := buildOptions(opts)
-	if err := o.checkTagBits(shmem.BitsFor(capacity + 2)); err != nil {
+	if err := o.validate(shmem.BitsFor(capacity + 2)); err != nil {
 		return nil, err
 	}
 	f := o.factory()
@@ -604,7 +550,7 @@ func NewMap(n, capacity int, opts ...Option) (*Map, error) {
 	if o.growTo > refCap {
 		refCap = o.growTo
 	}
-	if err := o.checkTagBits(shmem.BitsFor(refCap+1) + 1); err != nil {
+	if err := o.validate(shmem.BitsFor(refCap+1) + 1); err != nil {
 		return nil, err
 	}
 	f := o.factory()
@@ -663,7 +609,6 @@ func (m *Map) FreelistMetrics() GuardMetrics { return publicMetrics(m.inner.Free
 func (m *Map) Audit() StructureAudit {
 	a := m.inner.Audit()
 	out := poolAudit(a.Corrupt(), a.String(), m.inner.PoolStats())
-	out.CombineBatches, out.CombinedOps = m.inner.CombineStats()
 	out.ReadRetries, out.ReadFallbacks = a.ReadRetries, a.ReadFallbacks
 	out.Splits, out.SegmentAppends, out.ResizeRetries = a.Splits, a.SegmentAppends, a.ResizeRetries
 	return out
@@ -721,7 +666,7 @@ type EventFlag struct {
 // NewEventFlag builds an event flag for n processes.
 func NewEventFlag(n int, opts ...Option) (*EventFlag, error) {
 	o := buildOptions(opts)
-	if err := o.checkTagBits(1); err != nil { // the flag guard holds 1 value bit
+	if err := o.validate(1); err != nil { // the flag guard holds 1 value bit
 		return nil, err
 	}
 	f := o.factory()

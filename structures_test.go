@@ -393,6 +393,40 @@ func TestStructureTagBitsValidation(t *testing.T) {
 	}
 }
 
+// TestStructureRejectsInvalidSizes: a negative WithGrowth ceiling or
+// WithTracing capacity is a constructor error on every structure, never a
+// silent fixed or untraced build; 0 still means "off", and a degenerate
+// reclamation cadence is rejected too.
+func TestStructureRejectsInvalidSizes(t *testing.T) {
+	build := map[string]func(...abadetect.Option) error{
+		"stack": func(o ...abadetect.Option) error { _, err := abadetect.NewStack(2, 8, o...); return err },
+		"queue": func(o ...abadetect.Option) error { _, err := abadetect.NewQueue(2, 8, o...); return err },
+		"map":   func(o ...abadetect.Option) error { _, err := abadetect.NewMap(2, 8, o...); return err },
+		"event": func(o ...abadetect.Option) error { _, err := abadetect.NewEventFlag(2, o...); return err },
+	}
+	for name, b := range build {
+		if err := b(abadetect.WithGrowth(-1)); err == nil {
+			t.Errorf("%s: WithGrowth(-1) accepted", name)
+		}
+		if err := b(abadetect.WithTracing(-4)); err == nil {
+			t.Errorf("%s: WithTracing(-4) accepted", name)
+		}
+		if err := b(abadetect.WithGrowth(0), abadetect.WithTracing(0)); err != nil {
+			t.Errorf("%s: zero growth/tracing rejected: %v", name, err)
+		}
+	}
+	m, err := abadetect.NewMap(2, 8, abadetect.WithGrowth(0), abadetect.WithTracing(0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if m.Growing() || m.StructureTrace() != nil {
+		t.Errorf("zero options built growing=%v traced=%v, want neither", m.Growing(), m.StructureTrace() != nil)
+	}
+	if _, err := abadetect.NewMap(2, 8, abadetect.WithReclamation("epoch:0")); err == nil {
+		t.Error("epoch:0 accepted")
+	}
+}
+
 // TestStructureWaitFreeReadPath drives the exported wait-free observers:
 // stack and queue Peek/IsEmpty are non-consuming across every regime, and
 // the map's read-path audit counters surface through StructureAudit.
