@@ -8,26 +8,25 @@
 //
 //	abalab                  # run every experiment
 //	abalab -run E2          # run one experiment
-//	abalab -run E14         # read-scaling matrix: wait-free reads × workers
+//	abalab -run E11         # application matrix: every structure × guard
+//	abalab -run E11 -cell 'queue/*'          # ... only the cells whose label matches the glob
+//	abalab -run E12 -cell 'stack/*+hp'       # reclamation matrix: structure × regime × SMR
+//	abalab -run E13 -cell 'map/*+none/steady'  # traffic matrix with latency percentiles
+//	abalab -run E14 -cell 'stack/*+none'     # read-scaling matrix: wait-free reads × workers
+//	abalab -run E15         # growth matrix: map growth 10k→1M keys under live traffic
+//	abalab -run E15 -tier smoke   # ... the 10k-key tier only (CI smoke)
+//	abalab -run E16 -tier smoke   # reclamation-pressure matrix at 2,000 ops per worker
+//	abalab -run E17         # observability matrix: flight-recorder overhead, trace off/on
 //	abalab -list            # list experiments and implementations
 //	abalab -impl fig4 -n 8  # inspect one implementation at n processes
 //	abalab -impl all -n 8   # ... or every implementation
-//	abalab -app all         # application matrix: every structure × guard
-//	abalab -app queue       # ... or one structure across every guard
-//	abalab -reclaim all     # reclamation matrix: structure × regime × SMR
-//	abalab -reclaim hp -app stack   # ... filtered to one scheme/structure
-//	abalab -load all        # traffic matrix (E13): map × regime × SMR × profile
-//	abalab -load zipf-hot -reclaim hp   # ... filtered to one profile/scheme
-//	abalab -load poisson-shed -seed 42  # replay a profile on a different RNG seed
-//	abalab -scale map       # read-scaling matrix (E14) for one structure
-//	abalab -grow            # growth matrix (E15): map growth 10k→1M keys under live traffic
-//	abalab -grow -grow-keys 10000   # ... capped to the 10k-key tier (CI smoke)
-//	abalab -pressure full   # reclamation-pressure matrix (E16): limbo occupancy and alloc-miss lag
-//	abalab -pressure smoke  # ... trimmed per-cell ops (CI smoke)
-//	abalab -run E17         # observability matrix: flight-recorder overhead, trace off/on
 //	abalab -serve :8080     # live metrics over a traced structure: /metrics, /debug/vars, /trace, /debug/pprof
 //	abalab -trace-dump map  # run a deterministic ABA scenario and print its incident flight record
 //	abalab -json ...        # any of the above, as machine-readable JSON
+//
+// A matrix cell's label is its rows' implementation column (e.g.
+// map/tag16+hp/steady); in a -cell glob, * matches any run of characters,
+// / included.
 //
 // Benchmark regression check: re-run the throughput experiments (E10 base
 // objects, E11 application matrix, E12 reclamation matrix, E13 traffic
@@ -72,25 +71,25 @@ func main() {
 func run(args []string, out io.Writer) error {
 	fs := flag.NewFlagSet("abalab", flag.ContinueOnError)
 	var (
-		only     = fs.String("run", "", "run a single experiment (E1..E15)")
+		only     = fs.String("run", "", "run a single experiment (E1..E17)")
+		cellGlob = fs.String("cell", "", "with -run on a matrix (E11..E17): run only the cells whose label matches this glob, e.g. 'map/tag16+hp/*' (* also matches /)")
+		tier     = fs.String("tier", "full", "with -run: 'full', or 'smoke' for CI (E15's 10k-key tier only; E16/E17 at 2,000 ops per worker)")
 		list     = fs.Bool("list", false, "list experiments and implementations, then exit")
 		impl     = fs.String("impl", "", "inspect a registered implementation by ID (or 'all')")
-		app      = fs.String("app", "", "run the application matrix: a structure ID (stack, queue, event) or 'all'")
-		reclaim  = fs.String("reclaim", "", "run the reclamation matrix (E12): a scheme ID (hp, epoch, none) or 'all'; combine with -app to filter the structure")
-		loadP    = fs.String("load", "", "run the traffic matrix (E13): a load-profile ID (see -list) or 'all'; combine with -app and -reclaim to filter")
-		scale    = fs.String("scale", "", "run the read-scaling matrix (E14): a structure ID or 'all'; combine with -reclaim to filter the scheme")
-		grow     = fs.Bool("grow", false, "run the growth matrix (E15): split-ordered map growth + geometric pool expansion under live traffic")
-		growKeys = fs.Int("grow-keys", 0, "for -grow: cap the key-space sweep at this many keys (0 = the full 10k→1M sweep)")
-		pressure = fs.String("pressure", "", "run the reclamation-pressure matrix (E16): 'full' or 'smoke' (trimmed per-cell ops for CI)")
 		n        = fs.Int("n", 8, "process count for -impl")
 		asJSON   = fs.Bool("json", false, "emit machine-readable JSON instead of tables")
-		compare  = fs.String("bench-compare", "", "diff fresh throughput runs (E10/E11/E12/E13) against a benchmark snapshot (e.g. BENCH_pr6.json)")
+		compare  = fs.String("bench-compare", "", "diff fresh runs of every throughput table in a benchmark snapshot (e.g. BENCH_pr10.json) against it")
 		serveAt  = fs.String("serve", "", "serve live metrics over a traced structure under background churn at this address (e.g. :8080): /metrics, /debug/vars, /trace, /debug/pprof")
 		dump     = fs.String("trace-dump", "", "run a deterministic ABA scenario (stack, queue, map, map-grow, or 'all') under raw+none and pretty-print its incident flight record")
-		seed     = fs.Uint64("seed", 0, "override the load profiles' RNG seed for -load runs (0 = each profile's committed default)")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
+	}
+	if *tier != "full" && *tier != "smoke" {
+		return fmt.Errorf("-tier wants 'full' or 'smoke', got %q", *tier)
+	}
+	if *only == "" && (*cellGlob != "" || *tier != "full") {
+		return fmt.Errorf("-cell and -tier select within one experiment: add -run E<k>")
 	}
 
 	emit := func(tables []*bench.Table) error {
@@ -137,73 +136,6 @@ func run(args []string, out io.Writer) error {
 		return emit(tables)
 	}
 
-	if *grow {
-		tbl, err := bench.E15GrowthMatrix(*growKeys)
-		if err != nil {
-			return err
-		}
-		return emit([]*bench.Table{tbl})
-	}
-
-	if *pressure != "" {
-		if *pressure != "full" && *pressure != "smoke" {
-			return fmt.Errorf("-pressure wants 'full' or 'smoke', got %q", *pressure)
-		}
-		tbl, err := bench.E16PressureMatrix(*pressure == "smoke")
-		if err != nil {
-			return err
-		}
-		return emit([]*bench.Table{tbl})
-	}
-
-	if *scale != "" {
-		schemeFilter := *reclaim
-		if schemeFilter == "" {
-			schemeFilter = "all"
-		}
-		tbl, err := bench.E14ReadScaling(*scale, schemeFilter)
-		if err != nil {
-			return err
-		}
-		return emit([]*bench.Table{tbl})
-	}
-
-	if *loadP != "" {
-		structFilter := *app
-		if structFilter == "" {
-			structFilter = "map"
-		}
-		schemeFilter := *reclaim
-		if schemeFilter == "" {
-			schemeFilter = "all"
-		}
-		tbl, err := bench.E13LoadMatrixOpts(structFilter, schemeFilter, *loadP, bench.E13Options{Seed: *seed})
-		if err != nil {
-			return err
-		}
-		return emit([]*bench.Table{tbl})
-	}
-
-	if *reclaim != "" {
-		structFilter := *app
-		if structFilter == "" {
-			structFilter = "all"
-		}
-		tbl, err := bench.E12Reclaim(structFilter, *reclaim)
-		if err != nil {
-			return err
-		}
-		return emit([]*bench.Table{tbl})
-	}
-
-	if *app != "" {
-		tbl, err := bench.E11Apps(*app)
-		if err != nil {
-			return err
-		}
-		return emit([]*bench.Table{tbl})
-	}
-
 	if *impl != "" {
 		tables, err := implTables(*impl, *n)
 		if err != nil {
@@ -217,7 +149,7 @@ func run(args []string, out io.Writer) error {
 		if !ok {
 			return fmt.Errorf("unknown experiment %q (try -list)", *only)
 		}
-		tbl, err := e.Run()
+		tbl, err := e.Run(bench.Options{Cell: *cellGlob, Smoke: *tier == "smoke"})
 		if err != nil {
 			return err
 		}
@@ -240,7 +172,7 @@ func printIndex(out io.Writer) error {
 		fmt.Fprintf(out, "  %-4s %s\n", e.ID, e.Title)
 	}
 	fmt.Fprintln(out)
-	fmt.Fprintln(out, "implementations (use with -impl; structures also run the guard matrix with -app):")
+	fmt.Fprintln(out, "implementations (use with -impl; structures also run the E11 guard matrix):")
 	tw := tabwriter.NewWriter(out, 2, 4, 2, ' ', 0)
 	fmt.Fprintln(tw, "  id\tkind\tm(n)\tt(n)\tbounded\tcorrect\ttheorem")
 	for _, im := range registry.All() {
@@ -251,7 +183,7 @@ func printIndex(out io.Writer) error {
 		return err
 	}
 	fmt.Fprintln(out)
-	fmt.Fprintln(out, "guard regimes (structure protection, -app matrix):")
+	fmt.Fprintln(out, "guard regimes (structure protection, E11 matrix):")
 	for _, spec := range registry.GuardSpecs(false) {
 		kind := "conditional"
 		if !spec.Conditional() {
@@ -260,14 +192,14 @@ func printIndex(out io.Writer) error {
 		fmt.Fprintf(out, "  %-22s %s\n", spec, kind)
 	}
 	fmt.Fprintln(out)
-	fmt.Fprintln(out, "reclamation schemes (node-pool SMR, -reclaim matrix):")
+	fmt.Fprintln(out, "reclamation schemes (node-pool SMR, E12 matrix):")
 	for _, im := range registry.Reclaimers() {
 		fmt.Fprintf(out, "  %-22s %s\n", im.ID, im.Summary)
 	}
 	fmt.Fprintf(out, "  %-22s %s\n", "epoch:<k>",
 		"epoch with a fixed advance cadence of k retires (e.g. epoch:64); the default cadence is min(2n, cap/n)")
 	fmt.Fprintln(out)
-	fmt.Fprintln(out, "load profiles (traffic generator, -load / E13):")
+	fmt.Fprintln(out, "load profiles (traffic generator, E13):")
 	for _, p := range load.Profiles() {
 		fmt.Fprintf(out, "  %-22s %s\n", p.ID, p.Summary)
 	}

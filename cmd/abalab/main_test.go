@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"regexp"
+	"slices"
 	"strings"
 	"testing"
 
@@ -12,20 +13,34 @@ import (
 	"abadetect/internal/registry"
 )
 
-// unmarshalTables decodes the Tables array out of the machine-header
-// envelope every -json table output now carries (bench.WriteJSON).
-func unmarshalTables(t *testing.T, data []byte, into any) {
+// table is one table of abalab's -json output.
+type table struct {
+	ID     string
+	Header []string
+	Rows   [][]string
+}
+
+// runJSON runs abalab with args plus -json and decodes the Tables array out
+// of the machine-header envelope every -json table output carries
+// (bench.WriteJSON).
+func runJSON(t *testing.T, args ...string) []table {
 	t.Helper()
+	var buf bytes.Buffer
+	if err := run(append(args, "-json"), &buf); err != nil {
+		t.Fatal(err)
+	}
 	var snap struct{ Tables json.RawMessage }
-	if err := json.Unmarshal(data, &snap); err != nil {
+	if err := json.Unmarshal(buf.Bytes(), &snap); err != nil {
 		t.Fatalf("-json output is not a snapshot envelope: %v", err)
 	}
 	if snap.Tables == nil {
-		t.Fatalf("-json envelope has no Tables: %s", data)
+		t.Fatalf("-json envelope has no Tables: %s", buf.Bytes())
 	}
-	if err := json.Unmarshal(snap.Tables, into); err != nil {
+	var tables []table
+	if err := json.Unmarshal(snap.Tables, &tables); err != nil {
 		t.Fatalf("snapshot Tables do not decode: %v", err)
 	}
+	return tables
 }
 
 func TestList(t *testing.T) {
@@ -124,12 +139,7 @@ func TestImplFlag(t *testing.T) {
 }
 
 func TestImplAllCoversRegistry(t *testing.T) {
-	var buf bytes.Buffer
-	if err := run([]string{"-impl", "all", "-n", "4", "-json"}, &buf); err != nil {
-		t.Fatal(err)
-	}
-	var tables []struct{ ID string }
-	unmarshalTables(t, buf.Bytes(), &tables)
+	tables := runJSON(t, "-impl", "all", "-n", "4")
 	seen := map[string]bool{}
 	for _, tbl := range tables {
 		seen[tbl.ID] = true
@@ -148,37 +158,6 @@ func TestImplUnknown(t *testing.T) {
 	}
 }
 
-func TestBenchCompare(t *testing.T) {
-	// The committed PR2 snapshot must be loadable and comparable: every E10
-	// row of the snapshot reappears in a fresh run with a parsed speedup.
-	var buf bytes.Buffer
-	if err := run([]string{"-bench-compare", "../../BENCH_pr2.json", "-json"}, &buf); err != nil {
-		t.Fatal(err)
-	}
-	var tables []struct {
-		ID   string
-		Rows [][]string
-	}
-	unmarshalTables(t, buf.Bytes(), &tables)
-	if len(tables) != 1 || tables[0].ID != "E10-compare" {
-		t.Fatalf("unexpected JSON shape: %+v", tables)
-	}
-	if len(tables[0].Rows) == 0 {
-		t.Error("comparison has no rows")
-	}
-	for _, row := range tables[0].Rows {
-		if len(row) != 5 {
-			t.Errorf("comparison row %v has %d cells, want 5", row, len(row))
-		}
-		if row[4] == "new" {
-			t.Errorf("row %v missing from the committed snapshot", row)
-		}
-		if row[4] == "removed" {
-			t.Errorf("snapshot row %v no longer produced by a fresh run", row)
-		}
-	}
-}
-
 func TestBenchCompareMissingFile(t *testing.T) {
 	var buf bytes.Buffer
 	if err := run([]string{"-bench-compare", "no-such-snapshot.json"}, &buf); err == nil {
@@ -187,105 +166,10 @@ func TestBenchCompareMissingFile(t *testing.T) {
 }
 
 func TestJSONExperiment(t *testing.T) {
-	var buf bytes.Buffer
-	if err := run([]string{"-run", "E2", "-json"}, &buf); err != nil {
-		t.Fatal(err)
-	}
-	var tables []struct {
-		ID   string
-		Rows [][]string
-	}
-	unmarshalTables(t, buf.Bytes(), &tables)
+	tables := runJSON(t, "-run", "E2")
 	if len(tables) != 1 || tables[0].ID != "E2" || len(tables[0].Rows) == 0 {
 		t.Errorf("unexpected JSON shape: %+v", tables)
 	}
-}
-
-func TestAppMatrix(t *testing.T) {
-	// The acceptance criterion of the guard refactor: -app runs every
-	// structure over every protection regime in the registry matrix.
-	var buf bytes.Buffer
-	if err := run([]string{"-app", "all", "-json"}, &buf); err != nil {
-		t.Fatal(err)
-	}
-	var tables []struct {
-		ID   string
-		Rows [][]string
-	}
-	unmarshalTables(t, buf.Bytes(), &tables)
-	if len(tables) != 1 || tables[0].ID != "E11" {
-		t.Fatalf("unexpected JSON shape: %+v", tables)
-	}
-	rowFor := map[string]bool{}
-	for _, row := range tables[0].Rows {
-		rowFor[row[0]] = true
-	}
-	for _, im := range registry.Structures() {
-		for _, spec := range registry.GuardSpecs(im.ID != "event") {
-			key := im.ID + "/" + spec.String()
-			if !rowFor[key] {
-				t.Errorf("matrix lacks %s", key)
-			}
-		}
-	}
-}
-
-func TestAppSingleStructure(t *testing.T) {
-	var buf bytes.Buffer
-	if err := run([]string{"-app", "queue"}, &buf); err != nil {
-		t.Fatal(err)
-	}
-	out := buf.String()
-	if !strings.Contains(out, "queue/llsc:fig3") || strings.Contains(out, "stack/raw") {
-		t.Errorf("-app queue output wrong:\n%s", out)
-	}
-}
-
-func TestAppUnknownStructure(t *testing.T) {
-	var buf bytes.Buffer
-	if err := run([]string{"-app", "no-such-structure"}, &buf); err == nil {
-		t.Error("want error for unknown structure")
-	}
-}
-
-func TestBenchComparePR3CoversApps(t *testing.T) {
-	// The PR3 snapshot carries both throughput tables, so the comparison
-	// must too — E10 for base objects and E11 for the application matrix.
-	var buf bytes.Buffer
-	if err := run([]string{"-bench-compare", "../../BENCH_pr3.json", "-json"}, &buf); err != nil {
-		t.Fatal(err)
-	}
-	var tables []struct {
-		ID   string
-		Rows [][]string
-	}
-	unmarshalTables(t, buf.Bytes(), &tables)
-	if len(tables) != 2 || tables[0].ID != "E10-compare" || tables[1].ID != "E11-compare" {
-		t.Fatalf("unexpected JSON shape: %+v", tables)
-	}
-	for _, tbl := range tables {
-		for _, row := range tbl.Rows {
-			// The map structure postdates the PR3 snapshot, so its rows are
-			// legitimately "new"; anything else must line up.
-			if row[4] == "new" && !strings.HasPrefix(row[0], "map/") && !pr9Row(row[0]) {
-				t.Errorf("%s row %v missing from the committed snapshot", tbl.ID, row)
-			}
-			if row[4] == "removed" {
-				t.Errorf("%s snapshot row %v no longer produced by a fresh run", tbl.ID, row)
-			}
-		}
-	}
-}
-
-// pr6Row reports whether an E13 row key names a cell that postdates the PR5
-// snapshot: one of the backpressure profiles, or a stack traffic cell.
-func pr6Row(key string) bool {
-	for _, marker := range []string{"/poisson-shed", "/burst-block"} {
-		if strings.Contains(key, marker) {
-			return true
-		}
-	}
-	return strings.HasPrefix(key, "stack/")
 }
 
 // retiredSuffix matches the label suffix of an E13 row tuned with the
@@ -305,26 +189,30 @@ func retiredRow(tableID, key string) bool {
 // registry-driven matrix with new scheme cells.
 func pr9Row(key string) bool { return strings.Contains(key, "epoch:auto") }
 
-func TestBenchComparePR5CoversTraffic(t *testing.T) {
-	// The PR5 snapshot carries all four throughput tables — E10 base
-	// objects, E11 applications (map included), E12 reclamation, and the
-	// E13 traffic matrix — and every pre-existing row key must line up with
-	// a fresh run.  E13 rows that postdate the snapshot (fast-path
-	// variants, backpressure profiles, stack cells) are legitimately "new";
-	// nothing may be "removed".
-	var buf bytes.Buffer
-	if err := run([]string{"-bench-compare", "../../BENCH_pr5.json", "-json"}, &buf); err != nil {
-		t.Fatal(err)
+// pr6Row reports whether an E13 row key names a cell that postdates the PR5
+// snapshot: one of the backpressure profiles, or a stack traffic cell.
+func pr6Row(key string) bool {
+	for _, marker := range []string{"/poisson-shed", "/burst-block"} {
+		if strings.Contains(key, marker) {
+			return true
+		}
 	}
-	var tables []struct {
-		ID   string
-		Rows [][]string
-	}
-	unmarshalTables(t, buf.Bytes(), &tables)
-	wantIDs := []string{"E10-compare", "E11-compare", "E12-compare", "E13-compare"}
+	return strings.HasPrefix(key, "stack/")
+}
+
+// compareSnapshot runs -bench-compare against a committed snapshot and
+// checks that the comparison has exactly the tables wantIDs, each with rows,
+// and that every row lines up with the snapshot: "new" only for a cell that
+// postdates it (postdates(tableID, key)), "removed" only for a retired tuned
+// variant, and only when withRetired says the snapshot carries them — in
+// which case at least one must be reported.
+func compareSnapshot(t *testing.T, name string, wantIDs []string, withRetired bool, postdates func(tableID, key string) bool) []table {
+	t.Helper()
+	tables := runJSON(t, "-bench-compare", "../../"+name)
 	if len(tables) != len(wantIDs) {
 		t.Fatalf("comparison has %d tables, want %d", len(tables), len(wantIDs))
 	}
+	retired := 0
 	for i, tbl := range tables {
 		if tbl.ID != wantIDs[i] {
 			t.Fatalf("table %d is %q, want %q", i, tbl.ID, wantIDs[i])
@@ -333,14 +221,69 @@ func TestBenchComparePR5CoversTraffic(t *testing.T) {
 			t.Errorf("%s has no rows", tbl.ID)
 		}
 		for _, row := range tbl.Rows {
-			if row[4] == "new" && !pr9Row(row[0]) && !(tbl.ID == "E13-compare" && pr6Row(row[0])) {
-				t.Errorf("%s row %v did not match the committed snapshot", tbl.ID, row)
-			}
-			if row[4] == "removed" {
-				t.Errorf("%s snapshot row %v no longer produced by a fresh run", tbl.ID, row)
+			switch {
+			case row[4] == "removed" && withRetired && retiredRow(tbl.ID, row[0]):
+				retired++
+			case row[4] == "removed", row[4] == "new" && !postdates(tbl.ID, row[0]):
+				t.Errorf("%s row %v does not line up with %s", tbl.ID, row, name)
 			}
 		}
 	}
+	if withRetired && retired == 0 {
+		t.Errorf("no retired tuned row reported as removed; %s carries them", name)
+	}
+	return tables
+}
+
+// wantTail checks that the header of comparison table id ends with want,
+// the columns compare adds after the throughput diff.
+func wantTail(t *testing.T, tables []table, id string, want ...string) {
+	t.Helper()
+	for _, tbl := range tables {
+		if tbl.ID == id && !slices.Equal(tbl.Header[max(len(tbl.Header)-len(want), 0):], want) {
+			t.Errorf("%s header %v does not end with %v", id, tbl.Header, want)
+		}
+	}
+}
+
+func TestBenchCompare(t *testing.T) {
+	// The committed PR2 snapshot must be loadable and comparable: every E10
+	// row of the snapshot reappears in a fresh run with a parsed speedup.
+	tables := compareSnapshot(t, "BENCH_pr2.json", []string{"E10-compare"}, false,
+		func(_, _ string) bool { return false })
+	for _, row := range tables[0].Rows {
+		if len(row) != 5 {
+			t.Errorf("comparison row %v has %d cells, want 5", row, len(row))
+		}
+	}
+}
+
+// mapRow reports whether a row postdates the PR3 and PR4 snapshots: the map
+// structure came later, and so did the epoch:auto cells.
+func mapRow(_, key string) bool { return strings.HasPrefix(key, "map/") || pr9Row(key) }
+
+func TestBenchComparePR3CoversApps(t *testing.T) {
+	// The PR3 snapshot carries both throughput tables, so the comparison
+	// must too — E10 for base objects and E11 for the application matrix.
+	compareSnapshot(t, "BENCH_pr3.json", []string{"E10-compare", "E11-compare"}, false, mapRow)
+}
+
+func TestBenchComparePR4CoversReclaim(t *testing.T) {
+	// The PR4 snapshot carries all three throughput tables; the comparison
+	// must diff E10, E11, and the new E12 reclamation matrix, and every row
+	// key must line up with a fresh run (no renames, no lost cells).
+	compareSnapshot(t, "BENCH_pr4.json", []string{"E10-compare", "E11-compare", "E12-compare"}, false, mapRow)
+}
+
+func TestBenchComparePR5CoversTraffic(t *testing.T) {
+	// The PR5 snapshot carries all four throughput tables — E10 base
+	// objects, E11 applications (map included), E12 reclamation, and the
+	// E13 traffic matrix — and every pre-existing row key must line up with
+	// a fresh run.  E13 rows that postdate the snapshot (fast-path
+	// variants, backpressure profiles, stack cells) are legitimately "new";
+	// nothing may be "removed".
+	compareSnapshot(t, "BENCH_pr5.json", []string{"E10-compare", "E11-compare", "E12-compare", "E13-compare"}, false,
+		func(id, key string) bool { return pr9Row(key) || id == "E13-compare" && pr6Row(key) })
 }
 
 func TestBenchComparePR6CoversTraffic(t *testing.T) {
@@ -349,84 +292,12 @@ func TestBenchComparePR6CoversTraffic(t *testing.T) {
 	// exactly: no "new" rows, and no "removed" rows except the retired
 	// tuned variants.  It also carries the p999 column, so the E13
 	// comparison must grow the tail-gain columns.
-	var buf bytes.Buffer
-	if err := run([]string{"-bench-compare", "../../BENCH_pr6.json", "-json"}, &buf); err != nil {
-		t.Fatal(err)
+	tables := compareSnapshot(t, "BENCH_pr6.json", []string{"E10-compare", "E11-compare", "E12-compare", "E13-compare"}, true,
+		func(_, key string) bool { return pr9Row(key) })
+	if e13 := tables[3]; len(e13.Header) != 8 {
+		t.Fatalf("E13-compare header %v lacks the tail columns", e13.Header)
 	}
-	var tables []struct {
-		ID     string
-		Header []string
-		Rows   [][]string
-	}
-	unmarshalTables(t, buf.Bytes(), &tables)
-	wantIDs := []string{"E10-compare", "E11-compare", "E12-compare", "E13-compare"}
-	if len(tables) != len(wantIDs) {
-		t.Fatalf("comparison has %d tables, want %d", len(tables), len(wantIDs))
-	}
-	retired := 0
-	for i, tbl := range tables {
-		if tbl.ID != wantIDs[i] {
-			t.Fatalf("table %d is %q, want %q", i, tbl.ID, wantIDs[i])
-		}
-		for _, row := range tbl.Rows {
-			if row[4] == "removed" && retiredRow(tbl.ID, row[0]) {
-				retired++
-				continue
-			}
-			if (row[4] == "new" && !pr9Row(row[0])) || row[4] == "removed" {
-				t.Errorf("%s row %v does not line up with the PR6 snapshot", tbl.ID, row)
-			}
-		}
-		if tbl.ID == "E13-compare" {
-			want := []string{"snapshot p999", "current p999", "tail gain"}
-			if len(tbl.Header) != 8 {
-				t.Fatalf("E13-compare header %v lacks the tail columns", tbl.Header)
-			}
-			for j, name := range want {
-				if tbl.Header[5+j] != name {
-					t.Errorf("E13-compare header[%d] = %q, want %q", 5+j, tbl.Header[5+j], name)
-				}
-			}
-		}
-	}
-	if retired == 0 {
-		t.Error("no retired tuned row reported as removed; the PR6 snapshot carries them")
-	}
-}
-
-func TestScaleMatrixFlag(t *testing.T) {
-	// -scale runs E14; -reclaim narrows the scheme.  One structure and one
-	// scheme keep the smoke test cheap: 4 regimes × 4 worker counts.
-	var buf bytes.Buffer
-	if err := run([]string{"-scale", "stack", "-reclaim", "none", "-json"}, &buf); err != nil {
-		t.Fatal(err)
-	}
-	var tables []struct {
-		ID     string
-		Header []string
-		Rows   [][]string
-	}
-	unmarshalTables(t, buf.Bytes(), &tables)
-	if len(tables) != 1 || tables[0].ID != "E14" {
-		t.Fatalf("unexpected JSON shape: %+v", tables)
-	}
-	if len(tables[0].Rows) != 16 { // stack × 4 regimes × 1 scheme × 4 worker counts
-		t.Fatalf("stack/none matrix has %d rows, want 16", len(tables[0].Rows))
-	}
-	for _, row := range tables[0].Rows {
-		if !strings.HasPrefix(row[0], "stack/") || !strings.HasSuffix(row[0], "+none") {
-			t.Errorf("unexpected row key %q", row[0])
-		}
-		if !strings.HasSuffix(row[6], "x") {
-			t.Errorf("row %q scale column %q is not a ratio", row[0], row[6])
-		}
-	}
-	if err := run([]string{"-scale", "no-such-structure"}, &buf); err == nil {
-		t.Error("want error for unknown structure filter")
-	}
-	if err := run([]string{"-scale", "stack", "-reclaim", "no-such-scheme"}, &buf); err == nil {
-		t.Error("want error for unknown scheme filter")
-	}
+	wantTail(t, tables, "E13-compare", "snapshot p999", "current p999", "tail gain")
 }
 
 func TestBenchComparePR7CoversReadScaling(t *testing.T) {
@@ -435,52 +306,9 @@ func TestBenchComparePR7CoversReadScaling(t *testing.T) {
 	// comparison tables and line up with the snapshot exactly, retired tuned
 	// variants aside — and the E14 diff must carry the scale columns
 	// alongside the throughput diff.
-	var buf bytes.Buffer
-	if err := run([]string{"-bench-compare", "../../BENCH_pr7.json", "-json"}, &buf); err != nil {
-		t.Fatal(err)
-	}
-	var tables []struct {
-		ID     string
-		Header []string
-		Rows   [][]string
-	}
-	unmarshalTables(t, buf.Bytes(), &tables)
-	wantIDs := []string{"E10-compare", "E11-compare", "E12-compare", "E13-compare", "E14-compare"}
-	if len(tables) != len(wantIDs) {
-		t.Fatalf("comparison has %d tables, want %d", len(tables), len(wantIDs))
-	}
-	retired := 0
-	for i, tbl := range tables {
-		if tbl.ID != wantIDs[i] {
-			t.Fatalf("table %d is %q, want %q", i, tbl.ID, wantIDs[i])
-		}
-		if len(tbl.Rows) == 0 {
-			t.Errorf("%s has no rows", tbl.ID)
-		}
-		for _, row := range tbl.Rows {
-			if row[4] == "removed" && retiredRow(tbl.ID, row[0]) {
-				retired++
-				continue
-			}
-			if (row[4] == "new" && !pr9Row(row[0])) || row[4] == "removed" {
-				t.Errorf("%s row %v does not line up with the PR7 snapshot", tbl.ID, row)
-			}
-		}
-		if tbl.ID == "E14-compare" {
-			want := []string{"snapshot scale", "current scale"}
-			if len(tbl.Header) < 7 {
-				t.Fatalf("E14-compare header %v lacks the scale columns", tbl.Header)
-			}
-			for j, name := range want {
-				if got := tbl.Header[len(tbl.Header)-2+j]; got != name {
-					t.Errorf("E14-compare header tail[%d] = %q, want %q", j, got, name)
-				}
-			}
-		}
-	}
-	if retired == 0 {
-		t.Error("no retired tuned row reported as removed; the PR7 snapshot carries them")
-	}
+	tables := compareSnapshot(t, "BENCH_pr7.json", []string{"E10-compare", "E11-compare", "E12-compare", "E13-compare", "E14-compare"}, true,
+		func(_, key string) bool { return pr9Row(key) })
+	wantTail(t, tables, "E14-compare", "snapshot scale", "current scale")
 }
 
 func TestImplAllAtNOne(t *testing.T) {
@@ -494,135 +322,6 @@ func TestImplAllAtNOne(t *testing.T) {
 	for _, id := range []string{"stack", "queue", "event", "map"} {
 		if !strings.Contains(buf.String(), id) {
 			t.Errorf("-impl all -n 1 report lacks %s", id)
-		}
-	}
-}
-
-func TestLoadMatrixFlag(t *testing.T) {
-	// -load runs E13; -reclaim and -app narrow the matrix.  One profile and
-	// one scheme keep the smoke test cheap: 4 regimes worth of rows, each
-	// carrying latency percentiles.
-	var buf bytes.Buffer
-	if err := run([]string{"-load", "steady", "-reclaim", "none", "-json"}, &buf); err != nil {
-		t.Fatal(err)
-	}
-	var tables []struct {
-		ID     string
-		Header []string
-		Rows   [][]string
-	}
-	unmarshalTables(t, buf.Bytes(), &tables)
-	if len(tables) != 1 || tables[0].ID != "E13" {
-		t.Fatalf("unexpected JSON shape: %+v", tables)
-	}
-	if len(tables[0].Rows) != 4 { // map × 4 regimes × 1 scheme × 1 profile
-		t.Fatalf("steady/none matrix has %d rows, want 4", len(tables[0].Rows))
-	}
-	wantCols := []string{"p50", "p99", "p999", "shed"}
-	for _, col := range wantCols {
-		found := false
-		for _, h := range tables[0].Header {
-			if h == col {
-				found = true
-			}
-		}
-		if !found {
-			t.Errorf("E13 header lacks the %s column", col)
-		}
-	}
-	for _, row := range tables[0].Rows {
-		if !strings.HasPrefix(row[0], "map/") || !strings.HasSuffix(row[0], "+none/steady") {
-			t.Errorf("unexpected row key %q", row[0])
-		}
-	}
-	if err := run([]string{"-load", "no-such-profile"}, &buf); err == nil {
-		t.Error("want error for unknown load profile")
-	}
-	if err := run([]string{"-load", "steady", "-app", "no-such-structure"}, &buf); err == nil {
-		t.Error("want error for unknown structure filter")
-	}
-}
-
-func TestLoadMatrixTuningFlags(t *testing.T) {
-	// -seed replays the profile on a different RNG stream and still yields
-	// every baseline cell.
-	var buf bytes.Buffer
-	if err := run([]string{"-load", "steady", "-reclaim", "none", "-app", "stack",
-		"-seed", "42", "-json"}, &buf); err != nil {
-		t.Fatal(err)
-	}
-	var tables []struct {
-		ID   string
-		Rows [][]string
-	}
-	unmarshalTables(t, buf.Bytes(), &tables)
-	if len(tables) != 1 || len(tables[0].Rows) != 4 {
-		t.Fatalf("seeded matrix has %d tables / %d rows, want 1 / 4", len(tables), len(tables[0].Rows))
-	}
-	for _, row := range tables[0].Rows {
-		if !strings.HasPrefix(row[0], "stack/") || !strings.HasSuffix(row[0], "+none/steady") {
-			t.Errorf("unexpected row key %q", row[0])
-		}
-	}
-}
-
-func TestReclaimMatrixFlag(t *testing.T) {
-	// -reclaim runs E12; -app narrows the structure.  The event flag keeps
-	// the smoke test cheap (no node pool, no contention).
-	var buf bytes.Buffer
-	if err := run([]string{"-reclaim", "none", "-app", "event", "-json"}, &buf); err != nil {
-		t.Fatal(err)
-	}
-	var tables []struct {
-		ID   string
-		Rows [][]string
-	}
-	unmarshalTables(t, buf.Bytes(), &tables)
-	if len(tables) != 1 || tables[0].ID != "E12" {
-		t.Fatalf("unexpected JSON shape: %+v", tables)
-	}
-	if len(tables[0].Rows) != 4 { // event × 4 regimes × 1 scheme
-		t.Fatalf("event/none matrix has %d rows, want 4", len(tables[0].Rows))
-	}
-	for _, row := range tables[0].Rows {
-		if !strings.HasPrefix(row[0], "event/") || !strings.HasSuffix(row[0], "+none") {
-			t.Errorf("unexpected row key %q", row[0])
-		}
-	}
-	if err := run([]string{"-reclaim", "no-such-scheme"}, &buf); err == nil {
-		t.Error("want error for unknown reclamation scheme")
-	}
-	if err := run([]string{"-reclaim", "hp", "-app", "no-such-structure"}, &buf); err == nil {
-		t.Error("want error for unknown structure filter")
-	}
-}
-
-func TestBenchComparePR4CoversReclaim(t *testing.T) {
-	// The PR4 snapshot carries all three throughput tables; the comparison
-	// must diff E10, E11, and the new E12 reclamation matrix, and every row
-	// key must line up with a fresh run (no renames, no lost cells).
-	var buf bytes.Buffer
-	if err := run([]string{"-bench-compare", "../../BENCH_pr4.json", "-json"}, &buf); err != nil {
-		t.Fatal(err)
-	}
-	var tables []struct {
-		ID   string
-		Rows [][]string
-	}
-	unmarshalTables(t, buf.Bytes(), &tables)
-	if len(tables) != 3 || tables[0].ID != "E10-compare" || tables[1].ID != "E11-compare" || tables[2].ID != "E12-compare" {
-		t.Fatalf("unexpected JSON shape: %+v", tables)
-	}
-	for _, tbl := range tables {
-		for _, row := range tbl.Rows {
-			// Map rows postdate the PR4 snapshot (see the PR3 test); every
-			// pre-existing cell must still line up.
-			if row[4] == "new" && !strings.HasPrefix(row[0], "map/") && !pr9Row(row[0]) {
-				t.Errorf("%s row %v missing from the committed snapshot", tbl.ID, row)
-			}
-			if row[4] == "removed" {
-				t.Errorf("%s snapshot row %v no longer produced by a fresh run", tbl.ID, row)
-			}
 		}
 	}
 }
@@ -720,67 +419,130 @@ func TestBenchPR9SnapshotCarriesPressureMatrix(t *testing.T) {
 	}
 }
 
-func TestGrowMatrixFlag(t *testing.T) {
-	// -grow runs E15; -grow-keys caps the sweep to its smallest tier so the
-	// smoke stays cheap.  A cap below the smallest tier must error rather
-	// than silently produce an empty table.
-	var buf bytes.Buffer
-	if err := run([]string{"-grow", "-grow-keys", "10000", "-json"}, &buf); err != nil {
-		t.Fatal(err)
+func TestMatrixRun(t *testing.T) {
+	// -run E<k> [-cell GLOB] [-tier smoke|full] is the one entry point to the
+	// E11–E17 matrices.  Each case runs a cheap slice and checks its row
+	// count, its labels, and the matrix's own columns.
+	for _, tc := range []struct {
+		name  string
+		args  []string
+		rows  int // 0: check only that there are rows
+		label func(string) bool
+		cols  []string
+		check func(t *testing.T, rows [][]string)
+	}{
+		{
+			name: "E11", args: []string{"-run", "E11"},
+			label: func(string) bool { return true },
+			check: func(t *testing.T, rows [][]string) {
+				// Every structure runs over every guard spec in the registry.
+				seen := map[string]bool{}
+				for _, row := range rows {
+					seen[row[0]] = true
+				}
+				for _, im := range registry.Structures() {
+					for _, spec := range registry.GuardSpecs(im.ID != "event") {
+						if key := im.ID + "/" + spec.String(); !seen[key] {
+							t.Errorf("matrix lacks %s", key)
+						}
+					}
+				}
+			},
+		},
+		{
+			name: "E11-queue", args: []string{"-run", "E11", "-cell", "queue/*"},
+			rows:  len(registry.GuardSpecs(true)),
+			label: func(l string) bool { return strings.HasPrefix(l, "queue/") },
+		},
+		{
+			name: "E12-event-none", args: []string{"-run", "E12", "-cell", "event/*+none"},
+			rows:  4, // 4 regimes × 1 scheme
+			label: func(l string) bool { return strings.HasPrefix(l, "event/") && strings.HasSuffix(l, "+none") },
+		},
+		{
+			name: "E13-map-none-steady", args: []string{"-run", "E13", "-cell", "map/*+none/steady"},
+			rows:  4, // 4 regimes × 1 scheme × 1 profile
+			label: func(l string) bool { return strings.HasPrefix(l, "map/") && strings.HasSuffix(l, "+none/steady") },
+			cols:  []string{"p50", "p99", "p999", "shed"},
+		},
+		{
+			name: "E14-stack-none", args: []string{"-run", "E14", "-cell", "stack/*+none"},
+			rows:  16, // 4 regimes × 1 scheme × 4 worker counts
+			label: func(l string) bool { return strings.HasPrefix(l, "stack/") && strings.HasSuffix(l, "+none") },
+			check: func(t *testing.T, rows [][]string) {
+				for _, row := range rows {
+					if !strings.HasSuffix(row[6], "x") {
+						t.Errorf("row %q scale column %q is not a ratio", row[0], row[6])
+					}
+				}
+			},
+		},
+		{
+			// One cell of the 10k-key tier; TestE15SmokeTier pins the whole tier.
+			name: "E15-smoke", args: []string{"-run", "E15", "-tier", "smoke", "-cell", "map/tag16+hp"},
+			rows:  1,
+			label: func(l string) bool { return l == "map/tag16+hp" },
+			cols:  []string{"splits", "appends", "resize-stalls"},
+		},
+		{
+			name: "E16-smoke", args: []string{"-run", "E16", "-tier", "smoke"},
+			rows:  15, // stack × 5 schemes + map × 5 schemes × 2 profiles
+			label: func(string) bool { return true },
+			cols:  []string{"limbo", "alloc-miss", "scans", "skips", "batches", "tune"},
+			check: func(t *testing.T, rows [][]string) {
+				schemes := map[string]bool{}
+				for _, row := range rows {
+					schemes[strings.SplitN(row[0], "/", 3)[1]] = true
+				}
+				for _, s := range []string{"none", "hp", "epoch", "epoch:64", "epoch:auto"} {
+					if !schemes[s] {
+						t.Errorf("pressure matrix lacks scheme %q", s)
+					}
+				}
+			},
+		},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			tables := runJSON(t, tc.args...)
+			if len(tables) != 1 || tables[0].ID != tc.args[1] {
+				t.Fatalf("unexpected JSON shape: %+v", tables)
+			}
+			rows := tables[0].Rows
+			if len(rows) == 0 || (tc.rows > 0 && len(rows) != tc.rows) {
+				t.Fatalf("%v gave %d rows, want %d", tc.args, len(rows), tc.rows)
+			}
+			for _, row := range rows {
+				if !tc.label(row[0]) {
+					t.Errorf("unexpected row label %q", row[0])
+				}
+			}
+			for _, col := range tc.cols {
+				if !slices.Contains(tables[0].Header, col) {
+					t.Errorf("%s header lacks the %s column", tc.args[1], col)
+				}
+			}
+			if tc.check != nil {
+				tc.check(t, rows)
+			}
+		})
 	}
-	var tables []struct {
-		ID     string
-		Header []string
-		Rows   [][]string
-	}
-	unmarshalTables(t, buf.Bytes(), &tables)
-	if len(tables) != 1 || tables[0].ID != "E15" {
-		t.Fatalf("unexpected JSON shape: %+v", tables)
-	}
-	if len(tables[0].Rows) != 12 { // 4 regimes × 3 schemes, 10k tier only
-		t.Fatalf("capped growth matrix has %d rows, want 12", len(tables[0].Rows))
-	}
-	for _, row := range tables[0].Rows {
-		if !strings.HasPrefix(row[0], "map/") {
-			t.Errorf("unexpected row key %q", row[0])
-		}
-	}
-	if err := run([]string{"-grow", "-grow-keys", "5"}, &buf); err == nil {
-		t.Error("want error for a cap below the smallest tier")
-	}
-}
 
-func TestPressureMatrixFlag(t *testing.T) {
-	// -pressure smoke runs E16 with trimmed per-cell ops; an unknown tier
-	// must error rather than silently run the full matrix.
-	var buf bytes.Buffer
-	if err := run([]string{"-pressure", "smoke", "-json"}, &buf); err != nil {
-		t.Fatal(err)
-	}
-	var tables []struct {
-		ID     string
-		Header []string
-		Rows   [][]string
-	}
-	unmarshalTables(t, buf.Bytes(), &tables)
-	if len(tables) != 1 || tables[0].ID != "E16" {
-		t.Fatalf("unexpected JSON shape: %+v", tables)
-	}
-	for _, col := range []string{"limbo", "alloc-miss", "scans", "skips", "batches", "tune"} {
-		if !strings.Contains(strings.Join(tables[0].Header, ","), col) {
-			t.Errorf("pressure matrix lacks the %s column", col)
-		}
-	}
-	schemes := map[string]bool{}
-	for _, row := range tables[0].Rows {
-		schemes[strings.SplitN(row[0], "/", 3)[1]] = true
-	}
-	for _, s := range []string{"none", "hp", "epoch", "epoch:64", "epoch:auto"} {
-		if !schemes[s] {
-			t.Errorf("pressure matrix lacks scheme %q", s)
-		}
-	}
-	if err := run([]string{"-pressure", "medium-rare"}, &buf); err == nil {
-		t.Error("want error for an unknown pressure tier")
+	for _, tc := range []struct {
+		name string
+		args []string
+		want string // a fragment of the error
+	}{
+		{"no-match", []string{"-run", "E11", "-cell", "no-such-structure/*"}, "E11: no cell matches"},
+		{"cell-on-E4", []string{"-run", "E4", "-cell", "*"}, "only the E11–E17 matrices have cells"},
+		{"cell-without-run", []string{"-cell", "queue/*"}, "add -run"},
+		{"unknown-tier", []string{"-run", "E16", "-tier", "medium-rare"}, "-tier wants"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			var buf bytes.Buffer
+			err := run(tc.args, &buf)
+			if err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Errorf("%v: err = %v, want one containing %q", tc.args, err, tc.want)
+			}
+		})
 	}
 }

@@ -77,8 +77,8 @@
 // commits, rejections, near-misses (detected-and-prevented ABAs), and dirty
 // loads; Audit checks structural integrity at quiescence; the StackHandle's
 // PopBegin/PopCommit and MapHandle's DeleteBegin/DeleteCommit hooks replay
-// the deterministic corruption scripts.  The abalab -app command runs the
-// whole structure × guard × implementation matrix (experiment E11).
+// the deterministic corruption scripts.  abalab -run E11 runs the whole
+// structure × guard × implementation matrix (experiment E11).
 //
 // The map (internal/kv) is the keyed cache shape: chained buckets of
 // recycled pool nodes under the Michael-style marked-link protocol.  A link
@@ -104,7 +104,7 @@
 // Keyed structures receive Zipf-skewed key popularity and a configurable
 // get/put/delete mix.  Latencies land in allocation-free log2-bucket
 // histograms — the record path is pinned at 0 allocs/op — and report
-// p50/p99/p999.  Experiment E13 (abalab -load) sweeps map × regime ×
+// p50/p99/p999.  Experiment E13 (abalab -run E13) sweeps map × regime ×
 // reclaimer × profile: the table where a tag's extra word, a detector's
 // extra steps, and a reclaimer's deferred frees stop being asymptotics and
 // become tail latency.
@@ -129,7 +129,7 @@
 // constructions exist to avoid.  A torn read retries a bounded number of
 // times, then falls back to the guarded lock-free mainline, so readers are
 // wait-free and progress never regresses; the retry and fallback counts
-// land in the structure audits.  Experiment E14 (abalab -scale) sweeps a
+// land in the structure audits.  Experiment E14 (abalab -run E14) sweeps a
 // 90/5/5 read-mostly profile across structure × regime × reclaimer ×
 // worker count and reports per-worker scaling.
 //
@@ -161,7 +161,7 @@
 // (raw+none corrupts; tagged/llsc/detector reject it as a counted
 // near-miss; hp/epoch prevent the recycle outright), and StructureAudit
 // reports Splits, SegmentAppends, and ResizeRetries alongside the
-// structural checks.  Experiment E15 (abalab -grow) sweeps the growth
+// structural checks.  Experiment E15 (abalab -run E15) sweeps the growth
 // matrix to 1M keys / 10M ops under live traffic.
 //
 // # Tail latency: admission control
@@ -198,8 +198,8 @@
 // bounded and unbounded constructions) and one stalled pinned process
 // blocks every reuse in the system.  Audit surfaces the whole ledger:
 // retired/reclaimed/deferred counts, reclamation stalls, and pool
-// exhaustions.  The abalab -reclaim command runs the structure × regime ×
-// reclaimer matrix (experiment E12).
+// exhaustions.  abalab -run E12 runs the structure × regime × reclaimer
+// matrix (experiment E12).
 //
 // Limbo — the retired-but-not-freed residue — is itself m(n) spent to buy
 // t(n): every deferred node is pool capacity rented so that Retire can be
@@ -216,8 +216,8 @@
 // pool seam: the map flushes each operation's kill set at guard release),
 // and hp's threshold sweeps reuse a sorted hazard snapshot versioned by a
 // striped publication counter when no Protect or Clear intervened.  The
-// abalab -pressure command prices all of this as the reclamation-pressure
-// matrix (experiment E16).
+// reclamation-pressure matrix (experiment E16, abalab -run E16) prices all
+// of this.
 //
 // # Observability
 //

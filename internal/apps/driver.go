@@ -2,6 +2,7 @@ package apps
 
 import (
 	"fmt"
+	"sync/atomic"
 
 	"abadetect/internal/guard"
 	"abadetect/internal/reclaim"
@@ -11,8 +12,8 @@ import (
 
 // Instance is one constructed structure plus its fixed benchmark workload —
 // the uniform driver behind the application-throughput matrices (E11's
-// structure × guard sweep, E12's structure × regime × reclaimer sweep,
-// abalab -app / -reclaim).  The registry's KindStructure entries construct
+// structure × guard sweep, E12's structure × regime × reclaimer sweep, and
+// the load-driven E13–E17).  The registry's KindStructure entries construct
 // Instances, so the harness enumerates structures the same way it
 // enumerates detectors, LL/SC objects, and reclaimers.
 type Instance interface {
@@ -119,7 +120,10 @@ func (io InstanceOptions) StructOpts(mk guard.Maker) []StructOption {
 
 // maxSpin bounds the queue's retry loops in matrix runs: a raw-guarded
 // queue that has been ABA-corrupted can cycle its next chain, and a bounded
-// spin turns the resulting livelock into failed operations.
+// spin turns the resulting livelock into failed operations.  A worker whose
+// handle spends one budget issues no further operations (see
+// queueInstance), so a corrupted foil costs one budget per worker, not one
+// per remaining op.
 const maxSpin = 10_000
 
 // NewStackInstance builds a stack of the given capacity whose workload is a
@@ -181,10 +185,17 @@ func NewQueueInstance(f shmem.Factory, n, capacity int, mk guard.Maker, io Insta
 	if err != nil {
 		return nil, err
 	}
-	return queueInstance{q}, nil
+	return queueInstance{q: q, abandoned: new(atomic.Int64)}, nil
 }
 
-type queueInstance struct{ q *Queue }
+// queueInstance drives a queue through bounded handles.  Once a worker's
+// handle has spent a MaxSpin budget the queue is livelocked for it, so the
+// worker skips its remaining ops and counts them in abandoned; the audit
+// reports them.
+type queueInstance struct {
+	q         *Queue
+	abandoned *atomic.Int64
+}
 
 func (in queueInstance) Worker(pid int) (func(i int), error) {
 	h, err := in.q.Handle(pid)
@@ -193,6 +204,10 @@ func (in queueInstance) Worker(pid int) (func(i int), error) {
 	}
 	h.MaxSpin = maxSpin
 	return func(i int) {
+		if h.spunOut {
+			in.abandoned.Add(1)
+			return
+		}
 		h.Enq(Word(pid)<<32 | Word(i))
 		h.Deq()
 	}, nil
@@ -207,6 +222,10 @@ func (in queueInstance) ReadMostlyWorker(pid int) (func(i int), error) {
 	}
 	h.MaxSpin = maxSpin
 	return func(i int) {
+		if h.spunOut {
+			in.abandoned.Add(1)
+			return
+		}
 		switch i % 20 {
 		case 0:
 			h.Enq(Word(pid)<<32 | Word(i))
@@ -218,8 +237,13 @@ func (in queueInstance) ReadMostlyWorker(pid int) (func(i int), error) {
 	}, nil
 }
 
+// Audit fails a queue that abandoned ops: a spent spin budget means a
+// worker could make no progress on it.
 func (in queueInstance) Audit() (bool, string) {
 	a := in.q.Audit()
+	if n := in.abandoned.Load(); n > 0 {
+		return true, fmt.Sprintf("%s abandoned=%d", a, n)
+	}
 	return a.Corrupt(), a.String()
 }
 

@@ -160,6 +160,9 @@ type QueueHandle struct {
 	// tail-helping loop into a livelock — benchmark and race harnesses set a
 	// bound so a corrupted foil fails operations instead of hanging.
 	MaxSpin int
+	// spunOut records that a MaxSpin budget ran out: the queue is livelocked
+	// for this handle, and matrix workers stop issuing operations on it.
+	spunOut bool
 
 	pendingHead int // head loaded by DeqBegin
 	pendingNext int // its successor, as read by DeqBegin
@@ -182,8 +185,15 @@ type QueueHandle struct {
 	ReadStall func()
 }
 
-// spent reports whether a bounded handle has used up its spin budget.
-func (h *QueueHandle) spent(spins int) bool { return h.MaxSpin > 0 && spins >= h.MaxSpin }
+// spent reports whether a bounded handle has used up its spin budget, and
+// records it in spunOut when it has.
+func (h *QueueHandle) spent(spins int) bool {
+	if h.MaxSpin > 0 && spins >= h.MaxSpin {
+		h.spunOut = true
+		return true
+	}
+	return false
+}
 
 // Enq appends v.  It returns false when the node pool is exhausted (or a
 // MaxSpin budget ran out).

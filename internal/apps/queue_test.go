@@ -2,11 +2,13 @@ package apps
 
 import (
 	"runtime"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
+	"abadetect/internal/guard"
 	"abadetect/internal/shmem"
 )
 
@@ -308,5 +310,43 @@ func TestQueueAuditStates(t *testing.T) {
 	a = q.Audit()
 	if a.Length != 2 || a.Corrupt() {
 		t.Errorf("after 2 enqs: %s", a)
+	}
+}
+
+func TestQueueWorkerStopsAfterSpinBudget(t *testing.T) {
+	// A raw queue whose tail sits on a two-node next-cycle livelocks every
+	// Enq: the tail-helping loop chases the cycle until MaxSpin runs out.
+	// The matrix worker must pay that budget once and then stop issuing
+	// operations, reporting the skipped ones, instead of re-spending the
+	// whole budget on every remaining op.
+	f := shmem.NewCounting(shmem.NewNativeFactory(), 2)
+	inst, err := NewQueueInstance(f, 2, 8, guard.NewMaker(f, 2, guard.Raw, 0), InstanceOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	q := inst.(queueInstance).q
+	h := queueHandle(t, q, 1)
+	a, b := h.pool.Alloc(), h.pool.Alloc()
+	h.next[a].Store(Word(b))
+	h.next[b].Store(Word(a))
+	h.tail.Store(Word(a))
+
+	step, err := inst.Worker(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	f.Reset()
+	const ops = 200
+	for i := 0; i < ops; i++ {
+		step(i)
+	}
+	// One spent budget (a spin is at most 4 steps) plus a short op's worth
+	// for each op; re-spending the budget per op blows far past it.
+	if steps, bound := f.TotalSteps(), int64(maxSpin*4+ops*64); steps >= bound {
+		t.Errorf("%d ops took %d shared-memory steps, want < %d: the worker kept spinning on a livelocked queue", ops, steps, bound)
+	}
+	corrupt, detail := inst.Audit()
+	if !corrupt || !strings.Contains(detail, "abandoned=") {
+		t.Errorf("audit = (%v, %q), want a failed audit reporting abandoned ops", corrupt, detail)
 	}
 }

@@ -159,8 +159,8 @@ func TestE10ThroughputShape(t *testing.T) {
 
 func TestE13LoadMatrixShape(t *testing.T) {
 	// One profile, one scheme: one row per regime with parseable latency
-	// columns; the filters reject unknown IDs.
-	tbl, err := E13LoadMatrix("map", "none", "steady")
+	// columns; a glob that matches no cell is an error.
+	tbl, err := E13LoadMatrix(Options{Cell: "map/*+none/steady"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -175,21 +175,17 @@ func TestE13LoadMatrixShape(t *testing.T) {
 			t.Errorf("row %v lacks latency percentiles", row)
 		}
 	}
-	if _, err := E13LoadMatrix("no-such-structure", "all", "all"); err == nil {
-		t.Error("want error for an unknown structure")
-	}
-	if _, err := E13LoadMatrix("map", "no-such-scheme", "all"); err == nil {
-		t.Error("want error for an unknown scheme")
-	}
-	if _, err := E13LoadMatrix("map", "all", "no-such-profile"); err == nil {
-		t.Error("want error for an unknown profile")
+	for _, glob := range []string{"no-such-structure/*", "map/*+no-such-scheme/*", "map/*/no-such-profile"} {
+		if _, err := E13LoadMatrix(Options{Cell: glob}); err == nil {
+			t.Errorf("want error for %q, which matches no cell", glob)
+		}
 	}
 }
 
 func TestE13TrafficFilterAndTuningPin(t *testing.T) {
-	// "traffic" covers map and stack, and a Seed override pins every cell
-	// to one RNG stream while still producing full baseline rows.
-	tbl, err := E13LoadMatrixOpts("traffic", "none", "steady", E13Options{Seed: 42})
+	// The default sweep covers map and stack: a structure-agnostic glob
+	// picks up both structures' baseline steady/none cells.
+	tbl, err := E13LoadMatrix(Options{Cell: "*+none/steady"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -204,7 +200,7 @@ func TestE13TrafficFilterAndTuningPin(t *testing.T) {
 		structs[strings.SplitN(row[0], "/", 2)[0]] = true
 	}
 	if !structs["map"] || !structs["stack"] {
-		t.Errorf("traffic filter covered %v, want map and stack", structs)
+		t.Errorf("default sweep covered %v, want map and stack", structs)
 	}
 }
 
@@ -213,7 +209,7 @@ func TestE13BackpressureProfile(t *testing.T) {
 	// shed column must account for every non-admitted arrival (ops + shed =
 	// offered is checked inside load; here the column must parse and the
 	// sound cells must stay clean).
-	tbl, err := E13LoadMatrix("map", "none", "poisson-shed")
+	tbl, err := E13LoadMatrix(Options{Cell: "map/*+none/poisson-shed"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -229,8 +225,8 @@ func TestE13BackpressureProfile(t *testing.T) {
 
 func TestE14ReadScalingShape(t *testing.T) {
 	// One structure, one scheme: 4 regimes × 4 worker counts, each group
-	// anchored by a 1.00x 1-worker row; unknown filters are rejected.
-	tbl, err := E14ReadScaling("stack", "none")
+	// anchored by a 1.00x 1-worker row; globs matching no cell are rejected.
+	tbl, err := E14ReadScaling(Options{Cell: "stack/*+none"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -257,20 +253,11 @@ func TestE14ReadScalingShape(t *testing.T) {
 			t.Errorf("row %q corrupted under the read-mostly trickle: %q", row[0], row[7])
 		}
 	}
-	if _, err := E14ReadScaling("no-such-structure", "all"); err == nil {
-		t.Error("want error for an unknown structure")
-	}
-	if _, err := E14ReadScaling("stack", "no-such-scheme"); err == nil {
-		t.Error("want error for an unknown scheme")
-	}
-	// The event flag has no read fast path: filtering to it matches the
-	// structure but contributes no rows, and the scheme check still runs.
-	evt, err := E14ReadScaling("event", "none")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(evt.Rows) != 0 {
-		t.Errorf("event rows = %d, want 0 (no ReadMostly seam)", len(evt.Rows))
+	// The event flag has no read fast path, so it contributes no cells.
+	for _, glob := range []string{"no-such-structure/*", "stack/*+no-such-scheme", "event/*"} {
+		if _, err := E14ReadScaling(Options{Cell: glob}); err == nil {
+			t.Errorf("want error for %q, which matches no cell", glob)
+		}
 	}
 }
 

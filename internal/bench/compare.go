@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"os"
+	"slices"
 	"strconv"
 	"strings"
 	"time"
@@ -92,38 +93,25 @@ type CompareResult struct {
 	BacklogDominated bool
 }
 
-// throughputExperiments maps each comparable experiment ID to its runner;
-// every table here shares the implementation/workload/ns-op row shape.
-var throughputExperiments = []struct {
-	id  string
-	run func() (*Table, error)
-}{
-	{"E10", E10Throughput},
-	{"E11", func() (*Table, error) { return E11Apps("all") }},
-	{"E12", func() (*Table, error) { return E12Reclaim("all", "all") }},
-	{"E13", func() (*Table, error) { return E13LoadMatrix("traffic", "all", "all") }},
-	{"E14", func() (*Table, error) { return E14ReadScaling("all", "all") }},
-	{"E15", func() (*Table, error) { return E15GrowthMatrix(0) }},
-	{"E16", func() (*Table, error) { return E16PressureMatrix(false) }},
-	{"E17", func() (*Table, error) { return E17ObservabilityMatrix(false) }},
-}
-
-// CompareThroughput re-runs every throughput experiment the snapshot
-// contains — E10 (base objects), E11 (the application matrix), and E12
-// (the reclamation matrix) — and diffs each against its snapshot table,
+// CompareThroughput re-runs, at the full tier, every experiment whose
+// snapshot table has an ns/op column — E10 (base objects) through E17 in
+// the committed snapshots — and diffs each against its snapshot table,
 // matched on implementation + workload.  It returns one rendered comparison
 // table per experiment plus the raw results for programmatic thresholds.
-// Snapshots that predate E11/E12 simply compare what they have, so old
+// Snapshots that predate a matrix simply compare what they have, so old
 // BENCH_*.json files stay usable.
 func CompareThroughput(snapshot []*Table) ([]*Table, []CompareResult, error) {
 	var tables []*Table
 	var results []CompareResult
-	for _, exp := range throughputExperiments {
-		base, ok := FindTable(snapshot, exp.id)
-		if !ok {
+	for _, base := range snapshot {
+		if column(base, "ns/op") < 0 {
 			continue
 		}
-		tbl, res, err := compareOne(exp.id, base, exp.run)
+		exp, ok := Lookup(base.ID)
+		if !ok {
+			return nil, nil, fmt.Errorf("bench: snapshot table %s names no experiment", base.ID)
+		}
+		tbl, res, err := compareOne(base.ID, base, func() (*Table, error) { return exp.Run(Options{}) })
 		if err != nil {
 			return nil, nil, err
 		}
@@ -131,7 +119,7 @@ func CompareThroughput(snapshot []*Table) ([]*Table, []CompareResult, error) {
 		results = append(results, res...)
 	}
 	if len(tables) == 0 {
-		return nil, nil, fmt.Errorf("bench: snapshot has no comparable throughput table (E10/E11)")
+		return nil, nil, fmt.Errorf("bench: snapshot has no comparable throughput table (no ns/op column)")
 	}
 	return tables, results, nil
 }
@@ -155,15 +143,15 @@ func compareOne(id string, base *Table, run func() (*Table, error)) (*Table, []C
 	if err != nil {
 		return nil, nil, err
 	}
-	baseP50, baseP99, baseP999 := durColumn(base, "p50"), durColumn(base, "p99"), durColumn(base, "p999")
-	curP50, curP99, curP999 := durColumn(fresh, "p50"), durColumn(fresh, "p99"), durColumn(fresh, "p999")
+	baseP50, baseP99, baseP999 := index(base, "p50", time.ParseDuration), index(base, "p99", time.ParseDuration), index(base, "p999", time.ParseDuration)
+	curP50, curP99, curP999 := index(fresh, "p50", time.ParseDuration), index(fresh, "p99", time.ParseDuration), index(fresh, "p999", time.ParseDuration)
 	withTail := baseP999 != nil && curP999 != nil
-	baseScale, curScale := scaleColumn(base, "scale"), scaleColumn(fresh, "scale")
+	baseScale, curScale := index(base, "scale", parseRatio), index(fresh, "scale", parseRatio)
 	withScale := baseScale != nil && curScale != nil
-	baseLimbo, curLimbo := countColumn(base, "limbo"), countColumn(fresh, "limbo")
-	baseMiss, curMiss := countColumn(base, "alloc-miss"), countColumn(fresh, "alloc-miss")
+	baseLimbo, curLimbo := index(base, "limbo", parseCount), index(fresh, "limbo", parseCount)
+	baseMiss, curMiss := index(base, "alloc-miss", parseCount), index(fresh, "alloc-miss", parseCount)
 	withPressure := baseLimbo != nil && curLimbo != nil && baseMiss != nil && curMiss != nil
-	outcomes := textColumn(fresh, "outcome")
+	outcomes := index(fresh, "outcome", func(s string) (string, error) { return s, nil })
 
 	t := &Table{
 		ID:     id + "-compare",
@@ -308,14 +296,15 @@ func compareOne(id string, base *Table, run func() (*Table, error)) (*Table, []C
 // rowKey identifies a throughput row across runs.
 func rowKey(row []string) string { return row[0] + "|" + row[2] }
 
-// nsPerOp indexes a throughput table's ns/op column by its row key.
+// column returns the index of t's header cell name, or -1 when t has no
+// such column.
+func column(t *Table, name string) int { return slices.Index(t.Header, name) }
+
+// nsPerOp indexes a throughput table's ns/op column by its row key.  Unlike
+// the optional columns it is strict: a missing column, a short row, or a
+// foreign cell is an error.
 func nsPerOp(t *Table) (map[string]float64, error) {
-	col := -1
-	for i, h := range t.Header {
-		if h == "ns/op" {
-			col = i
-		}
-	}
+	col := column(t, "ns/op")
 	if col < 0 {
 		return nil, fmt.Errorf("bench: table %s has no ns/op column", t.ID)
 	}
@@ -336,104 +325,31 @@ func nsPerOp(t *Table) (map[string]float64, error) {
 	return out, nil
 }
 
-// scaleColumn indexes a "1.23x"-formatted ratio column by row key, or
-// returns nil when the table has no such column — which is how snapshots
-// from before the read-scaling matrix (E14) opt out of the scale diff.
-func scaleColumn(t *Table, name string) map[string]float64 {
-	col := -1
-	for i, h := range t.Header {
-		if h == name {
-			col = i
-		}
-	}
+// index parses the named column of t by row key, or returns nil when t has
+// no such column — which is how a snapshot from before a column existed
+// (latency, scale, pressure) opts out of that diff.  Rows too short to have
+// the cell, and cells parse rejects ("-" or a foreign format), are left out.
+func index[V any](t *Table, name string, parse func(string) (V, error)) map[string]V {
+	col := column(t, name)
 	if col < 0 {
 		return nil
 	}
-	out := make(map[string]float64, len(t.Rows))
+	out := make(map[string]V, len(t.Rows))
 	for _, row := range t.Rows {
 		if len(row) <= col {
 			continue
 		}
-		v, err := strconv.ParseFloat(strings.TrimSuffix(row[col], "x"), 64)
-		if err != nil {
-			continue // "-" or a foreign format: leave the row out of the diff
-		}
-		out[rowKey(row)] = v
-	}
-	return out
-}
-
-// countColumn indexes an integer counter column (e.g. "limbo", "alloc-miss")
-// by row key, or returns nil when the table has no such column — which is how
-// snapshots from before the pressure matrix (E16) opt out of the limbo diff.
-func countColumn(t *Table, name string) map[string]int64 {
-	col := -1
-	for i, h := range t.Header {
-		if h == name {
-			col = i
-		}
-	}
-	if col < 0 {
-		return nil
-	}
-	out := make(map[string]int64, len(t.Rows))
-	for _, row := range t.Rows {
-		if len(row) <= col {
-			continue
-		}
-		v, err := strconv.ParseInt(row[col], 10, 64)
-		if err != nil {
-			continue // "-" or a foreign format: leave the row out of the diff
-		}
-		out[rowKey(row)] = v
-	}
-	return out
-}
-
-// textColumn indexes a free-form column (e.g. "outcome") by row key; empty
-// when the table has no such column.
-func textColumn(t *Table, name string) map[string]string {
-	col := -1
-	for i, h := range t.Header {
-		if h == name {
-			col = i
-		}
-	}
-	out := make(map[string]string)
-	if col < 0 {
-		return out
-	}
-	for _, row := range t.Rows {
-		if len(row) > col {
-			out[rowKey(row)] = row[col]
+		if v, err := parse(row[col]); err == nil {
+			out[rowKey(row)] = v
 		}
 	}
 	return out
 }
 
-// durColumn indexes a latency column (p50/p99/p999) by row key, or returns
-// nil when the table has no such column — which is how snapshots from
-// before the latency columns existed opt out of the tail diff.
-func durColumn(t *Table, name string) map[string]time.Duration {
-	col := -1
-	for i, h := range t.Header {
-		if h == name {
-			col = i
-		}
-	}
-	if col < 0 {
-		return nil
-	}
-	out := make(map[string]time.Duration, len(t.Rows))
-	for _, row := range t.Rows {
-		if len(row) <= col {
-			continue
-		}
-		d, err := time.ParseDuration(row[col])
-		if err != nil {
-			continue // "-" or a foreign format: leave the row out of the diff
-		}
-		out[rowKey(row)] = d
-	}
-	return out
+// parseRatio parses a "1.23x"-formatted ratio cell (E14's scale column).
+func parseRatio(s string) (float64, error) {
+	return strconv.ParseFloat(strings.TrimSuffix(s, "x"), 64)
 }
+
+// parseCount parses an integer counter cell (E16's limbo and alloc-miss).
+func parseCount(s string) (int64, error) { return strconv.ParseInt(s, 10, 64) }

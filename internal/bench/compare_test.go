@@ -117,7 +117,7 @@ func TestCompareBothThroughputTables(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	e11, err := E11Apps("all")
+	e11, err := E11Apps(Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

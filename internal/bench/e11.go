@@ -2,11 +2,11 @@ package bench
 
 import (
 	"fmt"
-	"sync"
 	"time"
 
 	"abadetect/internal/apps"
 	"abadetect/internal/guard"
+	"abadetect/internal/load"
 	"abadetect/internal/registry"
 	"abadetect/internal/shmem"
 )
@@ -17,107 +17,67 @@ import (
 // Each row reports throughput plus the post-run audit and the guard's
 // near-miss counter — so the table shows, in one sweep, both what each
 // protection regime costs and what it catches.  abalab exposes it as
-// `-app all` (or `-app stack|queue|event`); filter narrows to one structure.
-func E11Apps(filter string) (*Table, error) {
+// `-run E11` (narrowed with -cell, e.g. -cell 'queue/*').
+func E11Apps(opts Options) (*Table, error) {
 	t := &Table{
 		ID:     "E11",
 		Title:  "application throughput over the structure × guard matrix (§1, registry-driven)",
 		Header: []string{"implementation", "kind", "workload", "ops", "ns/op", "Mops/s", "outcome"},
 	}
-	const workers = 4
-	const perWorker = 20_000
-	const capacity = 16
-
-	matched := false
+	var cells []cell
 	for _, im := range registry.Structures() {
-		if filter != "" && filter != "all" && filter != im.ID {
-			continue
-		}
-		matched = true
-		conditionalOnly := im.ID != "event"
-		for _, spec := range registry.GuardSpecs(conditionalOnly) {
-			elapsed, outcome, err := appRun(im, spec, workers, perWorker, capacity)
-			if err != nil {
-				return nil, fmt.Errorf("bench: E11 %s/%s: %w", im.ID, spec, err)
-			}
-			ops := workers * perWorker
-			t.AddRow(
-				im.ID+"/"+spec.String(),
-				string(im.Kind),
-				fmt.Sprintf("%d goroutines, op mix", workers),
-				fmt.Sprintf("%d", ops),
-				fmt.Sprintf("%.1f", float64(elapsed.Nanoseconds())/float64(ops)),
-				fmt.Sprintf("%.2f", float64(ops)/elapsed.Seconds()/1e6),
-				outcome,
-			)
+		for _, spec := range registry.GuardSpecs(im.ID != "event") {
+			// Structures that commit also route their free list through the
+			// guard regime; the event flag has no pool.
+			io := apps.InstanceOptions{GuardedPool: spec.Conditional()}
+			label := im.ID + "/" + spec.String()
+			cells = append(cells, cell{label, func() ([][]string, error) {
+				return opMixRun(label, im, spec, io, 20_000, nil)
+			}})
 		}
 	}
-	if !matched {
-		return nil, fmt.Errorf("bench: unknown structure %q (registered: %s)", filter, structureIDs())
+	if err := runCells(t, cells, opts); err != nil {
+		return nil, err
 	}
 	t.AddNote("stack/queue ops are push+pop / enq+deq pairs over a guarded free list; event ops are signal/reset pulses (pid 0) and polls.")
 	t.AddNote("outcome is the quiescent audit plus the guards' detected-and-prevented ABA count; a corrupt raw audit is the §1 story, not a harness failure.")
 	return t, nil
 }
 
-// structureIDs and reclaimerIDs render the registered choices for error
-// messages, so the hints can never drift from the registry.
-func structureIDs() string { return implIDs(registry.Structures()) }
-func reclaimerIDs() string { return implIDs(registry.Reclaimers()) }
+// opMixWorkers and opMixCapacity fix the E11/E12 workload shape: a small
+// pool shared by four goroutines, so recycling (and with it the ABA) is
+// frequent.
+const (
+	opMixWorkers  = 4
+	opMixCapacity = 16
+)
 
-func implIDs(impls []registry.Impl) string {
-	out := ""
-	for i, im := range impls {
-		if i > 0 {
-			out += ", "
-		}
-		out += im.ID
-	}
-	return out
-}
-
-// appRun drives one (structure, guard spec) cell: `workers` goroutines, a
-// fixed op count each, then a quiescent audit.
-func appRun(im registry.Impl, spec registry.GuardSpec, workers, perWorker, capacity int) (time.Duration, string, error) {
-	f := shmem.NewNativeFactory()
-	mk, err := registry.NewGuardMaker(f, workers, spec)
+// opMixRun drives one E11/E12 cell — opMixWorkers goroutines issuing
+// perWorker ops of the structure's fixed op mix through the lean closed loop
+// — and renders its row; counters, when non-nil, adds the matrix's own
+// outcome counters.
+func opMixRun(label string, im registry.Impl, spec registry.GuardSpec, io apps.InstanceOptions, perWorker int, counters func(apps.Instance) string) ([][]string, error) {
+	inst, err := build(im, spec, opMixWorkers, opMixCapacity, io)
 	if err != nil {
-		return 0, "", err
+		return nil, err
 	}
-	// Structures that commit also route their free list through the guard
-	// regime; the event flag has no pool.
-	io := apps.InstanceOptions{GuardedPool: spec.Conditional()}
-	inst, err := im.NewStructure(f, workers, capacity, mk, io)
+	res, err := load.RunThroughput(inst, load.Profile{ID: "op-mix", Workers: opMixWorkers, OpsPerWorker: perWorker})
 	if err != nil {
-		return 0, "", err
+		return nil, err
 	}
-	steps := make([]func(int), workers)
-	for pid := 0; pid < workers; pid++ {
-		if steps[pid], err = inst.Worker(pid); err != nil {
-			return 0, "", err
-		}
+	extra := ""
+	if counters != nil {
+		extra = counters(inst)
 	}
-	var wg sync.WaitGroup
-	start := time.Now()
-	for pid := 0; pid < workers; pid++ {
-		wg.Add(1)
-		go func(step func(int)) {
-			defer wg.Done()
-			for i := 0; i < perWorker; i++ {
-				step(i)
-			}
-		}(steps[pid])
-	}
-	wg.Wait()
-	elapsed := time.Since(start)
-
-	corrupt, detail := inst.Audit()
-	prevented := inst.GuardMetrics().NearMisses + inst.FreelistMetrics().NearMisses
-	outcome := fmt.Sprintf("corrupt=%v prevented-ABA=%d", corrupt, prevented)
-	if corrupt {
-		outcome += " (" + detail + ")"
-	}
-	return elapsed, outcome, nil
+	return [][]string{{
+		label,
+		string(im.Kind),
+		fmt.Sprintf("%d goroutines, op mix", opMixWorkers),
+		fmt.Sprintf("%d", res.Ops),
+		fmt.Sprintf("%.1f", float64(res.Elapsed.Nanoseconds())/float64(res.Ops)),
+		fmt.Sprintf("%.2f", float64(res.Ops)/res.Elapsed.Seconds()/1e6),
+		outcome(inst, extra),
+	}}, nil
 }
 
 // AppSequentialProbe times `pairs` single-process ops of a registered

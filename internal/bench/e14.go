@@ -8,7 +8,6 @@ import (
 	"abadetect/internal/guard"
 	"abadetect/internal/load"
 	"abadetect/internal/registry"
-	"abadetect/internal/shmem"
 )
 
 // e14Workers is the worker sweep of the read-scaling matrix.  The scale
@@ -32,85 +31,32 @@ var e14Workers = []int{1, 2, 4, 8}
 // still validate the protocol (clean audits, no fallback storms) but the
 // scale column measures scheduler time-slicing, not parallel speedup — the
 // table note records the GOMAXPROCS the run actually had.
-func E14ReadScaling(structFilter, schemeFilter string) (*Table, error) {
+func E14ReadScaling(opts Options) (*Table, error) {
 	t := &Table{
 		ID:     "E14",
 		Title:  "read scaling: read-mostly traffic × regime × reclaimer × workers, per-worker throughput",
 		Header: []string{"implementation", "kind", "workload", "ops", "ns/op", "Mops/s", "scale", "outcome"},
 	}
-	const capacity = 128
 	base, ok := load.LookupProfile("read-heavy")
 	if !ok {
 		return nil, fmt.Errorf("bench: E14 needs the read-heavy load profile")
 	}
-	if structFilter == "" {
-		structFilter = "all"
-	}
-	regimes := []registry.GuardSpec{
-		{Regime: guard.Raw},
-		{Regime: guard.Tagged, TagBits: 16},
-		{Regime: guard.LLSC},
-		{Regime: guard.Detector},
-	}
-	// Validate the scheme filter up front: a structure without the
-	// ReadMostly seam contributes no rows, and an empty matrix must not be
-	// mistaken for a typo'd reclaimer name (or vice versa).
-	schemeMatched := schemeFilter == "" || schemeFilter == "all"
-	for _, rim := range registry.Reclaimers() {
-		if rim.ID == schemeFilter {
-			schemeMatched = true
-		}
-	}
-	if !schemeMatched {
-		return nil, fmt.Errorf("bench: unknown reclamation scheme %q (registered: %s)", schemeFilter, reclaimerIDs())
-	}
-	structMatched := false
+	var cells []cell
 	for _, im := range registry.Structures() {
-		if structFilter != "all" && structFilter != im.ID {
-			continue
-		}
-		structMatched = true
 		if !readMostlyStructure(im) {
 			continue // no read fast path: nothing to scale (the event flag)
 		}
 		for _, spec := range regimes {
 			for _, rim := range registry.Reclaimers() {
-				if schemeFilter != "" && schemeFilter != "all" && schemeFilter != rim.ID {
-					continue
-				}
-				var soloPerWorker float64
-				for _, workers := range e14Workers {
-					p := base
-					p.Workers = workers
-					res, outcome, err := readRun(im, spec, rim, p, capacity)
-					if err != nil {
-						return nil, fmt.Errorf("bench: E14 %s/%s+%s w%d: %w", im.ID, spec, rim.ID, workers, err)
-					}
-					opsPerSec := float64(res.Ops) / res.Elapsed.Seconds()
-					perWorker := opsPerSec / float64(workers)
-					if workers == e14Workers[0] {
-						soloPerWorker = perWorker
-					}
-					scale := "-"
-					if soloPerWorker > 0 {
-						scale = fmt.Sprintf("%.2fx", perWorker/soloPerWorker)
-					}
-					t.AddRow(
-						im.ID+"/"+spec.String()+"+"+rim.ID,
-						string(im.Kind),
-						fmt.Sprintf("%s, w%d", p.Workload(), workers),
-						fmt.Sprintf("%d", res.Ops),
-						fmt.Sprintf("%.1f", float64(res.Elapsed.Nanoseconds())/float64(res.Ops)),
-						fmt.Sprintf("%.2f", opsPerSec/1e6),
-						scale,
-						outcome,
-					)
-				}
+				label := im.ID + "/" + spec.String() + "+" + rim.ID
+				cells = append(cells, cell{label, func() ([][]string, error) {
+					return readRun(label, im, spec, rim, base)
+				}})
 			}
 		}
 	}
-	if !structMatched {
-		return nil, fmt.Errorf("bench: unknown structure %q (registered: %s)", structFilter, structureIDs())
+	if err := runCells(t, cells, opts); err != nil {
+		return nil, err
 	}
 	t.AddNote("scale = ops/s-per-worker vs the 1-worker cell of the same configuration: 1.00x is perfect read scaling, and it needs cores — this run had GOMAXPROCS=%d.", runtime.GOMAXPROCS(0))
 	t.AddNote("the workload is the read-heavy profile through the lean closed-loop runner: no per-op clock reads, so ns/op is structure cost, not harness cost.")
@@ -122,12 +68,7 @@ func E14ReadScaling(structFilter, schemeFilter string) (*Table, error) {
 // readMostlyStructure probes whether a registered structure implements the
 // read-mostly workload seam, by constructing a throwaway 2-process instance.
 func readMostlyStructure(im registry.Impl) bool {
-	f := shmem.NewNativeFactory()
-	mk, err := registry.NewGuardMaker(f, 2, registry.GuardSpec{Regime: guard.Raw})
-	if err != nil {
-		return false
-	}
-	inst, err := im.NewStructure(f, 2, 8, mk, apps.InstanceOptions{})
+	inst, err := build(im, registry.GuardSpec{Regime: guard.Raw}, 2, 8, apps.InstanceOptions{})
 	if err != nil {
 		return false
 	}
@@ -135,28 +76,42 @@ func readMostlyStructure(im registry.Impl) bool {
 	return ok
 }
 
-// readRun drives one (structure, regime, reclaimer, workers) cell of the
-// read-scaling matrix and audits at quiescence.
-func readRun(im registry.Impl, spec registry.GuardSpec, rim registry.Impl, p load.Profile, capacity int) (load.Result, string, error) {
-	f := shmem.NewNativeFactory()
-	mk, err := registry.NewGuardMaker(f, p.Workers, spec)
-	if err != nil {
-		return load.Result{}, "", err
+// readRun drives one (structure, regime, reclaimer) cell of the
+// read-scaling matrix across the e14Workers sweep, auditing each run at
+// quiescence; the scale column needs the whole sweep.
+func readRun(label string, im registry.Impl, spec registry.GuardSpec, rim registry.Impl, base load.Profile) ([][]string, error) {
+	var rows [][]string
+	var soloPerWorker float64
+	for _, workers := range e14Workers {
+		p := base
+		p.Workers = workers
+		inst, err := build(im, spec, workers, trafficCapacity, apps.InstanceOptions{Reclaim: rim.NewReclaimer})
+		if err != nil {
+			return nil, fmt.Errorf("w%d: %w", workers, err)
+		}
+		res, err := load.RunThroughput(inst, p)
+		if err != nil {
+			return nil, fmt.Errorf("w%d: %w", workers, err)
+		}
+		opsPerSec := float64(res.Ops) / res.Elapsed.Seconds()
+		perWorker := opsPerSec / float64(workers)
+		if workers == e14Workers[0] {
+			soloPerWorker = perWorker
+		}
+		scale := "-"
+		if soloPerWorker > 0 {
+			scale = fmt.Sprintf("%.2fx", perWorker/soloPerWorker)
+		}
+		rows = append(rows, []string{
+			label,
+			string(im.Kind),
+			fmt.Sprintf("%s, w%d", p.Workload(), workers),
+			fmt.Sprintf("%d", res.Ops),
+			fmt.Sprintf("%.1f", float64(res.Elapsed.Nanoseconds())/float64(res.Ops)),
+			fmt.Sprintf("%.2f", opsPerSec/1e6),
+			scale,
+			outcome(inst, ""),
+		})
 	}
-	inst, err := im.NewStructure(f, p.Workers, capacity, mk, apps.InstanceOptions{
-		Reclaim: rim.NewReclaimer,
-	})
-	if err != nil {
-		return load.Result{}, "", err
-	}
-	res, err := load.RunThroughput(inst, p)
-	if err != nil {
-		return load.Result{}, "", err
-	}
-	corrupt, detail := inst.Audit()
-	outcome := fmt.Sprintf("corrupt=%v prevented-ABA=%d", corrupt, inst.GuardMetrics().NearMisses)
-	if corrupt {
-		outcome += " (" + detail + ")"
-	}
-	return res, outcome, nil
+	return rows, nil
 }

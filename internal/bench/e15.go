@@ -5,10 +5,8 @@ import (
 	"runtime"
 
 	"abadetect/internal/apps"
-	"abadetect/internal/guard"
 	"abadetect/internal/load"
 	"abadetect/internal/registry"
-	"abadetect/internal/shmem"
 )
 
 // growthStats is the seam a growable structure instance exposes to the E15
@@ -37,23 +35,10 @@ const e15InitialCapacity = 1024
 // e15Tiers is the key sweep 10k → 1M.  The 1M-key tier drives 10M operations
 // into a map that must grow ~1000x past its initial capacity while serving
 // them — the ROADMAP's "millions of keys under live traffic" head-on.
-func e15Tiers() []e15Tier {
-	all := []registry.GuardSpec{
-		{Regime: guard.Raw},
-		{Regime: guard.Tagged, TagBits: 16},
-		{Regime: guard.LLSC},
-		{Regime: guard.Detector},
-	}
-	sound := []registry.GuardSpec{
-		{Regime: guard.Tagged, TagBits: 16},
-		{Regime: guard.LLSC},
-	}
-	headline := []registry.GuardSpec{{Regime: guard.Tagged, TagBits: 16}}
-	return []e15Tier{
-		{keys: 10_000, ops: 400_000, regimes: all, schemes: []string{"none", "hp", "epoch"}},
-		{keys: 100_000, ops: 1_000_000, regimes: sound, schemes: []string{"hp", "epoch"}},
-		{keys: 1_000_000, ops: 10_000_000, regimes: headline, schemes: []string{"hp", "epoch"}},
-	}
+var e15Tiers = []e15Tier{
+	{keys: 10_000, ops: 400_000, regimes: regimes, schemes: []string{"none", "hp", "epoch"}},
+	{keys: 100_000, ops: 1_000_000, regimes: regimes[1:3], schemes: []string{"hp", "epoch"}},
+	{keys: 1_000_000, ops: 10_000_000, regimes: regimes[1:2], schemes: []string{"hp", "epoch"}},
 }
 
 // E15GrowthMatrix measures split-ordered map growth under live traffic: the
@@ -62,8 +47,9 @@ func e15Tiers() []e15Tier {
 // through geometric node-segment appends and recursive directory splits up
 // to a ceiling 50% above the key space — while every get, put, and delete
 // runs concurrently with the resizes.  Tiers sweep the key space 10k → 1M
-// (the 1M-key tier issues 10M operations); maxKeys trims the sweep for smoke
-// runs (0 = the full sweep).
+// (the 1M-key tier issues 10M operations); the smoke tier runs the 10k-key
+// tier only.  A cell's label repeats across tiers, so a cell filter selects
+// that configuration at every tier that runs.
 //
 // The columns to watch: appends and splits must be nonzero (the cell grew),
 // exhausted in the outcome should sit near appends (each append is triggered
@@ -73,37 +59,35 @@ func e15Tiers() []e15Tier {
 // tail should look like the traffic, not like the resizes.  resize-stalls
 // counts directory doublings lost to a concurrent winner — contended-resize
 // work that was retried, never a pause.
-func E15GrowthMatrix(maxKeys int) (*Table, error) {
+func E15GrowthMatrix(opts Options) (*Table, error) {
 	t := &Table{
 		ID:     "E15",
 		Title:  "growth matrix: split-ordered map growth + geometric pool expansion under live traffic, keys 10k→1M",
 		Header: []string{"implementation", "kind", "workload", "keys", "ops", "ns/op", "goodput", "p999", "splits", "appends", "resize-stalls", "outcome"},
 	}
-	im, ok := registry.Lookup("map")
-	if !ok {
-		return nil, fmt.Errorf("bench: E15 needs the registered map structure")
+	im := registry.MustLookup("map")
+	tiers := e15Tiers
+	if opts.Smoke {
+		tiers = tiers[:1]
+		t.AddNote("smoke tier: only the %d-key tier ran.", tiers[0].keys)
 	}
-	const workers = 2
-	ran := false
-	for _, tier := range e15Tiers() {
-		if maxKeys > 0 && tier.keys > maxKeys {
-			t.AddNote("keys=%d tier skipped by the -grow-keys cap (%d).", tier.keys, maxKeys)
-			continue
-		}
-		ran = true
+	var cells []cell
+	for _, tier := range tiers {
 		for _, spec := range tier.regimes {
 			for _, scheme := range tier.schemes {
 				rim := registry.MustLookup(scheme)
-				row, err := growRun(im, spec, rim, tier, workers)
-				if err != nil {
-					return nil, fmt.Errorf("bench: E15 %s+%s keys=%d: %w", spec, scheme, tier.keys, err)
-				}
-				t.AddRow(row...)
+				cells = append(cells, cell{im.ID + "/" + spec.String() + "+" + rim.ID, func() ([][]string, error) {
+					row, err := growRun(im, spec, rim, tier, e15Workers)
+					if err != nil {
+						return nil, fmt.Errorf("keys=%d: %w", tier.keys, err)
+					}
+					return [][]string{row}, nil
+				}})
 			}
 		}
 	}
-	if !ran {
-		return nil, fmt.Errorf("bench: E15: the -grow-keys cap %d admits no tier (smallest is 10000)", maxKeys)
+	if err := runCells(t, cells, opts); err != nil {
+		return nil, err
 	}
 	t.AddNote("every cell starts at a %d-node pool and grows to a ceiling 50%% above its key space: appends counts geometric node-segment appends, splits counts directory doublings, resize-stalls counts doublings lost to a concurrent winner (retried work, never a pause).", e15InitialCapacity)
 	t.AddNote("the workload is the write-leaning growth profile (40/50/10, uniform keys, no prepopulation) — the map must grow *into* the key space while serving it; exhausted counts alloc attempts that found no free node, and each segment append is triggered by exactly one such miss — so exhausted≈appends means every miss was immediately repaired by growth, while epoch's large counts are reclaimer lag (retirees parked in limbo while allocators spin), not a growth failure.")
@@ -112,17 +96,14 @@ func E15GrowthMatrix(maxKeys int) (*Table, error) {
 	return t, nil
 }
 
+// e15Workers is every growth cell's worker count.
+const e15Workers = 2
+
 // growRun drives one growth cell and audits at quiescence.
 func growRun(im registry.Impl, spec registry.GuardSpec, rim registry.Impl, tier e15Tier, workers int) ([]string, error) {
-	f := shmem.NewNativeFactory()
-	mk, err := registry.NewGuardMaker(f, workers, spec)
-	if err != nil {
-		return nil, err
-	}
-	ceiling := tier.keys + tier.keys/2
-	inst, err := im.NewStructure(f, workers, e15InitialCapacity, mk, apps.InstanceOptions{
+	inst, err := build(im, spec, workers, e15InitialCapacity, apps.InstanceOptions{
 		Reclaim: rim.NewReclaimer,
-		GrowTo:  ceiling,
+		GrowTo:  tier.keys + tier.keys/2,
 	})
 	if err != nil {
 		return nil, err
@@ -132,17 +113,11 @@ func growRun(im registry.Impl, spec registry.GuardSpec, rim registry.Impl, tier 
 	if err != nil {
 		return nil, err
 	}
-	corrupt, detail := inst.Audit()
 	ps := inst.PoolStats()
 	var splits, appends, retries int64
 	capNow := 0
 	if gs, ok := inst.(growthStats); ok {
 		splits, appends, retries, capNow = gs.GrowthStats()
-	}
-	outcome := fmt.Sprintf("corrupt=%v prevented-ABA=%d exhausted=%d cap=%d→%d",
-		corrupt, inst.GuardMetrics().NearMisses, ps.Exhaustions, e15InitialCapacity, capNow)
-	if corrupt {
-		outcome += " (" + detail + ")"
 	}
 	_, _, p999 := res.Latency.Percentiles()
 	return []string{
@@ -157,6 +132,6 @@ func growRun(im registry.Impl, spec registry.GuardSpec, rim registry.Impl, tier 
 		fmt.Sprintf("%d", splits),
 		fmt.Sprintf("%d", appends),
 		fmt.Sprintf("%d", retries),
-		outcome,
+		outcome(inst, fmt.Sprintf("exhausted=%d cap=%d→%d", ps.Exhaustions, e15InitialCapacity, capNow)),
 	}, nil
 }

@@ -15,7 +15,7 @@ import (
 // is proven deterministically by kv.MapGrowABAScenario, so this test only
 // asserts the sound cells' cleanliness, not raw's corruption.
 func TestE15SmokeTier(t *testing.T) {
-	tbl, err := E15GrowthMatrix(10_000)
+	tbl, err := E15GrowthMatrix(Options{Smoke: true})
 	if err != nil {
 		t.Fatal(err)
 	}

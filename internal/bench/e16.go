@@ -7,7 +7,6 @@ import (
 	"abadetect/internal/guard"
 	"abadetect/internal/load"
 	"abadetect/internal/registry"
-	"abadetect/internal/shmem"
 )
 
 // E16 is the reclamation-pressure matrix: where E12 asks "does SMR prevent
@@ -66,23 +65,24 @@ func e16Profiles(opsPerWorker int) []load.Profile {
 // reclaimer's drain), scans/skips count hazard sweeps performed vs served
 // from the unchanged-snapshot cache, batches counts amortized multi-node
 // retirements, and tune counts epoch:auto's cadence moves (tightens/
-// relaxes).  smoke trims each cell for CI.
+// relaxes).  The smoke tier trims each cell to 2,000 ops per worker.
 //
 // The headline contrast: on write-lean cells, fixed lazy epoch (epoch:64)
 // parks the most nodes and starves the most allocations; epoch:auto's
 // backpressure-driven cadence should close most of that alloc-miss gap
 // toward hp while keeping epoch's n+1-register footprint.
-func E16PressureMatrix(smoke bool) (*Table, error) {
+func E16PressureMatrix(opts Options) (*Table, error) {
 	t := &Table{
 		ID:     "E16",
 		Title:  "reclamation-pressure matrix: scheme × structure × profile, limbo occupancy and alloc-miss lag",
 		Header: []string{"implementation", "kind", "workload", "ops", "ns/op", "p999", "limbo", "alloc-miss", "scans", "skips", "batches", "tune", "outcome"},
 	}
 	opsPerWorker := 25_000
-	if smoke {
+	if opts.Smoke {
 		opsPerWorker = 2_000
 	}
 	spec := registry.GuardSpec{Regime: guard.Tagged, TagBits: 16}
+	var cells []cell
 	for _, structID := range []string{"stack", "map"} {
 		im := registry.MustLookup(structID)
 		for _, scheme := range e16Schemes {
@@ -92,13 +92,15 @@ func E16PressureMatrix(smoke bool) (*Table, error) {
 				if im.ID != "map" && p.ID != "write-lean" {
 					continue
 				}
-				row, err := pressureRun(im, spec, scheme, p)
-				if err != nil {
-					return nil, fmt.Errorf("bench: E16 %s/%s/%s: %w", structID, scheme, p.ID, err)
-				}
-				t.AddRow(row...)
+				cells = append(cells, cell{im.ID + "/" + scheme + "/" + p.ID, func() ([][]string, error) {
+					row, err := pressureRun(im, spec, scheme, p)
+					return [][]string{row}, err
+				}})
 			}
 		}
+	}
+	if err := runCells(t, cells, opts); err != nil {
+		return nil, err
 	}
 	t.AddNote("every cell runs a fixed %d-node pool under %s guards with %d workers; the write-lean profile churns a node through the allocator on most ops while the live set stays under half the pool, so every alloc-miss is reclaimer lag, not saturation.", e16Capacity, spec, e16Workers)
 	t.AddNote("limbo is the retired-but-not-freed residue at quiescence; alloc-miss counts allocations that found no free node even after the caller's drain.  none is the floor (zero limbo, immediate reuse — and the §1 vulnerability), hp is the robustness ceiling (per-node scans keep limbo tight), epoch:64 is the lazy-cadence foil.")
@@ -114,12 +116,7 @@ func pressureRun(im registry.Impl, spec registry.GuardSpec, scheme string, p loa
 	if err != nil {
 		return nil, err
 	}
-	f := shmem.NewNativeFactory()
-	mk, err := registry.NewGuardMaker(f, p.Workers, spec)
-	if err != nil {
-		return nil, err
-	}
-	inst, err := im.NewStructure(f, p.Workers, e16Capacity, mk, apps.InstanceOptions{Reclaim: mkr})
+	inst, err := build(im, spec, p.Workers, e16Capacity, apps.InstanceOptions{Reclaim: mkr})
 	if err != nil {
 		return nil, err
 	}
@@ -127,13 +124,7 @@ func pressureRun(im registry.Impl, spec registry.GuardSpec, scheme string, p loa
 	if err != nil {
 		return nil, err
 	}
-	corrupt, detail := inst.Audit()
 	ps := inst.PoolStats()
-	outcome := fmt.Sprintf("corrupt=%v prevented-ABA=%d retired=%d freed=%d stalls=%d",
-		corrupt, inst.GuardMetrics().NearMisses, ps.Reclaim.Retired, ps.Reclaim.Freed, ps.Reclaim.Stalls)
-	if corrupt {
-		outcome += " (" + detail + ")"
-	}
 	tune := "-"
 	if ps.Reclaim.Tightens+ps.Reclaim.Relaxes > 0 {
 		tune = fmt.Sprintf("%d/%d", ps.Reclaim.Tightens, ps.Reclaim.Relaxes)
@@ -152,6 +143,6 @@ func pressureRun(im registry.Impl, spec registry.GuardSpec, scheme string, p loa
 		fmt.Sprintf("%d", ps.Reclaim.SkippedScans),
 		fmt.Sprintf("%d", ps.Reclaim.Batches),
 		tune,
-		outcome,
+		outcome(inst, fmt.Sprintf("retired=%d freed=%d stalls=%d", ps.Reclaim.Retired, ps.Reclaim.Freed, ps.Reclaim.Stalls)),
 	}, nil
 }

@@ -86,7 +86,7 @@ func TestLimboLagRegression(t *testing.T) {
 // both structures (map runs both profiles, the stack only the write-leaning
 // one) and that the counter columns parse.
 func TestE16PressureMatrixShape(t *testing.T) {
-	tbl, err := E16PressureMatrix(true)
+	tbl, err := E16PressureMatrix(Options{Smoke: true})
 	if err != nil {
 		t.Fatal(err)
 	}

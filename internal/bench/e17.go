@@ -4,10 +4,8 @@ import (
 	"fmt"
 
 	"abadetect/internal/apps"
-	"abadetect/internal/guard"
 	"abadetect/internal/load"
 	"abadetect/internal/registry"
-	"abadetect/internal/shmem"
 	"abadetect/internal/trace"
 )
 
@@ -33,10 +31,7 @@ const (
 
 // e17Specs is the regime axis: the cheap tagged guard (where per-event cost
 // is proportionally largest) and the LL/SC guard (the default regime).
-var e17Specs = []registry.GuardSpec{
-	{Regime: guard.Tagged, TagBits: 16},
-	{Regime: guard.LLSC},
-}
+var e17Specs = regimes[1:3]
 
 // e17Schemes is the reclaimer axis: the pass-through floor and the
 // self-tuning epoch scheme (whose drain/advance path is itself instrumented).
@@ -56,37 +51,44 @@ func e17Profile(opsPerWorker int) load.Profile {
 // E17ObservabilityMatrix measures the flight recorder's price: trace off/on ×
 // structure × regime × reclaimer under identical churn, with ns/op, p999,
 // the recorded-event count, and the on/off overhead ratio per cell pair.
-// smoke trims each cell for CI.
-func E17ObservabilityMatrix(smoke bool) (*Table, error) {
+// A cell is one (structure, regime, reclaimer) configuration and emits its
+// off/on pair, since the overhead column needs both.  The smoke tier trims
+// each cell to 2,000 ops per worker.
+func E17ObservabilityMatrix(opts Options) (*Table, error) {
 	t := &Table{
 		ID:     "E17",
 		Title:  "observability matrix: flight-recorder overhead, trace off/on × structure × regime × reclaimer",
 		Header: []string{"implementation", "kind", "workload", "ops", "ns/op", "p999", "events", "overhead", "outcome"},
 	}
 	opsPerWorker := 25_000
-	if smoke {
+	if opts.Smoke {
 		opsPerWorker = 2_000
 	}
 	p := e17Profile(opsPerWorker)
+	var cells []cell
 	for _, structID := range []string{"stack", "map"} {
 		im := registry.MustLookup(structID)
 		for _, spec := range e17Specs {
 			for _, scheme := range e17Schemes {
-				offRow, offNs, err := e17Run(im, spec, scheme, p, false)
-				if err != nil {
-					return nil, fmt.Errorf("bench: E17 %s/%s+%s off: %w", structID, spec, scheme, err)
-				}
-				t.AddRow(offRow...)
-				onRow, onNs, err := e17Run(im, spec, scheme, p, true)
-				if err != nil {
-					return nil, fmt.Errorf("bench: E17 %s/%s+%s on: %w", structID, spec, scheme, err)
-				}
-				if offNs > 0 {
-					onRow[len(onRow)-2] = fmt.Sprintf("%.2fx", onNs/offNs)
-				}
-				t.AddRow(onRow...)
+				cells = append(cells, cell{im.ID + "/" + spec.String() + "+" + scheme, func() ([][]string, error) {
+					offRow, offNs, err := e17Run(im, spec, scheme, p, false)
+					if err != nil {
+						return nil, fmt.Errorf("off: %w", err)
+					}
+					onRow, onNs, err := e17Run(im, spec, scheme, p, true)
+					if err != nil {
+						return nil, fmt.Errorf("on: %w", err)
+					}
+					if offNs > 0 {
+						onRow[len(onRow)-2] = fmt.Sprintf("%.2fx", onNs/offNs)
+					}
+					return [][]string{offRow, onRow}, nil
+				}})
 			}
 		}
+	}
+	if err := runCells(t, cells, opts); err != nil {
+		return nil, err
 	}
 	t.AddNote("each off/on pair runs the identical closed-loop churn (%d workers, %d-node pool); overhead = traced ns/op ÷ untraced ns/op from the same run, so it diffs meaningfully across machines.", e17Workers, e17Capacity)
 	t.AddNote("trace-off rows ARE the regression gate: tracing disabled must cost nothing (the hooks are nil and the hot paths are the untraced builds), so these rows must stay within noise of the committed snapshot under -bench-compare.")
@@ -101,29 +103,19 @@ func e17Run(im registry.Impl, spec registry.GuardSpec, scheme string, p load.Pro
 	if err != nil {
 		return nil, 0, err
 	}
-	f := shmem.NewNativeFactory()
-	mk, err := registry.NewGuardMaker(f, p.Workers, spec)
-	if err != nil {
-		return nil, 0, err
-	}
 	io := apps.InstanceOptions{Reclaim: mkr}
 	var rec *trace.Recorder
 	if traced {
 		rec = trace.New(p.Workers, e17RingCap)
 		io.Trace = rec
 	}
-	inst, err := im.NewStructure(f, p.Workers, e17Capacity, mk, io)
+	inst, err := build(im, spec, p.Workers, e17Capacity, io)
 	if err != nil {
 		return nil, 0, err
 	}
 	res, err := load.Run(inst, p)
 	if err != nil {
 		return nil, 0, err
-	}
-	corrupt, detail := inst.Audit()
-	outcome := fmt.Sprintf("corrupt=%v prevented-ABA=%d", corrupt, inst.GuardMetrics().NearMisses)
-	if corrupt {
-		outcome += " (" + detail + ")"
 	}
 	mode, events := "trace-off", "-"
 	if traced {
@@ -141,6 +133,6 @@ func e17Run(im registry.Impl, spec registry.GuardSpec, scheme string, p load.Pro
 		fmt.Sprintf("%v", p999),
 		events,
 		"-",
-		outcome,
+		outcome(inst, ""),
 	}, nsOp, nil
 }

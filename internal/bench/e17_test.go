@@ -15,7 +15,7 @@ import (
 // the tight gate on the *untraced* rows is -bench-compare against the
 // committed snapshot, where trace-off must stay within noise.
 func TestE17ObservabilityMatrixShape(t *testing.T) {
-	tbl, err := E17ObservabilityMatrix(true)
+	tbl, err := E17ObservabilityMatrix(Options{Smoke: true})
 	if err != nil {
 		t.Fatal(err)
 	}

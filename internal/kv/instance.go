@@ -1,6 +1,9 @@
 package kv
 
 import (
+	"fmt"
+	"sync/atomic"
+
 	"abadetect/internal/apps"
 	"abadetect/internal/guard"
 	"abadetect/internal/shmem"
@@ -9,7 +12,9 @@ import (
 // maxSpin bounds the map's traversal loops in matrix runs: a raw-guarded
 // map that has been ABA-corrupted can acquire a cycle through a bucket
 // chain, and a bounded spin turns the resulting livelock into failed
-// operations (the queue instance does the same).
+// operations.  As with the queue instance, a worker whose handle spends one
+// budget issues no further operations, so a corrupted foil costs one budget
+// per worker, not one per remaining op on the cycled bucket.
 const maxSpin = 10_000
 
 // NewMapInstance builds a map of the given capacity for the benchmark
@@ -22,10 +27,16 @@ func NewMapInstance(f shmem.Factory, n, capacity int, mk guard.Maker, io apps.In
 	if err != nil {
 		return nil, err
 	}
-	return mapInstance{m}, nil
+	return mapInstance{m: m, abandoned: new(atomic.Int64)}, nil
 }
 
-type mapInstance struct{ m *Map }
+// mapInstance drives a map through bounded handles.  Once a worker's handle
+// has spent a MaxSpin budget, the worker skips its remaining ops and counts
+// them in abandoned; the audit reports them.
+type mapInstance struct {
+	m         *Map
+	abandoned *atomic.Int64
+}
 
 func (in mapInstance) handle(pid int) (*Handle, error) {
 	h, err := in.m.Handle(pid)
@@ -34,6 +45,15 @@ func (in mapInstance) handle(pid int) (*Handle, error) {
 	}
 	h.MaxSpin = maxSpin
 	return h, nil
+}
+
+// stopped reports whether h has spent its budget, counting the op the
+// worker skips because of it.
+func (in mapInstance) stopped(h *Handle) bool {
+	if h.spunOut {
+		in.abandoned.Add(1)
+	}
+	return h.spunOut
 }
 
 // Worker cycles put(k)/get(k)/get(hot)/delete(k) with k shared across
@@ -45,6 +65,9 @@ func (in mapInstance) Worker(pid int) (func(i int), error) {
 		return nil, err
 	}
 	return func(i int) {
+		if in.stopped(h) {
+			return
+		}
 		k := Word((i >> 2) & 31)
 		switch i & 3 {
 		case 0:
@@ -68,6 +91,9 @@ func (in mapInstance) ReadMostlyWorker(pid int) (func(i int), error) {
 		return nil, err
 	}
 	return func(i int) {
+		if in.stopped(h) {
+			return
+		}
 		k := Word((i / 20) & 63)
 		switch i % 20 {
 		case 0:
@@ -87,6 +113,9 @@ func (in mapInstance) KeyedWorker(pid int) (func(op apps.OpKind, key, val Word),
 		return nil, err
 	}
 	return func(op apps.OpKind, key, val Word) {
+		if in.stopped(h) {
+			return
+		}
 		switch op {
 		case apps.OpPut:
 			h.Put(key, val)
@@ -98,8 +127,13 @@ func (in mapInstance) KeyedWorker(pid int) (func(op apps.OpKind, key, val Word),
 	}, nil
 }
 
+// Audit fails a map that abandoned ops: a spent spin budget means a worker
+// could make no progress on it.
 func (in mapInstance) Audit() (bool, string) {
 	a := in.m.Audit()
+	if n := in.abandoned.Load(); n > 0 {
+		return true, fmt.Sprintf("%s abandoned=%d", a, n)
+	}
 	return a.Corrupt(), a.String()
 }
 

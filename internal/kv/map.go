@@ -325,6 +325,9 @@ type Handle struct {
 	// traversal into a livelock — benchmark and race harnesses set a bound
 	// so a corrupted foil fails operations instead of hanging.
 	MaxSpin int
+	// spunOut records that a MaxSpin budget ran out: a chain is livelocked
+	// for this handle, and matrix workers stop issuing operations on it.
+	spunOut bool
 
 	// pending unlink armed by DeleteBegin (the experiment hook).
 	pendingPrev guard.Handle
@@ -340,8 +343,15 @@ type Handle struct {
 	retireBuf []int
 }
 
-// spent reports whether a bounded handle has used up its spin budget.
-func (h *Handle) spent(spins int) bool { return h.MaxSpin > 0 && spins >= h.MaxSpin }
+// spent reports whether a bounded handle has used up its spin budget, and
+// records it in spunOut when it has.
+func (h *Handle) spent(spins int) bool {
+	if h.MaxSpin > 0 && spins >= h.MaxSpin {
+		h.spunOut = true
+		return true
+	}
+	return false
+}
 
 // endOp closes an operation's reclamation window: protections drop, the
 // operation's buffered kills retire as one batch, and a miss — this

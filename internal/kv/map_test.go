@@ -3,10 +3,12 @@ package kv
 import (
 	"fmt"
 	"runtime"
+	"strings"
 	"sync"
 	"testing"
 
 	"abadetect/internal/apps"
+	"abadetect/internal/guard"
 	"abadetect/internal/reclaim"
 	"abadetect/internal/shmem"
 )
@@ -347,5 +349,48 @@ func TestMapMaxSpinBails(t *testing.T) {
 	}
 	if a := m.Audit(); a.Corrupt() {
 		t.Errorf("bailing corrupted the map: %s", a)
+	}
+}
+
+func TestMapWorkerStopsAfterSpinBudget(t *testing.T) {
+	// A raw map whose hot-key bucket holds a two-node next-cycle livelocks
+	// every lookup of that bucket: the traversal chases the cycle until
+	// MaxSpin runs out.  The matrix worker must pay that budget once and
+	// then stop issuing operations, reporting the skipped ones, instead of
+	// re-spending the whole budget on every later op of that bucket.
+	f := shmem.NewCounting(shmem.NewNativeFactory(), 2)
+	inst, err := NewMapInstance(f, 2, 8, guard.NewMaker(f, 2, guard.Raw, 0), apps.InstanceOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := inst.(mapInstance).m
+	h, err := m.Handle(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	a, b := h.pool.Alloc(), h.pool.Alloc()
+	m.key[a].Write(1, 1000)
+	m.key[b].Write(1, 1001)
+	h.next[a].Store(Word(b) << 1)
+	h.next[b].Store(Word(a) << 1)
+	h.head[m.bucket(1)].Store(Word(a) << 1) // the worker's hot key
+
+	step, err := inst.Worker(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	f.Reset()
+	const ops = 200
+	for i := 0; i < ops; i++ {
+		step(i)
+	}
+	// One spent budget (a spin is at most 4 steps) plus a short op's worth
+	// for each op; re-spending the budget per op blows far past it.
+	if steps, bound := f.TotalSteps(), int64(maxSpin*4+ops*64); steps >= bound {
+		t.Errorf("%d ops took %d shared-memory steps, want < %d: the worker kept spinning on a livelocked bucket", ops, steps, bound)
+	}
+	corrupt, detail := inst.Audit()
+	if !corrupt || !strings.Contains(detail, "abandoned=") {
+		t.Errorf("audit = (%v, %q), want a failed audit reporting abandoned ops", corrupt, detail)
 	}
 }

@@ -99,7 +99,7 @@ func (p Policy) String() string {
 
 // Profile is one named traffic shape.
 type Profile struct {
-	// ID is the stable identifier (abalab -load, the E13 matrix).
+	// ID is the stable identifier (the E13 matrix's cell labels end in it).
 	ID string
 	// Summary is a one-line description for the -list index.
 	Summary string
