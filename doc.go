@@ -222,15 +222,16 @@
 // # Observability
 //
 // WithTracing(capacity) attaches a flight recorder (internal/trace) to a
-// structure: one single-writer event ring per process, each cache-line
-// padded and capacity (rounded up to a power of two) events deep, recording
-// the guard, allocator, reclaimer, and operation transitions as they happen.
-// In the paper's vocabulary the recorder costs m(n) = n rings × capacity
-// fixed words — allocated once at construction, never grown — and
-// t(n) = O(1) steps per event: a record is one ring-local slot write plus
-// one fetch-add on a global sequence ticket drawn after the traced
-// transition completes, so sorting a merged dump by that ticket yields a
-// happens-before-consistent interleaving without stopping any writer.
+// structure: one single-writer event ring per process, capacity (rounded up
+// to a power of two) events deep, recording the guard, allocator,
+// reclaimer, and operation transitions as they happen.  In the paper's
+// vocabulary the recorder costs m(n) = n rings × (capacity+1) four-word
+// slots — allocated once at construction, never grown — and t(n) = O(1)
+// steps per event, none of them a lock: one fetch-add on a global sequence
+// ticket drawn after the traced transition completes, four ring-local slot
+// stores, and one store that publishes the slot.  Sorting a merged dump by
+// the ticket yields a happens-before-consistent interleaving without
+// stopping any writer.
 // Untraced structures carry a nil recorder and every hook compiles to a nil
 // check — the hot paths stay allocation-free and within noise of the
 // untraced build (pinned by the hot-path tests and experiment E17).

@@ -47,8 +47,10 @@ type Pool interface {
 	// monotone and idempotent: a newCapacity at or below the current
 	// capacity is a no-op.  Existing nodes never move — growth only extends
 	// the index space — so outstanding indices, protections, and limbo
-	// entries all stay valid across a Grow racing Alloc/Release.
-	Grow(newCapacity int) (int, error)
+	// entries all stay valid across a Grow racing Alloc/Release.  pid is
+	// the process that grows the pool; a traced pool records the growth on
+	// its ring.
+	Grow(pid, newCapacity int) (int, error)
 }
 
 // PoolHandle is a per-process allocator endpoint.
@@ -149,7 +151,7 @@ func NewPool(f shmem.Factory, cfg StructConfig, name string, n, capacity int, id
 		// Outermost, so the recorded alloc/release order is the order the
 		// structure observed — retires surface as retires, and an alloc that
 		// succeeded only after a drain still records as one alloc.
-		p = &tracedPool{inner: p, rec: cfg.Trace, name: name}
+		p = &tracedPool{inner: p, rec: cfg.Trace, name: cfg.Trace.Intern(name)}
 	}
 	return p, nil
 }
@@ -185,7 +187,7 @@ func (p *fifoPool) Stats() PoolStats {
 
 // Grow mints the fresh indices limit+1..newCapacity into the back of the
 // ring.  The FIFO model is a mutex allocator, so growth is just more ring.
-func (p *fifoPool) Grow(newCapacity int) (int, error) {
+func (p *fifoPool) Grow(_, newCapacity int) (int, error) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	if newCapacity <= p.limit {
@@ -340,7 +342,7 @@ func newGuardedPool(f shmem.Factory, mk guard.Maker, name string, capacity int, 
 // frontier claims.  New nodes are handed out through the frontier counter
 // rather than being chained, so Grow never touches the free-list head and
 // cannot race its guard.
-func (p *guardedPool) Grow(newCapacity int) (int, error) {
+func (p *guardedPool) Grow(_, newCapacity int) (int, error) {
 	p.growMu.Lock()
 	defer p.growMu.Unlock()
 	cur := int(p.limit.Read(-1))
@@ -521,8 +523,8 @@ func (p *reclaimedPool) Snapshot() []int {
 // Grow extends the inner pool, then tells the reclaimer the new live
 // capacity so its capacity-derived cadence clamps are recomputed — a grown
 // pool must not keep draining on the pre-growth cadence.
-func (p *reclaimedPool) Grow(newCapacity int) (int, error) {
-	got, err := p.inner.Grow(newCapacity)
+func (p *reclaimedPool) Grow(pid, newCapacity int) (int, error) {
+	got, err := p.inner.Grow(pid, newCapacity)
 	if err == nil {
 		if rz, ok := p.rec.(reclaim.Resizer); ok {
 			rz.Resize(got)

@@ -119,7 +119,7 @@ func TestPoolGrowRetunesReclaimer(t *testing.T) {
 			}
 			// Grown pool: the cadence must be recomputed for the new
 			// capacity, not left at the young pool's eager setting.
-			if got, err := p.Grow(ceiling); err != nil || got != ceiling {
+			if got, err := p.Grow(0, ceiling); err != nil || got != ceiling {
 				t.Fatalf("Grow(%d) = %d, %v", ceiling, got, err)
 			}
 			cycle(tc.after - 1)
@@ -202,7 +202,7 @@ func TestPoolGrowthBooks(t *testing.T) {
 			// Geometric appends; after each one the new wilderness must be
 			// allocatable and the books exact.
 			for cap := initial * 2; cap <= ceiling; cap *= 2 {
-				got, err := p.Grow(cap)
+				got, err := p.Grow(0, cap)
 				if err != nil || got != cap {
 					t.Fatalf("Grow(%d) = %d, %v", cap, got, err)
 				}
@@ -228,7 +228,7 @@ func TestPoolGrowthBooks(t *testing.T) {
 			if want := int64(3); st.Grows != want { // 8, 16, 32
 				t.Errorf("Grows = %d, want %d", st.Grows, want)
 			}
-			if got, err := p.Grow(ceiling / 2); err != nil || got != ceiling {
+			if got, err := p.Grow(0, ceiling/2); err != nil || got != ceiling {
 				t.Errorf("shrink request = %d, %v; want no-op at %d", got, err, ceiling)
 			}
 			if st := p.Stats(); st.Grows != 3 {

@@ -372,7 +372,7 @@ func (h *QueueHandle) DeqBegin() (head, next int, empty bool) {
 			return 0, 0, true
 		}
 		h.pendingHead, h.pendingNext = hd, nh
-		h.ring.Record(trace.KindOpBegin, "deq", uint64(hd), uint64(nh))
+		h.ring.Record(trace.KindOpBegin, trace.NameDeq, uint64(hd), uint64(nh))
 		return hd, nh, false
 	}
 }
@@ -446,7 +446,7 @@ func (h *QueueHandle) deqCommit(hd, nh int) (Word, bool) {
 	h.pendingHead, h.pendingNext = 0, 0
 	v := h.q.value[nh].Read(h.pid)
 	if h.head.Commit(Word(nh)) {
-		h.ring.Record(trace.KindOpCommit, "deq", 1, uint64(hd))
+		h.ring.Record(trace.KindOpCommit, trace.NameDeq, 1, uint64(hd))
 		// The old dummy is exclusively ours now; clearing before the
 		// release keeps our own protection from deferring its retirement.
 		if h.smr {
@@ -459,7 +459,7 @@ func (h *QueueHandle) deqCommit(hd, nh int) (Word, bool) {
 	if h.smr {
 		h.pool.Clear()
 	}
-	h.ring.Record(trace.KindOpCommit, "deq", 0, uint64(hd))
+	h.ring.Record(trace.KindOpCommit, trace.NameDeq, 0, uint64(hd))
 	return 0, false
 }
 

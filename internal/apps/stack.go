@@ -211,7 +211,7 @@ func (h *StackHandle) PopBegin() (top, next int, empty bool) {
 		}
 		next = int(h.s.next[top].Read(h.pid))
 		h.pending, h.next = top, next
-		h.ring.Record(trace.KindOpBegin, "pop", uint64(top), uint64(next))
+		h.ring.Record(trace.KindOpBegin, trace.NamePop, uint64(top), uint64(next))
 		return top, next, false
 	}
 }
@@ -239,10 +239,10 @@ func (h *StackHandle) popCommit(top, next int) (Word, bool) {
 		if h.smr {
 			h.pool.Clear()
 		}
-		h.ring.Record(trace.KindOpCommit, "pop", 0, uint64(top))
+		h.ring.Record(trace.KindOpCommit, trace.NamePop, 0, uint64(top))
 		return 0, false
 	}
-	h.ring.Record(trace.KindOpCommit, "pop", 1, uint64(top))
+	h.ring.Record(trace.KindOpCommit, trace.NamePop, 1, uint64(top))
 	v := h.s.value[top].Read(h.pid)
 	// The popped node is exclusively ours now; clearing before the release
 	// keeps our own protection from deferring its retirement.

@@ -18,7 +18,7 @@ import (
 type tracedPool struct {
 	inner Pool
 	rec   *trace.Recorder
-	name  string
+	name  trace.Name
 }
 
 func (p *tracedPool) Handle(pid int) (PoolHandle, error) {
@@ -35,13 +35,12 @@ func (p *tracedPool) Metrics() guard.Metrics { return p.inner.Metrics() }
 func (p *tracedPool) Stats() PoolStats       { return p.inner.Stats() }
 func (p *tracedPool) Snapshot() []int        { return p.inner.Snapshot() }
 
-// Grow extends the inner pool.  Growth has no owning pid at this seam, so
-// the event lands in ring 0 by convention — growth is rare and global, and
-// a dump reader needs *that* it happened and when, not whose ring.
-func (p *tracedPool) Grow(newCapacity int) (int, error) {
-	got, err := p.inner.Grow(newCapacity)
+// Grow extends the inner pool and records the growth on the growing
+// process's ring: the ring's single writer is the one running Grow.
+func (p *tracedPool) Grow(pid, newCapacity int) (int, error) {
+	got, err := p.inner.Grow(pid, newCapacity)
 	if err == nil {
-		p.rec.Ring(0).Record(trace.KindGrow, p.name, uint64(got), 0)
+		p.rec.Ring(pid).Record(trace.KindGrow, p.name, uint64(got), 0)
 	}
 	return got, err
 }
@@ -49,7 +48,7 @@ func (p *tracedPool) Grow(newCapacity int) (int, error) {
 type tracedPoolHandle struct {
 	inner PoolHandle
 	ring  *trace.Ring
-	name  string
+	name  trace.Name
 }
 
 func (h *tracedPoolHandle) Alloc() int {

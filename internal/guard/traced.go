@@ -18,7 +18,7 @@ func TracedMaker(mk Maker, rec *trace.Recorder) Maker {
 		if err != nil {
 			return nil, err
 		}
-		return &tracedGuard{Guard: g, rec: rec, name: name}, nil
+		return &tracedGuard{Guard: g, rec: rec, name: rec.Intern(name)}, nil
 	}
 }
 
@@ -28,7 +28,7 @@ func TracedMaker(mk Maker, rec *trace.Recorder) Maker {
 type tracedGuard struct {
 	Guard
 	rec  *trace.Recorder
-	name string
+	name trace.Name
 }
 
 func (g *tracedGuard) Handle(pid int) (Handle, error) {

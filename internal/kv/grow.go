@@ -376,7 +376,7 @@ func (h *Handle) allocNode() int {
 			h.flushRetires()
 			continue
 		}
-		if !h.m.growNodes(seen) {
+		if !h.m.growNodes(h.pid, seen) {
 			return 0
 		}
 	}
@@ -388,8 +388,8 @@ func (h *Handle) allocNode() int {
 // whole protocol — a pool can only hand out an index whose spines are built
 // and whose capacity snapshot covers it.  `seen` is the capacity the caller
 // failed its Alloc against; if the map has already grown past it, the append
-// is skipped and the caller just retries.
-func (m *Map) growNodes(seen int) bool {
+// is skipped and the caller just retries.  pid is the growing process.
+func (m *Map) growNodes(pid, seen int) bool {
 	g := m.grow
 	g.mu.Lock()
 	defer g.mu.Unlock()
@@ -426,7 +426,7 @@ func (m *Map) growNodes(seen int) bool {
 		return false
 	}
 	g.capW.Write(-1, Word(newCap))
-	if _, err := m.pool.Grow(newCap); err != nil {
+	if _, err := m.pool.Grow(pid, newCap); err != nil {
 		return false
 	}
 	g.appends.Add(1)
@@ -671,7 +671,7 @@ func (h *Handle) deleteBeginG(k Word) (cur, succ int, found bool) {
 		}
 		h.m.grow.live.Add(h.lane, -1)
 		h.pendingPrev, h.pendingCur, h.pendingSucc = prev, c, curNext&^1
-		h.ring.Record(trace.KindOpBegin, "delete", uint64(c), uint64(linkIdx(curNext)))
+		h.ring.Record(trace.KindOpBegin, trace.NameDelete, uint64(c), uint64(linkIdx(curNext)))
 		return c, linkIdx(curNext), true
 	}
 }

@@ -715,7 +715,7 @@ func (h *Handle) DeleteBegin(k Word) (cur, succ int, found bool) {
 			continue
 		}
 		h.pendingPrev, h.pendingCur, h.pendingSucc = prev, c, curNext&^1
-		h.ring.Record(trace.KindOpBegin, "delete", uint64(c), uint64(linkIdx(curNext)))
+		h.ring.Record(trace.KindOpBegin, trace.NameDelete, uint64(c), uint64(linkIdx(curNext)))
 		return c, linkIdx(curNext), true
 	}
 }
@@ -734,11 +734,11 @@ func (h *Handle) DeleteCommit() bool {
 	prev, cur, succ := h.pendingPrev, h.pendingCur, h.pendingSucc
 	h.pendingPrev, h.pendingCur, h.pendingSucc = nil, 0, 0
 	if !prev.Commit(succ) {
-		h.ring.Record(trace.KindOpCommit, "delete", 0, uint64(cur))
+		h.ring.Record(trace.KindOpCommit, trace.NameDelete, 0, uint64(cur))
 		h.endOp(false)
 		return false
 	}
-	h.ring.Record(trace.KindOpCommit, "delete", 1, uint64(cur))
+	h.ring.Record(trace.KindOpCommit, trace.NameDelete, 1, uint64(cur))
 	h.retire(cur)
 	h.endOp(false)
 	return true

@@ -271,7 +271,7 @@ func (h *epochHandle) AllocMiss() {
 	if h.r.auto && h.k > 1 {
 		h.k = 1
 		h.r.m.tightens.Add(1)
-		h.ring.Record(trace.KindTighten, "epoch", 1, 0)
+		h.ring.Record(trace.KindTighten, trace.NameEpoch, 1, 0)
 	}
 }
 
@@ -288,7 +288,7 @@ func (h *epochHandle) maybeDrain() {
 		if limit := int(h.r.liveCap.Load()) / (2 * h.r.n); limit > 0 && h.pending >= limit && h.k > 1 {
 			h.k = 1
 			h.r.m.tightens.Add(1)
-			h.ring.Record(trace.KindTighten, "epoch", 1, 0)
+			h.ring.Record(trace.KindTighten, trace.NameEpoch, 1, 0)
 		}
 		t = h.k
 	}
@@ -323,7 +323,7 @@ func (h *epochHandle) drain() int {
 			break
 		}
 		if h.r.epoch.CompareAndSwap(h.pid, e, e+1) {
-			h.ring.Record(trace.KindEpochAdvance, "epoch", uint64(e+1), 0)
+			h.ring.Record(trace.KindEpochAdvance, trace.NameEpoch, uint64(e+1), 0)
 		}
 	}
 	freed += h.freeExpired(h.r.epoch.Read(h.pid))
@@ -332,7 +332,7 @@ func (h *epochHandle) drain() int {
 		if h.r.auto && h.k > 1 {
 			h.k >>= 1 // a fruitless sweep: tighten toward eager advancement
 			h.r.m.tightens.Add(1)
-			h.ring.Record(trace.KindTighten, "epoch", uint64(h.k), 0)
+			h.ring.Record(trace.KindTighten, trace.NameEpoch, uint64(h.k), 0)
 		}
 	} else if h.r.auto && h.pending == 0 {
 		if ceiling := int(h.r.threshold.Load()); h.k < ceiling {
@@ -343,7 +343,7 @@ func (h *epochHandle) drain() int {
 			h.r.m.relaxes.Add(1)
 		}
 	}
-	h.ring.Record(trace.KindScan, "epoch", uint64(freed), uint64(h.pending))
+	h.ring.Record(trace.KindScan, trace.NameEpoch, uint64(freed), uint64(h.pending))
 	return freed
 }
 

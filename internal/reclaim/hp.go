@@ -235,7 +235,7 @@ func (h *hpHandle) scan() int {
 	} else if len(h.retired) > 0 {
 		h.r.m.stalls.Add(1)
 	}
-	h.ring.Record(trace.KindScan, "hp", uint64(freed), uint64(len(h.retired)))
+	h.ring.Record(trace.KindScan, trace.NameHP, uint64(freed), uint64(len(h.retired)))
 	return freed
 }
 

@@ -10,21 +10,23 @@
 // process before the incident, in order.
 //
 // In the paper's cost vocabulary the recorder is deliberately cheap and
-// deliberately off-model: m(n) is n rings × capacity event slots of
-// instrumentation memory (fixed at construction, never grown), and t(n) is
-// O(1) per event — a slot write, a sequence bump, and one global
-// fetch-and-increment that doubles as the happens-before order.  The
-// recorder allocates nothing after construction: rings are preallocated,
-// event payloads are plain words plus a string header copy, and Merge/
-// Snapshot write into caller-visible fresh slices only on the (cold) read
-// side.
+// deliberately off-model: m(n) is n rings × (capacity+1) four-word event
+// slots, plus one timestamp word per tsEvery slots, of instrumentation
+// memory (fixed at construction, never grown), and t(n) is O(1) per event —
+// one global fetch-and-increment that doubles as the happens-before order,
+// four plain slot stores, and one publishing store.  The recorder
+// allocates nothing after construction: rings are preallocated, an event's
+// object label is a Name interned when the traced guard or pool is built,
+// and Merge/Events write into fresh slices only on the (cold) read side.
 //
 // Writer discipline is single-writer per ring — the same discipline every
-// handle in this repository already obeys — and each ring carries a tiny
-// mutex so a concurrent Merge (the /trace endpoint, a Watch snapshot)
-// reads consistent slots under the race detector.  The lock is per-ring
-// and uncontended on the hot path; its cost is part of what the E17
-// overhead matrix prices.
+// handle in this repository already obeys — and it is what makes recording
+// lock-free: the owning process fills the next slot with plain stores and
+// publishes it with one atomic store of the ring's event count, and a
+// reader (Merge, Events, a Watch snapshot) copies back from the published
+// count, then re-reads it and drops every event whose slot the writer
+// reused while the copy ran.  Two processes recording into one ring would
+// corrupt it; no lock catches that.
 package trace
 
 import (
@@ -204,63 +206,135 @@ func (e Event) MarshalJSON() ([]byte, error) {
 // events per ring.
 const tsEvery = 32
 
+// Name is an interned object label (a guard name, a pool name, an operation
+// label): an index into the recorder's name table.  Labels are interned when
+// the traced guard or pool is built, so a recorded event stores a small
+// integer and the ring slots hold no pointers.
+type Name uint32
+
+// The fixed labels, interned by New in this order.
+const (
+	// NameNone is the empty label.
+	NameNone Name = iota
+	// NamePop, NameDeq and NameDelete label the stack's, the queue's and
+	// the map's split-operation marks.
+	NamePop
+	NameDeq
+	NameDelete
+	// NameHP and NameEpoch label the reclaimers' own events.
+	NameHP
+	NameEpoch
+)
+
+var fixedNames = []string{"", "pop", "deq", "delete", "hp", "epoch"}
+
+// slot is one event as a ring stores it: four words, two slots per cache
+// line, no pointers — the GC never scans a ring and slot stores need no
+// write barrier.  Seq is the slot's position, Pid the ring's, and TS the
+// cohort stamp, so none of them is stored.
+type slot struct {
+	gseq uint64 // the global ticket
+	kn   uint64 // Kind | Name<<8
+	a, b uint64
+}
+
 // Ring is one process's event buffer: fixed power-of-two capacity,
-// single-writer (the owning process), oldest events evicted in order.  The
-// struct is cache-line padded so adjacent rings never share a line.
+// single-writer (the owning process), oldest events evicted in order.  It
+// keeps capacity+1 slots, so the slot being filled is never one of the last
+// capacity published events.  The struct is cache-line padded so one
+// ring's count and write index never share a line with another ring's.
 type Ring struct {
-	mu     sync.Mutex
-	events []Event // len = capacity (power of two)
-	seq    uint64  // events recorded so far; next Seq is seq+1
-	lastTS int64   // the cohort timestamp
+	n      atomic.Uint64 // events published; event Seq s sits in slot (s-1) mod len(slots)
+	w      int           // slot of the next event: n mod len(slots)
+	ts     int           // stamp of the next cohort: (n/tsEvery) mod len(stamps)
+	slots  []slot        // capacity+1
+	stamps []int64       // one UnixNano stamp per cohort of tsEvery events
 	rec    *Recorder
 	pid    int32
 	_      [shmem.CacheLineBytes]byte
 }
 
 // Record appends one event, evicting the oldest when the ring is full.
-// O(1), allocation-free: a slot write, two counter bumps, and a clock read
-// once per tsEvery events.  Single-writer: only the owning process calls
-// it; the mutex exists for concurrent readers (Merge, Watch snapshots).
-func (r *Ring) Record(k Kind, obj string, a, b uint64) {
+// O(1), lock-free and allocation-free: the global ticket's fetch-add, four
+// plain slot stores, one atomic store that publishes the slot, and a clock
+// read once per tsEvery events.  Single-writer: only the owning process
+// calls it, and the slot needs no lock: a reader checks its copy against
+// the published count (see snapshot).  The fetch-add sits between the
+// previous event's publishing store and this event's slot stores and
+// orders them, so a reader that sees a reused slot also sees the count
+// that flags it.
+func (r *Ring) Record(k Kind, obj Name, a, b uint64) {
 	if r == nil {
 		return
 	}
 	g := r.rec.gseq.Add(1)
-	r.mu.Lock()
-	if r.seq%tsEvery == 0 {
-		r.lastTS = time.Now().UnixNano()
+	n := r.n.Load()
+	if n%tsEvery == 0 {
+		storeStamp(&r.stamps[r.ts], time.Now().UnixNano())
+		if r.ts++; r.ts == len(r.stamps) {
+			r.ts = 0
+		}
 	}
-	r.seq++
-	r.events[(r.seq-1)&uint64(len(r.events)-1)] = Event{
-		GSeq: g, Seq: r.seq, TS: r.lastTS, Pid: r.pid, Kind: k, Obj: obj, A: a, B: b,
+	storeSlot(&r.slots[r.w], g, uint64(k)|uint64(obj)<<8, a, b)
+	if r.w++; r.w == len(r.slots) {
+		r.w = 0
 	}
-	r.mu.Unlock()
+	r.n.Store(n + 1)
 	if r.rec.watching.Load() {
-		r.rec.checkWatch(Event{GSeq: g, Seq: r.seq, Pid: r.pid, Kind: k, Obj: obj, A: a, B: b})
+		r.rec.checkWatch(Event{GSeq: g, Seq: n + 1, Pid: r.pid, Kind: k, Obj: r.rec.name(obj), A: a, B: b})
 	}
 }
 
-// snapshot appends the ring's live events, oldest first, to dst.
+// snapshot appends the ring's live events, oldest first, to dst.  It
+// copies back from the published count, then re-reads the count and drops
+// every copied event whose slot the writer may have reused meanwhile.  The
+// event at position p (Seq p+1) shares its slot with position p+len(slots),
+// which the writer fills only after publishing a count of p+len(slots); so
+// a re-read count below that proves the copy of p clean, and one at or
+// above it drops p.  The cohort stamps wrap the same way, one cohort later
+// than any kept event could need, so a kept event's TS is clean too.
 func (r *Ring) snapshot(dst []Event) []Event {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	n := r.seq
-	capacity := uint64(len(r.events))
-	start := uint64(0)
-	if n > capacity {
-		start = n - capacity
+	n := r.n.Load()
+	names := r.rec.nameTable() // after n: it covers every name a published event uses
+	size := uint64(len(r.slots))
+	capacity := size - 1
+	lo := n - min(n, capacity)
+	start := len(dst)
+	for p := lo; p < n; p++ {
+		s := &r.slots[p%size]
+		kn := atomic.LoadUint64(&s.kn)
+		e := Event{
+			GSeq: atomic.LoadUint64(&s.gseq),
+			Seq:  p + 1,
+			TS:   atomic.LoadInt64(&r.stamps[p/tsEvery%uint64(len(r.stamps))]),
+			Pid:  r.pid,
+			Kind: Kind(kn),
+			A:    atomic.LoadUint64(&s.a),
+			B:    atomic.LoadUint64(&s.b),
+		}
+		// Only a slot reused mid-copy can name a label interned after names
+		// was loaded, and that event is dropped below.
+		if i := kn >> 8; i < uint64(len(names)) {
+			e.Obj = names[i]
+		}
+		dst = append(dst, e)
 	}
-	for s := start; s < n; s++ {
-		dst = append(dst, r.events[s&(capacity-1)])
+	if n2 := r.n.Load(); n2 > lo+capacity {
+		drop := min(n2-capacity, n) - lo
+		dst = append(dst[:start], dst[start+int(drop):]...)
 	}
 	return dst
 }
 
 // Recorder owns one ring per process plus the global happens-before
-// counter and the watch hook.
+// counter, the name table, and the watch hook.
 type Recorder struct {
 	rings []*Ring
 	gseq  atomic.Uint64
+
+	namesMu sync.Mutex               // serializes Intern
+	names   atomic.Pointer[[]string] // Name → label; only ever appended to
+	ids     map[string]Name          // label → Name, under namesMu
 
 	watching atomic.Bool // fast-path gate: a predicate is armed and unfired
 	watchMu  sync.Mutex
@@ -281,18 +355,57 @@ func New(n, capacity int) *Recorder {
 	for c < capacity {
 		c <<= 1
 	}
-	r := &Recorder{rings: make([]*Ring, n)}
+	r := &Recorder{rings: make([]*Ring, n), ids: make(map[string]Name, len(fixedNames))}
+	names := append([]string(nil), fixedNames...)
+	for i, s := range names {
+		r.ids[s] = Name(i)
+	}
+	r.names.Store(&names)
 	for pid := range r.rings {
-		r.rings[pid] = &Ring{events: make([]Event, c), rec: r, pid: int32(pid)}
+		r.rings[pid] = &Ring{
+			slots:  make([]slot, c+1),
+			stamps: make([]int64, c/tsEvery+2),
+			rec:    r,
+			pid:    int32(pid),
+		}
 	}
 	return r
+}
+
+// Intern returns the Name of label s, adding it to the name table on first
+// use.  Call it when a traced object is built, not per event: it takes a
+// lock, and it allocates the first time it sees a label.
+func (r *Recorder) Intern(s string) Name {
+	r.namesMu.Lock()
+	defer r.namesMu.Unlock()
+	if id, ok := r.ids[s]; ok {
+		return id
+	}
+	// Readers hold an older, shorter header over the same array, so an
+	// append in place never touches an element they read.
+	names := append(*r.names.Load(), s)
+	id := Name(len(names) - 1)
+	r.ids[s] = id
+	r.names.Store(&names)
+	return id
+}
+
+// nameTable returns the current name table.
+func (r *Recorder) nameTable() []string { return *r.names.Load() }
+
+// name resolves an interned Name.
+func (r *Recorder) name(id Name) string {
+	if names := r.nameTable(); int(id) < len(names) {
+		return names[id]
+	}
+	return ""
 }
 
 // NumProcs returns the ring count.
 func (r *Recorder) NumProcs() int { return len(r.rings) }
 
 // Capacity returns the per-ring event capacity.
-func (r *Recorder) Capacity() int { return len(r.rings[0].events) }
+func (r *Recorder) Capacity() int { return len(r.rings[0].slots) - 1 }
 
 // Ring returns pid's ring (nil for out-of-range pids, so observer handles
 // degrade to no-ops instead of panicking).
@@ -303,9 +416,13 @@ func (r *Recorder) Ring(pid int) *Ring {
 	return r.rings[pid]
 }
 
-// Record is the convenience form of Ring(pid).Record.
+// Record is the convenience form of Ring(pid).Record for callers holding a
+// label rather than its Name.  It interns obj on every call, so hot paths
+// intern once and call Ring.Record.
 func (r *Recorder) Record(pid int, k Kind, obj string, a, b uint64) {
-	r.Ring(pid).Record(k, obj, a, b)
+	if ring := r.Ring(pid); ring != nil {
+		ring.Record(k, r.Intern(obj), a, b)
+	}
 }
 
 // Watch arms a predicate: the first recorded event it matches freezes a
@@ -324,8 +441,8 @@ func (r *Recorder) Watch(pred func(Event) bool) {
 }
 
 // checkWatch runs the armed predicate against ev and snapshots on the
-// first match.  Called after the event is in its ring (and after the
-// ring's lock is released), so the snapshot includes the triggering event.
+// first match.  Called after the event is published in its ring, so the
+// snapshot includes the triggering event.
 func (r *Recorder) checkWatch(ev Event) {
 	r.watchMu.Lock()
 	defer r.watchMu.Unlock()
@@ -369,9 +486,10 @@ func (r *Recorder) Events(pid int) []Event {
 // Merge interleaves every ring's live events into one dump ordered by the
 // global ticket — a total order consistent with happens-before: any event
 // that completed before another began precedes it.  Concurrent writers are
-// safe (each ring is locked for its copy); events recorded *during* the
-// merge may or may not appear, exactly like any racing read of a live
-// counter.
+// safe and never blocked; events recorded *during* the merge may or may not
+// appear, exactly like any racing read of a live counter, and a ring whose
+// writer laps it during its copy loses its oldest events from this dump
+// (every event returned is one the writer recorded, never a torn slot).
 func (r *Recorder) Merge() []Event {
 	if r == nil {
 		return nil

@@ -2,8 +2,10 @@ package trace
 
 import (
 	"encoding/json"
+	"fmt"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 )
 
@@ -71,21 +73,65 @@ func TestMergeOrder(t *testing.T) {
 	}
 }
 
+// raceLabels are the object labels the concurrent tests cycle through.
+var raceLabels = []string{"g", "head", "pool", "mnext[7]", "tail"}
+
+// payload derives an event's kind, label index, and arguments from its
+// ring and sequence number, so a reader can check every field of every
+// event it copies: a torn slot — fields of two different events — fails.
+func payload(pid int32, seq uint64) (k Kind, label int, a, b uint64) {
+	k = Kind(1 + (seq+uint64(pid))%uint64(kindCount-1))
+	label = int((seq*3 + uint64(pid)) % uint64(len(raceLabels)))
+	a = seq<<8 | uint64(pid)
+	b = ^a * 0x9e3779b97f4a7c15
+	return k, label, a, b
+}
+
+// recordPayloads records events Seq from+1 .. to on pid's ring, each with
+// its derived payload.
+func recordPayloads(r *Recorder, names []Name, pid int, from, to uint64) {
+	ring := r.Ring(pid)
+	for seq := from + 1; seq <= to; seq++ {
+		k, label, a, b := payload(int32(pid), seq)
+		ring.Record(k, names[label], a, b)
+	}
+}
+
+// internAll interns the race labels, in order.
+func internAll(r *Recorder) []Name {
+	names := make([]Name, len(raceLabels))
+	for i, s := range raceLabels {
+		names[i] = r.Intern(s)
+	}
+	return names
+}
+
+// checkPayload reports the first field of e that disagrees with the
+// payload its Pid and Seq derive.
+func checkPayload(e Event) error {
+	k, label, a, b := payload(e.Pid, e.Seq)
+	if e.Kind != k || e.Obj != raceLabels[label] || e.A != a || e.B != b {
+		return fmt.Errorf("torn event %v: want kind=%v obj=%s a=%d b=%d", e, k, raceLabels[label], a, b)
+	}
+	return nil
+}
+
 // TestMergeRace is the single-writer-discipline race test: one writer per
 // pid hammering its own ring while Merge runs concurrently.  Run under
-// -race this proves the per-ring lock covers reader/writer overlap; the
-// assertions prove per-ring ordering survives in every merged snapshot.
+// -race this proves the publication protocol covers reader/writer overlap;
+// the assertions prove per-ring ordering survives in every merged snapshot,
+// and the payload check proves no merged event is torn, with or without
+// -race.
 func TestMergeRace(t *testing.T) {
 	const procs, perProc = 4, 400
 	r := New(procs, 64)
+	names := internAll(r)
 	var wg sync.WaitGroup
 	for pid := 0; pid < procs; pid++ {
 		wg.Add(1)
 		go func(pid int) {
 			defer wg.Done()
-			for i := 0; i < perProc; i++ {
-				r.Record(pid, KindGuardLoad, "g", uint64(i), 0)
-			}
+			recordPayloads(r, names, pid, 0, perProc)
 		}(pid)
 	}
 	done := make(chan struct{})
@@ -106,6 +152,10 @@ func TestMergeRace(t *testing.T) {
 					return
 				}
 				lastSeq[e.Pid] = e.Seq
+				if err := checkPayload(e); err != nil {
+					t.Error(err)
+					return
+				}
 			}
 		}
 	}()
@@ -115,6 +165,66 @@ func TestMergeRace(t *testing.T) {
 	evs := r.Merge()
 	if len(evs) != procs*64 {
 		t.Fatalf("final merge: got %d events, want %d (full rings)", len(evs), procs*64)
+	}
+	for _, e := range evs {
+		if err := checkPayload(e); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// TestMergeLapStress has two writers lap capacity-8 rings continuously
+// while Merge loops, so nearly every copy races a slot reuse.  Every merged
+// event must be one a writer recorded (its payload matches its Pid and
+// Seq), each ring's events must be contiguous in Seq, and no ring may
+// return more than capacity events.
+func TestMergeLapStress(t *testing.T) {
+	const procs, capacity = 2, 8
+	merges := 20000
+	if testing.Short() {
+		merges = 2000
+	}
+	r := New(procs, capacity)
+	names := internAll(r)
+	var stop atomic.Bool
+	var wg sync.WaitGroup
+	for pid := 0; pid < procs; pid++ {
+		wg.Add(1)
+		go func(pid int) {
+			defer wg.Done()
+			for seq := uint64(0); !stop.Load(); seq += 64 {
+				recordPayloads(r, names, pid, seq, seq+64)
+			}
+		}(pid)
+	}
+	defer func() {
+		stop.Store(true)
+		wg.Wait()
+	}()
+	for i := 0; i < merges; i++ {
+		evs := r.Merge()
+		var count [procs]int
+		var lastSeq [procs]uint64
+		var lastG uint64
+		for _, e := range evs {
+			if e.GSeq <= lastG {
+				t.Fatalf("merge %d: GSeq %d after %d", i, e.GSeq, lastG)
+			}
+			lastG = e.GSeq
+			if err := checkPayload(e); err != nil {
+				t.Fatalf("merge %d: %v", i, err)
+			}
+			if count[e.Pid] > 0 && e.Seq != lastSeq[e.Pid]+1 {
+				t.Fatalf("merge %d: pid %d Seq %d after %d, want contiguous", i, e.Pid, e.Seq, lastSeq[e.Pid])
+			}
+			lastSeq[e.Pid] = e.Seq
+			count[e.Pid]++
+		}
+		for pid, c := range count {
+			if c > capacity {
+				t.Fatalf("merge %d: ring %d returned %d events, capacity %d", i, pid, c, capacity)
+			}
+		}
 	}
 }
 
@@ -156,8 +266,9 @@ func TestWatch(t *testing.T) {
 func TestRecordNoAllocs(t *testing.T) {
 	r := New(2, 32)
 	ring := r.Ring(1)
+	head := r.Intern("head")
 	if got := testing.AllocsPerRun(200, func() {
-		ring.Record(KindGuardCommit, "head", 42, 7)
+		ring.Record(KindGuardCommit, head, 42, 7)
 	}); got != 0 {
 		t.Fatalf("Ring.Record allocates: %v allocs/op, want 0", got)
 	}
@@ -169,7 +280,7 @@ func TestRecordNoAllocs(t *testing.T) {
 	// A nil ring (out-of-range pid, tracing off) must be a free no-op.
 	var nilRing *Ring
 	if got := testing.AllocsPerRun(200, func() {
-		nilRing.Record(KindGuardLoad, "x", 0, 0)
+		nilRing.Record(KindGuardLoad, NameNone, 0, 0)
 	}); got != 0 {
 		t.Fatalf("nil Ring.Record allocates: %v allocs/op, want 0", got)
 	}
@@ -209,4 +320,39 @@ func TestNilRecorder(t *testing.T) {
 	if r.Ring(0) != nil {
 		t.Fatal("nil recorder returned a ring")
 	}
+}
+
+// TestIntern pins the name table: New interns the fixed labels at their
+// constants, re-interning a label returns its first Name, and a recorded
+// Name resolves back to its label in a dump.
+func TestIntern(t *testing.T) {
+	r := New(1, 8)
+	for i, s := range fixedNames {
+		if got := r.Intern(s); got != Name(i) {
+			t.Errorf("Intern(%q) = %d, want the fixed Name %d", s, got, i)
+		}
+	}
+	head := r.Intern("head")
+	if again := r.Intern("head"); again != head || head <= NameEpoch {
+		t.Fatalf("Intern(head) = %d then %d, want one new Name", head, again)
+	}
+	r.Ring(0).Record(KindGuardLoad, head, 1, 0)
+	r.Ring(0).Record(KindOpBegin, NamePop, 2, 0)
+	evs := r.Merge()
+	if len(evs) != 2 || evs[0].Obj != "head" || evs[1].Obj != "pop" {
+		t.Fatalf("dump = %v, want head then pop", evs)
+	}
+}
+
+// BenchmarkRecord prices one event on one ring of capacity 4096: the
+// ticket fetch-add, the slot stores, and the publishing store.
+func BenchmarkRecord(b *testing.B) {
+	r := New(1, 4096)
+	ring := r.Ring(0)
+	head := r.Intern("head")
+	b.ReportAllocs()
+	for i := uint64(0); b.Loop(); i++ {
+		ring.Record(KindGuardCommit, head, i, 7)
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N), "ns/event")
 }

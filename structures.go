@@ -218,13 +218,14 @@ func WithGrowth(maxCapacity int) Option {
 // `capacity` events per process (rounded up to a power of two, minimum 8),
 // recording guard loads/commits/rejects/near-misses, allocator
 // alloc/release/retire/exhaustion, reclaimer scans/epoch advances, and the
-// begin/commit halves of the split operations.  Recording is allocation-free
-// and single-writer per ring; StructureTrace() merges the rings into one
-// happens-before-consistent dump.  Without this option tracing costs nothing:
-// the hooks are nil and the hot paths are byte-identical to the untraced
-// build.  The m(n) price is explicit: n rings × capacity events of fixed
-// space, O(1) steps per event.  A negative capacity is a constructor error;
-// 0 builds no recorder.
+// begin/commit halves of the split operations.  Recording is allocation-free,
+// lock-free and single-writer per ring; StructureTrace() merges the rings
+// into one happens-before-consistent dump.  Without this option tracing
+// costs nothing: the hooks are nil and the hot paths are byte-identical to
+// the untraced build.  The m(n) price is explicit: n rings × (capacity+1)
+// four-word slots of fixed space, O(1) steps per event (a ticket fetch-add,
+// four slot stores, one publishing store).  A negative capacity is a
+// constructor error; 0 builds no recorder.
 func WithTracing(capacity int) Option {
 	return func(o *options) { o.traceCap = capacity }
 }

@@ -111,3 +111,36 @@ func TestStructureTraceMap(t *testing.T) {
 		t.Fatal("traced queue produced no events")
 	}
 }
+
+// TestStructureTraceGrowOnGrowersRing pins where a pool extension is
+// recorded: on the ring of the process whose allocation ran out and grew
+// the map, not on ring 0.  Every Put goes through handle 1, so every grow
+// event must carry Pid 1 and ring 0 must hold none.
+func TestStructureTraceGrowOnGrowersRing(t *testing.T) {
+	m, err := NewMap(2, 32, WithGrowth(4096), WithTracing(4096))
+	if err != nil {
+		t.Fatal(err)
+	}
+	h, err := m.Handle(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for k := Word(1); k <= 200; k++ {
+		if !h.Put(k, k) {
+			t.Fatalf("put %d failed", k)
+		}
+	}
+	grows := 0
+	for _, e := range m.StructureTrace() {
+		if e.Kind != "grow" {
+			continue
+		}
+		grows++
+		if e.Pid != 1 {
+			t.Errorf("grow event %v recorded on ring %d, want 1 (the growing process)", e, e.Pid)
+		}
+	}
+	if grows == 0 {
+		t.Fatal("200 puts into a 32-node map recorded no grow event")
+	}
+}
