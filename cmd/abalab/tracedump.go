@@ -30,7 +30,7 @@ var traceDumpScenarios = []struct {
 	{"map", "split-list map: delete armed, help-unlink + recycle restores the bucket head", func() (apps.ScenarioResult, error) {
 		return kv.MapABAScenario(shmem.NewNativeFactory(), apps.Raw, 0)
 	}},
-	{"map-grow", "growing map: delete armed, directory split recycles the armed link as a dummy", func() (apps.ScenarioResult, error) {
+	{"map-grow", "growing map: split armed, delete + recycle restores the link before the new dummy", func() (apps.ScenarioResult, error) {
 		return kv.MapGrowABAScenario(shmem.NewNativeFactory(), apps.Raw, 0)
 	}},
 }

@@ -80,18 +80,20 @@
 // the deterministic corruption scripts.  abalab -run E11 runs the whole
 // structure × guard × implementation matrix (experiment E11).
 //
-// The map (internal/kv) is the keyed cache shape: chained buckets of
-// recycled pool nodes under the Michael-style marked-link protocol.  A link
-// word packs (successor index, mark bit); inserts land only at bucket heads
-// (insert-at-head is ABA-immune), a delete marks its victim's next link
-// with a conditional commit — freezing the link — before unlinking it past
-// the predecessor, and traversals help finish unlinks.  Keys and values are
-// immutable per node (an overwrite inserts a shadowing node and kills the
-// duplicate), so reads never race updates.  In m(n)/t(n) vocabulary the map
-// spends one guard per bucket head plus one per node next-link (B + cap
-// guards over 2·cap value registers) and walks O(chain) guard hops per
-// operation — each hop paying the selected regime's t(n) — which is exactly
-// the per-reference cost model the paper prices, multiplied by a traversal.
+// The map (internal/kv) is the keyed cache shape: one split-ordered list of
+// recycled pool nodes under the Michael-style marked-link protocol, where
+// bucket b is the run that starts at b's dummy and the bucket's guard is
+// the dummy's own next link.  A link word packs (list index, mark bit); a
+// put links its fresh node just before the first node of its key's sort
+// position, a delete marks its victim's next link with a conditional commit
+// — freezing the link — before unlinking it past the predecessor, and
+// traversals help finish unlinks.  Keys and values are immutable per node
+// (an overwrite links a shadowing node and kills the older one), so reads
+// never race updates.  In m(n)/t(n) vocabulary the map spends one guard
+// per bucket plus one per node next-link (B + cap guards over 2·cap value
+// registers) and walks O(run) guard hops per operation — each hop paying
+// the selected regime's t(n) — which is exactly the per-reference cost
+// model the paper prices, multiplied by a traversal.
 //
 // # Traffic layer
 //
@@ -138,31 +140,37 @@
 // WithGrowth(maxCapacity) makes the map resizable: it starts at its
 // constructed capacity and expands live — under concurrent gets, puts, and
 // deletes — up to the ceiling, with no stop-the-world phase and no rehash.
-// The protocol is split-ordered (Shalev–Shachnai) over the existing marked
-// links: every node lives in one list sorted by bit-reversed hash, so a
-// bucket-directory doubling moves no node — a new bucket is one dummy node
-// inserted at its bit-reversed sort position and published in a directory
-// slot, initialized lazily by recursively splitting its parent.  Node
-// storage grows in geometric segments through the pool seam (nodes are
-// array indices, so growth mints fresh indices and never relocates one),
-// and the hp/epoch reclaimers are sized for the ceiling up front, so
-// retirement accounting is untouched mid-resize.
+// The map is split-ordered (Shalev–Shachnai) whether or not it grows: every
+// node lives in one list sorted by bit-reversed hash, so a directory
+// doubling moves no node — it links one dummy per new bucket at its
+// bit-reversed sort position.  A dummy is no pool node and owns no
+// register: its index and sort key are computed, and its next link is the
+// bucket's guard.  The directory doubles eagerly: the put whose threshold
+// check crosses the load factor links all S new dummies, then publishes
+// size 2S, under a mutex no other operation waits on.  Node storage grows
+// in geometric segments through the pool seam (nodes are array indices, so
+// growth mints fresh indices and never relocates one), and the hp/epoch
+// reclaimers are sized for the ceiling up front, so retirement accounting
+// is untouched mid-resize.
 //
-// In m(n)/t(n) vocabulary: space is B + 2·cap guards plus 3·cap registers
-// where B and cap now grow geometrically to the ceiling — the map only ever
-// pays for the capacity tier it has reached, at ≤2x the live requirement —
-// and the resize work is O(1) amortized guard operations per insert (each
-// split inserts one dummy; each segment append is one publication), each
-// paying the selected regime's t(n) like any other guarded step.  A
-// directory split commits through the same Guards as normal traffic, which
-// makes resizing a new ABA surface rather than a trusted phase: a split's
-// dummy insert can restore a victim's armed link word bit-for-bit.  The
-// deterministic scenario runs the §1 ladder over exactly that interleaving
-// (raw+none corrupts; tagged/llsc/detector reject it as a counted
-// near-miss; hp/epoch prevent the recycle outright), and StructureAudit
-// reports Splits, SegmentAppends, and ResizeRetries alongside the
-// structural checks.  Experiment E15 (abalab -run E15) sweeps the growth
-// matrix to 1M keys / 10M ops under live traffic.
+// In m(n)/t(n) vocabulary: space is B + cap guards plus 2·cap registers,
+// plus two words (the directory size and the node capacity) when the map
+// can grow, where B and cap grow geometrically to the ceiling — the map
+// only ever pays for the capacity tier it has reached, at ≤2x the live
+// requirement.  A doubling costs S dummy links inside one put, O(1)
+// amortized guard operations per insert (each segment append is likewise
+// one publication), each paying the selected regime's t(n) like any other
+// guarded step.  A directory split commits through the same Guards as
+// normal traffic, which makes resizing a new ABA surface rather than a
+// trusted phase: the node a splitter's walk stopped before can be deleted
+// and recycled into its armed link word bit-for-bit.  The deterministic
+// scenario runs the §1 ladder over exactly that interleaving (raw+none
+// links the new dummy out of order and loses a binding; tagged/llsc/
+// detector reject it as a counted near-miss; hp/epoch prevent the recycle
+// outright), and StructureAudit reports Splits, SegmentAppends, and
+// ResizeRetries alongside the structural checks.  Experiment E15 (abalab
+// -run E15) sweeps the growth matrix to 1M keys / 10M ops under live
+// traffic.
 //
 // # Tail latency: admission control
 //

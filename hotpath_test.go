@@ -252,6 +252,39 @@ func TestHotPathAllocsMapRegimes(t *testing.T) {
 			})
 		}
 	}
+	// A map that has grown: 200 keys split its directory and appended node
+	// segments up to the 256-node ceiling, so the free nodes the cycle
+	// recycles, and every node its walks pass, lie past the first segment —
+	// the grown-segment path of every node and handle lookup.
+	t.Run("llsc+hp+grown", func(t *testing.T) {
+		m, err := NewMap(hotProcs, 16, WithBackend(SlabBackend()), WithGuardedPool(),
+			WithReclamation("hp"), WithGrowth(256))
+		if err != nil {
+			t.Fatal(err)
+		}
+		h, err := m.Handle(0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for k := Word(1000); k < 1200; k++ {
+			if !h.Put(k, k) {
+				t.Fatalf("fill Put(%d) failed", k)
+			}
+		}
+		if a := m.Audit(); a.Splits == 0 || a.SegmentAppends == 0 {
+			t.Fatalf("fill did not grow the map: splits=%d appends=%d", a.Splits, a.SegmentAppends)
+		}
+		var i Word
+		if got := testing.AllocsPerRun(200, func() {
+			h.Put(i&7, i)
+			h.Get(i & 7)
+			h.Get(1000 + i&127)
+			h.Delete(i & 7)
+			i++
+		}); got != 0 {
+			t.Errorf("grown map cycle allocates %.1f/op, want 0", got)
+		}
+	})
 }
 
 // TestHotPathAllocsTracing pins the flight recorder's two promises: with

@@ -461,7 +461,7 @@ func TestGuardedPoolFreeListABA(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			f := shmem.NewNativeFactory()
 			mk := guard.NewMaker(f, 2, tc.prot, 0)
-			p, err := newGuardedPool(f, mk, "t", 3, shmem.BitsFor(4))
+			p, err := newGuardedPool(f, mk, "t", 3, 3, shmem.BitsFor(4))
 			if err != nil {
 				t.Fatal(err)
 			}

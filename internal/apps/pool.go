@@ -109,11 +109,13 @@ type PoolStats struct {
 
 // NewPool builds the pool selected by the resolved structure configuration:
 // nodes 1..capacity, chain links of idxBits bits, optionally wrapped by the
-// configuration's reclaimer.
-func NewPool(f shmem.Factory, cfg StructConfig, name string, n, capacity int, idxBits uint) (Pool, error) {
+// configuration's reclaimer.  ceiling is the most nodes the structure will
+// ever Grow the pool to (its capacity if it never grows); the reclaimer is
+// sized for it.
+func NewPool(f shmem.Factory, cfg StructConfig, name string, n, capacity, ceiling int, idxBits uint) (Pool, error) {
 	var p Pool
 	if cfg.GuardedPool {
-		gp, err := newGuardedPool(f, cfg.Maker, name, capacity, idxBits)
+		gp, err := newGuardedPool(f, cfg.Maker, name, capacity, max(capacity, ceiling), idxBits)
 		if err != nil {
 			return nil, err
 		}
@@ -122,16 +124,12 @@ func NewPool(f shmem.Factory, cfg StructConfig, name string, n, capacity int, id
 		p = newFIFOPool(capacity)
 	}
 	if cfg.Reclaim != nil {
-		// Size the reclaimer for the growth ceiling up front: limbo buffers
-		// never reallocate across Pool.Grow.  The cadence clamps then follow
-		// the *live* capacity through the Resizer seam — here for the seed
-		// capacity, and again on every growth — so a young pool is not
+		// Size the reclaimer for the structure's ceiling up front: limbo
+		// buffers never reallocate across Pool.Grow.  The cadence clamps then
+		// follow the *live* capacity through the Resizer seam — here for the
+		// seed capacity, and again on every growth — so a young pool is not
 		// drained on the ceiling's lazy cadence.
-		recCap := capacity
-		if cfg.GrowTo > recCap {
-			recCap = cfg.GrowTo
-		}
-		rec, err := cfg.Reclaim(f, name, n, recCap)
+		rec, err := cfg.Reclaim(f, name, n, max(capacity, ceiling))
 		if err != nil {
 			return nil, fmt.Errorf("apps: reclaimer: %w", err)
 		}
@@ -298,7 +296,7 @@ type guardedPool struct {
 	exhaustions *shmem.StripedCounter
 }
 
-func newGuardedPool(f shmem.Factory, mk guard.Maker, name string, capacity int, idxBits uint) (*guardedPool, error) {
+func newGuardedPool(f shmem.Factory, mk guard.Maker, name string, capacity, ceiling int, idxBits uint) (*guardedPool, error) {
 	p := &guardedPool{
 		capacity:    capacity,
 		factory:     f,
@@ -309,7 +307,7 @@ func newGuardedPool(f shmem.Factory, mk guard.Maker, name string, capacity int, 
 	// out in index order like the FIFO model's.  The links live in a Spine
 	// so Grow can extend the index space without moving a single register —
 	// a plain slice append would relocate links under unsynchronized readers.
-	next, err := shmem.NewSpine(capacity+1, func(i int) (shmem.Register, error) {
+	next, err := shmem.NewSpine(capacity+1, ceiling+1, func(i int) (shmem.Register, error) {
 		if i == 0 {
 			return nil, nil // index 0 is the nil link, never dereferenced
 		}

@@ -75,8 +75,8 @@ func TestPoolGrowRetunesReclaimer(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			f := shmem.NewNativeFactory()
 			mk := guard.NewMaker(f, n, guard.LLSC, 0)
-			cfg := StructConfig{Maker: mk, Reclaim: tc.maker, GrowTo: ceiling}
-			p, err := NewPool(f, cfg, "tune", n, initial, shmem.BitsFor(ceiling+1))
+			cfg := StructConfig{Maker: mk, Reclaim: tc.maker}
+			p, err := NewPool(f, cfg, "tune", n, initial, ceiling, shmem.BitsFor(ceiling+1))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -149,22 +149,22 @@ func TestPoolGrowthBooks(t *testing.T) {
 		cfg  func(mk guard.Maker) StructConfig
 	}{
 		{"fifo+hp", func(mk guard.Maker) StructConfig {
-			return StructConfig{Maker: mk, Reclaim: reclaim.NewHazard, GrowTo: ceiling}
+			return StructConfig{Maker: mk, Reclaim: reclaim.NewHazard}
 		}},
 		{"fifo+epoch", func(mk guard.Maker) StructConfig {
-			return StructConfig{Maker: mk, Reclaim: reclaim.NewEpoch, GrowTo: ceiling}
+			return StructConfig{Maker: mk, Reclaim: reclaim.NewEpoch}
 		}},
 		{"guarded+hp", func(mk guard.Maker) StructConfig {
-			return StructConfig{Maker: mk, GuardedPool: true, Reclaim: reclaim.NewHazard, GrowTo: ceiling}
+			return StructConfig{Maker: mk, GuardedPool: true, Reclaim: reclaim.NewHazard}
 		}},
 		{"guarded+epoch", func(mk guard.Maker) StructConfig {
-			return StructConfig{Maker: mk, GuardedPool: true, Reclaim: reclaim.NewEpoch, GrowTo: ceiling}
+			return StructConfig{Maker: mk, GuardedPool: true, Reclaim: reclaim.NewEpoch}
 		}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			f := shmem.NewNativeFactory()
 			mk := guard.NewMaker(f, n, guard.LLSC, 0)
-			p, err := NewPool(f, tc.cfg(mk), "grow", n, initial, shmem.BitsFor(ceiling+1))
+			p, err := NewPool(f, tc.cfg(mk), "grow", n, initial, ceiling, shmem.BitsFor(ceiling+1))
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -66,7 +66,7 @@ func NewQueue(f shmem.Factory, n, capacity int, prot Protection, tagBits uint, o
 			return nil, fmt.Errorf("apps: queue next[%d] guard: %w", i, err)
 		}
 	}
-	if q.pool, err = NewPool(f, o, "queue", n, total, idxBits); err != nil {
+	if q.pool, err = NewPool(f, o, "queue", n, total, total, idxBits); err != nil {
 		return nil, err
 	}
 	boot, err := q.pool.Handle(0)

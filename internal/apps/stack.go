@@ -73,7 +73,7 @@ func NewStack(f shmem.Factory, n, capacity int, prot Protection, tagBits uint, o
 		return nil, fmt.Errorf("apps: stack head needs a conditional guard; %s guard is detection-only", head.Regime())
 	}
 	s.head = head
-	if s.pool, err = NewPool(f, o, "stack", n, capacity, idxBits); err != nil {
+	if s.pool, err = NewPool(f, o, "stack", n, capacity, capacity, idxBits); err != nil {
 		return nil, err
 	}
 	return s, nil

@@ -44,9 +44,9 @@ var e15Tiers = []e15Tier{
 // E15GrowthMatrix measures split-ordered map growth under live traffic: the
 // map starts at a 1024-node pool and one-bucket-per-node directory, and a
 // write-leaning keyed workload (40/50/10 over a uniform key space) forces it
-// through geometric node-segment appends and recursive directory splits up
-// to a ceiling 50% above the key space — while every get, put, and delete
-// runs concurrently with the resizes.  Tiers sweep the key space 10k → 1M
+// through geometric node-segment appends and eager directory splits up to a
+// ceiling 50% above the key space — while every get, put, and delete runs
+// concurrently with the resizes.  Tiers sweep the key space 10k → 1M
 // (the 1M-key tier issues 10M operations); the smoke tier runs the 10k-key
 // tier only.  A cell's label repeats across tiers, so a cell filter selects
 // that configuration at every tier that runs.
@@ -57,8 +57,8 @@ var e15Tiers = []e15Tier{
 // failure), and p999 is where a stop-the-world resize would show up as a
 // millisecond-scale spike; split-ordered growth has no such phase, so the
 // tail should look like the traffic, not like the resizes.  resize-stalls
-// counts directory doublings lost to a concurrent winner — contended-resize
-// work that was retried, never a pause.
+// counts threshold checks that found a split already in progress — work
+// skipped, never a wait: no operation blocks on a split.
 func E15GrowthMatrix(opts Options) (*Table, error) {
 	t := &Table{
 		ID:     "E15",
@@ -89,7 +89,7 @@ func E15GrowthMatrix(opts Options) (*Table, error) {
 	if err := runCells(t, cells, opts); err != nil {
 		return nil, err
 	}
-	t.AddNote("every cell starts at a %d-node pool and grows to a ceiling 50%% above its key space: appends counts geometric node-segment appends, splits counts directory doublings, resize-stalls counts doublings lost to a concurrent winner (retried work, never a pause).", e15InitialCapacity)
+	t.AddNote("every cell starts at a %d-node pool and grows to a ceiling 50%% above its key space: appends counts geometric node-segment appends, splits counts directory doublings, resize-stalls counts threshold checks that found a split already in progress (skipped, never a wait).", e15InitialCapacity)
 	t.AddNote("the workload is the write-leaning growth profile (40/50/10, uniform keys, no prepopulation) — the map must grow *into* the key space while serving it; exhausted counts alloc attempts that found no free node, and each segment append is triggered by exactly one such miss — so exhausted≈appends means every miss was immediately repaired by growth, while epoch's large counts are reclaimer lag (retirees parked in limbo while allocators spin), not a growth failure.")
 	t.AddNote("p999 is the stop-the-world detector: a rehash phase would spike it by orders of magnitude; split-ordered growth moves no node and rehashes nothing, so the tail tracks traffic contention. This run had GOMAXPROCS=%d, so cells measure time-sliced concurrency, not parallelism.", runtime.GOMAXPROCS(0))
 	t.AddNote("larger tiers keep only sound regimes: raw's growth-path ABA is proven deterministically by the resize scenario (kv.MapGrowABAScenario), so a 10M-op victim cell would only re-roll the dice at 25x the cost.")

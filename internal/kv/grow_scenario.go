@@ -2,79 +2,80 @@ package kv
 
 import (
 	"fmt"
+	"sort"
 
 	"abadetect/internal/apps"
 	"abadetect/internal/shmem"
 	"abadetect/internal/trace"
 )
 
-// growScenarioKeys finds the three keys the resize script needs, by searching
-// the key space at construction time (the script is deterministic but the
-// hash is fixed, so the keys are found, not chosen): ka and kb hash even —
-// bucket 0 once the directory doubles to two buckets, with reversed-hash sort
-// keys preceding every dummy a split can mint — labeled so the global list
-// reads d0 → a → b regardless of insert order; kf hashes odd — bucket 1,
-// sorting after bucket 1's dummy.
-func growScenarioKeys() (ka, kb, kf Word) {
-	var even []Word
-	for k := Word(1); len(even) < 2 || kf == 0; k++ {
-		if hash64(k)&1 == 0 {
-			if len(even) < 2 {
-				even = append(even, k)
+// growScenarioCap is the resize script's capacity and ceiling: the smallest
+// ceiling whose directory may double (from one bucket to two), with a pool
+// that is full once the script's keys are in, so a freed node is recycled
+// at once.
+const growScenarioCap = 2 * growThreshold
+
+// growScenarioKeys finds the resize script's keys by searching the key space
+// (the hash is fixed, so the keys are found, not chosen): growScenarioCap
+// keys of bucket 1 once the directory doubles — they sort after dummy 1 — of
+// which ka sorts first and the rest are fillers, and kr, a key of bucket 0,
+// which sorts before dummy 1.
+func growScenarioKeys() (ka, kr Word, fillers []Word) {
+	var late []Word
+	for k := Word(1); len(late) < growScenarioCap || kr == 0; k++ {
+		if after(sortKeyDummy(1), sortKeyData(k)) {
+			if kr == 0 {
+				kr = k
 			}
-		} else if kf == 0 {
-			kf = k
+		} else if len(late) < growScenarioCap {
+			late = append(late, k)
 		}
 	}
-	if sortKeyData(even[0]) > sortKeyData(even[1]) {
-		even[0], even[1] = even[1], even[0]
-	}
-	return even[0], even[1], kf
+	sort.Slice(late, func(i, j int) bool { return after(sortKeyData(late[j]), sortKeyData(late[i])) })
+	return late[0], kr, late[1:]
 }
 
 // MapGrowABAScenario plays the resize-under-traffic corruption script: a
-// victim deleter stalls mid-delete on a growing map, the adversary clears the
-// list behind it, the directory doubles, and the new bucket's lazy
-// initialization recycles a freed node into a dummy whose insert commit
-// restores exactly the link word the victim armed.
+// victim splitter stalls between walking to a new dummy's position and the
+// commit that links it, while the adversary deletes the node the walk
+// stopped at and recycles it, under a key that sorts *before* the dummy, at
+// the very same position.
 //
-// The map grows from one bucket with the node pool at its ceiling (capacity =
-// maxCapacity = 3), so recycling is immediate and the split is the only
-// source of fresh structure.  With the list d0 → a → b in nodes 1, 2, 3:
+// The map starts with one bucket and a full pool at its ceiling (capacity =
+// ceiling = growScenarioCap), so recycling is immediate.  With ka in node 1
+// and the fillers behind it, the list is d0 → 1(ka) → fillers…:
 //
-//  1. the victim begins Delete(ka): it marks node 2 and stalls holding the
-//     armed unlink next[d0]: 2 → 3;
-//  2. the adversary's Delete(kb) first helps the victim's stalled unlink
-//     (freeing node 2), then unlinks and frees node 3 — the free ring is
-//     [2, 3] and the list is just d0;
-//  3. the directory doubles (the forced split a threshold crossing would
-//     perform);
-//  4. the adversary's Put(kf, ·) lands in the new bucket 1: lazy bucket
-//     initialization allocates node 2 back as bucket 1's dummy, and since the
-//     dummy's sort key places it at the end of the now-empty run, its insert
-//     commit swings next[d0] back to 2<<1 — the victim's armed word, restored
-//     by the growth machinery itself — before the data insert links kf
-//     (node 3) after the dummy and the directory publishes head[1] → 2;
-//  5. the victim resumes: committing next[d0]: 2 → 3 splices the freshly
-//     minted dummy out from under its own bucket iff the guard is fooled — a
-//     raw guard is, leaving head[1] pointing at a node sitting in the free
-//     ring (the audit's BadShortcuts smoking gun); tagged/LL/SC/detector
-//     guards reject with a near-miss.
+//  1. the victim doubles the directory: its walk for dummy 1 stops at node
+//     1, the first node sorting after dummy 1, and it stalls holding the
+//     armed commit head[0]: 1 → d1, with d1's own link already naming 1;
+//  2. the adversary's Delete(ka) marks node 1 and swings head[0] past it,
+//     freeing it;
+//  3. the adversary's Put(kr, ·) allocates node 1 straight back and, since
+//     kr sorts before every filler, links it right after dummy 0: head[0]
+//     names node 1 again, now carrying a key of bucket 0;
+//  4. the victim resumes: committing head[0]: 1 → d1 links the new dummy
+//     ahead of kr iff the guard is fooled — a raw guard is, so the list
+//     reads d0 → d1 → kr…, out of order, and kr's binding is lost (a lookup
+//     stops at d1, which sorts after it); tagged/LL/SC/detector guards
+//     reject with a near-miss, and the splitter walks again.
 //
-// Under a reclaimer the victim's published protection slots keep node 2 (hp
-// and epoch) and node 3 (epoch: limbo behind the victim's pin) out of the
-// allocator, so the adversary's growth path starves at the pool ceiling
-// before the recycle completes, and the stale commit fails on plain
-// inequality — the armed word never repeats — with zero near-misses:
-// prevention by allocation discipline, before the guard ever sees an ABA.
+// The armed word takes two writes in the window, so a 1-bit tag wraps back
+// to the armed value and is fooled too, where 8 and 16 bits hold.
+//
+// Under a reclaimer the victim's walk published node 1 in a protection slot
+// (hp) or pinned the epoch, so the freed node stays out of the allocator
+// and the adversary's Put starves at the ceiling: the recycle leg never
+// runs, and the stale commit fails on plain inequality with zero
+// near-misses — prevention by allocation discipline, before the guard ever
+// sees an ABA.
 func MapGrowABAScenario(f shmem.Factory, prot Protection, tagBits uint, opts ...apps.StructOption) (apps.ScenarioResult, error) {
 	var r apps.ScenarioResult
 	rec := trace.New(2, 128)
 	rec.Watch(func(e trace.Event) bool {
 		return e.Kind == trace.KindGuardNearMiss || e.Kind == trace.KindExhaust
 	})
-	opts = append(opts, apps.WithGrowth(3), apps.WithTrace(rec))
-	m, err := NewMap(f, 2, 3, 1, prot, tagBits, opts...)
+	opts = append(opts, apps.WithGrowth(growScenarioCap), apps.WithTrace(rec))
+	m, err := NewMap(f, 2, growScenarioCap, 1, prot, tagBits, opts...)
 	if err != nil {
 		return r, err
 	}
@@ -86,39 +87,43 @@ func MapGrowABAScenario(f shmem.Factory, prot Protection, tagBits uint, opts ...
 	if err != nil {
 		return r, err
 	}
-	ka, kb, kf := growScenarioKeys()
-	// Setup: put in sort order so nodes 2 and 3 carry ka and kb — the list is
-	// d0(1) → a(2) → b(3) either way, but the script names nodes.
-	if !adversary.Put(ka, 101) || !adversary.Put(kb, 102) {
-		return r, fmt.Errorf("kv: grow scenario setup puts failed")
+	ka, kr, fillers := growScenarioKeys()
+	// Setup: ka into node 1, then the fillers fill the pool.
+	if !adversary.Put(ka, 101) {
+		return r, fmt.Errorf("kv: grow scenario setup put failed")
 	}
-	// Victim: marks node 2 and stalls before the unlink, holding the armed
-	// commit next[d0]: 2 → 3 — and, when configured, its protection slots on
-	// nodes 1 and 2 (the two its walk traversed).
-	cur, succ, found := victim.DeleteBegin(ka)
-	if !found || cur != 2 || succ != 3 {
-		return r, fmt.Errorf("kv: grow scenario DeleteBegin = (%d,%d,%v), want (2,3,true)", cur, succ, found)
+	for i, k := range fillers {
+		if !adversary.Put(k, Word(200+i)) {
+			return r, fmt.Errorf("kv: grow scenario filler put %d failed", i)
+		}
 	}
-	// Adversary: one Delete(kb) clears the whole run — its walk reaches the
-	// marked node 2 first and helps the victim's unlink (freeing it), then
-	// removes the live kb binding (freeing node 3).
-	if !adversary.Delete(kb) {
-		return r, fmt.Errorf("kv: grow scenario Delete(kb) failed")
+	// The adversary runs inside the victim's first stall; a rejected commit
+	// makes the splitter walk again, which stalls a second time.
+	stalls := 0
+	var setupErr error
+	victim.SplitStall = func() {
+		stalls++
+		if stalls > 1 {
+			return
+		}
+		if !adversary.Delete(ka) {
+			setupErr = fmt.Errorf("kv: grow scenario Delete(ka) failed")
+		}
+		// The recycle leg: under a reclaimer the victim's protection blocks
+		// node 1, and the pool is at its ceiling, so this put starves.
+		r.Starved = !adversary.Put(kr, 104)
 	}
-	// The resize: one forced directory doubling under the stalled delete (the
-	// scenario pool is too small for the threshold-derived bucket ceiling, so
-	// the split is forced through the in-package seam).
-	if !m.growBuckets(-1, int(m.grow.size.Read(-1)), true) {
+	if !victim.GrowBuckets() {
 		return r, fmt.Errorf("kv: grow scenario directory doubling failed")
 	}
-	// The recycle leg: bucket 1 comes alive.  Unprotected, its dummy is node
-	// 2 — the dummy insert restores the victim's armed word — and its first
-	// binding is node 3; under a reclaimer the growth path starves at the
-	// ceiling instead.
-	r.Starved = !adversary.Put(kf, 104)
-	// Victim resumes: the unlink commit splices the new bucket's dummy out
-	// from under its published shortcut iff the guard is fooled.
-	r.Fooled = victim.DeleteCommit()
+	if setupErr != nil {
+		return r, setupErr
+	}
+	if stalls == 0 {
+		return r, fmt.Errorf("kv: grow scenario split never stalled")
+	}
+	// The stale commit was accepted iff the split needed no second walk.
+	r.Fooled = stalls == 1
 	audit := m.Audit()
 	r.Corrupt, r.Detail = audit.Corrupt(), audit.String()
 	r.Guard = m.GuardMetrics()

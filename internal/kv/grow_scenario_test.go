@@ -1,6 +1,7 @@
 package kv
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -11,11 +12,11 @@ import (
 
 // TestMapGrowABAScenarioLadder replays the resize-under-traffic script across
 // the protection ladder with immediate reuse: the raw guard is provably
-// fooled — the lazy bucket initialization of a fresh split recycles the freed
-// nodes into exactly the link word the stalled deleter armed — and corrupts
-// the map (a lost binding plus a cycle through the new dummy); a wide tag,
-// LL/SC, and the detector all reject the stale unlink and count the
-// near-miss.
+// fooled — the adversary recycles the node a stalled splitter's walk stopped
+// at into exactly the link word the splitter armed — and corrupts the map
+// (the new dummy linked ahead of a key that sorts before it, whose binding
+// is lost); a wide tag, LL/SC, and the detector all reject the stale commit
+// and count the near-miss.
 func TestMapGrowABAScenarioLadder(t *testing.T) {
 	for _, tc := range []struct {
 		name       string
@@ -55,10 +56,10 @@ func TestMapGrowABAScenarioLadder(t *testing.T) {
 // TestMapGrowReclaimPreventsScenarioWithZeroNearMisses: raw+hp and raw+epoch
 // pass the resize script that raw+none provably corrupts, with zero guard
 // near-misses.  Unlike the fixed-map script, BOTH reclaimers prevent by
-// starvation here: the victim's two protection slots cover both freed nodes,
-// the pool is at its ceiling, and the growth path has nowhere else to
-// allocate from — so the recycle leg never runs and the marked link word
-// never repeats.
+// starvation here: the splitter's walk protected (hp) or pinned (epoch) the
+// one node the adversary frees, the pool is at its ceiling, and there is
+// nowhere else to allocate from — so the recycle leg never runs and the
+// armed link word never repeats.
 func TestMapGrowReclaimPreventsScenarioWithZeroNearMisses(t *testing.T) {
 	for _, rc := range []struct {
 		name string
@@ -90,5 +91,30 @@ func TestMapGrowReclaimPreventsScenarioWithZeroNearMisses(t *testing.T) {
 	}
 	if !res.Fooled || !res.Corrupt {
 		t.Errorf("raw+none: fooled=%v corrupt=%v, want the corruption back (%s)", res.Fooled, res.Corrupt, res.Detail)
+	}
+}
+
+// TestMapGrowABAScenarioTagLadder pins the resize script's tag ladder.  The
+// armed word takes two writes inside the splitter's window — the unlink of
+// the deleted node and the insert of the recycled one — so a 1-bit tag wraps
+// back to the armed value and is fooled, while 8 and 16 bits hold.  It is
+// the even-swing counterpart of TestMapABAScenarioNarrowTagStillPrevented.
+func TestMapGrowABAScenarioTagLadder(t *testing.T) {
+	for _, tc := range []struct {
+		bits       uint
+		wantFooled bool
+	}{{1, true}, {8, false}, {16, false}} {
+		t.Run(fmt.Sprintf("tag%d", tc.bits), func(t *testing.T) {
+			res, err := MapGrowABAScenario(shmem.NewNativeFactory(), apps.Tagged, tc.bits)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res.Fooled != tc.wantFooled || res.Corrupt != tc.wantFooled {
+				t.Fatalf("fooled=%v corrupt=%v, want both %v (%s)", res.Fooled, res.Corrupt, tc.wantFooled, res.Detail)
+			}
+			if !tc.wantFooled && res.Guard.NearMisses == 0 {
+				t.Errorf("prevented resize ABA not counted as a near-miss: %s", res.Guard)
+			}
+		})
 	}
 }

@@ -2,6 +2,7 @@ package kv
 
 import (
 	"fmt"
+	"math/bits"
 	"sync"
 	"testing"
 
@@ -127,8 +128,8 @@ func TestGrowMapCeiling(t *testing.T) {
 		}
 		stored = append(stored, k)
 	}
-	// The ceiling pool holds dummies + live nodes; we must have far exceeded
-	// the initial capacity and stopped at (or just under) the ceiling.
+	// We must have far exceeded the initial capacity and stopped at (or just
+	// under) the ceiling.
 	if len(stored) < ceiling/2 {
 		t.Fatalf("only %d puts before exhaustion at ceiling %d", len(stored), ceiling)
 	}
@@ -163,8 +164,12 @@ func TestGrowBucketsHook(t *testing.T) {
 	if m.Buckets() != 1 {
 		t.Fatalf("initial buckets = %d, want 1", m.Buckets())
 	}
+	h, err := m.Handle(0)
+	if err != nil {
+		t.Fatal(err)
+	}
 	doubles := 0
-	for m.GrowBuckets() {
+	for h.GrowBuckets() {
 		doubles++
 		if doubles > 20 {
 			t.Fatalf("GrowBuckets never hit the ceiling")
@@ -182,10 +187,6 @@ func TestGrowBucketsHook(t *testing.T) {
 		t.Errorf("splits = %d, want %d", a.Splits, doubles)
 	}
 	// Puts still conform with a fully pre-split directory.
-	h, err := m.Handle(0)
-	if err != nil {
-		t.Fatal(err)
-	}
 	for k := Word(1); k <= 100; k++ {
 		if !h.Put(k, k+7) {
 			t.Fatalf("Put(%d) after pre-split failed", k)
@@ -276,9 +277,9 @@ func TestGrowMapRejectsBadCeiling(t *testing.T) {
 	}
 }
 
-// TestGrowMapFastPathBound checks the satellite fix directly: the wait-free
-// read's hop bound follows the growth snapshot, so chains longer than the
-// *initial* capacity don't spuriously tear every fast read.
+// TestGrowMapFastPathBound checks that the wait-free read's hop bound is the
+// ceiling's, not the initial capacity's, so runs longer than the *initial*
+// capacity don't spuriously tear every fast read.
 func TestGrowMapFastPathBound(t *testing.T) {
 	const initial = 4
 	m := growMap(t, 1, initial, 1024, apps.LLSC, 0)
@@ -324,7 +325,7 @@ func TestGrowMapSortInvariant(t *testing.T) {
 			t.Fatalf("Put(%d) failed", k)
 		}
 		if k%17 == 0 {
-			m.GrowBuckets() // force splits at awkward moments
+			h.GrowBuckets() // force splits at awkward moments
 		}
 		if k%5 == 0 {
 			h.Delete(k - 2)
@@ -384,6 +385,27 @@ func TestFloorPow2(t *testing.T) {
 		if got := floorPow2(tc.in); got != tc.want {
 			t.Errorf("floorPow2(%d) = %d, want %d", tc.in, got, tc.want)
 		}
+	}
+}
+
+// TestAfterIsReversedOrder: after compares unreversed sort keys exactly as
+// the bit-reversed values order the list.
+func TestAfterIsReversedOrder(t *testing.T) {
+	x := Word(0x9e3779b97f4a7c15)
+	for i := 0; i < 10000; i++ {
+		a := x
+		x ^= x << 13
+		x ^= x >> 7
+		x ^= x << 17
+		// A random pair, and a pair differing in bit i%64 alone.
+		for _, b := range []Word{x, a ^ 1<<(i%64)} {
+			if got, want := after(a, b), bits.Reverse64(a) > bits.Reverse64(b); got != want {
+				t.Fatalf("after(%#x, %#x) = %v, want %v", a, b, got, want)
+			}
+		}
+	}
+	if !after(sortKeyData(7), sortKeyDummy(int(hash64(7)&3))) {
+		t.Error("a key does not sort after its bucket's dummy")
 	}
 }
 

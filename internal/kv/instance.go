@@ -10,8 +10,8 @@ import (
 )
 
 // maxSpin bounds the map's traversal loops in matrix runs: a raw-guarded
-// map that has been ABA-corrupted can acquire a cycle through a bucket
-// chain, and a bounded spin turns the resulting livelock into failed
+// map that has been ABA-corrupted can acquire a cycle through its list,
+// and a bounded spin turns the resulting livelock into failed
 // operations.  As with the queue instance, a worker whose handle spends one
 // budget issues no further operations, so a corrupted foil costs one budget
 // per worker, not one per remaining op on the cycled bucket.
@@ -142,13 +142,10 @@ func (in mapInstance) FreelistMetrics() guard.Metrics { return in.m.FreelistMetr
 func (in mapInstance) PoolStats() apps.PoolStats      { return in.m.PoolStats() }
 
 // GrowthStats exposes the resize counters and the capacity trajectory for
-// the E15 growth matrix: directory splits, node-segment appends, doublings
-// lost to a concurrent winner, and the capacity the map ended at.  All zero
-// motion on a fixed map.
+// the E15 growth matrix: directory splits, node-segment appends, threshold
+// checks that found a split already in progress, and the capacity the map
+// ended at.  All zero motion on a fixed map.
 func (in mapInstance) GrowthStats() (splits, appends, retries int64, capNow int) {
-	if in.m.grow == nil {
-		return 0, 0, 0, in.m.Capacity()
-	}
-	g := in.m.grow
-	return g.splits.Load(), g.appends.Load(), g.retries.Load(), in.m.Capacity()
+	m := in.m
+	return m.splits.Load(), m.appends.Load(), m.retries.Load(), m.Capacity()
 }

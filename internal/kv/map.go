@@ -1,21 +1,32 @@
 // Package kv is the keyed application workload the traffic layer drives: a
-// sharded lock-free hash map over the same Guard and reclamation substrate
-// as the stack and queue of internal/apps.
+// lock-free hash map over the same Guard and reclamation substrate as the
+// stack and queue of internal/apps.
 //
-// The map is the canonical cache shape — B bucket heads, each the entry of a
-// chained list of pool nodes — and it is built so *every* mutable link rides
-// a guard.Guard: the bucket heads and each node's next pointer.  The list
-// protocol is the Michael-style marked-link scheme adapted to index-based
-// nodes:
+// The map is one Shalev–Shachnai split-ordered list.  Every node lives on a
+// single list sorted by the bit-reversal of its key's hash, and bucket b is
+// the run that starts at b's *dummy*, whose sort key is the bit-reversal of
+// b.  The low hash bits pick the bucket and the reversal sends them to the
+// top, so every key of bucket b sorts between dummy b and the next dummy,
+// and doubling the directory from S to 2S splits each run in place: dummy
+// b+S drops into the middle of b's run and not a single data node moves.
+//
+// A dummy is not a pool node.  Dummy b is list index maxCap+1+b, its sort
+// key is computed from b, and its one shared word, its next link, *is*
+// bucket b's directory guard.  A lookup therefore starts at the bucket's
+// guard and walks exactly the nodes of its run — the hops a chained bucket
+// takes — and stops at the next dummy without touching it.  A map that
+// cannot grow is the same list with its B dummies linked at construction.
+//
+// Every mutable link rides a guard.Guard: the dummies' links and each node's
+// next pointer.  The list protocol is the Michael-style marked-link scheme
+// adapted to index-based nodes:
 //
 //   - a link word packs (successor index << 1 | mark); the mark bit on a
 //     node's next pointer is the node's logical-delete flag, set by a
 //     conditional commit so the link freezes before the node is unlinked;
-//   - inserts happen only at the bucket head (insert-at-head is the
-//     ABA-immune half of the Treiber protocol), so interior links change
-//     only by mark and unlink commits;
-//   - a Put always inserts a fresh node and then kills any older node of the
-//     same key behind the first live match, so a node's key and value are
+//   - a Put links a fresh node immediately before the first live node of its
+//     key (or of any later sort key), so the newest binding shadows every
+//     older one, and then kills the older ones; a node's key and value are
 //     immutable from link to unlink — reads never race updates;
 //   - traversals help: a walker that finds a marked node unlinks it
 //     (conditionally, against the predecessor link it has loaded and, under
@@ -24,15 +35,28 @@
 // The ABA lives exactly where the paper says it lives: between loading a
 // predecessor link and committing past it, the successor node can be
 // deleted, recycled through the allocator, and re-linked, so a raw commit
-// swings a bucket onto a free node.  MapABAScenario replays that
-// deterministically; the tagged, LL/SC, and detector regimes reject the
-// stale commit, and the hp/epoch reclaimers prevent the recycle leg outright
-// — the same ladder the stack and queue walk, on the keyed workload a
-// production cache serves.
+// swings a bucket onto a free node (MapABAScenario) or links a new dummy
+// ahead of a key that sorts before it (MapGrowABAScenario).  The tagged,
+// LL/SC, and detector regimes reject the stale commit, and the hp/epoch
+// reclaimers prevent the recycle leg outright — the same ladder the stack
+// and queue walk, on the keyed workload a production cache serves.
+//
+// Growth (apps.WithGrowth) has two halves.  The directory doubles eagerly:
+// the Put whose threshold check finds more than growThreshold live nodes per
+// bucket links all S new dummies into their parents' runs and only then
+// publishes size 2S, under a mutex taken with TryLock that no other
+// operation ever waits on.  The node space grows by geometric segment
+// appends through the apps.Pool seam: nodes live in a shmem.Spine, so an
+// append extends index addressing without relocating anything, and the
+// publication order (node spine, then the capacity word, then the pool)
+// means an allocator can only hold an index whose node is built.
 package kv
 
 import (
 	"fmt"
+	"math/bits"
+	"sync"
+	"sync/atomic"
 
 	"abadetect/internal/apps"
 	"abadetect/internal/guard"
@@ -45,6 +69,16 @@ type Word = shmem.Word
 
 // Protection re-exports the apps regime selector.
 type Protection = apps.Protection
+
+const (
+	// growThreshold is the average live data nodes per bucket that triggers
+	// a directory doubling.
+	growThreshold = 6
+	// growCheckEvery spaces a handle's threshold checks (summing the striped
+	// live counter on every put would reintroduce the shared-line traffic
+	// the stripes remove).
+	growCheckEvery = 32
+)
 
 // packLink packs a successor index and a mark bit into one link word.
 func packLink(idx int, marked bool) Word {
@@ -61,99 +95,49 @@ func linkIdx(w Word) int { return int(w >> 1) }
 // linkMarked reports the mark bit of a link word.
 func linkMarked(w Word) bool { return w&1 != 0 }
 
-// Map is a sharded lock-free hash map over a fixed pool of index-based
-// nodes, shared by n processes.  Every bucket head and every node's next
-// pointer is a Guard, so the map runs under every Protection regime, over
-// any registered guard implementation, on any substrate — and its node
-// recycling routes through the allocator seam, so any reclaim scheme can
-// sit underneath.
-type Map struct {
-	n        int
-	capacity int
-	buckets  int
-	mask     Word
-
-	key  []shmem.Register // key[i] of node i (1-based); immutable while linked
-	val  []shmem.Register // val[i] of node i; immutable while linked
-	next []guard.Guard    // next[i]: packed (succ<<1 | mark)
-	head []guard.Guard    // head[b]: packed (idx<<1), never marked
-
-	pool apps.Pool
-
-	// Read-path counters (striped: retries happen exactly under the write
-	// contention a shared counter would amplify).  The clean fast path bumps
-	// nothing — a per-Get counter would reintroduce the shared write the
-	// path exists to remove.
-	readRetries   *shmem.StripedCounter // torn fast-path attempts restarted
-	readFallbacks *shmem.StripedCounter // Gets that fell back to the guarded path
-
-	// grow is the split-ordered resize state of a map built
-	// apps.WithGrowth; nil selects the fixed-capacity protocol above
-	// untouched (the key/val/next/head slices are then unused — growth mode
-	// keeps every per-node array in a Spine instead; see grow.go).
-	grow *growth
-
-	// tr is the flight recorder of a map built apps.WithTrace; nil means no
-	// tracing anywhere on the hot path.
-	tr *trace.Recorder
+// hash64 is the murmur3 finalizer: its low bits pick the bucket, and its
+// bit-reversal orders the list.
+func hash64(k Word) Word {
+	h := k
+	h ^= h >> 33
+	h *= 0xff51afd7ed558ccd
+	h ^= h >> 33
+	return h
 }
 
-// NewMap builds a map for n processes with the given node capacity and
-// bucket count (rounded up to a power of two; pass 1 to force every key
-// into one chain, as the deterministic scenarios do).  tagBits is only used
-// by the Tagged regime; both prot and tagBits are ignored when
-// apps.WithMaker supplies the guards.
-func NewMap(f shmem.Factory, n, capacity, buckets int, prot Protection, tagBits uint, opts ...apps.StructOption) (*Map, error) {
-	if n < 1 {
-		return nil, fmt.Errorf("kv: map needs n >= 1, got %d", n)
-	}
-	if capacity < 1 {
-		return nil, fmt.Errorf("kv: map needs capacity >= 1, got %d", capacity)
-	}
-	if buckets < 1 {
-		return nil, fmt.Errorf("kv: map needs buckets >= 1, got %d", buckets)
-	}
-	buckets = nextPow2(buckets)
-	cfg := apps.ResolveStructOptions(f, n, prot, tagBits, opts)
-	if cfg.GrowTo > 0 {
-		return newGrowMap(f, cfg, n, capacity, buckets)
-	}
-	idxBits := shmem.BitsFor(capacity + 1)
-	linkBits := idxBits + 1 // the mark bit rides beside the index
-	m := &Map{
-		n:        n,
-		capacity: capacity,
-		buckets:  buckets,
-		mask:     Word(buckets - 1),
-		key:      make([]shmem.Register, capacity+1),
-		val:      make([]shmem.Register, capacity+1),
-		next:     make([]guard.Guard, capacity+1),
-		head:     make([]guard.Guard, buckets),
+// Sort keys.  The list is ordered by bit-reversed value, but a sort key is
+// kept unreversed and compared with after: reversal sends the lowest bit
+// where two keys differ to the top, so no walk ever reverses a word.  A data
+// node's sort key is its key's hash with the top bit set — reversed, the
+// low bit — so it sorts strictly after its bucket's dummy, whose sort key
+// is the bucket number.
 
-		readRetries:   shmem.NewStripedCounter(),
-		readFallbacks: shmem.NewStripedCounter(),
-		tr:            cfg.Trace,
+// sortKeyData is the sort key of a data node holding k.
+func sortKeyData(k Word) Word { return hash64(k) | 1<<63 }
+
+// sortKeyDummy is dummy b's sort key.
+func sortKeyDummy(b int) Word { return Word(b) }
+
+// after reports whether sort key a comes after sort key b on the list: the
+// lowest bit where they differ is set in a.
+func after(a, b Word) bool {
+	d := a ^ b
+	return a&d&-d != 0
+}
+
+// parentBucket clears b's highest set bit: the bucket whose run bucket b
+// split off of, and therefore the run b's dummy is linked into.
+func parentBucket(b int) int { return b &^ (1 << (bits.Len(uint(b)) - 1)) }
+
+// nextDummy returns the bucket whose dummy follows dummy b's on the list of
+// a directory of s buckets, or -1 when dummy b is the last.
+func nextDummy(b, s int) int {
+	step := uint64(1) << (64 - bits.Len(uint(s-1))) // one directory slot in sort-key space
+	r := bits.Reverse64(uint64(b)) + step
+	if r == 0 || step == 0 {
+		return -1
 	}
-	var err error
-	for i := 1; i <= capacity; i++ {
-		m.key[i] = f.NewRegister(fmt.Sprintf("mkey[%d]", i), 0)
-		m.val[i] = f.NewRegister(fmt.Sprintf("mval[%d]", i), 0)
-		if m.next[i], err = cfg.Maker(fmt.Sprintf("mnext[%d]", i), linkBits, 0); err != nil {
-			return nil, fmt.Errorf("kv: map next[%d] guard: %w", i, err)
-		}
-	}
-	for b := range m.head {
-		if m.head[b], err = cfg.Maker(fmt.Sprintf("mhead[%d]", b), linkBits, 0); err != nil {
-			return nil, fmt.Errorf("kv: map head[%d] guard: %w", b, err)
-		}
-	}
-	if !m.head[0].Conditional() {
-		return nil, fmt.Errorf("kv: map needs conditional guards; %s guard is detection-only", m.head[0].Regime())
-	}
-	if m.pool, err = apps.NewPool(f, cfg, "map", n, capacity, idxBits); err != nil {
-		return nil, err
-	}
-	return m, nil
+	return int(bits.Reverse64(r))
 }
 
 // nextPow2 rounds v up to the next power of two.
@@ -165,65 +149,238 @@ func nextPow2(v int) int {
 	return p
 }
 
+// floorPow2 rounds v down to a power of two (minimum 1).
+func floorPow2(v int) int {
+	if v < 1 {
+		return 1
+	}
+	return 1 << (bits.Len(uint(v)) - 1)
+}
+
+// geometry resolves a map's index space: the node ceiling, the initial
+// directory size, and the largest directory the map may split to.  A map
+// without a growth ceiling never splits.
+func geometry(capacity, buckets, ceiling int) (maxCap, s0, maxBuckets int) {
+	maxCap, s0 = capacity, nextPow2(buckets)
+	maxBuckets = s0
+	if ceiling > 0 {
+		maxCap = ceiling
+		maxBuckets = max(floorPow2(ceiling/growThreshold), s0)
+	}
+	return maxCap, s0, maxBuckets
+}
+
+// LinkBits returns the width of a map's link words for the given node
+// capacity, bucket count and growth ceiling (0 = none): one mark bit plus an
+// index that names every node up to the ceiling and every dummy of the
+// largest directory the map can split to.  A tagged guard needs this many
+// value bits beside its tag.
+func LinkBits(capacity, buckets, ceiling int) uint {
+	maxCap, _, maxBuckets := geometry(capacity, buckets, ceiling)
+	return shmem.BitsFor(maxCap+maxBuckets+1) + 1
+}
+
+// node is a pool node's shared state.
+type node struct {
+	key, val shmem.Register // immutable while linked
+	next     guard.Guard    // packed (succ<<1 | mark)
+}
+
+// Map is a lock-free hash map over a pool of index-based nodes, shared by n
+// processes.  Every bucket's dummy link and every node's next pointer is a
+// Guard, so the map runs under every Protection regime, over any registered
+// guard implementation, on any substrate — and its node recycling routes
+// through the allocator seam, so any reclaim scheme can sit underneath.
+type Map struct {
+	n          int
+	capacity   int  // initial node count; the constructed segment is 0..capacity
+	maxCap     int  // node ceiling: data nodes are 1..maxCap, dummy b is maxCap+1+b
+	maxBuckets int  // largest directory the map may split to
+	maxHops    int  // the longest a clean walk can be: every node and dummy
+	mask       Word // directory mask of a map that cannot split
+	linkBits   uint
+	growing    bool // built apps.WithGrowth
+
+	nodes0 []node                    // nodes 0..capacity: the spine's first segment, never moved
+	nodes  *shmem.Spine[node]        // every node, grown segments included
+	heads  *shmem.Spine[guard.Guard] // heads[b] is dummy b's next link: bucket b's guard
+	maker  guard.Maker               // builds the guards of grown nodes and buckets
+	fac    shmem.Factory             // builds the registers of grown nodes
+	pool   apps.Pool
+
+	// Read-path counters (striped: retries happen exactly under the write
+	// contention a shared counter would amplify).  The clean fast path bumps
+	// nothing — a per-Get counter would reintroduce the shared write the
+	// path exists to remove.
+	readRetries   *shmem.StripedCounter // torn fast-path attempts restarted
+	readFallbacks *shmem.StripedCounter // Gets that fell back to the guarded path
+
+	// Directory growth, nil when the directory cannot split.  size is the
+	// directory size S; only the splitter holding split writes it, and it
+	// only doubles.  live approximates the live data-node count (inserts
+	// minus logical deletes), the doubling trigger.
+	size  shmem.WritableCAS
+	live  *shmem.StripedCounter
+	split sync.Mutex
+
+	// Node-space growth, nil when the capacity is the ceiling.  capW is the
+	// published node capacity: nodes 1..capW are built.
+	capW     shmem.WritableCAS
+	appendMu sync.Mutex // serializes segment appends
+
+	splits  atomic.Int64 // directory doublings
+	appends atomic.Int64 // node-space segment appends
+	retries atomic.Int64 // threshold checks that found a split in progress
+
+	// tr is the flight recorder of a map built apps.WithTrace; nil means no
+	// tracing anywhere on the hot path.
+	tr *trace.Recorder
+}
+
+// NewMap builds a map for n processes with the given node capacity and
+// bucket count (rounded up to a power of two; pass 1 to force every key
+// into one run, as the deterministic scenarios do).  tagBits is only used by
+// the Tagged regime; both prot and tagBits are ignored when apps.WithMaker
+// supplies the guards.  With apps.WithGrowth the capacity and bucket count
+// are the initial ones.
+func NewMap(f shmem.Factory, n, capacity, buckets int, prot Protection, tagBits uint, opts ...apps.StructOption) (*Map, error) {
+	if n < 1 {
+		return nil, fmt.Errorf("kv: map needs n >= 1, got %d", n)
+	}
+	if capacity < 1 {
+		return nil, fmt.Errorf("kv: map needs capacity >= 1, got %d", capacity)
+	}
+	if buckets < 1 {
+		return nil, fmt.Errorf("kv: map needs buckets >= 1, got %d", buckets)
+	}
+	cfg := apps.ResolveStructOptions(f, n, prot, tagBits, opts)
+	if cfg.GrowTo > 0 && cfg.GrowTo < capacity {
+		return nil, fmt.Errorf("kv: growth ceiling %d below initial capacity %d", cfg.GrowTo, capacity)
+	}
+	maxCap, s0, maxBuckets := geometry(capacity, buckets, cfg.GrowTo)
+	m := &Map{
+		n:          n,
+		capacity:   capacity,
+		maxCap:     maxCap,
+		maxBuckets: maxBuckets,
+		maxHops:    maxCap + maxBuckets,
+		mask:       Word(s0 - 1),
+		linkBits:   LinkBits(capacity, buckets, cfg.GrowTo),
+		growing:    cfg.GrowTo > 0,
+		maker:      cfg.Maker,
+		fac:        f,
+
+		readRetries:   shmem.NewStripedCounter(),
+		readFallbacks: shmem.NewStripedCounter(),
+		tr:            cfg.Trace,
+	}
+	var err error
+	if m.nodes, err = shmem.NewSpine(capacity+1, maxCap+1, m.buildNode); err != nil {
+		return nil, err
+	}
+	m.nodes0 = m.nodes.First()
+	// Link the initial directory: dummy b's link names the dummy that sorts
+	// next, so all s0 runs are on the list before any operation.
+	if m.heads, err = shmem.NewSpine(s0, maxBuckets, func(b int) (guard.Guard, error) {
+		succ := Word(0)
+		if nb := nextDummy(b, s0); nb >= 0 {
+			succ = packLink(m.dummy(nb), false)
+		}
+		return m.buildHead(b, succ)
+	}); err != nil {
+		return nil, err
+	}
+	if g := m.heads.Get(0); !g.Conditional() {
+		return nil, fmt.Errorf("kv: map needs conditional guards; %s guard is detection-only", g.Regime())
+	}
+	if maxBuckets > s0 {
+		m.size = f.NewCAS("mgrow.size", Word(s0))
+		m.live = shmem.NewStripedCounter()
+	}
+	if maxCap > capacity {
+		m.capW = f.NewCAS("mgrow.cap", Word(capacity))
+	}
+	if m.pool, err = apps.NewPool(f, cfg, "map", n, capacity, maxCap, shmem.BitsFor(maxCap+1)); err != nil {
+		return nil, err
+	}
+	return m, nil
+}
+
+// buildNode builds node i's registers and link guard (node 0 is the null
+// index and has none).
+func (m *Map) buildNode(i int) (node, error) {
+	if i == 0 {
+		return node{}, nil
+	}
+	key := m.fac.NewRegister(fmt.Sprintf("mkey[%d]", i), 0)
+	val := m.fac.NewRegister(fmt.Sprintf("mval[%d]", i), 0)
+	next, err := m.maker(fmt.Sprintf("mnext[%d]", i), m.linkBits, 0)
+	if err != nil {
+		return node{}, fmt.Errorf("kv: map next[%d] guard: %w", i, err)
+	}
+	return node{key: key, val: val, next: next}, nil
+}
+
+// buildHead builds bucket b's guard: dummy b's link, initially succ.
+func (m *Map) buildHead(b int, succ Word) (guard.Guard, error) {
+	g, err := m.maker(fmt.Sprintf("mhead[%d]", b), m.linkBits, succ)
+	if err != nil {
+		return nil, fmt.Errorf("kv: map head[%d] guard: %w", b, err)
+	}
+	return g, nil
+}
+
+// dummy returns bucket b's dummy's list index.
+func (m *Map) dummy(b int) int { return m.maxCap + 1 + b }
+
+// node returns node i.  The constructed segment is a plain slice; grown
+// segments are reached through the spine, out of line.
+func (m *Map) node(i int) *node {
+	if i < len(m.nodes0) {
+		return &m.nodes0[i]
+	}
+	return m.nodes.At(i)
+}
+
 // NumProcs returns n.
 func (m *Map) NumProcs() int { return m.n }
 
-// Capacity returns the node-pool capacity — the current growth snapshot for
-// a map built apps.WithGrowth.
+// Capacity returns the node-pool capacity — the current one for a map whose
+// node space grows.
 func (m *Map) Capacity() int {
-	if m.grow != nil {
-		return m.grow.capacityNow(-1)
+	if m.capW != nil {
+		return int(m.capW.Read(-1))
 	}
 	return m.capacity
 }
 
 // MaxCapacity returns the node-capacity ceiling: the growth ceiling for a
 // map built apps.WithGrowth, the fixed capacity otherwise.
-func (m *Map) MaxCapacity() int {
-	if m.grow != nil {
-		return m.grow.maxCapacity
-	}
-	return m.capacity
-}
+func (m *Map) MaxCapacity() int { return m.maxCap }
 
 // Growing reports whether the map was built apps.WithGrowth.
-func (m *Map) Growing() bool { return m.grow != nil }
+func (m *Map) Growing() bool { return m.growing }
 
-// Buckets returns the bucket count — the current directory size for a map
-// built apps.WithGrowth.
+// Buckets returns the current directory size.
 func (m *Map) Buckets() int {
-	if m.grow != nil {
-		return int(m.grow.size.Read(-1))
+	if m.size != nil {
+		return int(m.size.Read(-1))
 	}
-	return m.buckets
+	return int(m.mask) + 1
 }
 
 // Protection returns the reference-guard regime.
-func (m *Map) Protection() Protection {
-	if m.grow != nil {
-		return m.grow.head.Get(0).Regime()
-	}
-	return m.head[0].Regime()
-}
+func (m *Map) Protection() Protection { return m.heads.Get(0).Regime() }
 
 // GuardMetrics returns the aggregated audit counters of every reference
 // guard (bucket heads and all next pointers).
 func (m *Map) GuardMetrics() guard.Metrics {
 	var agg guard.Metrics
-	if m.grow != nil {
-		for b := 0; b < m.grow.head.Len(); b++ {
-			agg = agg.Add(m.grow.head.Get(b).Metrics())
-		}
-		for i := 1; i < m.grow.next.Len(); i++ {
-			agg = agg.Add(m.grow.next.Get(i).Metrics())
-		}
-		return agg
+	for b := 0; b < m.heads.Len(); b++ {
+		agg = agg.Add(m.heads.Get(b).Metrics())
 	}
-	for _, g := range m.head {
-		agg = agg.Add(g.Metrics())
-	}
-	for i := 1; i < len(m.next); i++ {
-		agg = agg.Add(m.next[i].Metrics())
+	for i := 1; i < m.nodes.Len(); i++ {
+		agg = agg.Add(m.node(i).next.Metrics())
 	}
 	return agg
 }
@@ -235,34 +392,18 @@ func (m *Map) FreelistMetrics() guard.Metrics { return m.pool.Metrics() }
 // PoolStats returns the allocator's exhaustion and reclamation counters.
 func (m *Map) PoolStats() apps.PoolStats { return m.pool.Stats() }
 
-// bucket hashes k to its chain (murmur3 finalizer, deterministic).
-func (m *Map) bucket(k Word) int {
-	if m.mask == 0 {
-		return 0
-	}
-	return int(hash64(k) & m.mask)
-}
-
 // Handle returns process pid's handle.  Handles are single-goroutine.
 func (m *Map) Handle(pid int) (*Handle, error) {
 	if pid < 0 || pid >= m.n {
 		return nil, fmt.Errorf("kv: pid %d out of range [0,%d)", pid, m.n)
 	}
 	h := &Handle{
-		m:    m,
-		pid:  pid,
-		lane: shmem.StripeFor(pid),
-		ring: m.tr.Ring(pid),
-	}
-	if m.grow == nil {
-		h.head = make([]guard.Handle, m.buckets)
-		h.next = make([]guard.Handle, len(m.next))
-	} else {
-		// Growth mode: lazy per-guard handle tables, sized to the current
-		// spines and re-extended after a resize (handles are
-		// single-goroutine, so plain slice growth suffices).
-		h.headG = make([]guard.Handle, m.grow.head.Len())
-		h.nextG = make([]guard.Handle, m.grow.next.Len())
+		m:     m,
+		pid:   pid,
+		lane:  shmem.StripeFor(pid),
+		ring:  m.tr.Ring(pid),
+		links: make([]guard.Handle, len(m.nodes0)),
+		heads: make([]guard.Handle, m.heads.Len()),
 	}
 	var err error
 	if h.pool, err = m.pool.Handle(pid); err != nil {
@@ -279,19 +420,6 @@ func (m *Map) Handle(pid int) (*Handle, error) {
 	// a reclaimer already reads unprotected and value-blind on the mainline,
 	// so the fast path changes nothing there.
 	h.fastOK = !h.smr || m.Protection() != guard.Raw
-	if m.grow != nil {
-		return h, nil
-	}
-	for b := range m.head {
-		if h.head[b], err = m.head[b].Handle(pid); err != nil {
-			return nil, err
-		}
-	}
-	for i := 1; i < len(m.next); i++ {
-		if h.next[i], err = m.next[i].Handle(pid); err != nil {
-			return nil, err
-		}
-	}
 	return h, nil
 }
 
@@ -301,17 +429,17 @@ type Handle struct {
 	pid    int
 	lane   int  // read-counter stripe, shmem.StripeFor(pid)
 	fastOK bool // wait-free read fast path is sound for this configuration
-	head   []guard.Handle
-	next   []guard.Handle
 	pool   apps.PoolHandle
 	smr    bool        // pool defers releases: run the protect/revalidate fence
 	ring   *trace.Ring // nil without apps.WithTrace; Record on nil is a no-op
 
-	// Growth-mode state: lazy handle tables over the guard spines, plus the
-	// amortized threshold-check tick (see grow.go).
-	headG    []guard.Handle
-	nextG    []guard.Handle
-	growTick int
+	// This process's handles on the node links and the bucket guards, each
+	// made on its first use; the tables grow with the map (handles are
+	// single-goroutine, so plain slice growth suffices).
+	links []guard.Handle
+	heads []guard.Handle
+
+	growTick int // Puts since this handle's last threshold check
 
 	// ReadStall, when non-nil, runs inside every fast-path read attempt
 	// right after the key load and before the validating fence — the
@@ -319,13 +447,20 @@ type Handle struct {
 	// into.  Test/experiment hook, like DeleteBegin's split.
 	ReadStall func()
 
-	// MaxSpin bounds the traversal/retry steps of one operation; 0 means
-	// unbounded (the lock-free default).  A raw-guarded map that has been
-	// ABA-corrupted can acquire a cycle through a bucket chain, turning a
-	// traversal into a livelock — benchmark and race harnesses set a bound
-	// so a corrupted foil fails operations instead of hanging.
+	// SplitStall, when non-nil, runs inside every attempt to link a new
+	// dummy during a directory split, after the walk has armed the
+	// predecessor link and before the commit — the stall point of the resize
+	// corruption script.  Test/experiment hook.
+	SplitStall func()
+
+	// MaxSpin bounds the traversal/retry steps of one operation, and of each
+	// dummy link of a split; 0 means unbounded (the lock-free default).  A
+	// raw-guarded map that has been ABA-corrupted can acquire a cycle
+	// through the list, turning a traversal into a livelock — benchmark and
+	// race harnesses set a bound so a corrupted foil fails operations
+	// instead of hanging.
 	MaxSpin int
-	// spunOut records that a MaxSpin budget ran out: a chain is livelocked
+	// spunOut records that a MaxSpin budget ran out: the list is livelocked
 	// for this handle, and matrix workers stop issuing operations on it.
 	spunOut bool
 
@@ -341,6 +476,68 @@ type Handle struct {
 	// releases stay immediate, keeping the FIFO recycling order the
 	// deterministic corruption scripts depend on.
 	retireBuf []int
+}
+
+// link returns this process's handle on list index i's next link: node i's,
+// or for a dummy its bucket's guard.
+func (h *Handle) link(i int) guard.Handle {
+	if i < len(h.links) && h.links[i] != nil {
+		return h.links[i]
+	}
+	return h.linkSlow(i)
+}
+
+func (h *Handle) linkSlow(i int) guard.Handle {
+	if i > h.m.maxCap {
+		return h.head(i - h.m.maxCap - 1)
+	}
+	return h.makeHandle(&h.links, i, h.m.nodes.Len(), h.m.node(i).next)
+}
+
+// head returns this process's handle on bucket b's guard.
+func (h *Handle) head(b int) guard.Handle {
+	if b < len(h.heads) && h.heads[b] != nil {
+		return h.heads[b]
+	}
+	return h.headSlow(b)
+}
+
+func (h *Handle) headSlow(b int) guard.Handle {
+	return h.makeHandle(&h.heads, b, h.m.heads.Len(), h.m.heads.Get(b))
+}
+
+// makeHandle makes this process's handle on g and files it as entry i of
+// *tab, first growing the table to n entries if i is past its end.
+func (h *Handle) makeHandle(tab *[]guard.Handle, i, n int, g guard.Guard) guard.Handle {
+	if i >= len(*tab) {
+		*tab = append(*tab, make([]guard.Handle, n-len(*tab))...)
+	}
+	gh, err := g.Handle(h.pid)
+	if err != nil {
+		panic(fmt.Sprintf("kv: guard handle for pid %d: %v", h.pid, err)) // Map.Handle checked pid
+	}
+	(*tab)[i] = gh
+	return gh
+}
+
+// locate returns k's bucket under the current directory and k's sort key.
+// On a map that splits, the size read is a genuine shared-memory step; a
+// stale size is harmless — the list is fully sorted, so a walk from an older
+// (coarser) dummy still passes every node of the key's run.
+func (h *Handle) locate(k Word) (b int, sk Word) {
+	hk := hash64(k)
+	mask := h.m.mask
+	if h.m.size != nil {
+		mask = h.m.size.Read(h.pid) - 1
+	}
+	return int(hk & mask), hk | 1<<63
+}
+
+// addLive moves the live count a split's threshold check reads.
+func (h *Handle) addLive(d int64) {
+	if h.m.live != nil {
+		h.m.live.Add(h.lane, d)
+	}
 }
 
 // spent reports whether a bounded handle has used up its spin budget, and
@@ -364,45 +561,41 @@ func (h *Handle) endOp(miss bool) {
 		return
 	}
 	h.pool.Clear()
-	h.flushRetires()
+	if len(h.retireBuf) > 0 {
+		h.pool.ReleaseBatch(h.retireBuf)
+		h.retireBuf = h.retireBuf[:0]
+	}
 	if miss {
 		h.pool.Drain()
 	}
 }
 
-// flushRetires hands the operation's buffered kills to the pool in one
-// batch.  Callers that bypass endOp (the budget-exhausted put) call it
-// directly so no node is ever stranded in the private buffer.
-func (h *Handle) flushRetires() {
-	if len(h.retireBuf) > 0 {
-		h.pool.ReleaseBatch(h.retireBuf)
-		h.retireBuf = h.retireBuf[:0]
-	}
-}
-
-// retire hands a node the caller exclusively owns back to the pool.  Under
-// a reclaimer all protections are cleared first — this process's own hazard
-// or pin must not defer the retirement (callers restart their traversal
-// afterwards, so no stale trust survives the clear) — and the node joins
-// the operation's retire batch, flushed at the operation boundary.
+// retire hands back a node this process unlinked (or never linked).
+// Without a reclaimer it is free at once.  Under a reclaimer it joins the
+// operation's retire batch: it is unreachable and not yet allocatable (the
+// buffer is private), so deferring the retirement to the operation boundary
+// only delays reuse, never safety — and the batch is flushed after endOp's
+// Clear, so this process's own protections cannot defer it.
 func (h *Handle) retire(idx int) {
 	if h.smr {
-		h.pool.Clear()
 		h.retireBuf = append(h.retireBuf, idx)
 		return
 	}
 	h.pool.Release(idx)
 }
 
-// seek walks bucket b looking for the (skip+1)-th live node with key k,
-// helping unlink any marked node it passes.  On return:
+// seek walks bucket b's run looking for key k (sort key sk), helping unlink
+// every marked node it passes.  It stops at the first live node that is
+// either the (skip+1)-th live k-node or sorts after k — or, when sk is a
+// dummy's sort key, at that dummy.  On return:
 //
-//   - prev is the guard handle of the link pointing at cur (a bucket head
+//   - prev is the guard handle of the link pointing at cur (a bucket guard
 //     or a predecessor's next pointer), armed by its last Load — ready for
-//     the caller's mark-then-unlink commits;
-//   - cur is the matching node (0 when no such match exists, in which case
-//     prev is armed at the end of the chain);
-//   - curNext is cur's packed next word as loaded (unmarked);
+//     the caller's insert, mark or unlink commit;
+//   - cur is the node seek stopped at (0 at the end of the list);
+//   - curNext is cur's next word as loaded (unmarked; 0 for a dummy), which
+//     leaves cur's own link armed;
+//   - found reports that cur is the node sought;
 //   - ok is false when the spin budget ran out.
 //
 // The traversal follows the Load → Protect → Validate → dereference fence:
@@ -410,26 +603,37 @@ func (h *Handle) retire(idx int) {
 // protection slots (alternating, so the predecessor stays covered) and the
 // predecessor link is re-validated after the publish; without a reclaimer
 // the dependent reads are validated after the fact, which the sound regimes
-// turn into a restart whenever the chain moved underneath — and the raw
-// regime can only compare values, which is the §1 vulnerability.
-func (h *Handle) seek(b int, k Word, skip int, spins *int) (prev guard.Handle, cur int, curNext Word, ok bool) {
+// turn into a restart whenever the list moved underneath — and the raw
+// regime can only compare values, which is the §1 vulnerability.  Dummies
+// are never marked, freed or recycled, so reaching one needs no fence.
+func (h *Handle) seek(b int, k, sk Word, skip int, spins *int) (prev guard.Handle, cur int, curNext Word, found, ok bool) {
+	m := h.m
 retry:
 	for {
 		if h.spent(*spins) {
-			return nil, 0, 0, false
+			return nil, 0, 0, false, false
 		}
 		*spins++
-		prev = h.head[b]
+		prev = h.head(b)
 		prevW, _ := prev.Load()
 		slot, remaining := 0, skip
 		for {
 			if h.spent(*spins) {
-				return nil, 0, 0, false
+				return nil, 0, 0, false, false
 			}
 			*spins++
 			cur = linkIdx(prevW)
 			if cur == 0 {
-				return prev, 0, 0, true
+				return prev, 0, 0, false, true
+			}
+			if cur > m.maxCap {
+				if cs := sortKeyDummy(cur - m.maxCap - 1); cs == sk || after(cs, sk) {
+					return prev, cur, 0, cs == sk, true
+				}
+				// A dummy of a directory newer than this walk's: pass it.
+				prev = h.link(cur)
+				prevW, _ = prev.Load()
+				continue
 			}
 			if h.smr {
 				h.pool.Protect(slot, cur)
@@ -437,8 +641,8 @@ retry:
 					continue retry // cur moved before the protection was visible
 				}
 			}
-			curNext, _ = h.next[cur].Load()
-			ck := h.m.key[cur].Read(h.pid)
+			curNext, _ = h.link(cur).Load()
+			ck := m.node(cur).key.Read(h.pid)
 			if !h.smr && !prev.Validate() {
 				// Without a reclaimer the node could have been unlinked and
 				// recycled between the loads; a changed predecessor link is
@@ -453,13 +657,15 @@ retry:
 				if !prev.Commit(curNext &^ 1) {
 					continue retry
 				}
-				h.release(cur, slot)
+				h.retire(cur)
 				prevW, _ = prev.Load() // re-arm prev, continue in place
 				continue
 			}
-			if ck == k {
+			if cs := sortKeyData(ck); after(cs, sk) {
+				return prev, cur, curNext, false, true
+			} else if cs == sk && ck == k {
 				if remaining == 0 {
-					return prev, cur, curNext, true
+					return prev, cur, curNext, true, true
 				}
 				remaining--
 			}
@@ -467,57 +673,41 @@ retry:
 			// already armed by the Load above.  The slots alternate so the
 			// new predecessor stays protected while the next node is
 			// published into the slot its own predecessor vacated.
-			prev = h.next[cur]
+			prev = h.link(cur)
 			prevW = curNext
 			slot ^= 1
 		}
 	}
 }
 
-// release returns a node this process just unlinked mid-traversal.  The
-// node's own protection slot is dropped first (a published index would
-// defer its retirement against ourselves); the other slot — still covering
-// the predecessor — stays up because the traversal continues from it.
-// Under a reclaimer the node joins the operation's retire batch: it is
-// unreachable and not yet allocatable (the buffer is private), so deferring
-// the retirement to the operation boundary only delays reuse, never safety.
-func (h *Handle) release(idx, slot int) {
-	if h.smr {
-		h.pool.Protect(slot, 0)
-		h.retireBuf = append(h.retireBuf, idx)
-		return
-	}
-	h.pool.Release(idx)
-}
-
 // Get returns the value bound to k.
 //
-// The common case is the wait-free seqlock fast path (getFast): an
-// unprotected traversal whose key/value snapshot is accepted only if the
-// link guards still validate — no hazard slot, no epoch pin, no retire
-// drain, no allocation, and on a clean read not a single shared write.
-// After fastGetRetries torn attempts Get falls back to the guarded
-// traversal (counted in MapAudit.ReadFallbacks), which is lock-free and
-// helps unlink, so progress is never worse than before the fast path.
+// The common case is the wait-free seqlock fast path (tryGetFast): an
+// unprotected walk whose key/value snapshot is accepted only if the link
+// guards still validate — no hazard slot, no epoch pin, no retire drain, no
+// allocation, and on a clean read not a single shared write.  After
+// fastGetRetries torn attempts Get falls back to the guarded traversal
+// (counted in MapAudit.ReadFallbacks), which is lock-free and helps unlink,
+// so progress is never worse than before the fast path.
 func (h *Handle) Get(k Word) (Word, bool) {
-	if h.m.grow != nil {
-		return h.getGrow(k)
-	}
+	b, sk := h.locate(k)
 	if h.fastOK {
-		if v, ok, done := h.getFast(k); done {
-			return v, ok
+		for attempt := 0; attempt < fastGetRetries; attempt++ {
+			if v, ok, clean := h.tryGetFast(b, k, sk); clean {
+				return v, ok
+			}
+			h.m.readRetries.Add(h.lane, 1) // one bump per torn attempt
 		}
 		h.m.readFallbacks.Add(h.lane, 1)
 	}
-	b := h.m.bucket(k)
 	spins := 0
 	for {
-		prev, cur, _, ok := h.seek(b, k, 0, &spins)
-		if !ok || cur == 0 {
+		prev, cur, _, found, ok := h.seek(b, k, sk, 0, &spins)
+		if !ok || !found {
 			h.endOp(true)
 			return 0, false
 		}
-		v := h.m.val[cur].Read(h.pid)
+		v := h.m.node(cur).val.Read(h.pid)
 		if !h.smr && !prev.Validate() {
 			continue // the node moved while we read it: retry
 		}
@@ -532,71 +722,65 @@ func (h *Handle) Get(k Word) (Word, bool) {
 // degrades to the lock-free mainline instead of starving the read.
 const fastGetRetries = 3
 
-// getFast runs the seqlock read protocol over the bucket chain.  done=false
-// means every attempt was torn and the caller must take the guarded path.
-func (h *Handle) getFast(k Word) (v Word, ok, done bool) {
-	b := h.m.bucket(k)
-	for attempt := 0; attempt < fastGetRetries; attempt++ {
-		if v, ok, clean := h.tryGetFast(b, k); clean {
-			return v, ok, true
-		}
-		h.m.readRetries.Add(h.lane, 1) // one bump per torn attempt
-	}
-	return 0, false, false
-}
-
-// tryGetFast is one wait-free attempt: walk the chain reading links, keys,
+// tryGetFast is one wait-free attempt: walk the run reading links, keys,
 // and — on a match — the value, accepting each dependent read only if the
 // link it hangs off still validates (the seqlock fence; guard.ReadConsistent
 // is this protocol for a single reference, inlined here because the payload
-// spans a chain).  clean=false reports a torn attempt.
+// spans a list).  clean=false reports a torn attempt.
 //
 // The walk takes no protection slot: nodes are array indices, so a recycled
 // node is readable garbage, never a dangling pointer, and the validating
 // fence rejects the garbage.  Marked nodes are skipped, not helped — the
 // read path must not write.  The hop bound covers the one structural hazard
-// validation cannot see mid-walk: a chain that acquired a cycle (possible
-// only after a raw-regime corruption) or grew past capacity under
-// concurrent inserts, either of which just turns the attempt torn.
-func (h *Handle) tryGetFast(b int, k Word) (v Word, ok, clean bool) {
-	prev := h.head[b]
+// validation cannot see mid-walk: a list that acquired a cycle (possible
+// only after a raw-regime corruption), which just turns the attempt torn.
+func (h *Handle) tryGetFast(b int, k, sk Word) (v Word, ok, clean bool) {
+	m := h.m
+	prev := h.head(b)
 	prevW, _ := prev.Load()
 	for hops := 0; ; hops++ {
 		cur := linkIdx(prevW)
-		if cur == 0 {
-			// Miss: accept only if the final link is still current.
-			if !prev.Validate() {
-				return 0, false, false
-			}
-			return 0, false, true
+		if cur == 0 || cur > m.maxCap && after(sortKeyDummy(cur-m.maxCap-1), sk) {
+			// Miss at the end of the run: accept only if the final link is
+			// still current.
+			return 0, false, prev.Validate()
 		}
-		if hops > h.m.capacity || h.spent(hops) {
+		if hops > m.maxHops || h.spent(hops) {
 			return 0, false, false
 		}
-		curNext, _ := h.next[cur].Load()
-		ck := h.m.key[cur].Read(h.pid)
+		if cur > m.maxCap {
+			// A dummy of a directory newer than this walk's: pass it.
+			prev = h.link(cur)
+			prevW, _ = prev.Load()
+			continue
+		}
+		n := m.node(cur)
+		curNext, _ := h.link(cur).Load()
+		ck := n.key.Read(h.pid)
 		if h.ReadStall != nil {
 			h.ReadStall()
 		}
+		hit := ck == k && !linkMarked(curNext)
+		if hit {
+			v = n.val.Read(h.pid)
+		}
 		// The fence: prev's link is unchanged since its Load, so cur was
-		// linked at this position across both reads and its key/next belong
-		// to this chain state (exact under the sound regimes; value-blind
-		// under raw, the §1 caveat).
+		// linked at this position across every read of it, and its next,
+		// key and value belong to this list state — key and value are
+		// immutable while linked, so on a hit the pair is a consistent
+		// snapshot (exact under the sound regimes; value-blind under raw,
+		// the §1 caveat).
 		if !prev.Validate() {
 			return 0, false, false
 		}
-		if !linkMarked(curNext) && ck == k {
-			v = h.m.val[cur].Read(h.pid)
-			// Key and value are immutable while linked; a second fence on
-			// prev proves cur stayed linked across the value read, so the
-			// (key, value) pair is a consistent snapshot.
-			if !prev.Validate() {
-				return 0, false, false
-			}
+		if hit {
 			return v, true, true
 		}
+		if after(sortKeyData(ck), sk) {
+			return 0, false, true // walked past k's position: a validated miss
+		}
 		// Advance: cur's next handle is armed by its Load above.
-		prev, prevW = h.next[cur], curNext
+		prev, prevW = h.link(cur), curNext
 	}
 }
 
@@ -604,53 +788,84 @@ func (h *Handle) tryGetFast(b int, k Word) (v Word, ok, clean bool) {
 // MaxSpin budget ran out) — a fresh node is needed even to overwrite, since
 // keys and values are immutable per node.
 func (h *Handle) Put(k, v Word) bool {
-	if h.m.grow != nil {
-		return h.putG(k, v)
-	}
-	idx := h.pool.Alloc()
+	idx := h.allocNode()
 	if idx == 0 {
 		h.endOp(true)
 		return false
 	}
-	h.m.key[idx].Write(h.pid, k)
-	h.m.val[idx].Write(h.pid, v)
-	b := h.m.bucket(k)
+	n := h.m.node(idx)
+	n.key.Write(h.pid, k)
+	n.val.Write(h.pid, v)
+	b, sk := h.locate(k)
 	spins := 0
+	var (
+		cur     int
+		curNext Word
+		found   bool
+	)
 	for {
-		if h.spent(spins) {
+		var prev guard.Handle
+		var ok bool
+		if prev, cur, curNext, found, ok = h.seek(b, k, sk, 0, &spins); !ok {
 			h.retire(idx) // never linked: hand the node straight back
-			h.flushRetires()
+			h.endOp(false)
 			return false
 		}
-		spins++
-		headW, _ := h.head[b].Load()
 		// Reset the recycled node's link; only we touch an unlinked node.
-		h.next[idx].Store(headW)
-		if h.head[b].Commit(packLink(idx, false)) {
+		// When the insert will shadow a binding, re-arm the link before it
+		// is published, so the kill below can unlink through it only while
+		// it still names cur.
+		nl := h.link(idx)
+		nl.Store(packLink(cur, false))
+		if found {
+			nl.Load()
+		}
+		// Committing prev from cur to idx proves cur was still prev's
+		// successor — the insert is the same conditional shape as the
+		// unlink, and as ABA-exposed under raw.
+		if prev.Commit(packLink(idx, false)) {
 			break // linearized: the new binding shadows any older one
 		}
+	}
+	h.addLive(1)
+	if found {
+		h.killShadowed(idx, cur, curNext)
 	}
 	// Kill older duplicates: every live k-node behind the first live match
 	// (which may be ours, or an even newer Put's) is marked and unlinked, so
 	// the steady state is one live node per key and the pool cannot leak.
-	h.sweep(b, k, 1, &spins)
+	h.sweep(b, k, sk, 1, &spins)
 	h.endOp(false)
+	h.maybeGrow()
 	return true
+}
+
+// killShadowed kills cur, the binding Put just linked idx in front of,
+// through links already armed: the mark commits against the insert walk's
+// load of cur's link, and the unlink against Put's load of idx's own link
+// before idx was published.  Either commit fails if its link moved; the
+// sweep that follows then finishes the kill.
+func (h *Handle) killShadowed(idx, cur int, curNext Word) {
+	if !h.link(cur).Commit(curNext | 1) {
+		return
+	}
+	h.addLive(-1)
+	if h.link(idx).Commit(curNext) {
+		h.retire(cur)
+	}
 }
 
 // Delete removes k's binding.  It reports whether any binding was removed.
 func (h *Handle) Delete(k Word) bool {
-	if h.m.grow != nil {
-		return h.delG(k)
-	}
+	b, sk := h.locate(k)
 	spins := 0
-	deleted := h.sweep(h.m.bucket(k), k, 0, &spins)
+	deleted := h.sweep(b, k, sk, 0, &spins)
 	h.endOp(!deleted)
 	return deleted
 }
 
 // sweep marks and unlinks every live k-node past the first `keep` live
-// matches, restarting from the bucket head after each kill.  It reports
+// matches, restarting from the bucket guard after each kill.  It reports
 // whether it killed at least one node.
 //
 // Kill order matters: the first live match is the visible binding, and an
@@ -660,26 +875,27 @@ func (h *Handle) Delete(k Word) bool {
 // until the sweep reaches it.  So a keep=0 sweep first runs itself at
 // keep=1, killing every shadowed duplicate (those deaths are invisible:
 // the binding still shadows the position), and only then touches the
-// binding.  Inserts happen only at the bucket head, so no new duplicate
-// can appear *behind* the binding after that pass — the deep side of the
-// chain only ever shrinks.
-func (h *Handle) sweep(b int, k Word, keep int, spins *int) bool {
+// binding.  A Put links its node immediately before the first live k-node,
+// so no new duplicate can appear *behind* the binding after that pass — the
+// deep side of the run only ever shrinks.
+func (h *Handle) sweep(b int, k, sk Word, keep int, spins *int) bool {
 	killed := false
 	for {
-		if keep == 0 && h.sweep(b, k, 1, spins) {
+		if keep == 0 && h.sweep(b, k, sk, 1, spins) {
 			killed = true // shadowed duplicates died first; re-probe
 		}
-		prev, cur, curNext, ok := h.seek(b, k, keep, spins)
-		if !ok || cur == 0 {
+		prev, cur, curNext, found, ok := h.seek(b, k, sk, keep, spins)
+		if !ok || !found {
 			return killed
 		}
 		// Logical delete: set the mark bit on cur's own next pointer.  The
 		// commit is armed by seek's Load, so it fails if the link moved —
 		// and the mark freezes the link, which is what makes the following
 		// unlink safe against concurrent unlinks of the successor.
-		if !h.next[cur].Commit(curNext | 1) {
+		if !h.link(cur).Commit(curNext | 1) {
 			continue
 		}
+		h.addLive(-1)
 		killed = true
 		// Physical unlink.  On failure the node stays marked and any later
 		// traversal helps; on success the node is exclusively ours.
@@ -700,20 +916,19 @@ func (h *Handle) sweep(b int, k Word, keep int, spins *int) bool {
 // the stall, so it cannot re-enter the allocator — and therefore cannot be
 // recycled back under the predecessor link — until the commit clears it.
 func (h *Handle) DeleteBegin(k Word) (cur, succ int, found bool) {
-	if h.m.grow != nil {
-		return h.deleteBeginG(k)
-	}
+	b, sk := h.locate(k)
 	spins := 0
 	for {
-		prev, c, curNext, ok := h.seek(h.m.bucket(k), k, 0, &spins)
-		if !ok || c == 0 {
+		prev, c, curNext, found, ok := h.seek(b, k, sk, 0, &spins)
+		if !ok || !found {
 			h.pendingPrev, h.pendingCur, h.pendingSucc = nil, 0, 0
 			h.endOp(true)
 			return 0, 0, false
 		}
-		if !h.next[c].Commit(curNext | 1) {
+		if !h.link(c).Commit(curNext | 1) {
 			continue
 		}
+		h.addLive(-1)
 		h.pendingPrev, h.pendingCur, h.pendingSucc = prev, c, curNext&^1
 		h.ring.Record(trace.KindOpBegin, trace.NameDelete, uint64(c), uint64(linkIdx(curNext)))
 		return c, linkIdx(curNext), true
@@ -744,11 +959,150 @@ func (h *Handle) DeleteCommit() bool {
 	return true
 }
 
+// allocNode allocates a node, appending a node segment when the pool is
+// empty, until the ceiling.  Re-reading the capacity before each attempt is
+// what keeps the exhaustion report honest mid-append — Alloc failing against
+// capacity another process already extended must retry, not report a false
+// "exhausted".
+func (h *Handle) allocNode() int {
+	for {
+		seen := h.m.Capacity()
+		if idx := h.pool.Alloc(); idx != 0 {
+			return idx
+		}
+		if !h.m.growNodes(h.pid, seen) {
+			return 0
+		}
+	}
+}
+
+// growNodes appends a node segment: double the capacity (clamped to the
+// ceiling), build the new nodes, publish the capacity word, then release the
+// indices through the pool.  The order is the whole protocol — a pool can
+// only hand out an index whose node is built and whose capacity word covers
+// it.  `seen` is the capacity the caller failed its Alloc against; if the
+// map has already grown past it, the append is skipped and the caller just
+// retries.  pid is the growing process.
+func (m *Map) growNodes(pid, seen int) bool {
+	if m.capW == nil {
+		return false
+	}
+	m.appendMu.Lock()
+	defer m.appendMu.Unlock()
+	cur := m.Capacity()
+	if cur > seen {
+		return true // a concurrent append beat us: retry the alloc
+	}
+	if cur >= m.maxCap {
+		return false
+	}
+	newCap := min(cur*2, m.maxCap)
+	if _, err := m.nodes.Grow(newCap+1, m.buildNode); err != nil {
+		return false
+	}
+	m.capW.Write(-1, Word(newCap))
+	if _, err := m.pool.Grow(pid, newCap); err != nil {
+		return false
+	}
+	m.appends.Add(1)
+	return true
+}
+
+// maybeGrow is Put's amortized threshold check: every growCheckEvery puts,
+// sum the striped live counter and double the directory when the average
+// run would exceed growThreshold.
+func (h *Handle) maybeGrow() {
+	m := h.m
+	if m.live == nil {
+		return
+	}
+	h.growTick++
+	if h.growTick < growCheckEvery {
+		return
+	}
+	h.growTick = 0
+	if s := int(m.size.Read(h.pid)); s < m.maxBuckets && m.live.Load() > int64(s*growThreshold) {
+		h.splitFrom(s)
+	}
+}
+
+// GrowBuckets doubles the directory once, whatever the live count, unless it
+// is at its ceiling or another process is splitting it; it reports whether
+// the directory doubled.  It is the forced form of Put's threshold split,
+// for tests and scripts.
+func (h *Handle) GrowBuckets() bool {
+	if h.m.size == nil {
+		return false
+	}
+	return h.splitFrom(int(h.m.size.Read(h.pid)))
+}
+
+// splitFrom doubles a directory of s buckets: it links dummies s..2s-1 into
+// their parents' runs, then publishes size 2s.  No data node moves, and an
+// operation that read the old size walks through the new dummies like any
+// other node.  The split mutex is only ever taken with TryLock, so no
+// operation waits on a split: a threshold check that finds one in progress
+// counts a resize retry and carries on.  A split whose spin budget runs out
+// leaves its linked dummies on the list, unpublished; the next split skips
+// them.
+func (h *Handle) splitFrom(s int) bool {
+	m := h.m
+	if s >= m.maxBuckets {
+		return false
+	}
+	if !m.split.TryLock() {
+		m.retries.Add(1)
+		return false
+	}
+	defer m.split.Unlock()
+	if int(m.size.Read(h.pid)) != s {
+		return false // another split published since the caller read s
+	}
+	if _, err := m.heads.Grow(2*s, func(b int) (guard.Guard, error) { return m.buildHead(b, 0) }); err != nil {
+		return false
+	}
+	ok := true
+	for b := s; b < 2*s && ok; b++ {
+		ok = h.linkDummy(b)
+	}
+	h.endOp(false)
+	if !ok {
+		return false
+	}
+	m.size.Write(h.pid, Word(2*s))
+	m.splits.Add(1)
+	return true
+}
+
+// linkDummy links dummy b at its sorted position in its parent bucket's run,
+// with a spin budget of its own: a split links S dummies, and one budget for
+// all of them would make a large split fail where any operation succeeds.
+func (h *Handle) linkDummy(b int) bool {
+	d, sk, own := h.m.dummy(b), sortKeyDummy(b), h.head(b)
+	spins := 0
+	for {
+		prev, cur, _, found, ok := h.seek(parentBucket(b), 0, sk, 0, &spins)
+		if !ok {
+			return false
+		}
+		if found {
+			return true // linked by an earlier split that ran out of budget
+		}
+		own.Store(packLink(cur, false))
+		if h.SplitStall != nil {
+			h.SplitStall()
+		}
+		if prev.Commit(packLink(d, false)) {
+			return true
+		}
+	}
+}
+
 // MapAudit is a quiescent-state structural check.
 type MapAudit struct {
-	// Live is the number of unmarked nodes reachable from a bucket head.
+	// Live is the number of unmarked data nodes on the list.
 	Live int
-	// Marked is the number of logically deleted nodes still chained.
+	// Marked is the number of logically deleted nodes still linked.
 	Marked int
 	// InFree is the number of nodes in the allocator's free set (limbo
 	// included).
@@ -758,7 +1112,7 @@ type MapAudit struct {
 	Doubled []int
 	// Lost is the number of nodes neither reachable nor free (leaked).
 	Lost int
-	// Cycle reports whether some bucket chain contains a cycle.
+	// Cycle reports whether the list contains a cycle.
 	Cycle bool
 	// ReadRetries is the number of torn wait-free read attempts that
 	// restarted (each is a write the seqlock fence caught mid-read).
@@ -767,19 +1121,18 @@ type MapAudit struct {
 	// retry budget and fell back to the guarded traversal.
 	ReadFallbacks int64
 
-	// Growth-mode fields (zero for a fixed-capacity map).
-	//
-	// Dummies is the number of split-order dummy nodes on the global list.
+	// Dummies is the number of bucket dummies on the list.
 	Dummies int
 	// Disordered reports a split-order violation: some node's sort key is
 	// below its predecessor's — structural damage only an ABA (or a resize
 	// bug) can cause.
 	Disordered bool
-	// BadShortcuts counts initialized bucket shortcuts that don't land on
-	// their own, list-linked dummy.
+	// BadShortcuts counts directory buckets whose dummy the list does not
+	// reach exactly once.
 	BadShortcuts int
 	// Splits counts directory doublings; SegmentAppends counts node-space
-	// extensions; ResizeRetries counts lost resize CAS races.
+	// extensions; ResizeRetries counts threshold checks that found a split
+	// already in progress.
 	Splits, SegmentAppends, ResizeRetries int64
 }
 
@@ -788,44 +1141,67 @@ func (a MapAudit) Corrupt() bool {
 	return len(a.Doubled) > 0 || a.Lost > 0 || a.Cycle || a.Disordered || a.BadShortcuts > 0
 }
 
-// String renders the audit result.
+// String renders the audit result; the split-order fields appear once the
+// map has grown or when they report damage.
 func (a MapAudit) String() string {
 	s := fmt.Sprintf("live=%d marked=%d inFree=%d doubled=%v lost=%d cycle=%v",
 		a.Live, a.Marked, a.InFree, a.Doubled, a.Lost, a.Cycle)
 	if a.ReadRetries > 0 || a.ReadFallbacks > 0 {
 		s += fmt.Sprintf(" readRetries=%d readFallbacks=%d", a.ReadRetries, a.ReadFallbacks)
 	}
-	if a.Dummies > 0 || a.Splits > 0 || a.SegmentAppends > 0 {
+	if a.Splits > 0 || a.SegmentAppends > 0 || a.Disordered || a.BadShortcuts > 0 {
 		s += fmt.Sprintf(" dummies=%d disordered=%v badShortcuts=%d splits=%d appends=%d resizeRetries=%d",
 			a.Dummies, a.Disordered, a.BadShortcuts, a.Splits, a.SegmentAppends, a.ResizeRetries)
 	}
 	return s
 }
 
-// Audit walks every bucket chain and the free set.  Call only at quiescence
-// (no handle mid-operation); it reads with the observer pid, taking no
+// Audit walks the whole list from bucket 0's dummy, verifying split order,
+// then checks the directory and the free set.  Call only at quiescence (no
+// handle mid-operation); it reads with the observer pid, taking no
 // scheduled steps under the simulator.
 func (m *Map) Audit() MapAudit {
-	if m.grow != nil {
-		return m.auditG()
-	}
 	var a MapAudit
-	seen := make(map[int]int, m.capacity)
-	for b := range m.head {
-		cur := linkIdx(m.head[b].Peek(-1))
-		for hops := 0; cur != 0; hops++ {
-			if hops > m.capacity {
-				a.Cycle = true
+	capNow, s := m.Capacity(), m.Buckets()
+	seen := make(map[int]int, capNow)
+	reached := make([]int, m.heads.Len())
+	reached[0] = 1 // the walk starts at dummy 0
+	a.Dummies = 1
+	cur := linkIdx(m.heads.Get(0).Peek(-1))
+	last := Word(0)
+	for hops := 0; cur != 0; hops++ {
+		if hops > m.maxHops {
+			a.Cycle = true
+			break
+		}
+		var w, cs Word
+		if b := cur - m.maxCap - 1; b >= 0 {
+			if b >= len(reached) {
+				a.BadShortcuts++ // a link naming a dummy no split has built
 				break
 			}
+			reached[b]++
+			a.Dummies++
+			w, cs = m.heads.Get(b).Peek(-1), sortKeyDummy(b)
+		} else {
 			seen[cur]++
-			w := m.next[cur].Peek(-1)
+			n := m.node(cur)
+			w, cs = n.next.Peek(-1), sortKeyData(n.key.Read(-1))
 			if linkMarked(w) {
 				a.Marked++
 			} else {
 				a.Live++
 			}
-			cur = linkIdx(w)
+		}
+		if after(last, cs) {
+			a.Disordered = true
+		}
+		last = cs
+		cur = linkIdx(w)
+	}
+	for b := 0; b < s; b++ {
+		if reached[b] != 1 {
+			a.BadShortcuts++
 		}
 	}
 	for _, idx := range m.pool.Snapshot() {
@@ -837,7 +1213,10 @@ func (m *Map) Audit() MapAudit {
 			a.Doubled = append(a.Doubled, idx)
 		}
 	}
-	a.Lost = m.capacity - len(seen)
+	a.Lost = capNow - len(seen)
+	a.Splits = m.splits.Load()
+	a.SegmentAppends = m.appends.Load()
+	a.ResizeRetries = m.retries.Load()
 	a.ReadRetries = m.readRetries.Load()
 	a.ReadFallbacks = m.readFallbacks.Load()
 	return a

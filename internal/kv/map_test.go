@@ -3,6 +3,7 @@ package kv
 import (
 	"fmt"
 	"runtime"
+	"sort"
 	"strings"
 	"sync"
 	"testing"
@@ -334,18 +335,22 @@ func TestMapMaxSpinBails(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for k := 0; k < 4; k++ {
-		if !h.Put(Word(k), Word(k)) {
+	keys := []Word{1, 2, 3, 4}
+	for _, k := range keys {
+		if !h.Put(k, k) {
 			t.Fatal("setup put failed")
 		}
 	}
-	h.MaxSpin = 2 // too small to reach the chain's tail (key 0, 4 hops deep)
-	if _, ok := h.Get(0); ok {
-		t.Error("budgeted Get deep into the chain should bail")
+	// The run is sorted by split order: the last key sorts deepest.
+	sort.Slice(keys, func(i, j int) bool { return after(sortKeyData(keys[j]), sortKeyData(keys[i])) })
+	deep := keys[len(keys)-1]
+	h.MaxSpin = 2 // too small to reach the run's tail (deep, 4 hops in)
+	if _, ok := h.Get(deep); ok {
+		t.Error("budgeted Get deep into the run should bail")
 	}
 	h.MaxSpin = 0
-	if v, ok := h.Get(0); !ok || v != 0 {
-		t.Errorf("unbounded Get(0) = (%d,%v)", v, ok)
+	if v, ok := h.Get(deep); !ok || v != deep {
+		t.Errorf("unbounded Get(%d) = (%d,%v)", deep, v, ok)
 	}
 	if a := m.Audit(); a.Corrupt() {
 		t.Errorf("bailing corrupted the map: %s", a)
@@ -353,11 +358,12 @@ func TestMapMaxSpinBails(t *testing.T) {
 }
 
 func TestMapWorkerStopsAfterSpinBudget(t *testing.T) {
-	// A raw map whose hot-key bucket holds a two-node next-cycle livelocks
-	// every lookup of that bucket: the traversal chases the cycle until
-	// MaxSpin runs out.  The matrix worker must pay that budget once and
-	// then stop issuing operations, reporting the skipped ones, instead of
-	// re-spending the whole budget on every later op of that bucket.
+	// A raw map whose hot-key bucket holds a two-node next-cycle of keys
+	// that sort before the hot key livelocks every lookup of that key: the
+	// traversal chases the cycle until MaxSpin runs out.  The matrix worker
+	// must pay that budget once and then stop issuing operations, reporting
+	// the skipped ones, instead of re-spending the whole budget on every
+	// later op of that bucket.
 	f := shmem.NewCounting(shmem.NewNativeFactory(), 2)
 	inst, err := NewMapInstance(f, 2, 8, guard.NewMaker(f, 2, guard.Raw, 0), apps.InstanceOptions{})
 	if err != nil {
@@ -368,12 +374,20 @@ func TestMapWorkerStopsAfterSpinBudget(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// Two keys the walk for the hot key 1 passes rather than stops at.
+	var cycle []Word
+	for k := Word(1000); len(cycle) < 2; k++ {
+		if after(sortKeyData(1), sortKeyData(k)) {
+			cycle = append(cycle, k)
+		}
+	}
 	a, b := h.pool.Alloc(), h.pool.Alloc()
-	m.key[a].Write(1, 1000)
-	m.key[b].Write(1, 1001)
-	h.next[a].Store(Word(b) << 1)
-	h.next[b].Store(Word(a) << 1)
-	h.head[m.bucket(1)].Store(Word(a) << 1) // the worker's hot key
+	m.node(a).key.Write(1, cycle[0])
+	m.node(b).key.Write(1, cycle[1])
+	h.link(a).Store(Word(b) << 1)
+	h.link(b).Store(Word(a) << 1)
+	hot, _ := h.locate(1)
+	h.head(hot).Store(Word(a) << 1) // the worker's hot key
 
 	step, err := inst.Worker(0)
 	if err != nil {

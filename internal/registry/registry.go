@@ -286,11 +286,11 @@ var impls = []Impl{
 	{
 		ID:           "map",
 		Kind:         KindStructure,
-		Summary:      "lock-free hash map: guarded buckets and marked links over a recycled node pool; grows split-ordered to a ceiling",
+		Summary:      "lock-free split-ordered hash map: each bucket's guard is its dummy's link, marked links over a recycled node pool; grows to a ceiling",
 		Theorem:      "§1 motivation (Michael [25] / Shalev–Shachnai split-ordered hash map)",
-		Space:        "B + 2·cap guards + 3·cap registers (cap, B grow geometrically to the ceiling)",
+		Space:        "B + cap guards + 2·cap registers, plus 2 words when the map can grow (cap, B grow geometrically to the ceiling)",
 		SpaceFn:      func(n int) int { return 0 }, // capacity/bucket-dependent, not m(n)
-		Steps:        "O(chain) + guard per link hop",
+		Steps:        "O(run) + guard per link hop",
 		Bounded:      true,
 		Correct:      true,
 		NewStructure: kv.NewMapInstance,

@@ -7,7 +7,7 @@ import (
 )
 
 func TestSpineBasic(t *testing.T) {
-	s, err := NewSpine(5, func(i int) (int, error) { return i * 10, nil })
+	s, err := NewSpine(5, 5, func(i int) (int, error) { return i * 10, nil })
 	if err != nil {
 		t.Fatalf("NewSpine: %v", err)
 	}
@@ -22,7 +22,7 @@ func TestSpineBasic(t *testing.T) {
 }
 
 func TestSpineGrowGeometric(t *testing.T) {
-	s, err := NewSpine(3, func(i int) (int, error) { return i, nil })
+	s, err := NewSpine(3, 100, func(i int) (int, error) { return i, nil })
 	if err != nil {
 		t.Fatalf("NewSpine: %v", err)
 	}
@@ -44,8 +44,21 @@ func TestSpineGrowGeometric(t *testing.T) {
 	}
 }
 
+func TestSpineGrowPastMaxLen(t *testing.T) {
+	s, err := NewSpine(3, 12, func(i int) (int, error) { return i, nil })
+	if err != nil {
+		t.Fatalf("NewSpine: %v", err)
+	}
+	if n, err := s.Grow(12, func(i int) (int, error) { return i, nil }); err != nil || n != 12 {
+		t.Fatalf("Grow to the maximum = %d, %v", n, err)
+	}
+	if n, err := s.Grow(13, func(i int) (int, error) { return i, nil }); err == nil || n != 12 {
+		t.Fatalf("Grow past the maximum = %d, %v; want 12 and an error", n, err)
+	}
+}
+
 func TestSpineGrowBuildError(t *testing.T) {
-	s, err := NewSpine(2, func(i int) (int, error) { return i, nil })
+	s, err := NewSpine(2, 8, func(i int) (int, error) { return i, nil })
 	if err != nil {
 		t.Fatalf("NewSpine: %v", err)
 	}
@@ -79,7 +92,7 @@ func TestSpineGrowBuildError(t *testing.T) {
 }
 
 func TestSpineConcurrentReadersDuringGrow(t *testing.T) {
-	s, err := NewSpine(4, func(i int) (int, error) { return i, nil })
+	s, err := NewSpine(4, 1<<12, func(i int) (int, error) { return i, nil })
 	if err != nil {
 		t.Fatalf("NewSpine: %v", err)
 	}

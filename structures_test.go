@@ -1,6 +1,8 @@
 package abadetect_test
 
 import (
+	"runtime"
+	"strings"
 	"sync"
 	"testing"
 
@@ -590,5 +592,89 @@ func TestStructureMapGrowthTagWidth(t *testing.T) {
 		abadetect.WithTagBits(32),
 		abadetect.WithGrowth(1<<40)); err == nil {
 		t.Fatal("32-bit tag accepted against a 2^40 growth ceiling")
+	}
+}
+
+// TestStructureGrowthCeilingIgnoredByStackAndQueue: WithGrowth is the map's
+// ceiling, and the stack and queue accept it and ignore it — so it must not
+// size their reclaimers either.  A build with a 2^19-node ceiling must hold
+// no more than 1 MB of live heap beyond the same build without one; a
+// reclaimer sized for the ceiling holds several MB of per-process buffers.
+func TestStructureGrowthCeilingIgnoredByStackAndQueue(t *testing.T) {
+	const ceiling = 1 << 19
+	builds := []struct {
+		name  string
+		build func(opts ...abadetect.Option) ([]any, error)
+	}{
+		{"stack", func(opts ...abadetect.Option) ([]any, error) {
+			s, err := abadetect.NewStack(2, 64, opts...)
+			if err != nil {
+				return nil, err
+			}
+			live := []any{s}
+			for pid := 0; pid < 2; pid++ {
+				h, err := s.Handle(pid)
+				if err != nil {
+					return nil, err
+				}
+				live = append(live, h)
+			}
+			return live, nil
+		}},
+		{"queue", func(opts ...abadetect.Option) ([]any, error) {
+			q, err := abadetect.NewQueue(2, 64, opts...)
+			if err != nil {
+				return nil, err
+			}
+			live := []any{q}
+			for pid := 0; pid < 2; pid++ {
+				h, err := q.Handle(pid)
+				if err != nil {
+					return nil, err
+				}
+				live = append(live, h)
+			}
+			return live, nil
+		}},
+	}
+	liveHeap := func(build func(...abadetect.Option) ([]any, error), opts ...abadetect.Option) int64 {
+		t.Helper()
+		var before, after runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&before)
+		live, err := build(opts...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		runtime.GC()
+		runtime.ReadMemStats(&after)
+		runtime.KeepAlive(live)
+		return int64(after.HeapAlloc) - int64(before.HeapAlloc)
+	}
+	for _, b := range builds {
+		for _, scheme := range []string{"hp", "epoch"} {
+			t.Run(b.name+"+"+scheme, func(t *testing.T) {
+				base := liveHeap(b.build, abadetect.WithReclamation(scheme))
+				grown := liveHeap(b.build, abadetect.WithReclamation(scheme), abadetect.WithGrowth(ceiling))
+				if extra := grown - base; extra > 1<<20 {
+					t.Errorf("WithGrowth(%d) adds %d KB of live heap to a 64-node %s, want at most 1024 KB", ceiling, extra>>10, b.name)
+				}
+			})
+		}
+	}
+}
+
+// TestStructureMapTagWidthBoundary pins the map's widest tag.  A link word
+// names every node and every bucket dummy, so a 16-node map (16 buckets)
+// needs 7 reference bits: 57 tag bits build, and 58 are rejected by the
+// validator, not deep inside guard construction.
+func TestStructureMapTagWidthBoundary(t *testing.T) {
+	tagged := abadetect.WithProtection(abadetect.ProtectionTagged)
+	if _, err := abadetect.NewMap(2, 16, tagged, abadetect.WithTagBits(57)); err != nil {
+		t.Fatalf("57-bit tag on a 16-node map rejected: %v", err)
+	}
+	_, err := abadetect.NewMap(2, 16, tagged, abadetect.WithTagBits(58))
+	if err == nil || !strings.Contains(err.Error(), "WithTagBits(58)") {
+		t.Fatalf("58-bit tag on a 16-node map: err = %v, want the validator's WithTagBits error", err)
 	}
 }
