@@ -154,13 +154,14 @@
 // is untouched mid-resize.
 //
 // In m(n)/t(n) vocabulary: space is B + cap guards plus 2·cap registers,
-// plus two words (the directory size and the node capacity) when the map
-// can grow, where B and cap grow geometrically to the ceiling — the map
-// only ever pays for the capacity tier it has reached, at ≤2x the live
-// requirement.  A doubling costs S dummy links inside one put, O(1)
-// amortized guard operations per insert (each segment append is likewise
-// one publication), each paying the selected regime's t(n) like any other
-// guarded step.  A directory split commits through the same Guards as
+// plus a node-capacity word when the ceiling exceeds cap and a
+// directory-size word when the ceiling's largest directory,
+// floorPow2(ceiling/6), exceeds B, where B and cap grow geometrically to the
+// ceiling — the map only ever pays for the capacity tier it has reached, at
+// ≤2x the live requirement.  A doubling costs S dummy links inside one put,
+// O(1) amortized guard operations per insert (each segment append is
+// likewise one publication), each paying the selected regime's t(n) like any
+// other guarded step.  A directory split commits through the same Guards as
 // normal traffic, which makes resizing a new ABA surface rather than a
 // trusted phase: the node a splitter's walk stopped before can be deleted
 // and recycled into its armed link word bit-for-bit.  The deterministic

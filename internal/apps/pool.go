@@ -286,7 +286,7 @@ type guardedPool struct {
 	limit    shmem.Register
 	frontier shmem.CAS
 	factory  shmem.Factory
-	name     string
+	linkName string // every chain link's label: links are registers, never traced
 
 	growMu sync.Mutex // serializes Grow; keeps limit monotone
 	grows  atomic.Int64
@@ -300,7 +300,7 @@ func newGuardedPool(f shmem.Factory, mk guard.Maker, name string, capacity, ceil
 	p := &guardedPool{
 		capacity:    capacity,
 		factory:     f,
-		name:        name,
+		linkName:    name + ".free",
 		exhaustions: shmem.NewStripedCounter(),
 	}
 	// Initial chain 1 -> 2 -> ... -> capacity, so the first allocations come
@@ -315,7 +315,7 @@ func newGuardedPool(f shmem.Factory, mk guard.Maker, name string, capacity, ceil
 		if i == capacity {
 			init = 0
 		}
-		return f.NewRegister(fmt.Sprintf("%s.free[%d]", name, i), init), nil
+		return f.NewRegister(p.linkName, init), nil
 	})
 	if err != nil {
 		return nil, err
@@ -348,7 +348,7 @@ func (p *guardedPool) Grow(_, newCapacity int) (int, error) {
 		return cur, nil
 	}
 	_, err := p.next.Grow(newCapacity+1, func(i int) (shmem.Register, error) {
-		return p.factory.NewRegister(fmt.Sprintf("%s.free[%d]", p.name, i), 0), nil
+		return p.factory.NewRegister(p.linkName, 0), nil
 	})
 	if err != nil {
 		return cur, err

@@ -61,8 +61,8 @@ func NewQueue(f shmem.Factory, n, capacity int, prot Protection, tagBits uint, o
 	}
 	var err error
 	for i := 1; i <= total; i++ {
-		q.value[i] = f.NewRegister(fmt.Sprintf("qvalue[%d]", i), 0)
-		if q.next[i], err = o.Maker(fmt.Sprintf("qnext[%d]", i), idxBits, 0); err != nil {
+		q.value[i] = f.NewRegister("qvalue", 0)
+		if q.next[i], err = o.Maker(o.Trace.Label("qnext", i), idxBits, 0); err != nil {
 			return nil, fmt.Errorf("apps: queue next[%d] guard: %w", i, err)
 		}
 	}

@@ -1,6 +1,7 @@
 package apps
 
 import (
+	"fmt"
 	"runtime"
 	"strings"
 	"sync"
@@ -10,6 +11,7 @@ import (
 
 	"abadetect/internal/guard"
 	"abadetect/internal/shmem"
+	"abadetect/internal/trace"
 )
 
 func newQueue(t *testing.T, n, capacity int) *Queue {
@@ -348,5 +350,34 @@ func TestQueueWorkerStopsAfterSpinBudget(t *testing.T) {
 	corrupt, detail := inst.Audit()
 	if !corrupt || !strings.Contains(detail, "abandoned=") {
 		t.Errorf("audit = (%v, %q), want a failed audit reporting abandoned ops", corrupt, detail)
+	}
+}
+
+// TestQueueTracedNextLabels checks that a traced queue names each node's
+// next guard qnext[i]: enqueuing links every node through its predecessor's
+// next guard, starting at the dummy (node 1).
+func TestQueueTracedNextLabels(t *testing.T) {
+	const values = 3
+	rec := trace.New(1, 256)
+	q, err := NewQueue(shmem.NewNativeFactory(), 1, values, LLSC, 0, WithTrace(rec))
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := queueHandle(t, q, 0)
+	for v := Word(1); v <= values; v++ {
+		if !h.Enq(v) {
+			t.Fatalf("Enq(%d) failed", v)
+		}
+	}
+	seen := map[string]bool{}
+	for _, e := range rec.Merge() {
+		if e.Kind == trace.KindGuardCommit {
+			seen[e.Obj] = true
+		}
+	}
+	for i := 1; i <= values; i++ {
+		if label := fmt.Sprintf("qnext[%d]", i); !seen[label] {
+			t.Errorf("no commit recorded on %s; committed objects: %v", label, seen)
+		}
 	}
 }

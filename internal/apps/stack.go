@@ -62,8 +62,8 @@ func NewStack(f shmem.Factory, n, capacity int, prot Protection, tagBits uint, o
 		tr:       o.Trace,
 	}
 	for i := 1; i <= capacity; i++ {
-		s.value[i] = f.NewRegister(fmt.Sprintf("value[%d]", i), 0)
-		s.next[i] = f.NewRegister(fmt.Sprintf("next[%d]", i), 0)
+		s.value[i] = f.NewRegister("value", 0)
+		s.next[i] = f.NewRegister("next", 0)
 	}
 	head, err := o.Maker("head", idxBits, 0)
 	if err != nil {

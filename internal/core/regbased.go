@@ -62,7 +62,7 @@ func NewRegisterBased(f shmem.Factory, n int, valueBits uint, initial Word) (*Re
 		a:       make([]shmem.Register, n),
 	}
 	for q := range r.a {
-		r.a[q] = f.NewRegister(fmt.Sprintf("A[%d]", q), codec.Bottom())
+		r.a[q] = f.NewRegister("A", codec.Bottom())
 	}
 	if ad := shmem.DirectRegisters(r.a); ad != nil {
 		if xd := shmem.Direct(r.x); xd != nil {

@@ -1,6 +1,7 @@
 package kv
 
 import (
+	"runtime"
 	"testing"
 
 	"abadetect/internal/apps"
@@ -49,6 +50,58 @@ func BenchmarkMapOps(b *testing.B) {
 			if a := m.Audit(); a.Corrupt() || a.Live != keys {
 				b.Fatalf("audit after the run: %s", a)
 			}
+		})
+	}
+}
+
+// BenchmarkMapGrow prices the map's two growth steps on map-grow's shape: a
+// 32-node LL/SC map with hazard pointers, 32 buckets and a 4,096-node
+// ceiling, one handle.  Each iteration grows a fresh map as far as the step
+// goes: Append runs segment appends to the ceiling (4,064 nodes), Split runs
+// directory doublings to the largest directory (480 buckets).  Besides the
+// per-iteration figures, each reports ns and allocs per appended node or
+// per split bucket.
+func BenchmarkMapGrow(b *testing.B) {
+	const capacity, ceiling = 32, 4096
+	for _, bc := range []struct {
+		name, unit string
+		grow       func(m *Map, h *Handle) int // grows m, returns the nodes or buckets added
+	}{
+		{"Append", "node", func(m *Map, _ *Handle) int {
+			for m.growNodes(0, m.Capacity()) {
+			}
+			return m.Capacity() - capacity
+		}},
+		{"Split", "bucket", func(m *Map, h *Handle) int {
+			for h.GrowBuckets() {
+			}
+			return m.Buckets() - capacity // the directory starts at capacity buckets
+		}},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
+			var added, mallocs uint64
+			var before, after runtime.MemStats
+			b.ReportAllocs()
+			b.StopTimer()
+			for i := 0; i < b.N; i++ {
+				m, err := NewMap(shmem.NewNativeFactory(), 2, capacity, capacity, apps.LLSC, 0,
+					apps.WithGrowth(ceiling), apps.WithReclaimer(reclaim.NewHazard))
+				if err != nil {
+					b.Fatal(err)
+				}
+				h, err := m.Handle(0)
+				if err != nil {
+					b.Fatal(err)
+				}
+				runtime.ReadMemStats(&before)
+				b.StartTimer()
+				added += uint64(bc.grow(m, h))
+				b.StopTimer()
+				runtime.ReadMemStats(&after)
+				mallocs += after.Mallocs - before.Mallocs
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(added), "ns/"+bc.unit)
+			b.ReportMetric(float64(mallocs)/float64(added), "allocs/"+bc.unit)
 		})
 	}
 }

@@ -430,3 +430,21 @@ func containsStr(s, sub string) bool {
 }
 
 var _ = fmt.Sprintf // keep fmt for debug edits
+
+// TestMapNodeBuildAllocs gates what a segment append pays per node on an
+// untraced LL/SC map: two registers and one link guard, and no label
+// formatted for a recorder that is not there.
+func TestMapNodeBuildAllocs(t *testing.T) {
+	const capacity, ceiling = 32, 4096
+	m := growMap(t, 2, capacity, ceiling, apps.LLSC, 0, apps.WithReclaimer(reclaim.NewHazard))
+	i := capacity
+	allocs := testing.AllocsPerRun(1000, func() {
+		i++
+		if _, err := m.buildNode(i); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs > 6 {
+		t.Errorf("building one node allocates %.1f times, want at most 6", allocs)
+	}
+}

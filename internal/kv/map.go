@@ -307,14 +307,15 @@ func NewMap(f shmem.Factory, n, capacity, buckets int, prot Protection, tagBits 
 }
 
 // buildNode builds node i's registers and link guard (node 0 is the null
-// index and has none).
+// index and has none).  Only the guard is ever traced, so only its label
+// carries the index, and only on a traced map.
 func (m *Map) buildNode(i int) (node, error) {
 	if i == 0 {
 		return node{}, nil
 	}
-	key := m.fac.NewRegister(fmt.Sprintf("mkey[%d]", i), 0)
-	val := m.fac.NewRegister(fmt.Sprintf("mval[%d]", i), 0)
-	next, err := m.maker(fmt.Sprintf("mnext[%d]", i), m.linkBits, 0)
+	key := m.fac.NewRegister("mkey", 0)
+	val := m.fac.NewRegister("mval", 0)
+	next, err := m.maker(m.tr.Label("mnext", i), m.linkBits, 0)
 	if err != nil {
 		return node{}, fmt.Errorf("kv: map next[%d] guard: %w", i, err)
 	}
@@ -323,7 +324,7 @@ func (m *Map) buildNode(i int) (node, error) {
 
 // buildHead builds bucket b's guard: dummy b's link, initially succ.
 func (m *Map) buildHead(b int, succ Word) (guard.Guard, error) {
-	g, err := m.maker(fmt.Sprintf("mhead[%d]", b), m.linkBits, succ)
+	g, err := m.maker(m.tr.Label("mhead", b), m.linkBits, succ)
 	if err != nil {
 		return nil, fmt.Errorf("kv: map head[%d] guard: %w", b, err)
 	}
@@ -398,12 +399,10 @@ func (m *Map) Handle(pid int) (*Handle, error) {
 		return nil, fmt.Errorf("kv: pid %d out of range [0,%d)", pid, m.n)
 	}
 	h := &Handle{
-		m:     m,
-		pid:   pid,
-		lane:  shmem.StripeFor(pid),
-		ring:  m.tr.Ring(pid),
-		links: make([]guard.Handle, len(m.nodes0)),
-		heads: make([]guard.Handle, m.heads.Len()),
+		m:    m,
+		pid:  pid,
+		lane: shmem.StripeFor(pid),
+		ring: m.tr.Ring(pid),
 	}
 	var err error
 	if h.pool, err = m.pool.Handle(pid); err != nil {
@@ -434,7 +433,8 @@ type Handle struct {
 	ring   *trace.Ring // nil without apps.WithTrace; Record on nil is a no-op
 
 	// This process's handles on the node links and the bucket guards, each
-	// made on its first use; the tables grow with the map (handles are
+	// made on its first use.  The tables start empty, so a handle that never
+	// touches a node allocates none, and grow with the map (handles are
 	// single-goroutine, so plain slice growth suffices).
 	links []guard.Handle
 	heads []guard.Handle

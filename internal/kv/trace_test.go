@@ -1,6 +1,7 @@
 package kv
 
 import (
+	"fmt"
 	"testing"
 
 	"abadetect/internal/apps"
@@ -81,5 +82,53 @@ func TestMapScenarioWatchFiresOnNearMiss(t *testing.T) {
 	last := r.Incident[len(r.Incident)-1]
 	if last.Kind != trace.KindGuardNearMiss {
 		t.Fatalf("watch snapshot does not end at the near-miss: last=%v\n%s", last, trace.Format(r.Incident))
+	}
+}
+
+// TestMapTracedGrowthLabels checks that a traced map names the guards it
+// builds while growing exactly as it names the ones it is constructed with:
+// a node of an appended segment records under mnext[i] and a split-off
+// bucket under mhead[b].
+func TestMapTracedGrowthLabels(t *testing.T) {
+	const capacity, buckets, keys = 8, 2, 16
+	rec := trace.New(1, 1<<12)
+	m, err := NewMap(shmem.NewNativeFactory(), 1, capacity, buckets, apps.LLSC, 0, apps.WithGrowth(64), apps.WithTrace(rec))
+	if err != nil {
+		t.Fatal(err)
+	}
+	h, err := m.Handle(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for k := Word(1); k <= keys; k++ {
+		if !h.Put(k, k) {
+			t.Fatalf("Put(%d) failed", k)
+		}
+	}
+	if !h.GrowBuckets() {
+		t.Fatal("forced split did not double the directory")
+	}
+	if m.Capacity() <= capacity || m.Buckets() <= buckets {
+		t.Fatalf("map did not grow: capacity %d, buckets %d", m.Capacity(), m.Buckets())
+	}
+	// Overwrite every key once more: each Put walks its bucket from the
+	// bucket's guard through the grown nodes.
+	for k := Word(1); k <= keys; k++ {
+		if !h.Put(k, k+100) {
+			t.Fatalf("overwrite Put(%d) failed", k)
+		}
+	}
+	var grownNode, splitHead string
+	for _, e := range rec.Merge() {
+		var i int
+		if _, err := fmt.Sscanf(e.Obj, "mnext[%d]", &i); err == nil && i > capacity {
+			grownNode = e.Obj
+		}
+		if _, err := fmt.Sscanf(e.Obj, "mhead[%d]", &i); err == nil && i >= buckets {
+			splitHead = e.Obj
+		}
+	}
+	if grownNode == "" || splitHead == "" {
+		t.Fatalf("no guard event on an appended node (%q) or a split-off bucket (%q)", grownNode, splitHead)
 	}
 }

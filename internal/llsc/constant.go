@@ -80,7 +80,7 @@ func NewConstantTime(f shmem.Factory, n int, valueBits uint, initial Word) (*Con
 		initial: initial,
 	}
 	for q := range o.a {
-		o.a[q] = f.NewRegister(fmt.Sprintf("A[%d]", q), codec.Bottom())
+		o.a[q] = f.NewRegister("A", codec.Bottom())
 	}
 	if ad := shmem.DirectRegisters(o.a); ad != nil {
 		if xd := shmem.Direct(o.x); xd != nil {

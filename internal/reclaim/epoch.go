@@ -120,8 +120,9 @@ func newEpoch(f shmem.Factory, name string, n, capacity, k int, auto bool) (Recl
 		r.scheme = "epoch:auto"
 	}
 	r.Resize(capacity)
+	label := name + ".ann"
 	for i := range r.ann {
-		r.ann[i] = f.NewRegister(fmt.Sprintf("%s.ann[%d]", name, i), 0)
+		r.ann[i] = f.NewRegister(label, 0)
 	}
 	return r, nil
 }

@@ -1,7 +1,6 @@
 package reclaim
 
 import (
-	"fmt"
 	"slices"
 	"sync/atomic"
 
@@ -81,8 +80,9 @@ func NewHazard(f shmem.Factory, name string, n, capacity int) (Reclaimer, error)
 		pub:      shmem.NewStripedCounter(),
 	}
 	r.Resize(capacity)
+	label := name + ".hp"
 	for i := range r.hazards {
-		r.hazards[i] = f.NewRegister(fmt.Sprintf("%s.hp[%d]", name, i), 0)
+		r.hazards[i] = f.NewRegister(label, 0)
 	}
 	return r, nil
 }

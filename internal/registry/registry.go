@@ -252,7 +252,7 @@ var impls = []Impl{
 		Kind:         KindStructure,
 		Summary:      "Treiber stack over a guarded head and node pool (§1 motivation)",
 		Theorem:      "§1 (Treiber stack)",
-		Space:        "2·cap registers + guards",
+		Space:        "2·cap registers + 1 guard",
 		SpaceFn:      func(n int) int { return 0 }, // capacity-dependent, not m(n)
 		Steps:        "O(1) + guard",
 		Bounded:      true,
@@ -264,7 +264,7 @@ var impls = []Impl{
 		Kind:         KindStructure,
 		Summary:      "Michael–Scott queue with guarded head/tail/next references (§1 motivation)",
 		Theorem:      "§1 ([24], Michael–Scott)",
-		Space:        "cap registers + (cap+2) guards",
+		Space:        "(cap+1) registers + (cap+3) guards",
 		SpaceFn:      func(n int) int { return 0 }, // capacity-dependent, not m(n)
 		Steps:        "O(1) amortized + guard",
 		Bounded:      true,
@@ -288,7 +288,7 @@ var impls = []Impl{
 		Kind:         KindStructure,
 		Summary:      "lock-free split-ordered hash map: each bucket's guard is its dummy's link, marked links over a recycled node pool; grows to a ceiling",
 		Theorem:      "§1 motivation (Michael [25] / Shalev–Shachnai split-ordered hash map)",
-		Space:        "B + cap guards + 2·cap registers, plus 2 words when the map can grow (cap, B grow geometrically to the ceiling)",
+		Space:        "B + cap guards + 2·cap registers, plus a capacity word when the ceiling exceeds cap and a size word when floorPow2(ceiling/6) exceeds B (cap, B grow geometrically to the ceiling)",
 		SpaceFn:      func(n int) int { return 0 }, // capacity/bucket-dependent, not m(n)
 		Steps:        "O(run) + guard per link hop",
 		Bounded:      true,

@@ -58,7 +58,7 @@ func TestTableWellFormed(t *testing.T) {
 func TestEveryImplConstructsAndMatchesFootprint(t *testing.T) {
 	for _, im := range All() {
 		if im.Kind == KindStructure {
-			continue // structure footprints depend on capacity; covered below
+			continue // capacity-dependent: abadetect's TestStructureFootprintsMatchRegistry checks them
 		}
 		for _, n := range []int{1, 2, 8} {
 			f := shmem.NewNativeFactory()

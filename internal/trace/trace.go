@@ -19,6 +19,13 @@
 // object label is a Name interned when the traced guard or pool is built,
 // and Merge/Events write into fresh slices only on the (cold) read side.
 //
+// Labels are indexed only on traced builds.  A structure names each
+// per-element guard through Label, which formats "mnext[7]" when a recorder
+// is attached and returns the bare family "mnext" when none is; registers,
+// which no recorder sees, carry their family label alone.  An untraced
+// structure therefore formats no name per node, and a traced one keeps the
+// indexed names its dumps show.
+//
 // Writer discipline is single-writer per ring — the same discipline every
 // handle in this repository already obeys — and it is what makes recording
 // lock-free: the owning process fills the next slot with plain stores and
@@ -32,6 +39,7 @@ package trace
 import (
 	"encoding/json"
 	"fmt"
+	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -414,6 +422,17 @@ func (r *Recorder) Ring(pid int) *Ring {
 		return nil
 	}
 	return r.rings[pid]
+}
+
+// Label returns the label of element i of family: "mnext[7]" for family
+// "mnext" when r is a recorder, and the bare family when r is nil, since
+// only a recorder ever reads the index.  Call it where a per-element guard
+// is built; a register is never traced and takes its family label only.
+func (r *Recorder) Label(family string, i int) string {
+	if r == nil {
+		return family
+	}
+	return family + "[" + strconv.Itoa(i) + "]"
 }
 
 // Record is the convenience form of Ring(pid).Record for callers holding a

@@ -322,6 +322,18 @@ func TestNilRecorder(t *testing.T) {
 	}
 }
 
+// TestLabel pins the label rule: an element's index is formatted only when
+// a recorder is attached, byte-for-byte as "family[i]".
+func TestLabel(t *testing.T) {
+	var off *Recorder
+	if got := off.Label("mnext", 7); got != "mnext" {
+		t.Errorf("nil recorder: Label = %q, want the bare family", got)
+	}
+	if got := New(1, 8).Label("mnext", 1048576); got != "mnext[1048576]" {
+		t.Errorf("recorder: Label = %q, want mnext[1048576]", got)
+	}
+}
+
 // TestIntern pins the name table: New interns the fixed labels at their
 // constants, re-interning a label returns its first Name, and a recorded
 // Name resolves back to its label in a dump.

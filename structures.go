@@ -210,8 +210,8 @@ func WithGuardedPool() Option {
 // carries the whole doubling, just as the Put that finds the pool empty
 // carries a segment append; no other operation ever waits on either.  The
 // two are of one size: filling a map with 1M keys through one handle on a
-// 2-vCPU guest, the 65,536 → 131,072 split took about 0.3 s in one Put and
-// the append to 1,048,576 nodes about 0.6 s in another.  Both the split
+// 2-vCPU guest, the 65,536 → 131,072 split took about 0.2 s in one Put and
+// the append to 1,048,576 nodes about 0.35 s in another.  Both the split
 // path and the append path run through guards of the selected
 // Protection, so resizing is exactly as ABA-(in)vulnerable as the traffic
 // around it — the deterministic resize corruption script provably fools
@@ -235,8 +235,11 @@ func WithGrowth(maxCapacity int) Option {
 // costs nothing: the hooks are nil and the hot paths are byte-identical to
 // the untraced build.  The m(n) price is explicit: n rings × (capacity+1)
 // four-word slots of fixed space, O(1) steps per event (a ticket fetch-add,
-// four slot stores, one publishing store).  A negative capacity is a
-// constructor error; 0 builds no recorder.
+// four slot stores, one publishing store).  Object labels are indexed only
+// on a traced build: a traced map names node 7's link guard "mnext[7]",
+// an untraced one formats no per-node name at all, and registers, which
+// are never traced, carry only their family label ("mkey") either way.  A
+// negative capacity is a constructor error; 0 builds no recorder.
 func WithTracing(capacity int) Option {
 	return func(o *options) { o.traceCap = capacity }
 }

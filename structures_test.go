@@ -1,6 +1,7 @@
 package abadetect_test
 
 import (
+	"math/bits"
 	"runtime"
 	"strings"
 	"sync"
@@ -676,5 +677,99 @@ func TestStructureMapTagWidthBoundary(t *testing.T) {
 	_, err := abadetect.NewMap(2, 16, tagged, abadetect.WithTagBits(58))
 	if err == nil || !strings.Contains(err.Error(), "WithTagBits(58)") {
 		t.Fatalf("58-bit tag on a 16-node map: err = %v, want the validator's WithTagBits error", err)
+	}
+}
+
+// TestStructureFootprintsMatchRegistry checks every structure's Footprint
+// against the space formula its registry entry states, which the case
+// quotes and evaluates.  Each guard regime here costs one base object per
+// guard (a raw or tagged CAS word, Figure 3's LL/SC word, the Figure 5
+// detector over it), and hazard pointers add the hp entry's n·H registers.
+// Both capacities are powers of two, so a map's directory B is its capacity.
+func TestStructureFootprintsMatchRegistry(t *testing.T) {
+	const n = 2
+	space := map[string]string{}
+	hpObjects := 0
+	for _, im := range abadetect.Implementations() {
+		space[im.ID] = im.Space
+		if im.ID == "hp" {
+			hpObjects = im.Objects(n)
+		}
+	}
+	type footprinter interface{ Footprint() abadetect.Footprint }
+	type build func(capacity int, opts ...abadetect.Option) (footprinter, error)
+	stack := func(c int, opts ...abadetect.Option) (footprinter, error) {
+		s, err := abadetect.NewStack(n, c, opts...)
+		return s, err
+	}
+	queue := func(c int, opts ...abadetect.Option) (footprinter, error) {
+		q, err := abadetect.NewQueue(n, c, opts...)
+		return q, err
+	}
+	// growMap builds a map whose ceiling is times its capacity (0: fixed).
+	growMap := func(times int) build {
+		return func(c int, opts ...abadetect.Option) (footprinter, error) {
+			m, err := abadetect.NewMap(n, c, append(opts, abadetect.WithGrowth(times*c))...)
+			return m, err
+		}
+	}
+	// mapObjects evaluates the map's formula with B = cap.  The largest
+	// directory a map may split to is floorPow2(ceiling/6).
+	mapObjects := func(times int) func(c int) int {
+		return func(c int) int {
+			objects := c + c + 2*c
+			if ceiling := times * c; ceiling > c {
+				objects++ // the capacity word
+				if dir := 1 << (bits.Len(uint(ceiling/6)) - 1); dir > c {
+					objects++ // the size word
+				}
+			}
+			return objects
+		}
+	}
+	const mapSpace = "B + cap guards + 2·cap registers, plus a capacity word when the ceiling exceeds cap and a size word when floorPow2(ceiling/6) exceeds B (cap, B grow geometrically to the ceiling)"
+	for _, tc := range []struct {
+		name, id, space string
+		build           build
+		objects         func(c int) int
+	}{
+		{"stack", "stack", "2·cap registers + 1 guard", stack, func(c int) int { return 2*c + 1 }},
+		{"queue", "queue", "(cap+1) registers + (cap+3) guards", queue, func(c int) int { return (c + 1) + (c + 3) }},
+		{"map", "map", mapSpace, growMap(0), mapObjects(0)},
+		// A 4x ceiling adds the capacity word only: its directory never
+		// outgrows B.  A 64x ceiling adds the size word too.
+		{"map/grow4x", "map", mapSpace, growMap(4), mapObjects(4)},
+		{"map/grow64x", "map", mapSpace, growMap(64), mapObjects(64)},
+	} {
+		if space[tc.id] != tc.space {
+			t.Errorf("%s: registry states %q, the checked formula is %q", tc.name, space[tc.id], tc.space)
+		}
+		for _, g := range []struct {
+			name string
+			prot abadetect.Protection
+		}{
+			{"raw", abadetect.ProtectionRaw},
+			{"tag16", abadetect.ProtectionTagged},
+			{"llsc:fig3", abadetect.ProtectionLLSC},
+			{"detector:fig5-fig3", abadetect.ProtectionDetector},
+		} {
+			for _, hp := range []bool{false, true} {
+				for _, c := range []int{8, 64} {
+					opts := []abadetect.Option{abadetect.WithProtection(g.prot)}
+					want := tc.objects(c)
+					if hp {
+						opts = append(opts, abadetect.WithReclamation("hp"))
+						want += hpObjects
+					}
+					s, err := tc.build(c, opts...)
+					if err != nil {
+						t.Fatalf("%s/%s/hp=%v cap=%d: %v", tc.name, g.name, hp, c, err)
+					}
+					if fp := s.Footprint(); fp.Objects() != want {
+						t.Errorf("%s/%s/hp=%v cap=%d: %d objects (%v), formula says %d", tc.name, g.name, hp, c, fp.Objects(), fp, want)
+					}
+				}
+			}
+		}
 	}
 }
