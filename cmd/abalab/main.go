@@ -196,8 +196,6 @@ func printIndex(out io.Writer) error {
 	for _, im := range registry.Reclaimers() {
 		fmt.Fprintf(out, "  %-22s %s\n", im.ID, im.Summary)
 	}
-	fmt.Fprintf(out, "  %-22s %s\n", "epoch:<k>",
-		"epoch with a fixed advance cadence of k retires (e.g. epoch:64); the default cadence is min(2n, cap/n)")
 	fmt.Fprintln(out)
 	fmt.Fprintln(out, "load profiles (traffic generator, E13):")
 	for _, p := range load.Profiles() {

@@ -6,6 +6,7 @@ import (
 	"regexp"
 	"slices"
 	"strings"
+	"sync"
 	"testing"
 
 	"abadetect/internal/bench"
@@ -200,15 +201,50 @@ func pr6Row(key string) bool {
 	return strings.HasPrefix(key, "stack/")
 }
 
-// compareSnapshot runs -bench-compare against a committed snapshot and
-// checks that the comparison has exactly the tables wantIDs, each with rows,
-// and that every row lines up with the snapshot: "new" only for a cell that
-// postdates it (postdates(tableID, key)), "removed" only for a retired tuned
-// variant, and only when withRetired says the snapshot carries them — in
-// which case at least one must be reported.
+// freshThroughput is one fresh full-tier run of E10–E14, the throughput
+// experiments BENCH_pr3.json through BENCH_pr7.json carry, made once per
+// test binary so the snapshot tests diff against it instead of re-running
+// the matrices.
+var freshThroughput = sync.OnceValues(func() ([]*bench.Table, error) {
+	snap, err := bench.LoadSnapshot("../../BENCH_pr7.json")
+	if err != nil {
+		return nil, err
+	}
+	return bench.FreshThroughput(snap.Tables)
+})
+
+// compareSnapshot diffs a committed snapshot against the shared fresh run,
+// as -bench-compare does, and checks the comparison (checkComparison).
 func compareSnapshot(t *testing.T, name string, wantIDs []string, withRetired bool, postdates func(tableID, key string) bool) []table {
 	t.Helper()
-	tables := runJSON(t, "-bench-compare", "../../"+name)
+	fresh, err := freshThroughput()
+	if err != nil {
+		t.Fatal(err)
+	}
+	snap, err := bench.LoadSnapshot("../../" + name)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cmp, _, err := bench.DiffThroughput(snap.Tables, fresh)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tables := make([]table, len(cmp))
+	for i, c := range cmp {
+		tables[i] = table{ID: c.ID, Header: c.Header, Rows: c.Rows}
+	}
+	checkComparison(t, name, tables, wantIDs, withRetired, postdates)
+	return tables
+}
+
+// checkComparison checks that a comparison against the committed snapshot
+// name has exactly the tables wantIDs, each with rows, and that every row
+// lines up with the snapshot: "new" only for a cell that postdates it
+// (postdates(tableID, key)), "removed" only for a retired tuned variant,
+// and only when withRetired says the snapshot carries them — in which case
+// at least one must be reported.
+func checkComparison(t *testing.T, name string, tables []table, wantIDs []string, withRetired bool, postdates func(tableID, key string) bool) {
+	t.Helper()
 	if len(tables) != len(wantIDs) {
 		t.Fatalf("comparison has %d tables, want %d", len(tables), len(wantIDs))
 	}
@@ -232,7 +268,6 @@ func compareSnapshot(t *testing.T, name string, wantIDs []string, withRetired bo
 	if withRetired && retired == 0 {
 		t.Errorf("no retired tuned row reported as removed; %s carries them", name)
 	}
-	return tables
 }
 
 // wantTail checks that the header of comparison table id ends with want,
@@ -247,9 +282,11 @@ func wantTail(t *testing.T, tables []table, id string, want ...string) {
 }
 
 func TestBenchCompare(t *testing.T) {
-	// The committed PR2 snapshot must be loadable and comparable: every E10
-	// row of the snapshot reappears in a fresh run with a parsed speedup.
-	tables := compareSnapshot(t, "BENCH_pr2.json", []string{"E10-compare"}, false,
+	// The committed BENCH_pr2.json must be loadable and comparable through
+	// the CLI end to end: every E10 row of the snapshot reappears in a
+	// fresh run with a parsed speedup.
+	tables := runJSON(t, "-bench-compare", "../../BENCH_pr2.json")
+	checkComparison(t, "BENCH_pr2.json", tables, []string{"E10-compare"}, false,
 		func(_, _ string) bool { return false })
 	for _, row := range tables[0].Rows {
 		if len(row) != 5 {
@@ -488,7 +525,7 @@ func TestMatrixRun(t *testing.T) {
 			name: "E16-smoke", args: []string{"-run", "E16", "-tier", "smoke"},
 			rows:  15, // stack × 5 schemes + map × 5 schemes × 2 profiles
 			label: func(string) bool { return true },
-			cols:  []string{"limbo", "alloc-miss", "scans", "skips", "batches", "tune"},
+			cols:  []string{"limbo", "alloc-miss", "scans", "batches", "tune"},
 			check: func(t *testing.T, rows [][]string) {
 				schemes := map[string]bool{}
 				for _, row := range rows {

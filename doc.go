@@ -185,14 +185,14 @@
 // # Safe memory reclamation
 //
 // WithReclamation selects the defense the guards never see: "hp" (hazard
-// pointers), "epoch" (epoch-based reclamation), "epoch:k" (a pinned epoch
-// advance cadence), "epoch:auto" (a self-tuning cadence), or "none" (the
-// explicit immediate-reuse pass-through, also the default).  Under hp or epoch a
-// removed node retires into limbo and re-enters the allocator only once no
-// process protection can cover it, so the §1 recycle-inside-the-window ABA
-// never forms — a ProtectionRaw structure passes the deterministic
-// corruption scripts with zero near-misses, because prevention happens by
-// allocation discipline rather than detection.
+// pointers), "epoch" (epoch-based reclamation), "epoch:auto" (a self-tuning
+// advance cadence), or "none" (the explicit immediate-reuse pass-through,
+// also the default).  Under hp or epoch a removed node retires into limbo
+// and re-enters the allocator only once no process protection can cover
+// it, so the §1 recycle-inside-the-window ABA never forms — a ProtectionRaw
+// structure passes the deterministic corruption scripts with zero
+// near-misses, because prevention happens by allocation discipline rather
+// than detection.
 //
 // The trade-off is the paper's m(n)/t(n) vocabulary applied to SMR.  A
 // k-bit tag spends k bits of every guarded word and fails after 2^k
@@ -221,12 +221,11 @@
 // and limbo pressure snap the cadence to 1, empty drains relax it
 // geometrically toward the min(2n, capacity/n) ceiling — keeping epoch's
 // n+1-register m(n) while tracking hp's alloc-miss behavior under
-// write-leaning churn.  Retirement is batched (RetireBatch through the
-// pool seam: the map flushes each operation's kill set at guard release),
-// and hp's threshold sweeps reuse a sorted hazard snapshot versioned by a
-// striped publication counter when no Protect or Clear intervened.  The
-// reclamation-pressure matrix (experiment E16, abalab -run E16) prices all
-// of this.
+// write-leaning churn.  The map's retirement is batched (RetireBatch
+// through the pool seam: each operation's kill set is flushed at guard
+// release), and every hp threshold sweep reads all n·H hazard registers.
+// The reclamation-pressure matrix (experiment E16, abalab -run E16) prices
+// all of this.
 //
 // # Observability
 //

@@ -84,13 +84,9 @@ func TestPoolGrowRetunesReclaimer(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			// sweeps counts drain attempts: epoch advance passes plus hazard
-			// scans, cached or not (a threshold retire may be served from
-			// hp's snapshot cache — still a cadence firing).
-			sweeps := func() int64 {
-				m := p.Stats().Reclaim
-				return m.Scans + m.SkippedScans
-			}
+			// sweeps counts drain attempts: epoch advance passes or hazard
+			// scans.
+			sweeps := func() int64 { return p.Stats().Reclaim.Scans }
 			// cycle allocates k nodes and retires them all.
 			cycle := func(k int) {
 				t.Helper()

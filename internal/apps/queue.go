@@ -167,12 +167,6 @@ type QueueHandle struct {
 	pendingHead int // head loaded by DeqBegin
 	pendingNext int // its successor, as read by DeqBegin
 
-	// relBuf is the commit path's scratch for the pool's batch-release
-	// seam: a dequeue retires exactly one dummy, and routing it through
-	// ReleaseBatch keeps the structure on the reclaimer's amortized batch
-	// path without allocating per commit.
-	relBuf [1]int
-
 	// testEnqAfterLink, when non-nil, runs right after Enq's linearizing
 	// next-pointer commit and before the tail help — a deterministic stall
 	// point for the helping-interleaving tests.
@@ -452,8 +446,7 @@ func (h *QueueHandle) deqCommit(hd, nh int) (Word, bool) {
 		if h.smr {
 			h.pool.Clear()
 		}
-		h.relBuf[0] = hd
-		h.pool.ReleaseBatch(h.relBuf[:])
+		h.pool.Release(hd)
 		return v, true
 	}
 	if h.smr {

@@ -134,12 +134,6 @@ type StackHandle struct {
 	pending int // node loaded by PopBegin
 	next    int // its successor, as read by PopBegin
 
-	// relBuf is the commit path's scratch for the pool's batch-release
-	// seam: a pop kills exactly one node, and routing it through
-	// ReleaseBatch keeps the structure on the reclaimer's amortized batch
-	// path without allocating per commit.
-	relBuf [1]int
-
 	// ReadStall, when non-nil, runs inside every fast-path Peek attempt
 	// right after the payload read and before the validating fence — the
 	// deterministic stall point the torn-peek scripts interleave a writer
@@ -249,8 +243,7 @@ func (h *StackHandle) popCommit(top, next int) (Word, bool) {
 	if h.smr {
 		h.pool.Clear()
 	}
-	h.relBuf[0] = top
-	h.pool.ReleaseBatch(h.relBuf[:])
+	h.pool.Release(top)
 	return v, true
 }
 

@@ -2,6 +2,7 @@ package bench
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"os"
 	"slices"
@@ -94,24 +95,61 @@ type CompareResult struct {
 }
 
 // CompareThroughput re-runs, at the full tier, every experiment whose
-// snapshot table has an ns/op column — E10 (base objects) through E17 in
-// the committed snapshots — and diffs each against its snapshot table,
-// matched on implementation + workload.  It returns one rendered comparison
-// table per experiment plus the raw results for programmatic thresholds.
-// Snapshots that predate a matrix simply compare what they have, so old
-// BENCH_*.json files stay usable.
+// snapshot table has an ns/op column (FreshThroughput) and diffs each fresh
+// table against its snapshot table (DiffThroughput).  It returns one
+// rendered comparison table per experiment plus the raw results for
+// programmatic thresholds.
 func CompareThroughput(snapshot []*Table) ([]*Table, []CompareResult, error) {
-	var tables []*Table
-	var results []CompareResult
+	fresh, err := FreshThroughput(snapshot)
+	if err != nil {
+		return nil, nil, err
+	}
+	return DiffThroughput(snapshot, fresh)
+}
+
+// FreshThroughput re-runs, at the full tier, every experiment whose
+// snapshot table has an ns/op column — E10 (base objects) through E17 in
+// the committed snapshots — and returns the fresh tables in snapshot order.
+func FreshThroughput(snapshot []*Table) ([]*Table, error) {
+	var fresh []*Table
 	for _, base := range snapshot {
 		if column(base, "ns/op") < 0 {
 			continue
 		}
 		exp, ok := Lookup(base.ID)
 		if !ok {
-			return nil, nil, fmt.Errorf("bench: snapshot table %s names no experiment", base.ID)
+			return nil, fmt.Errorf("bench: snapshot table %s names no experiment", base.ID)
 		}
-		tbl, res, err := compareOne(base.ID, base, func() (*Table, error) { return exp.Run(Options{}) })
+		t, err := exp.Run(Options{})
+		if err != nil {
+			return nil, err
+		}
+		fresh = append(fresh, t)
+	}
+	if len(fresh) == 0 {
+		return nil, errNoThroughput
+	}
+	return fresh, nil
+}
+
+// DiffThroughput diffs every snapshot table that has an ns/op column
+// against the fresh table of the same experiment, matched on
+// implementation + workload.  fresh may carry more experiments than the
+// snapshot, so one fresh run serves several snapshots.  Snapshots that
+// predate a matrix simply compare what they have, so old BENCH_*.json
+// files stay usable.
+func DiffThroughput(snapshot, fresh []*Table) ([]*Table, []CompareResult, error) {
+	var tables []*Table
+	var results []CompareResult
+	for _, base := range snapshot {
+		if column(base, "ns/op") < 0 {
+			continue
+		}
+		cur, ok := FindTable(fresh, base.ID)
+		if !ok {
+			return nil, nil, fmt.Errorf("bench: no fresh %s run to diff the snapshot against", base.ID)
+		}
+		tbl, res, err := compareOne(base.ID, base, cur)
 		if err != nil {
 			return nil, nil, err
 		}
@@ -119,10 +157,13 @@ func CompareThroughput(snapshot []*Table) ([]*Table, []CompareResult, error) {
 		results = append(results, res...)
 	}
 	if len(tables) == 0 {
-		return nil, nil, fmt.Errorf("bench: snapshot has no comparable throughput table (no ns/op column)")
+		return nil, nil, errNoThroughput
 	}
 	return tables, results, nil
 }
+
+// errNoThroughput rejects a snapshot with no throughput table to compare.
+var errNoThroughput = errors.New("bench: snapshot has no comparable throughput table (no ns/op column)")
 
 // compareOne diffs one fresh throughput run against its snapshot table.
 // When both sides carry latency percentile columns (E13), the p999 diff is
@@ -130,12 +171,8 @@ func CompareThroughput(snapshot []*Table) ([]*Table, []CompareResult, error) {
 // the CompareResults — a tail regression is a first-class verdict, not a
 // detail hidden behind averages.  Snapshots that predate the latency
 // columns just compare throughput, so old BENCH_*.json files stay usable.
-func compareOne(id string, base *Table, run func() (*Table, error)) (*Table, []CompareResult, error) {
+func compareOne(id string, base, fresh *Table) (*Table, []CompareResult, error) {
 	baseNs, err := nsPerOp(base)
-	if err != nil {
-		return nil, nil, err
-	}
-	fresh, err := run()
 	if err != nil {
 		return nil, nil, err
 	}

@@ -160,7 +160,7 @@ func TestCompareScaleColumn(t *testing.T) {
 		{"map/raw+none", "structure", "closed loop, w1", "100", "11.0", "0.09", "1.00x", "corrupt=false"},
 		{"map/raw+none", "structure", "closed loop, w4", "400", "11.0", "0.36", "0.91x", "corrupt=false"},
 	}}
-	tbl, results, err := compareOne("E14", base, func() (*Table, error) { return fresh, nil })
+	tbl, results, err := compareOne("E14", base, fresh)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -179,7 +179,7 @@ func TestCompareScaleColumn(t *testing.T) {
 	old := &Table{ID: "E14", Header: header[:6], Rows: [][]string{
 		base.Rows[0][:6], base.Rows[1][:6],
 	}}
-	tbl, results, err = compareOne("E14", old, func() (*Table, error) { return fresh, nil })
+	tbl, results, err = compareOne("E14", old, fresh)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -213,7 +213,7 @@ func TestComparePressureColumns(t *testing.T) {
 		{"stack/epoch:auto/write-lean", "structure", "closed loop", "16000", "11.0", "1µs", "32", "0", "corrupt=false"},
 		{"stack/epoch:64/write-lean", "structure", "closed loop", "16000", "11.0", "2µs", "96", "5000", "corrupt=false"},
 	}}
-	tbl, results, err := compareOne("E16", base, func() (*Table, error) { return fresh, nil })
+	tbl, results, err := compareOne("E16", base, fresh)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -233,7 +233,7 @@ func TestComparePressureColumns(t *testing.T) {
 	old := &Table{ID: "E16", Header: header[:6], Rows: [][]string{
 		base.Rows[0][:6], base.Rows[1][:6],
 	}}
-	tbl, results, err = compareOne("E16", old, func() (*Table, error) { return fresh, nil })
+	tbl, results, err = compareOne("E16", old, fresh)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -259,7 +259,7 @@ func TestCompareBacklogDominatedTailGate(t *testing.T) {
 	}
 	base := &Table{ID: "E13", Header: header, Rows: [][]string{row("3µs", "corrupt=false")}}
 	regressed := &Table{ID: "E13", Header: header, Rows: [][]string{row("9µs", "corrupt=false")}}
-	tbl, results, err := compareOne("E13", base, func() (*Table, error) { return regressed, nil })
+	tbl, results, err := compareOne("E13", base, regressed)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -271,7 +271,7 @@ func TestCompareBacklogDominatedTailGate(t *testing.T) {
 	}
 
 	tagged := &Table{ID: "E13", Header: header, Rows: [][]string{row("9µs", "corrupt=false backlog-dominated")}}
-	tbl, results, err = compareOne("E13", base, func() (*Table, error) { return tagged, nil })
+	tbl, results, err = compareOne("E13", base, tagged)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -6,6 +6,7 @@ import (
 	"abadetect/internal/apps"
 	"abadetect/internal/guard"
 	"abadetect/internal/load"
+	"abadetect/internal/reclaim"
 	"abadetect/internal/registry"
 )
 
@@ -14,15 +15,28 @@ import (
 // question — how much of the pool does each scheme keep parked in limbo,
 // and how often does that lag starve an allocation that plenty of retired
 // nodes could have served.  The paper's trade reads directly off the
-// columns: hp pays t(n) (sorted scans of n·H published slots) to keep limbo
+// columns: hp pays t(n) (scans of n·H published slots) to keep limbo
 // per-node tight, epoch pays m(n) (n+1 words) and parks whole batches
 // behind its advance cadence, and the cadence is exactly the knob the
-// epoch:k and epoch:auto rows sweep.
+// epoch:64 and epoch:auto rows sweep.
 
 // e16Schemes is the scheme axis: the pass-through floor, the hp ceiling,
 // the default epoch cadence, a deliberately lazy fixed cadence (the
 // limbo-lag foil), and the self-tuning cadence under test.
-var e16Schemes = []string{"none", "hp", "epoch", "epoch:64", "epoch:auto"}
+var e16Schemes = []string{"none", "hp", "epoch", e16Lazy, "epoch:auto"}
+
+// e16Lazy labels the lazy-cadence foil: epoch with a fixed advance cadence
+// of 64 retires.  A fixed cadence is no registered scheme, so e16Maker
+// builds it directly.
+const e16Lazy = "epoch:64"
+
+// e16Maker resolves one scheme of the axis.
+func e16Maker(scheme string) (reclaim.Maker, error) {
+	if scheme == e16Lazy {
+		return reclaim.NewEpochEvery(64), nil
+	}
+	return registry.NewReclaimMaker(scheme)
+}
 
 const (
 	// e16Capacity is every cell's fixed node pool: tight enough that a
@@ -58,14 +72,19 @@ func e16Profiles(opsPerWorker int) []load.Profile {
 	}
 }
 
+// e16Header is E16's column layout; pressureRun emits a row's cells in
+// this order.
+var e16Header = []string{"implementation", "kind", "workload", "ops", "ns/op", "p999", "limbo", "alloc-miss", "scans", "batches", "tune", "outcome"}
+
 // E16PressureMatrix measures reclamation at line rate: scheme × structure ×
 // profile under a sound guard regime, with the allocator-side counters as
 // the columns — limbo is the retired-not-yet-freed residue at quiescence,
 // alloc-miss counts allocations that found the free list empty (after the
-// reclaimer's drain), scans/skips count hazard sweeps performed vs served
-// from the unchanged-snapshot cache, batches counts amortized multi-node
-// retirements, and tune counts epoch:auto's cadence moves (tightens/
-// relaxes).  The smoke tier trims each cell to 2,000 ops per worker.
+// reclaimer's drain), scans counts reclamation passes (hazard sweeps or
+// epoch-advance passes), batches counts the map's per-operation kill sets
+// retired in one call, and tune counts epoch:auto's cadence moves
+// (tightens/relaxes).  The smoke tier trims each cell to 2,000 ops per
+// worker.
 //
 // The headline contrast: on write-lean cells, fixed lazy epoch (epoch:64)
 // parks the most nodes and starves the most allocations; epoch:auto's
@@ -75,7 +94,7 @@ func E16PressureMatrix(opts Options) (*Table, error) {
 	t := &Table{
 		ID:     "E16",
 		Title:  "reclamation-pressure matrix: scheme × structure × profile, limbo occupancy and alloc-miss lag",
-		Header: []string{"implementation", "kind", "workload", "ops", "ns/op", "p999", "limbo", "alloc-miss", "scans", "skips", "batches", "tune", "outcome"},
+		Header: e16Header,
 	}
 	opsPerWorker := 25_000
 	if opts.Smoke {
@@ -104,7 +123,7 @@ func E16PressureMatrix(opts Options) (*Table, error) {
 	}
 	t.AddNote("every cell runs a fixed %d-node pool under %s guards with %d workers; the write-lean profile churns a node through the allocator on most ops while the live set stays under half the pool, so every alloc-miss is reclaimer lag, not saturation.", e16Capacity, spec, e16Workers)
 	t.AddNote("limbo is the retired-but-not-freed residue at quiescence; alloc-miss counts allocations that found no free node even after the caller's drain.  none is the floor (zero limbo, immediate reuse — and the §1 vulnerability), hp is the robustness ceiling (per-node scans keep limbo tight), epoch:64 is the lazy-cadence foil.")
-	t.AddNote("scans vs skips prices the hp fast-scan cache: a skip is a threshold sweep served from the sorted snapshot because no hazard slot changed.  batches counts multi-node retirements (the structures' commit paths and the map's per-operation kill sets) whose cadence bookkeeping was amortized.")
+	t.AddNote("scans counts reclamation passes: hp sweeps of all n·H hazard slots, or epoch-advance passes.  batches counts the map's per-operation kill sets, each retired in one call with its cadence bookkeeping amortized; stacks retire one node per pop, so their batches read 0.")
 	t.AddNote("tune is epoch:auto's cadence trace as tightens/relaxes: allocator backpressure and limbo pressure pull the advance cadence toward 1, empty drains let it geometrically recover toward the min(2n, cap/n) ceiling.")
 	return t, nil
 }
@@ -112,7 +131,7 @@ func E16PressureMatrix(opts Options) (*Table, error) {
 // pressureRun drives one (structure, scheme, profile) cell and reads the
 // reclamation counters at quiescence.
 func pressureRun(im registry.Impl, spec registry.GuardSpec, scheme string, p load.Profile) ([]string, error) {
-	mkr, err := registry.NewReclaimMaker(scheme)
+	mkr, err := e16Maker(scheme)
 	if err != nil {
 		return nil, err
 	}
@@ -140,7 +159,6 @@ func pressureRun(im registry.Impl, spec registry.GuardSpec, scheme string, p loa
 		fmt.Sprintf("%d", ps.Reclaim.Deferred()),
 		fmt.Sprintf("%d", ps.Exhaustions),
 		fmt.Sprintf("%d", ps.Reclaim.Scans),
-		fmt.Sprintf("%d", ps.Reclaim.SkippedScans),
 		fmt.Sprintf("%d", ps.Reclaim.Batches),
 		tune,
 		outcome(inst, fmt.Sprintf("retired=%d freed=%d stalls=%d", ps.Reclaim.Retired, ps.Reclaim.Freed, ps.Reclaim.Stalls)),

@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"slices"
 	"strconv"
 	"strings"
 	"testing"
@@ -8,6 +9,17 @@ import (
 	"abadetect/internal/guard"
 	"abadetect/internal/registry"
 )
+
+// cellAt returns row's cell under the column name of header, so the tests
+// read E16's counters by name, never by position.
+func cellAt(t *testing.T, header, row []string, name string) string {
+	t.Helper()
+	i := slices.Index(header, name)
+	if i < 0 || i >= len(row) {
+		t.Fatalf("no %q cell: header %v, row %v", name, header, row)
+	}
+	return row[i]
+}
 
 // pressureCell runs one smoke-scale E16 cell and returns its limbo and
 // alloc-miss counters plus the tune trace.
@@ -18,18 +30,19 @@ func pressureCell(t *testing.T, structID, scheme string) (limbo, miss int64, tun
 	if err != nil {
 		t.Fatal(err)
 	}
-	limbo, err = strconv.ParseInt(row[6], 10, 64)
+	limboCell, missCell := cellAt(t, e16Header, row, "limbo"), cellAt(t, e16Header, row, "alloc-miss")
+	limbo, err = strconv.ParseInt(limboCell, 10, 64)
 	if err != nil {
-		t.Fatalf("limbo cell %q: %v", row[6], err)
+		t.Fatalf("limbo cell %q: %v", limboCell, err)
 	}
-	miss, err = strconv.ParseInt(row[7], 10, 64)
+	miss, err = strconv.ParseInt(missCell, 10, 64)
 	if err != nil {
-		t.Fatalf("alloc-miss cell %q: %v", row[7], err)
+		t.Fatalf("alloc-miss cell %q: %v", missCell, err)
 	}
-	if strings.Contains(row[12], "corrupt=true") {
-		t.Fatalf("%s/%s corrupted under sound guards: %s", structID, scheme, row[12])
+	if out := cellAt(t, e16Header, row, "outcome"); strings.Contains(out, "corrupt=true") {
+		t.Fatalf("%s/%s corrupted under sound guards: %s", structID, scheme, out)
 	}
-	return limbo, miss, row[11]
+	return limbo, miss, cellAt(t, e16Header, row, "tune")
 }
 
 // TestLimboLagRegression is the alloc-miss gate from the adaptive-cadence
@@ -98,12 +111,13 @@ func TestE16PressureMatrixShape(t *testing.T) {
 		if len(row) != len(tbl.Header) {
 			t.Fatalf("row %v has %d cells, want %d", row, len(row), len(tbl.Header))
 		}
-		for _, col := range []int{6, 7, 8, 9, 10} {
-			if _, err := strconv.ParseInt(row[col], 10, 64); err != nil {
-				t.Errorf("row %q column %q = %q is not a count", row[0], tbl.Header[col], row[col])
+		for _, name := range []string{"limbo", "alloc-miss", "scans", "batches"} {
+			c := cellAt(t, tbl.Header, row, name)
+			if _, err := strconv.ParseInt(c, 10, 64); err != nil {
+				t.Errorf("row %q column %q = %q is not a count", row[0], name, c)
 			}
 		}
-		if strings.Contains(row[12], "corrupt=true") {
+		if strings.Contains(cellAt(t, tbl.Header, row, "outcome"), "corrupt=true") {
 			t.Errorf("row %q corrupted under sound guards", row[0])
 		}
 		schemes[strings.SplitN(row[0], "/", 3)[1]] = true

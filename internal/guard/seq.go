@@ -1,14 +1,7 @@
 package guard
 
-import (
-	"fmt"
-
-	"abadetect/internal/shmem"
-)
-
 // This file is the read side of the protection ladder: a seqlock-style
-// consistent-read protocol over any Guard, and a SeqGuard wrapper that makes
-// it exact even over the raw regime.
+// consistent-read protocol over any Guard.
 //
 // The protocol is the paper's detection semantics run backwards.  A
 // detecting register's DRead reports whether any write linearized since the
@@ -20,7 +13,6 @@ import (
 // exact.  LL/SC answers through VL, tagged through the packed tag word, and
 // raw only through value comparison, which is the §1 blindness: a read
 // "validated" by an equal word may span a remove–recycle–reinsert cycle.
-// SeqGuard closes exactly that gap with two unbounded write counters.
 
 // ReadConsistent performs one seqlock-consistent read through h: it Loads
 // the guarded reference, runs read(v) — the caller's dependent loads of
@@ -51,140 +43,6 @@ func ReadConsistent(h Handle, maxRetries int, read func(v Word)) (v Word, clean 
 		}
 		if maxRetries > 0 && attempt >= maxRetries {
 			return v, false
-		}
-	}
-}
-
-// seqGuard wraps an inner guard with a two-counter seqlock: writeBegin is
-// bumped before every commit attempt and writeEnd after it, so a reader
-// that saw writeEnd = e before its Load and sees writeBegin = e at Validate
-// knows no write was in flight anywhere inside its window.
-//
-// One even/odd version word — the classic single-writer seqlock — is NOT
-// sound here: with two concurrent writers A and B, a reader can catch the
-// word at B's pre-commit bump on both fences while A's commit lands inside
-// the window.  Two monotone counters close that interleaving: every write
-// begun by the Validate fence but not completed by the Load fence leaves
-// begin > loadEnd, whatever order the bumps interleave in.
-//
-// The counters are base objects from the structure's factory (CAS words,
-// bumped by a CAS loop), so the wrapper stays on the substrate and its cost
-// is honest in the model: writes pay O(1) expected extra steps, reads pay
-// exactly two extra shared reads — and the counter pair is the folklore
-// "unbounded sequence number" scheme of §1, m(n) = 2 unbounded words,
-// which is precisely the space the paper's bounded detectors avoid.
-type seqGuard struct {
-	inner Guard
-	begin shmem.WritableCAS // writes begun (bumped before the inner commit)
-	end   shmem.WritableCAS // writes completed (bumped after it)
-	m     metrics           // seq-layer detections, on top of inner's
-}
-
-// NewSeq wraps inner with the seqlock write counters allocated from f.
-// The wrapped guard has inner's regime and semantics for Commit and Store;
-// its Load/Validate additionally detect — exactly — any completed write
-// inside the handle's window, which upgrades a raw guard's value-blind
-// Validate to a true torn-read fence (ABA cycles included: a cycle is two
-// completed writes, and the counters never travel backwards).  Commit
-// itself stays as foolable as inner's: the wrapper is a read protocol, not
-// a write protocol, so raw stays the §1 victim on the write path.
-func NewSeq(inner Guard, f shmem.Factory, name string) (Guard, error) {
-	if inner == nil {
-		return nil, fmt.Errorf("guard: seq wrapper needs a non-nil inner guard")
-	}
-	if f == nil {
-		return nil, fmt.Errorf("guard: seq wrapper needs a factory for its version counters")
-	}
-	return &seqGuard{
-		inner: inner,
-		begin: f.NewCAS(name+".seqbegin", 0),
-		end:   f.NewCAS(name+".seqend", 0),
-		m:     newMetrics(),
-	}, nil
-}
-
-func (g *seqGuard) Handle(pid int) (Handle, error) {
-	ih, err := g.inner.Handle(pid)
-	if err != nil {
-		return nil, err
-	}
-	return &seqHandle{g: g, inner: ih, pid: pid, lane: shmem.StripeFor(pid)}, nil
-}
-
-func (g *seqGuard) NumProcs() int     { return g.inner.NumProcs() }
-func (g *seqGuard) Regime() Regime    { return g.inner.Regime() }
-func (g *seqGuard) Conditional() bool { return g.inner.Conditional() }
-func (g *seqGuard) Peek(pid int) Word { return g.inner.Peek(pid) }
-
-// Metrics reports the inner guard's counters plus the seq layer's own:
-// DirtyLoads grown by every version movement the inner regime missed.
-func (g *seqGuard) Metrics() Metrics { return g.inner.Metrics().Add(g.m.snapshot()) }
-
-type seqHandle struct {
-	g     *seqGuard
-	inner Handle
-	pid   int
-	lane  int // metrics stripe, shmem.StripeFor(pid)
-
-	loadEnd Word // end counter as read before the last Load
-	loaded  bool
-}
-
-// Load reads the end counter, then the inner reference.  A moved counter
-// since this handle's previous Load is a completed write — reported dirty
-// even when the inner regime (raw after a full cycle) sees an equal word.
-func (h *seqHandle) Load() (Word, bool) {
-	e := h.g.end.Read(h.pid)
-	v, dirty := h.inner.Load()
-	if !dirty && h.loaded && e != h.loadEnd {
-		dirty = true
-		h.g.m.addDirty(h.lane)
-	}
-	h.loadEnd, h.loaded = e, true
-	return v, dirty
-}
-
-// Validate passes only if the inner regime sees no change AND no write
-// completed — or is in flight — since the Load fence: writeBegin must equal
-// the end count captured there.  Any write begun before Validate but not
-// completed before Load leaves begin > loadEnd (counters are monotone), so
-// the check is exact for completed writes; a failed commit attempt also
-// bumps both counters and merely forces a spurious retry.
-func (h *seqHandle) Validate() bool {
-	if !h.inner.Validate() {
-		return false
-	}
-	if h.g.begin.Read(h.pid) != h.loadEnd {
-		h.g.m.addDirty(h.lane) // torn read the inner regime did not flag
-		return false
-	}
-	return true
-}
-
-// Commit bumps begin, runs the inner commit, and bumps end — on either
-// outcome, so readers comparing begin to a pre-Load end count can never be
-// stranded behind a failed attempt's begin bump.
-func (h *seqHandle) Commit(v Word) bool {
-	h.bump(h.g.begin)
-	ok := h.inner.Commit(v)
-	h.bump(h.g.end)
-	return ok
-}
-
-// Store is a write like any other: counted, so readers see it.
-func (h *seqHandle) Store(v Word) {
-	h.bump(h.g.begin)
-	h.inner.Store(v)
-	h.bump(h.g.end)
-}
-
-// bump is a CAS-loop fetch-increment: the substrate has no fetch-and-add
-// base object, and the counters must stay in the model.
-func (h *seqHandle) bump(c shmem.WritableCAS) {
-	for {
-		w := c.Read(h.pid)
-		if c.CompareAndSwap(h.pid, w, w+1) {
-			return
 		}
 	}
 }

@@ -6,9 +6,9 @@ import (
 	"abadetect/internal/shmem"
 )
 
-// Tests for the PR 9 reclamation engine: zero-shared-step retirement
-// (stamp-at-drain), batched retirement, the versioned hazard-scan cache,
-// capacity resizing, and the epoch:auto self-tuning cadence.
+// Tests for the reclamation engine: zero-shared-step retirement
+// (stamp-at-drain), batched retirement, capacity resizing, and the
+// epoch:auto self-tuning cadence.
 
 // TestEpochRetireTakesNoSharedSteps pins the satellite fix: Retire used to
 // read the shared global epoch register on every call; now the epoch is
@@ -113,90 +113,6 @@ func TestRetireBatchRespectsProtections(t *testing.T) {
 	h0.Drain()
 	if len(c0.freed) != 4 {
 		t.Fatalf("after clear: freed %v", c0.freed)
-	}
-}
-
-// TestHPScanCacheSkipsUnchangedSweeps: a drain whose publication version
-// matches the last sweep's must reuse the snapshot (counted as a skipped
-// scan) and still free newly retired nodes; any Protect or Clear
-// invalidates the cache.
-func TestHPScanCacheSkipsUnchangedSweeps(t *testing.T) {
-	cf := shmem.NewCounting(shmem.NewNativeFactory(), 2)
-	r, err := NewHazard(cf, "t", 2, 64)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var c0, c1 collector
-	h0, _ := r.Handle(0, c0.free)
-	h1, _ := r.Handle(1, c1.free)
-	h1.Protect(0, 50)
-	h0.Retire(1)
-	h0.Drain() // fresh sweep: reads the hazard registers
-	base := r.Metrics()
-	if base.Scans != 1 || base.SkippedScans != 0 {
-		t.Fatalf("first drain: %s", base)
-	}
-	cf.Reset()
-	h0.Retire(2)
-	h0.Retire(3)
-	h0.Drain() // no hazard word changed: cached snapshot, zero register reads
-	m := r.Metrics()
-	if m.Scans != 1 {
-		t.Errorf("unchanged hazards re-swept: scans = %d, want 1", m.Scans)
-	}
-	if m.SkippedScans != 1 {
-		t.Errorf("skipped scans = %d, want 1", m.SkippedScans)
-	}
-	if got := cf.Steps(0); got != 0 {
-		t.Errorf("cached drain took %d shared steps, want 0", got)
-	}
-	if len(c0.freed) != 3 {
-		t.Errorf("cached drain freed %v, want nodes 1,2,3", c0.freed)
-	}
-	// The straggler's protected node still frees only after its Clear —
-	// which bumps the version and forces a real sweep.
-	h0.Retire(50)
-	h0.Drain()
-	if len(c0.freed) != 3 {
-		t.Fatalf("protected node freed through the cache: %v", c0.freed)
-	}
-	h1.Clear()
-	h0.Drain()
-	if len(c0.freed) != 4 || c0.freed[3] != 50 {
-		t.Fatalf("after clear: freed %v, want node 50 last", c0.freed)
-	}
-	if m := r.Metrics(); m.Scans < 2 {
-		t.Errorf("the post-Clear drain did not re-sweep: %s", m)
-	}
-}
-
-// TestHazardedBinarySearchAgrees: above the sort cutover the membership
-// probe switches to binary search over the sorted snapshot; both paths must
-// agree with naive membership.
-func TestHazardedBinarySearchAgrees(t *testing.T) {
-	small := []Word{9, 3, 7}
-	for w := Word(1); w <= 10; w++ {
-		want := w == 9 || w == 3 || w == 7
-		if got := hazarded(small, w); got != want {
-			t.Errorf("small snapshot: hazarded(%d) = %v, want %v", w, got, want)
-		}
-	}
-	// hazarded's binary-search arm assumes a sorted snapshot, as scan
-	// produces above the cutover.
-	var big []Word
-	for i := 0; i < hpSortCutover+8; i++ {
-		big = append(big, Word(i*3+1))
-	}
-	for w := Word(0); w < Word(3*(hpSortCutover+9)); w++ {
-		want := false
-		for _, s := range big {
-			if s == w {
-				want = true
-			}
-		}
-		if got := hazarded(big, w); got != want {
-			t.Errorf("big snapshot: hazarded(%d) = %v, want %v", w, got, want)
-		}
 	}
 }
 

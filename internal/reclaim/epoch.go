@@ -32,7 +32,7 @@ type epochReclaimer struct {
 	n        int
 	capacity int    // construction ceiling; pre-sizes the deferred lists
 	scheme   string // "epoch" or "epoch:auto"
-	fixedK   int    // explicit cadence (epoch:k); 0 = derived from capacity
+	fixedK   int    // explicit cadence (NewEpochEvery); 0 = derived from capacity
 	auto     bool   // self-tuning cadence (epoch:auto)
 
 	// threshold is the advance cadence derived from the *live* capacity
@@ -129,9 +129,9 @@ func newEpoch(f shmem.Factory, name string, n, capacity, k int, auto bool) (Recl
 
 // Resize recomputes the cadence clamp for a new live capacity — pools call
 // it after Grow, so a grown pool does not keep draining on the pre-growth
-// cadence.  An explicit epoch:k cadence is pinned by the caller and stays;
-// the deferred-list buffers are sized for the construction ceiling, so
-// Resize never reallocates.
+// cadence.  An explicit NewEpochEvery cadence is pinned by the caller and
+// stays; the deferred-list buffers are sized for the construction ceiling,
+// so Resize never reallocates.
 func (r *epochReclaimer) Resize(capacity int) {
 	if capacity < 1 {
 		return

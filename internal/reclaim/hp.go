@@ -13,16 +13,14 @@ import (
 // registers; Protect publishes a node index there, and a retired node is
 // freed only once a scan of all n·Slots slots finds it unprotected.
 //
-// Space is n·Slots registers — the O(n·H) the issue's m(n) claim names —
-// plus at most capacity deferred indices per process.  Time is O(1) for
-// Protect/Clear/Retire, with an amortized scan every `threshold` retires.
-// The scan itself sorts its hazard snapshot once and probes each retired
-// node by binary search — O(H·n·log(H·n) + R·log(H·n)) instead of the
-// naive O(R·H·n) membership sweep — and a scan whose publication version
-// matches the previous one skips re-reading the registers entirely: no
-// hazard word changed, so the cached sorted snapshot is still exact.
-// Robustness is hp's selling point over epochs: a stalled process defers at
-// most the Slots nodes it protects; everything else keeps draining.
+// Space is n·Slots registers — the paper's m(n) = O(n·H) for this scheme —
+// plus at most capacity deferred indices per process.  Time is one register
+// write per Protect and Slots writes per Clear, and every `threshold`
+// retires a scan reads all n·Slots registers once.  Each pending node is
+// then probed linearly against that local snapshot of at most n·Slots
+// words: local work, which the paper's t(n) does not count.  Robustness is
+// hp's selling point over epochs: a stalled process defers at most the
+// Slots nodes it protects; everything else keeps draining.
 type hpReclaimer struct {
 	n        int
 	capacity int // construction ceiling; pre-sizes the deferred lists
@@ -34,23 +32,10 @@ type hpReclaimer struct {
 
 	hazards []shmem.Register // hazards[pid*Slots+slot]; 0 = unprotected
 
-	// pub versions the hazard registers: every Protect and Clear bumps its
-	// stripe *after* the register write, so a scanner that observes an
-	// unchanged sum knows no hazard word moved since its last snapshot.
-	// A hazard published-and-validated before a node's unlink bumps before
-	// the retirer can observe the version, so a matching version can never
-	// hide a protection a freed node still needs.
-	pub *shmem.StripedCounter
-
 	m      metrics
 	limboT limboTracker
 	tr     *trace.Recorder // nil unless the pool attached a flight recorder
 }
-
-// hpSortCutover is the snapshot size below which the linear membership
-// probe beats sorting + binary search (branch-free sequential loads over a
-// couple of cache lines).
-const hpSortCutover = 16
 
 // hpThreshold is the scan cadence for a live capacity c: the classic
 // multiple of the slot count, so each scan amortizes to O(1) per retire,
@@ -77,7 +62,6 @@ func NewHazard(f shmem.Factory, name string, n, capacity int) (Reclaimer, error)
 		n:        n,
 		capacity: capacity,
 		hazards:  make([]shmem.Register, n*Slots),
-		pub:      shmem.NewStripedCounter(),
 	}
 	r.Resize(capacity)
 	label := name + ".hp"
@@ -105,7 +89,6 @@ func (r *hpReclaimer) Handle(pid int, free Free) (Handle, error) {
 	h := &hpHandle{
 		r:       r,
 		pid:     pid,
-		lane:    shmem.StripeFor(pid),
 		free:    free,
 		retired: make([]int, 0, r.capacity),
 		snap:    make([]Word, 0, r.n*Slots),
@@ -127,35 +110,26 @@ func (r *hpReclaimer) Metrics() Metrics { return r.m.snapshot() }
 type hpHandle struct {
 	r       *hpReclaimer
 	pid     int
-	lane    int // publication-counter stripe, shmem.StripeFor(pid)
 	free    Free
 	retired []int       // deferred nodes, in retire (FIFO) order
-	snap    []Word      // sorted hazard snapshot; reused so scans never allocate
-	snapVer int64       // publication version the snapshot was taken at
-	snapOK  bool        // snap/snapVer hold a completed scan's snapshot
+	snap    []Word      // hazard snapshot; reused so scans never allocate
 	ring    *trace.Ring // nil without a tracer; Record on nil is a no-op
 }
 
 // Protect publishes idx in this process's hazard slot.  The write must be
 // visible before the caller re-validates the source reference — that
 // ordering (publish, then re-check reachability) is what guarantees a
-// validated node stays allocated until Clear.  The version bump follows the
-// register write for the same reason: any scanner that could miss this
-// hazard in a cached snapshot must observe the version change first.
+// validated node stays allocated until Clear.
 func (h *hpHandle) Protect(slot, idx int) {
 	h.r.hazards[h.pid*Slots+slot].Write(h.pid, Word(idx))
-	h.r.pub.Add(h.lane, 1)
 }
 
-// Clear withdraws this process's protections.  The bump after the clears
-// keeps the scan cache live: a cached snapshot can only over-protect, and
-// the version change tells the next scan the slots are worth re-reading.
+// Clear withdraws this process's protections.
 func (h *hpHandle) Clear() {
 	base := h.pid * Slots
 	for s := 0; s < Slots; s++ {
 		h.r.hazards[base+s].Write(h.pid, 0)
 	}
-	h.r.pub.Add(h.lane, 1)
 }
 
 // Retire defers idx and scans once the pending list reaches the threshold.
@@ -190,11 +164,8 @@ func (h *hpHandle) AllocMiss() { h.r.m.pressure.Add(1) }
 func (h *hpHandle) Drain() int { return h.scan() }
 
 // scan frees the pending nodes no hazard slot covers, preserving retire
-// order so a FIFO allocator's recycling order stays deterministic.  The
-// publication version is read *before* the registers: a hazard published
-// after that read changes the version, so the next scan re-sweeps; a
-// version match means the sorted snapshot is byte-for-byte current and the
-// n·Slots register reads are skipped.
+// order so a FIFO allocator's recycling order stays deterministic.  Every
+// scan with nodes pending reads all n·Slots hazard registers afresh.
 func (h *hpHandle) scan() int {
 	if len(h.retired) == 0 {
 		// Nothing pending: skip the hazard sweep entirely.  An allocator
@@ -203,26 +174,17 @@ func (h *hpHandle) scan() int {
 		// lines the other processes' Protect writes need.
 		return 0
 	}
-	v := h.r.pub.Load()
-	if h.snapOK && v == h.snapVer {
-		h.r.m.skips.Add(1)
-	} else {
-		h.r.m.scans.Add(1)
-		h.snap = h.snap[:0]
-		for i := range h.r.hazards {
-			if w := h.r.hazards[i].Read(h.pid); w != 0 {
-				h.snap = append(h.snap, w)
-			}
+	h.r.m.scans.Add(1)
+	h.snap = h.snap[:0]
+	for i := range h.r.hazards {
+		if w := h.r.hazards[i].Read(h.pid); w != 0 {
+			h.snap = append(h.snap, w)
 		}
-		if len(h.snap) > hpSortCutover {
-			slices.Sort(h.snap)
-		}
-		h.snapVer, h.snapOK = v, true
 	}
 	freed := 0
 	kept := h.retired[:0]
 	for _, idx := range h.retired {
-		if hazarded(h.snap, Word(idx)) {
+		if slices.Contains(h.snap, Word(idx)) {
 			kept = append(kept, idx)
 			continue
 		}
@@ -237,20 +199,4 @@ func (h *hpHandle) scan() int {
 	}
 	h.ring.Record(trace.KindScan, trace.NameHP, uint64(freed), uint64(len(h.retired)))
 	return freed
-}
-
-// hazarded reports whether w appears in the snapshot: a linear pass below
-// the cutover (sequential loads beat a search at these sizes and neither
-// allocates), binary search over the sorted snapshot above it.
-func hazarded(snap []Word, w Word) bool {
-	if len(snap) <= hpSortCutover {
-		for _, s := range snap {
-			if s == w {
-				return true
-			}
-		}
-		return false
-	}
-	_, found := slices.BinarySearch(snap, w)
-	return found
 }

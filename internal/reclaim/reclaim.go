@@ -163,9 +163,6 @@ type Metrics struct {
 	// Batches counts RetireBatch calls: multi-node retirements whose
 	// bookkeeping was amortized over the batch.
 	Batches int64
-	// SkippedScans counts hazard scans served from the cached snapshot
-	// because no hazard word changed since the last sweep (hp only).
-	SkippedScans int64
 	// Pressure counts allocator backpressure signals (AllocMiss): failed
 	// allocations reported to the reclaimer before the exhaustion drain.
 	Pressure int64
@@ -182,22 +179,21 @@ func (m Metrics) Deferred() int64 { return m.Retired - m.Freed }
 // Add returns the field-wise sum of two snapshots.
 func (m Metrics) Add(o Metrics) Metrics {
 	return Metrics{
-		Retired:      m.Retired + o.Retired,
-		Freed:        m.Freed + o.Freed,
-		Scans:        m.Scans + o.Scans,
-		Stalls:       m.Stalls + o.Stalls,
-		Batches:      m.Batches + o.Batches,
-		SkippedScans: m.SkippedScans + o.SkippedScans,
-		Pressure:     m.Pressure + o.Pressure,
-		Tightens:     m.Tightens + o.Tightens,
-		Relaxes:      m.Relaxes + o.Relaxes,
+		Retired:  m.Retired + o.Retired,
+		Freed:    m.Freed + o.Freed,
+		Scans:    m.Scans + o.Scans,
+		Stalls:   m.Stalls + o.Stalls,
+		Batches:  m.Batches + o.Batches,
+		Pressure: m.Pressure + o.Pressure,
+		Tightens: m.Tightens + o.Tightens,
+		Relaxes:  m.Relaxes + o.Relaxes,
 	}
 }
 
 // String renders the counters.
 func (m Metrics) String() string {
-	return fmt.Sprintf("retired=%d freed=%d deferred=%d scans=%d stalls=%d batches=%d skips=%d pressure=%d tightens=%d relaxes=%d",
-		m.Retired, m.Freed, m.Deferred(), m.Scans, m.Stalls, m.Batches, m.SkippedScans, m.Pressure, m.Tightens, m.Relaxes)
+	return fmt.Sprintf("retired=%d freed=%d deferred=%d scans=%d stalls=%d batches=%d pressure=%d tightens=%d relaxes=%d",
+		m.Retired, m.Freed, m.Deferred(), m.Scans, m.Stalls, m.Batches, m.Pressure, m.Tightens, m.Relaxes)
 }
 
 // metrics is the shared atomic backing of Metrics.
@@ -207,7 +203,6 @@ type metrics struct {
 	scans    atomic.Int64
 	stalls   atomic.Int64
 	batches  atomic.Int64
-	skips    atomic.Int64
 	pressure atomic.Int64
 	tightens atomic.Int64
 	relaxes  atomic.Int64
@@ -215,15 +210,14 @@ type metrics struct {
 
 func (m *metrics) snapshot() Metrics {
 	return Metrics{
-		Retired:      m.retired.Load(),
-		Freed:        m.freed.Load(),
-		Scans:        m.scans.Load(),
-		Stalls:       m.stalls.Load(),
-		Batches:      m.batches.Load(),
-		SkippedScans: m.skips.Load(),
-		Pressure:     m.pressure.Load(),
-		Tightens:     m.tightens.Load(),
-		Relaxes:      m.relaxes.Load(),
+		Retired:  m.retired.Load(),
+		Freed:    m.freed.Load(),
+		Scans:    m.scans.Load(),
+		Stalls:   m.stalls.Load(),
+		Batches:  m.batches.Load(),
+		Pressure: m.pressure.Load(),
+		Tightens: m.tightens.Load(),
+		Relaxes:  m.relaxes.Load(),
 	}
 }
 

@@ -1,6 +1,7 @@
 package reclaim
 
 import (
+	"slices"
 	"testing"
 
 	"abadetect/internal/shmem"
@@ -128,6 +129,59 @@ func TestHPStalledProcessDefersOnlyItsSlots(t *testing.T) {
 	}
 	if got := r.Limbo(); len(got) != 2 {
 		t.Fatalf("limbo = %v, want the two hazarded nodes", got)
+	}
+}
+
+// TestHPStepsPerCall pins hp's shared-memory steps per call on the counting
+// backend: Protect is one register write, Clear is Slots writes, a drain
+// with nodes pending reads all n·Slots hazard registers — whether or not a
+// hazard changed since the last drain — and a drain with nothing pending
+// reads none.
+func TestHPStepsPerCall(t *testing.T) {
+	const n = 3
+	cf := shmem.NewCounting(shmem.NewNativeFactory(), n)
+	r, err := NewHazard(cf, "t", n, 64)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var c0, c1 collector
+	h0, _ := r.Handle(0, c0.free)
+	h1, _ := r.Handle(1, c1.free)
+	steps := func(pid int, call func()) int64 {
+		cf.Reset()
+		call()
+		return cf.Steps(pid)
+	}
+	drain := func() { h0.Drain() }
+
+	if got := steps(1, func() { h1.Protect(0, 50) }); got != 1 {
+		t.Errorf("Protect took %d steps, want 1", got)
+	}
+	h0.Retire(1)
+	if got := steps(0, drain); got != n*Slots {
+		t.Errorf("drain after a Protect took %d steps, want n·Slots = %d", got, n*Slots)
+	}
+	h0.Retire(2)
+	if got := steps(0, drain); got != n*Slots {
+		t.Errorf("drain with unchanged hazards took %d steps, want n·Slots = %d", got, n*Slots)
+	}
+	if got := steps(0, drain); got != 0 {
+		t.Errorf("drain with nothing pending took %d steps, want 0", got)
+	}
+	if !slices.Equal(c0.freed, []int{1, 2}) {
+		t.Errorf("freed %v, want [1 2]", c0.freed)
+	}
+	// The protected node stays in limbo until its protector clears.
+	h0.Retire(50)
+	h0.Drain()
+	if got := steps(1, h1.Clear); got != Slots {
+		t.Errorf("Clear took %d steps, want Slots = %d", got, Slots)
+	}
+	if got := steps(0, drain); got != n*Slots {
+		t.Errorf("drain after a Clear took %d steps, want n·Slots = %d", got, n*Slots)
+	}
+	if !slices.Equal(c0.freed, []int{1, 2, 50}) {
+		t.Errorf("freed %v, want [1 2 50]", c0.freed)
 	}
 }
 

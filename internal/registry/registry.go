@@ -19,8 +19,6 @@ package registry
 import (
 	"fmt"
 	"sort"
-	"strconv"
-	"strings"
 
 	"abadetect/internal/apps"
 	"abadetect/internal/core"
@@ -361,26 +359,9 @@ func Structures() []Impl { return byKind(KindStructure) }
 func Reclaimers() []Impl { return byKind(KindReclaimer) }
 
 // NewReclaimMaker returns the reclaim.Maker registered under id ("hp",
-// "epoch", "none") — the registry-driven construction path the public
-// WithReclamation option and the E12 harness share.  The epoch scheme
-// accepts a tuned advance cadence as "epoch:k" (attempt the announcement
-// sweep every k retires instead of the default min(2n, capacity/n)), and
-// "epoch:auto" selects the self-tuning cadence driven by allocator
-// backpressure.
+// "epoch", "epoch:auto", "none") — the registry-driven construction path the
+// public WithReclamation option and the matrix harnesses share.
 func NewReclaimMaker(id string) (reclaim.Maker, error) {
-	if base, arg, ok := strings.Cut(id, ":"); ok {
-		if base != "epoch" {
-			return nil, fmt.Errorf("registry: only the epoch scheme takes a %q argument (got %q)", ":k", id)
-		}
-		if arg == "auto" {
-			return reclaim.NewEpochAuto, nil
-		}
-		k, err := strconv.Atoi(arg)
-		if err != nil || k < 1 {
-			return nil, fmt.Errorf("registry: %q: the epoch advance cadence must be a positive integer (or %q)", id, "auto")
-		}
-		return reclaim.NewEpochEvery(k), nil
-	}
 	im, ok := Lookup(id)
 	if !ok || im.Kind != KindReclaimer {
 		return nil, fmt.Errorf("registry: %q is not a registered reclamation scheme (try %v)", id, reclaimerIDs())

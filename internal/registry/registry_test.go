@@ -216,9 +216,9 @@ func TestDetectorsBehaveOnSmoke(t *testing.T) {
 }
 
 func TestNewReclaimMaker(t *testing.T) {
-	// Plain scheme IDs resolve; the epoch scheme alone takes a ":k" cadence
-	// argument, which must be a positive integer.
-	for _, id := range []string{"none", "hp", "epoch", "epoch:4"} {
+	// Registered scheme IDs resolve; nothing else does, a fixed epoch
+	// cadence ("epoch:k") included.
+	for _, id := range []string{"none", "hp", "epoch", "epoch:auto"} {
 		mk, err := NewReclaimMaker(id)
 		if err != nil {
 			t.Errorf("%q: %v", id, err)
@@ -233,7 +233,7 @@ func TestNewReclaimMaker(t *testing.T) {
 			t.Errorf("%q: NumProcs = %d", id, r.NumProcs())
 		}
 	}
-	for _, id := range []string{"hp:4", "none:1", "epoch:0", "epoch:-2", "epoch:x", "bogus"} {
+	for _, id := range []string{"hp:4", "none:1", "epoch:4", "epoch:0", "epoch:-2", "epoch:x", "bogus"} {
 		if _, err := NewReclaimMaker(id); err == nil {
 			t.Errorf("%q: want error", id)
 		}

@@ -6,8 +6,8 @@ import (
 )
 
 // CacheLineBytes is the assumed coherence granularity, exported for the
-// striped seams (guard metrics, pool stats, core.StripedHandles) that pad
-// their per-stripe state to whole lines.
+// striped seams (guard metrics, pool stats) that pad their per-stripe state
+// to whole lines.
 const CacheLineBytes = cacheLineBytes
 
 // stripeCount is the number of counter stripes, fixed at init: the next

@@ -96,13 +96,15 @@ type StructureAudit struct {
 	// nodes were pending — hazards covering every candidate, or an epoch
 	// advance blocked by a stalled process.
 	ReclaimStalls int64
-	// RetireBatches counts multi-node retirements handed to the reclaimer
-	// in one call (the structures' commit paths and the map's per-operation
-	// kill sets), whose bookkeeping was amortized over the batch.
+	// RetireBatches counts the map's per-operation kill sets, each handed
+	// to the reclaimer in one call with its bookkeeping amortized over the
+	// set.  Stacks and queues kill one node per operation and retire it
+	// singly, so theirs stays 0.
 	RetireBatches int64
-	// SkippedScans counts hazard sweeps served from the cached sorted
-	// snapshot because no hazard slot changed since the last sweep (hp
-	// only).
+	// SkippedScans is always 0.
+	//
+	// Deprecated: hp reads every hazard slot on every sweep; no sweep is
+	// skipped.
 	SkippedScans int64
 	// AllocPressure counts allocator backpressure signals: failed
 	// allocations reported to the reclaimer before the exhaustion drain.
@@ -136,7 +138,6 @@ func poolAudit(corrupt bool, detail string, ps apps.PoolStats) StructureAudit {
 		Deferred:        ps.Reclaim.Deferred(),
 		ReclaimStalls:   ps.Reclaim.Stalls,
 		RetireBatches:   ps.Reclaim.Batches,
-		SkippedScans:    ps.Reclaim.SkippedScans,
 		AllocPressure:   ps.Reclaim.Pressure,
 		CadenceTightens: ps.Reclaim.Tightens,
 		CadenceRelaxes:  ps.Reclaim.Relaxes,
@@ -164,13 +165,12 @@ func WithTagBits(bits uint) Option {
 
 // WithReclamation routes a structure's node releases through a safe-memory-
 // reclamation scheme: "hp" (hazard pointers), "epoch" (epoch-based
-// reclamation), "epoch:k" (epoch with a fixed advance cadence of k retires),
-// "epoch:auto" (epoch whose cadence self-tunes to allocator backpressure),
-// or "none" (the explicit immediate-reuse pass-through; also the default
-// when the option is absent).  Under every scheme but "none" a removed node
-// cannot re-enter the allocator while any process may still hold its index,
-// so the §1 recycle-inside-the-window ABA never forms — even under
-// ProtectionRaw.  That is the trade the paper's m(n)/t(n) vocabulary prices:
+// reclamation), "epoch:auto" (epoch whose cadence self-tunes to allocator
+// backpressure), or "none" (the explicit immediate-reuse pass-through; also
+// the default when the option is absent).  Any other name is a constructor
+// error.  Under every scheme but "none" a removed node cannot re-enter the
+// allocator while any process may still hold its index, so the §1
+// recycle-inside-the-window ABA never forms — even under ProtectionRaw.  That is the trade the paper's m(n)/t(n) vocabulary prices:
 // hp spends n·H published slots and an amortized scan, epoch spends n+1
 // words and an unbounded counter (and stalls all reuse behind one stalled
 // process), where tagging spends k bits of every guarded word.  The

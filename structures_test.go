@@ -425,8 +425,10 @@ func TestStructureRejectsInvalidSizes(t *testing.T) {
 	if m.Growing() || m.StructureTrace() != nil {
 		t.Errorf("zero options built growing=%v traced=%v, want neither", m.Growing(), m.StructureTrace() != nil)
 	}
-	if _, err := abadetect.NewMap(2, 8, abadetect.WithReclamation("epoch:0")); err == nil {
-		t.Error("epoch:0 accepted")
+	for _, scheme := range []string{"epoch:0", "epoch:64"} {
+		if _, err := abadetect.NewMap(2, 8, abadetect.WithReclamation(scheme)); err == nil {
+			t.Errorf("%s accepted", scheme)
+		}
 	}
 }
 
