@@ -13,10 +13,11 @@ import (
 // (structure × regime × reclaimer) cell runs the same closed-loop churn
 // twice — once untraced, once with a recorder on every guard, allocator, and
 // reclaimer seam — and the overhead column prices the tracing build against
-// its own untraced twin from the same run.  The off rows double as the
-// regression gate: they are ordinary throughput rows, so -bench-compare
-// diffs them against committed snapshots like any other matrix, and a
-// tracing seam that leaks cost into the *disabled* path shows up there.
+// its own untraced twin from the same run.  The off rows are trajectory
+// rows, not a gate: they are ordinary throughput rows, so -bench-compare
+// diffs them against committed snapshots like any other matrix, and CI
+// runs that compare report-only, so a tracing seam that leaks cost into
+// the *disabled* path shows in the log without failing the build.
 
 const (
 	// e17Workers matches the other pressure matrices' process count.
@@ -91,7 +92,7 @@ func E17ObservabilityMatrix(opts Options) (*Table, error) {
 		return nil, err
 	}
 	t.AddNote("each off/on pair runs the identical closed-loop churn (%d workers, %d-node pool); overhead = traced ns/op ÷ untraced ns/op from the same run, so it diffs meaningfully across machines.", e17Workers, e17Capacity)
-	t.AddNote("trace-off rows ARE the regression gate: tracing disabled must cost nothing (the hooks are nil and the hot paths are the untraced builds), so these rows must stay within noise of the committed snapshot under -bench-compare.")
+	t.AddNote("trace-off rows are report-only trajectory rows: tracing disabled should cost nothing (no guard or pool is wrapped; an operation mark or a reclaimer scan is one inlined nil check), and -bench-compare diffs these rows against a committed snapshot without gating on them.")
 	t.AddNote("events counts the merged dump of the traced run — ring-capped at %d per process, so it measures retention, not total traffic; every guard load/commit, alloc/release/retire, and reclaimer scan/advance lands in a ring.", e17RingCap)
 	return t, nil
 }

@@ -54,12 +54,27 @@ func TestMapScenarioIncidentOrder(t *testing.T) {
 		t.Fatalf("incident legs out of happens-before order: armedLoad=%d release=%d realloc=%d commit=%d\n%s",
 			armedLoad, release, realloc, commit, trace.Format(r.Incident))
 	}
-	// The dump itself must be GSeq-ordered (Merge's contract).
+	// The dump itself must be strictly ascending in (GSeq, ticketed first,
+	// Pid, Seq) (Merge's contract).
 	for i := 1; i < len(r.Incident); i++ {
-		if r.Incident[i].GSeq <= r.Incident[i-1].GSeq {
-			t.Fatalf("incident dump not GSeq-ordered at %d", i)
+		if !mergeKeyLess(r.Incident[i-1], r.Incident[i]) {
+			t.Fatalf("incident dump not in (GSeq, ticketed first, Pid, Seq) order at %d\n%s", i, trace.Format(r.Incident))
 		}
 	}
+}
+
+// mergeKeyLess reports whether x sorts strictly before y in a merged dump's
+// order: (GSeq, ticketed first, Pid, Seq).
+func mergeKeyLess(x, y trace.Event) bool {
+	switch {
+	case x.GSeq != y.GSeq:
+		return x.GSeq < y.GSeq
+	case x.Kind.Ticketed() != y.Kind.Ticketed():
+		return x.Kind.Ticketed()
+	case x.Pid != y.Pid:
+		return x.Pid < y.Pid
+	}
+	return x.Seq < y.Seq
 }
 
 // TestMapScenarioWatchFiresOnNearMiss checks the watch leg: a tagged run of

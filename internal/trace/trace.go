@@ -2,22 +2,37 @@
 // per-process ring of typed events — guard loads and commits, reclaimer
 // milestones, allocator traffic, structure-level operation begin/commit
 // marks — recorded as they happen and merged, on demand, into one
-// happens-before-consistent interleaving.  Where the audit counters
-// (guard.Metrics, apps.PoolStats) answer "how many", the recorder answers
-// the forensic question the paper's §1 scripts pose: *which* load armed the
-// victim, *which* release/alloc pair recycled the node inside its window,
-// and *which* commit corrupted the structure — the last K events per
-// process before the incident, in order.
+// interleaving consistent with happens-before wherever processes interact.
+// Where the audit counters (guard.Metrics, apps.PoolStats) answer "how
+// many", the recorder answers the forensic question the paper's §1 scripts
+// pose: *which* load armed the victim, *which* release/alloc pair recycled
+// the node inside its window, and *which* commit corrupted the structure —
+// the last K events per process before the incident, in order.
 //
 // In the paper's cost vocabulary the recorder is deliberately cheap and
 // deliberately off-model: m(n) is n rings × (capacity+1) four-word event
-// slots, plus one timestamp word per tsEvery slots, of instrumentation
-// memory (fixed at construction, never grown), and t(n) is O(1) per event —
-// one global fetch-and-increment that doubles as the happens-before order,
-// four plain slot stores, and one publishing store.  The recorder
-// allocates nothing after construction: rings are preallocated, an event's
-// object label is a Name interned when the traced guard or pool is built,
-// and Merge/Events write into fresh slices only on the (cold) read side.
+// slots, plus n·(capacity/tsEvery+2) cohort-stamp words, of
+// instrumentation memory (fixed at construction, never grown), and t(n) is
+// O(1) per event — a fetch-add on the recorder-global ticket for an event
+// that orders processes, or a load of that counter for one that only
+// observes, then four plain slot stores and one publishing store — plus one
+// monotonic clock read per tsEvery events.  The recorder allocates nothing
+// after construction: rings are preallocated, an event's object label is a
+// Name interned when the traced guard or pool is built, and Merge/Events
+// write into fresh slices only on the (cold) read side.
+//
+// Only events that order processes draw the ticket: those that change
+// shared state or report a failed attempt to change it (guard commit,
+// reject and near-miss; alloc, exhaust, release and retire; grow;
+// epoch-advance — see Kind.Ticketed).  Every other event is an observation
+// and stamps the latest ticket drawn.  A merged dump is sorted by (GSeq,
+// ticketed first, Pid, Seq): ticketed GSeqs are unique and ascending, each
+// ring's events keep their Seq order, and the dump is consistent with
+// happens-before for every pair of events of which at least one is
+// ticketed.  Only two observations of different processes with no ticket
+// drawn between them may appear out of real-time order — order matters only
+// among interacting events, and an observation changes nothing another
+// process can see.
 //
 // Labels are indexed only on traced builds.  A structure names each
 // per-element guard through Label, which formats "mnext[7]" when a recorder
@@ -37,8 +52,10 @@
 package trace
 
 import (
+	"cmp"
 	"encoding/json"
 	"fmt"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -166,19 +183,35 @@ func (k Kind) String() string {
 	}
 }
 
-// Event is one recorded step.  GSeq is drawn from a recorder-global counter
-// at record time, so sorting a merged dump by GSeq yields an interleaving
-// consistent with happens-before: if event x completed before event y
-// began, x drew the smaller ticket.  Seq is the per-process sequence (gaps
-// reveal ring eviction), and TS is a coarse wall-clock stamp — sampled
-// every tsEvery events per ring, so it orients a human reader without
-// putting a clock read on every hot-path record.
+// ticketed is the set of kinds that draw the recorder-global ticket.
+const ticketed = 1<<KindGuardCommit | 1<<KindGuardReject | 1<<KindGuardNearMiss |
+	1<<KindAlloc | 1<<KindExhaust | 1<<KindRelease | 1<<KindRetire |
+	1<<KindGrow | 1<<KindEpochAdvance
+
+// Ticketed reports whether events of kind k draw the recorder-global ticket:
+// the kinds that change shared state or report a failed attempt to change
+// it.  Every other kind only observes and stamps the latest ticket drawn.
+func (k Kind) Ticketed() bool { return ticketed>>k&1 != 0 }
+
+// Event is one recorded step.  GSeq places it in the merged order: a
+// ticketed event (Kind.Ticketed) draws the next value of a recorder-global
+// counter after its transition completed, and any other event stores the
+// counter's current value.  Sorting by (GSeq, ticketed first, Pid, Seq)
+// yields an interleaving consistent with happens-before for every pair of
+// events of which one is ticketed: if x completed before y began, x sorts
+// first.  Seq is the per-process sequence (gaps reveal ring eviction), and
+// TS is a coarse wall-clock stamp — one monotonic clock read per tsEvery
+// events per ring, so it orients a human reader without putting a clock
+// read on every hot-path record.
 type Event struct {
-	// GSeq is the global happens-before ticket.
+	// GSeq is the merge ticket: unique among ticketed events, shared by an
+	// observation with the last ticketed event before it.
 	GSeq uint64
 	// Seq is the per-process monotonic sequence (starts at 1).
 	Seq uint64
-	// TS is the coarse UnixNano timestamp of the event's cohort.
+	// TS is the UnixNano time of the event's cohort: read when the cohort's
+	// first event was recorded, never decreasing along a ring and never
+	// earlier than the recorder's construction.
 	TS int64
 	// Pid is the recording process.
 	Pid int32
@@ -212,7 +245,7 @@ func (e Event) MarshalJSON() ([]byte, error) {
 
 // tsEvery is the timestamp sampling cohort: one clock read per this many
 // events per ring.
-const tsEvery = 32
+const tsEvery = 256
 
 // Name is an interned object label (a guard name, a pool name, an operation
 // label): an index into the recorder's name table.  Labels are interned when
@@ -241,7 +274,7 @@ var fixedNames = []string{"", "pop", "deq", "delete", "hp", "epoch"}
 // write barrier.  Seq is the slot's position, Pid the ring's, and TS the
 // cohort stamp, so none of them is stored.
 type slot struct {
-	gseq uint64 // the global ticket
+	gseq uint64 // the merge ticket (Event.GSeq)
 	kn   uint64 // Kind | Name<<8
 	a, b uint64
 }
@@ -262,23 +295,34 @@ type Ring struct {
 	_      [shmem.CacheLineBytes]byte
 }
 
-// Record appends one event, evicting the oldest when the ring is full.
-// O(1), lock-free and allocation-free: the global ticket's fetch-add, four
-// plain slot stores, one atomic store that publishes the slot, and a clock
-// read once per tsEvery events.  Single-writer: only the owning process
-// calls it, and the slot needs no lock: a reader checks its copy against
-// the published count (see snapshot).  The fetch-add sits between the
-// previous event's publishing store and this event's slot stores and
-// orders them, so a reader that sees a reused slot also sees the count
-// that flags it.
+// Record appends one event, evicting the oldest when the ring is full.  A
+// nil ring records nothing, and the nil check is all an untraced call site
+// pays: Record inlines into its caller and the body stays out of line.
 func (r *Ring) Record(k Kind, obj Name, a, b uint64) {
-	if r == nil {
-		return
+	if r != nil {
+		r.record(k, obj, a, b)
 	}
-	g := r.rec.gseq.Add(1)
+}
+
+// record is Record's body.  O(1), lock-free and allocation-free: the global
+// ticket's fetch-add for a ticketed kind or a load of it for any other,
+// four plain slot stores, one atomic store that publishes the slot, and a
+// monotonic clock read once per tsEvery events.  Single-writer: only the
+// owning process calls it, and the slot needs no lock: a reader checks its
+// copy against the published count (see snapshot).  The fetch-add or load
+// sits between the previous event's publishing store and this event's slot
+// stores and orders them, so a reader that sees a reused slot also sees
+// the count that flags it.
+func (r *Ring) record(k Kind, obj Name, a, b uint64) {
+	var g uint64
+	if k.Ticketed() {
+		g = r.rec.gseq.Add(1)
+	} else {
+		g = r.rec.gseq.Load()
+	}
 	n := r.n.Load()
 	if n%tsEvery == 0 {
-		storeStamp(&r.stamps[r.ts], time.Now().UnixNano())
+		storeStamp(&r.stamps[r.ts], r.rec.now())
 		if r.ts++; r.ts == len(r.stamps) {
 			r.ts = 0
 		}
@@ -299,8 +343,12 @@ func (r *Ring) Record(k Kind, obj Name, a, b uint64) {
 // event at position p (Seq p+1) shares its slot with position p+len(slots),
 // which the writer fills only after publishing a count of p+len(slots); so
 // a re-read count below that proves the copy of p clean, and one at or
-// above it drops p.  The cohort stamps wrap the same way, one cohort later
-// than any kept event could need, so a kept event's TS is clean too.
+// above it drops p.  The cohort stamps wrap the same way: cohort c's stamp
+// shares its word with cohort c+S (S = len(stamps) = capacity/tsEvery+2),
+// which the writer stamps only after publishing a count of (c+S)·tsEvery.
+// A kept event p of cohort c has p < (c+1)·tsEvery and a re-read count of
+// at most p+capacity, and S-1 cohorts span more than capacity events, so
+// that count is below (c+S)·tsEvery and a kept event's TS is clean too.
 func (r *Ring) snapshot(dst []Event) []Event {
 	n := r.n.Load()
 	names := r.rec.nameTable() // after n: it covers every name a published event uses
@@ -334,11 +382,13 @@ func (r *Ring) snapshot(dst []Event) []Event {
 	return dst
 }
 
-// Recorder owns one ring per process plus the global happens-before
-// counter, the name table, and the watch hook.
+// Recorder owns one ring per process plus the global ticket counter, the
+// cohort clock, the name table, and the watch hook.
 type Recorder struct {
 	rings []*Ring
-	gseq  atomic.Uint64
+	gseq  atomic.Uint64 // the last ticket drawn
+	wall0 int64         // UnixNano at construction
+	mono0 time.Time     // the same instant, read for its monotonic clock
 
 	namesMu sync.Mutex               // serializes Intern
 	names   atomic.Pointer[[]string] // Name → label; only ever appended to
@@ -363,7 +413,8 @@ func New(n, capacity int) *Recorder {
 	for c < capacity {
 		c <<= 1
 	}
-	r := &Recorder{rings: make([]*Ring, n), ids: make(map[string]Name, len(fixedNames))}
+	t0 := time.Now()
+	r := &Recorder{rings: make([]*Ring, n), wall0: t0.UnixNano(), mono0: t0, ids: make(map[string]Name, len(fixedNames))}
 	names := append([]string(nil), fixedNames...)
 	for i, s := range names {
 		r.ids[s] = Name(i)
@@ -379,6 +430,11 @@ func New(n, capacity int) *Recorder {
 	}
 	return r
 }
+
+// now is the cohort clock: the wall-clock time at construction plus the
+// monotonic time since, in UnixNano — one clock read, and never earlier
+// than a stamp read before it.
+func (r *Recorder) now() int64 { return r.wall0 + int64(time.Since(r.mono0)) }
 
 // Intern returns the Name of label s, adding it to the name table on first
 // use.  Call it when a traced object is built, not per event: it takes a
@@ -502,13 +558,15 @@ func (r *Recorder) Events(pid int) []Event {
 	return ring.snapshot(nil)
 }
 
-// Merge interleaves every ring's live events into one dump ordered by the
-// global ticket — a total order consistent with happens-before: any event
-// that completed before another began precedes it.  Concurrent writers are
-// safe and never blocked; events recorded *during* the merge may or may not
-// appear, exactly like any racing read of a live counter, and a ring whose
-// writer laps it during its copy loses its oldest events from this dump
-// (every event returned is one the writer recorded, never a torn slot).
+// Merge interleaves every ring's live events into one dump sorted by
+// (GSeq, ticketed first, Pid, Seq) — a total order that keeps each ring's
+// Seq order and is consistent with happens-before for every pair of events
+// of which one is ticketed: such an event that completed before another
+// began precedes it.  Concurrent writers are safe and never blocked; events
+// recorded *during* the merge may or may not appear, exactly like any
+// racing read of a live counter, and a ring whose writer laps it during its
+// copy loses its oldest events from this dump (every event returned is one
+// the writer recorded, never a torn slot).
 func (r *Recorder) Merge() []Event {
 	if r == nil {
 		return nil
@@ -521,66 +579,25 @@ func (r *Recorder) merge() []Event {
 	for _, ring := range r.rings {
 		out = ring.snapshot(out)
 	}
-	// Insertion sort is fine for forensic dumps (rings are short and
-	// per-ring runs are pre-sorted), but sort.Slice is clearer and this is
-	// the cold path.
-	sortEvents(out)
+	slices.SortFunc(out, compareEvents)
 	return out
 }
 
-// sortEvents orders by GSeq ascending (stable by construction: tickets are
-// unique).
-func sortEvents(evs []Event) {
-	// Rings are individually ordered, so a simple merge-friendly insertion
-	// pass degenerates to O(n·rings); use stdlib sort semantics via a
-	// hand-rolled pdq-free loop to keep the package dependency-light.
-	quicksortEvents(evs, 0, len(evs)-1)
-}
-
-func quicksortEvents(evs []Event, lo, hi int) {
-	for lo < hi {
-		if hi-lo < 12 {
-			for i := lo + 1; i <= hi; i++ {
-				for j := i; j > lo && evs[j].GSeq < evs[j-1].GSeq; j-- {
-					evs[j], evs[j-1] = evs[j-1], evs[j]
-				}
-			}
-			return
-		}
-		mid := lo + (hi-lo)/2
-		if evs[mid].GSeq < evs[lo].GSeq {
-			evs[mid], evs[lo] = evs[lo], evs[mid]
-		}
-		if evs[hi].GSeq < evs[lo].GSeq {
-			evs[hi], evs[lo] = evs[lo], evs[hi]
-		}
-		if evs[hi].GSeq < evs[mid].GSeq {
-			evs[hi], evs[mid] = evs[mid], evs[hi]
-		}
-		pivot := evs[mid].GSeq
-		i, j := lo, hi
-		for i <= j {
-			for evs[i].GSeq < pivot {
-				i++
-			}
-			for evs[j].GSeq > pivot {
-				j--
-			}
-			if i <= j {
-				evs[i], evs[j] = evs[j], evs[i]
-				i++
-				j--
-			}
-		}
-		// Recurse into the smaller half, loop on the larger.
-		if j-lo < hi-i {
-			quicksortEvents(evs, lo, j)
-			lo = i
-		} else {
-			quicksortEvents(evs, i, hi)
-			hi = j
-		}
+// compareEvents orders two events by the merge key (GSeq, ticketed first,
+// Pid, Seq).  Within a ring the key follows Seq: a later event never holds
+// a smaller GSeq, and a ticketed event draws a GSeq above every
+// observation recorded before it.
+func compareEvents(x, y Event) int {
+	if c := cmp.Compare(x.GSeq, y.GSeq); c != 0 {
+		return c
 	}
+	if tx, ty := x.Kind.Ticketed(), y.Kind.Ticketed(); tx != ty {
+		if tx {
+			return -1
+		}
+		return 1
+	}
+	return cmp.Or(cmp.Compare(x.Pid, y.Pid), cmp.Compare(x.Seq, y.Seq))
 }
 
 // Format pretty-prints a dump, one event per line.

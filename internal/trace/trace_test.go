@@ -11,7 +11,8 @@ import (
 
 // TestRingWraparound fills a ring past capacity and asserts the oldest
 // events are evicted in order: the survivors are exactly the last
-// `capacity` events, oldest first, with contiguous sequence numbers.
+// `capacity` events, oldest first, with contiguous sequence numbers and
+// strictly ascending merge keys.
 func TestRingWraparound(t *testing.T) {
 	r := New(1, 8)
 	if r.Capacity() != 8 {
@@ -31,9 +32,41 @@ func TestRingWraparound(t *testing.T) {
 		if e.Seq != wantSeq || e.A != wantA {
 			t.Fatalf("slot %d: got seq=%d a=%d, want seq=%d a=%d", i, e.Seq, e.A, wantSeq, wantA)
 		}
-		if i > 0 && evs[i].GSeq <= evs[i-1].GSeq {
-			t.Fatalf("slot %d: GSeq not increasing (%d after %d)", i, evs[i].GSeq, evs[i-1].GSeq)
+		if i > 0 && !keyLess(evs[i-1], evs[i]) {
+			t.Fatalf("slot %d: merge key not increasing (%v after %v)", i, evs[i], evs[i-1])
 		}
+	}
+}
+
+// TestCohortStamps wraps a capacity-8 ring past several cohorts, taking a
+// snapshot after every event, and checks each returned TS: non-zero, no
+// earlier than the recorder's construction, non-decreasing along the ring,
+// and the same for every event of one cohort in every snapshot that still
+// holds it.
+func TestCohortStamps(t *testing.T) {
+	r := New(1, 8)
+	ring := r.Ring(0)
+	stamp := make(map[uint64]int64) // cohort → its TS when first returned
+	for n := uint64(1); n <= 5*tsEvery+3; n++ {
+		ring.Record(KindGuardLoad, NameNone, n, 0)
+		evs := r.Events(0)
+		for i, e := range evs {
+			if e.TS == 0 || e.TS < r.wall0 {
+				t.Fatalf("after %d events: %v has TS %d, recorder built at %d", n, e, e.TS, r.wall0)
+			}
+			if i > 0 && e.TS < evs[i-1].TS {
+				t.Fatalf("after %d events: TS %d of Seq %d precedes TS %d of Seq %d", n, e.TS, e.Seq, evs[i-1].TS, evs[i-1].Seq)
+			}
+			c := (e.Seq - 1) / tsEvery
+			if ts, ok := stamp[c]; !ok {
+				stamp[c] = e.TS
+			} else if e.TS != ts {
+				t.Fatalf("after %d events: Seq %d of cohort %d has TS %d, want the cohort's %d", n, e.Seq, c, e.TS, ts)
+			}
+		}
+	}
+	if len(stamp) < 5 {
+		t.Fatalf("saw %d cohorts, want at least 5", len(stamp))
 	}
 }
 
@@ -69,6 +102,103 @@ func TestMergeOrder(t *testing.T) {
 		}
 		if i > 0 && evs[i].GSeq <= evs[i-1].GSeq {
 			t.Fatalf("merged[%d]: GSeq out of order", i)
+		}
+	}
+}
+
+// keyLess reports whether x sorts strictly before y in Merge's key (GSeq,
+// ticketed first, Pid, Seq).
+func keyLess(x, y Event) bool {
+	switch {
+	case x.GSeq != y.GSeq:
+		return x.GSeq < y.GSeq
+	case x.Kind.Ticketed() != y.Kind.Ticketed():
+		return x.Kind.Ticketed()
+	case x.Pid != y.Pid:
+		return x.Pid < y.Pid
+	}
+	return x.Seq < y.Seq
+}
+
+// TestMergeTicketOrder pins the order contract on a deterministic script
+// over three rings that interleaves observations with ticketed events:
+// ticketed GSeqs are unique and ascending, every observation sorts after
+// each ticketed event recorded before it and before each one recorded after
+// it, and each ring's events keep their Seq order.  It first pins which
+// kinds are ticketed.
+func TestMergeTicketOrder(t *testing.T) {
+	ticketedKinds := map[Kind]bool{
+		KindGuardCommit: true, KindGuardReject: true, KindGuardNearMiss: true,
+		KindAlloc: true, KindExhaust: true, KindRelease: true, KindRetire: true,
+		KindGrow: true, KindEpochAdvance: true,
+	}
+	for k := KindNone; k < kindCount; k++ {
+		if k.Ticketed() != ticketedKinds[k] {
+			t.Errorf("%v.Ticketed() = %v, want %v", k, k.Ticketed(), ticketedKinds[k])
+		}
+	}
+	script := []struct {
+		pid  int
+		kind Kind
+	}{
+		{0, KindGuardLoad}, {1, KindGuardLoad}, {2, KindOpBegin},
+		{0, KindGuardCommit}, {2, KindProtect}, {1, KindGuardDirtyLoad},
+		{1, KindGuardNearMiss}, {1, KindAlloc}, {0, KindDrain},
+		{2, KindGuardLoad}, {0, KindOpCommit}, {2, KindRetire},
+		{1, KindScan}, {0, KindRelease}, {2, KindTighten},
+		{2, KindEpochAdvance}, {1, KindOpCommit}, {0, KindGuardLoad},
+	}
+	r := New(3, 64)
+	type key struct {
+		pid int32
+		seq uint64
+	}
+	at := make(map[key]int) // event → its position in the script
+	var seq [3]uint64
+	for i, s := range script {
+		r.Record(s.pid, s.kind, "x", uint64(i), 0)
+		seq[s.pid]++
+		at[key{int32(s.pid), seq[s.pid]}] = i
+	}
+	evs := r.Merge()
+	if len(evs) != len(script) {
+		t.Fatalf("merged %d events, want %d", len(evs), len(script))
+	}
+	pos := make([]int, len(script)) // script position → merged position
+	var lastTicket uint64
+	var lastSeq [3]uint64
+	for m, e := range evs {
+		i, ok := at[key{e.Pid, e.Seq}]
+		if !ok || e.Kind != script[i].kind {
+			t.Fatalf("merged[%d] = %v is not a recorded event", m, e)
+		}
+		pos[i] = m
+		if e.Kind.Ticketed() {
+			if e.GSeq <= lastTicket {
+				t.Fatalf("merged[%d] = %v: ticket %d after ticket %d", m, e, e.GSeq, lastTicket)
+			}
+			lastTicket = e.GSeq
+		}
+		if e.Seq <= lastSeq[e.Pid] {
+			t.Fatalf("merged[%d] = %v: pid %d Seq after %d", m, e, e.Pid, lastSeq[e.Pid])
+		}
+		lastSeq[e.Pid] = e.Seq
+		if m > 0 && !keyLess(evs[m-1], e) {
+			t.Fatalf("merged[%d] = %v sorts before merged[%d] = %v", m, e, m-1, evs[m-1])
+		}
+	}
+	for i, o := range script {
+		if o.kind.Ticketed() {
+			continue
+		}
+		for j, x := range script {
+			if !x.kind.Ticketed() {
+				continue
+			}
+			if before := j < i; before != (pos[j] < pos[i]) {
+				t.Errorf("observation %d (%v) and ticketed event %d (%v): recorded before=%v, merged before=%v\n%s",
+					i, o.kind, j, x.kind, before, pos[j] < pos[i], Format(evs))
+			}
 		}
 	}
 }
@@ -140,13 +270,11 @@ func TestMergeRace(t *testing.T) {
 		for i := 0; i < 50; i++ {
 			evs := r.Merge()
 			lastSeq := make(map[int32]uint64)
-			var lastG uint64
-			for _, e := range evs {
-				if e.GSeq <= lastG {
-					t.Errorf("merge: GSeq not strictly increasing")
+			for j, e := range evs {
+				if j > 0 && !keyLess(evs[j-1], e) {
+					t.Errorf("merge: key not strictly increasing (%v after %v)", e, evs[j-1])
 					return
 				}
-				lastG = e.GSeq
 				if e.Seq <= lastSeq[e.Pid] {
 					t.Errorf("merge: pid %d Seq not increasing", e.Pid)
 					return
@@ -205,12 +333,10 @@ func TestMergeLapStress(t *testing.T) {
 		evs := r.Merge()
 		var count [procs]int
 		var lastSeq [procs]uint64
-		var lastG uint64
-		for _, e := range evs {
-			if e.GSeq <= lastG {
-				t.Fatalf("merge %d: GSeq %d after %d", i, e.GSeq, lastG)
+		for j, e := range evs {
+			if j > 0 && !keyLess(evs[j-1], e) {
+				t.Fatalf("merge %d: key not strictly increasing (%v after %v)", i, e, evs[j-1])
 			}
-			lastG = e.GSeq
 			if err := checkPayload(e); err != nil {
 				t.Fatalf("merge %d: %v", i, err)
 			}
@@ -356,15 +482,25 @@ func TestIntern(t *testing.T) {
 	}
 }
 
-// BenchmarkRecord prices one event on one ring of capacity 4096: the
-// ticket fetch-add, the slot stores, and the publishing store.
+// BenchmarkRecord prices one event on one ring of capacity 4096.  The
+// ordering case records commits, which draw the ticket's fetch-add; the
+// observation case records guard loads, which load the counter instead.
+// Both pay the slot stores, the publishing store, and a clock read per
+// cohort.
 func BenchmarkRecord(b *testing.B) {
-	r := New(1, 4096)
-	ring := r.Ring(0)
-	head := r.Intern("head")
-	b.ReportAllocs()
-	for i := uint64(0); b.Loop(); i++ {
-		ring.Record(KindGuardCommit, head, i, 7)
+	for _, bc := range []struct {
+		name string
+		kind Kind
+	}{{"ordering", KindGuardCommit}, {"observation", KindGuardLoad}} {
+		b.Run(bc.name, func(b *testing.B) {
+			r := New(1, 4096)
+			ring := r.Ring(0)
+			head := r.Intern("head")
+			b.ReportAllocs()
+			for i := uint64(0); b.Loop(); i++ {
+				ring.Record(bc.kind, head, i, 7)
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N), "ns/event")
+		})
 	}
-	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N), "ns/event")
 }

@@ -231,11 +231,16 @@ func WithGrowth(maxCapacity int) Option {
 // alloc/release/retire/exhaustion, reclaimer scans/epoch advances, and the
 // begin/commit halves of the split operations.  Recording is allocation-free,
 // lock-free and single-writer per ring; StructureTrace() merges the rings
-// into one happens-before-consistent dump.  Without this option tracing
-// costs nothing: the hooks are nil and the hot paths are byte-identical to
-// the untraced build.  The m(n) price is explicit: n rings × (capacity+1)
-// four-word slots of fixed space, O(1) steps per event (a ticket fetch-add,
-// four slot stores, one publishing store).  Object labels are indexed only
+// into one dump consistent with happens-before for every pair of events of
+// which one orders processes (see TraceEvent.GSeq).  Without this option
+// tracing costs one inlined nil check per recording site (an operation
+// mark, a reclaimer scan) and nothing else: no guard or pool is wrapped,
+// and the hot paths allocate nothing.  The m(n) price is explicit: n rings ×
+// (capacity+1) four-word slots plus n·(capacity/256+2) stamp words of fixed
+// space, and O(1) steps per event — a ticket fetch-add for an event that
+// orders processes or a counter load for one that only observes, four slot
+// stores, one publishing store — plus one clock read per 256 events.
+// Object labels are indexed only
 // on a traced build: a traced map names node 7's link guard "mnext[7]",
 // an untraced one formats no per-node name at all, and registers, which
 // are never traced, carry only their family label ("mkey") either way.  A
@@ -246,15 +251,26 @@ func WithTracing(capacity int) Option {
 
 // TraceEvent is one flight-recorder event in a StructureTrace dump.
 type TraceEvent struct {
-	// GSeq is the global merge ticket: the dump is strictly ascending in
-	// GSeq, and GSeq order is consistent with happens-before (an event's
-	// ticket is drawn after the recorded transition completed).
+	// GSeq is the global merge ticket.  Events that change shared state or
+	// report a failed attempt to change it ("guard-commit",
+	// "guard-reject", "guard-near-miss", "alloc", "exhaust", "release",
+	// "retire", "grow", "epoch-advance") draw a unique ticket after the
+	// transition completed; every other event only observes and carries
+	// the last ticket drawn before it.  The dump is strictly ascending in
+	// (GSeq, ticketed first, Pid, Seq), so each process's events keep their
+	// Seq order, and it is consistent with happens-before for every pair of
+	// events of which at least one is ticketed.  Two observations of
+	// different processes with no ticket drawn between them may appear out
+	// of real-time order.
 	GSeq uint64
 	// Seq is the per-process event number, and Pid the recording process.
 	Seq uint64
 	Pid int32
-	// TS is a coarse wall-clock sample (nanoseconds; refreshed every few
-	// events, 0 in between — ordering lives in GSeq, not here).
+	// TS is a coarse wall-clock time in UnixNano: the recorder reads a
+	// monotonic clock once per 256 events of a process and gives that
+	// stamp to all of them, so TS never decreases along a process's events
+	// and is never earlier than the recorder's construction — ordering
+	// lives in GSeq, not here.
 	TS int64
 	// Kind names the transition ("guard-load", "guard-near-miss", "alloc",
 	// "retire", "scan", "op-begin", ...) and Obj the object it happened on
@@ -383,7 +399,8 @@ func NewStack(n, capacity int, opts ...Option) (*Stack, error) {
 }
 
 // StructureTrace merges the flight recorder's per-process rings into one
-// happens-before-consistent dump (nil unless built WithTracing).
+// dump, ordered as TraceEvent.GSeq describes (nil unless built
+// WithTracing).
 func (s *Stack) StructureTrace() []TraceEvent { return publicTrace(s.tr.Merge()) }
 
 // NumProcs returns n.
@@ -485,7 +502,8 @@ func NewQueue(n, capacity int, opts ...Option) (*Queue, error) {
 }
 
 // StructureTrace merges the flight recorder's per-process rings into one
-// happens-before-consistent dump (nil unless built WithTracing).
+// dump, ordered as TraceEvent.GSeq describes (nil unless built
+// WithTracing).
 func (q *Queue) StructureTrace() []TraceEvent { return publicTrace(q.tr.Merge()) }
 
 // Capacity returns the number of usable nodes.
@@ -583,7 +601,8 @@ func NewMap(n, capacity int, opts ...Option) (*Map, error) {
 }
 
 // StructureTrace merges the flight recorder's per-process rings into one
-// happens-before-consistent dump (nil unless built WithTracing).
+// dump, ordered as TraceEvent.GSeq describes (nil unless built
+// WithTracing).
 func (m *Map) StructureTrace() []TraceEvent { return publicTrace(m.tr.Merge()) }
 
 // NumProcs returns n.

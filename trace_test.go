@@ -5,9 +5,32 @@ import (
 	"testing"
 )
 
+// ticketedKinds are the TraceEvent kinds that draw the global ticket, as
+// the GSeq documentation lists them.
+var ticketedKinds = map[string]bool{
+	"guard-commit": true, "guard-reject": true, "guard-near-miss": true,
+	"alloc": true, "exhaust": true, "release": true, "retire": true,
+	"grow": true, "epoch-advance": true,
+}
+
+// traceKeyLess reports whether x sorts strictly before y in a dump's order
+// (GSeq, ticketed first, Pid, Seq).
+func traceKeyLess(x, y TraceEvent) bool {
+	switch {
+	case x.GSeq != y.GSeq:
+		return x.GSeq < y.GSeq
+	case ticketedKinds[x.Kind] != ticketedKinds[y.Kind]:
+		return ticketedKinds[x.Kind]
+	case x.Pid != y.Pid:
+		return x.Pid < y.Pid
+	}
+	return x.Seq < y.Seq
+}
+
 // TestStructureTrace checks the public flight-recorder surface: a structure
-// built WithTracing exposes a merged, GSeq-ascending dump containing the
-// allocator and guard vocabulary; one built without returns nil.
+// built WithTracing exposes a merged dump, strictly ascending in (GSeq,
+// ticketed first, Pid, Seq), containing the allocator and guard vocabulary;
+// one built without returns nil.
 func TestStructureTrace(t *testing.T) {
 	s, err := NewStack(2, 8, WithTracing(64))
 	if err != nil {
@@ -32,8 +55,8 @@ func TestStructureTrace(t *testing.T) {
 	kinds := map[string]bool{}
 	for i, e := range ev {
 		kinds[e.Kind] = true
-		if i > 0 && e.GSeq <= ev[i-1].GSeq {
-			t.Fatalf("dump not GSeq-ordered at %d", i)
+		if i > 0 && !traceKeyLess(ev[i-1], e) {
+			t.Fatalf("dump not in (GSeq, ticketed first, Pid, Seq) order at %d: %v after %v", i, e, ev[i-1])
 		}
 	}
 	for _, want := range []string{"alloc", "release", "guard-commit", "op-begin", "op-commit"} {
