@@ -7,8 +7,8 @@ import (
 )
 
 // TestAuditSnapshotIdleConsistency pins the documented snapshot relaxation
-// from the exact side: StructureAudit and GuardMetrics are assembled from
-// striped-lane reads, which may catch in-flight operations under traffic —
+// from the exact side: StructureAudit and GuardMetrics sum independent
+// counter loads, which may catch in-flight operations under traffic —
 // but at quiescence (all workers joined) the sums must be exact, so two
 // back-to-back snapshots must be deeply equal.  Run under -race this also
 // exercises concurrent audits against live traffic for memory safety.
@@ -22,8 +22,8 @@ func TestAuditSnapshotIdleConsistency(t *testing.T) {
 	stopAudit := make(chan struct{})
 	var auditWg sync.WaitGroup
 	// A concurrent metrics reader: under -race this proves the relaxed
-	// striped-lane snapshot is data-race-free even while every lane is being
-	// bumped.  (The full Audit stays out of this loop by contract — it walks
+	// snapshot is data-race-free even while every counter is being bumped.
+	// (The full Audit stays out of this loop by contract — it walks
 	// reclaimer pending lists and is quiescent-only.)
 	auditWg.Add(1)
 	go func() {

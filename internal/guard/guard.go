@@ -107,55 +107,28 @@ type Metrics struct {
 	DirtyLoads int64
 }
 
-// metrics is the shared atomic backing of Metrics, sharded across
-// cache-line padded stripes (shmem.Stripes of them) so the hot-path bumps of
-// distinct workers never contend on one atomic word: on a read-mostly
-// workload the metrics of a popular guard would otherwise be the one shared
-// write left on the clean path.  Handles cache their stripe
-// (shmem.StripeFor(pid)) at construction, so no bump pays a pid hash.
-//
-// The zero value is not usable; constructors call newMetrics.
+// metrics is the shared atomic backing of Metrics, four words inline in
+// the guard.  Only a commit, a rejection or a dirty load bumps one, and each
+// follows a step that already moved, failed to move or saw a move of the
+// guarded word, so a bump adds at most one cache-line transfer to an
+// operation that already paid one; clean Loads and Validates bump nothing.
 type metrics struct {
-	lanes []metricsLane
+	commits, rejected, nearMisses, dirtyLoads atomic.Int64
 }
 
-// metricsLane is one stripe's counters, padded to a whole cache line.
-type metricsLane struct {
-	commits    atomic.Int64
-	rejected   atomic.Int64
-	nearMisses atomic.Int64
-	dirtyLoads atomic.Int64
-	_          [shmem.CacheLineBytes - 32]byte
-}
-
-func newMetrics() metrics {
-	return metrics{lanes: make([]metricsLane, shmem.Stripes())}
-}
-
-func (m *metrics) addCommit(lane int)   { m.lanes[lane].commits.Add(1) }
-func (m *metrics) addRejected(lane int) { m.lanes[lane].rejected.Add(1) }
-func (m *metrics) addNearMiss(lane int) { m.lanes[lane].nearMisses.Add(1) }
-func (m *metrics) addDirty(lane int)    { m.lanes[lane].dirtyLoads.Add(1) }
-
-// snapshot sums the lanes.  Each per-lane load is atomic, but the cross-lane
-// sum is deliberately relaxed: under live traffic a bump can land in an
-// already-summed lane while its logical partner (e.g. the Rejected half of a
-// near-miss) lands in one still to come, so concurrent snapshots may be
-// mid-operation — individual counters are never torn, and totals are only
-// monotone per lane, not across the whole sum.  At quiescence (every handle
-// parked) the sum is exact and two back-to-back snapshots are equal; a
-// race-mode test at the repository root pins that contract.  Making the sum
-// linearizable would put a lock or a global sequence word on the hot path —
-// the exact cost the stripes exist to remove.
+// snapshot loads the four counters.  Each load is atomic, but the snapshot
+// is deliberately relaxed: under live traffic it can fall between the two
+// bumps of one rejected near-miss, so concurrent snapshots may be
+// mid-operation.  At quiescence (every handle parked) it is exact and two
+// back-to-back snapshots are equal; a race-mode test at the repository root
+// pins that contract.
 func (m *metrics) snapshot() Metrics {
-	var out Metrics
-	for i := range m.lanes {
-		out.Commits += m.lanes[i].commits.Load()
-		out.Rejected += m.lanes[i].rejected.Load()
-		out.NearMisses += m.lanes[i].nearMisses.Load()
-		out.DirtyLoads += m.lanes[i].dirtyLoads.Load()
+	return Metrics{
+		Commits:    m.commits.Load(),
+		Rejected:   m.rejected.Load(),
+		NearMisses: m.nearMisses.Load(),
+		DirtyLoads: m.dirtyLoads.Load(),
 	}
-	return out
 }
 
 // Add returns the field-wise sum of two metrics snapshots (for aggregating

@@ -31,14 +31,14 @@ func NewRaw(f shmem.Factory, n int, name string, init Word) (Guard, error) {
 	if n < 1 {
 		return nil, fmt.Errorf("guard: raw guard needs n >= 1, got %d", n)
 	}
-	return &rawGuard{obj: f.NewCAS(name, init), n: n, m: newMetrics()}, nil
+	return &rawGuard{obj: f.NewCAS(name, init), n: n}, nil
 }
 
 func (g *rawGuard) Handle(pid int) (Handle, error) {
 	if err := checkPid(pid, g.n); err != nil {
 		return nil, err
 	}
-	return &rawHandle{g: g, pid: pid, lane: shmem.StripeFor(pid)}, nil
+	return &rawHandle{g: g, pid: pid}, nil
 }
 
 func (g *rawGuard) NumProcs() int     { return g.n }
@@ -50,7 +50,6 @@ func (g *rawGuard) Metrics() Metrics  { return g.m.snapshot() }
 type rawHandle struct {
 	g      *rawGuard
 	pid    int
-	lane   int // metrics stripe, shmem.StripeFor(pid)
 	last   Word
 	loaded bool
 }
@@ -59,7 +58,7 @@ func (h *rawHandle) Load() (Word, bool) {
 	v := h.g.obj.Read(h.pid)
 	dirty := h.loaded && v != h.last
 	if dirty {
-		h.g.m.addDirty(h.lane)
+		h.g.m.dirtyLoads.Add(1)
 	}
 	h.last, h.loaded = v, true
 	return v, dirty
@@ -67,11 +66,11 @@ func (h *rawHandle) Load() (Word, bool) {
 
 func (h *rawHandle) Commit(v Word) bool {
 	if h.g.obj.CompareAndSwap(h.pid, h.last, v) {
-		h.g.m.addCommit(h.lane)
+		h.g.m.commits.Add(1)
 		return true
 	}
 	// No near-miss is possible here: an equal word means the CAS succeeds.
-	h.g.m.addRejected(h.lane)
+	h.g.m.rejected.Add(1)
 	return false
 }
 
@@ -100,14 +99,14 @@ func NewTagged(f shmem.Factory, n int, name string, valueBits, tagBits uint, ini
 	if err != nil {
 		return nil, fmt.Errorf("guard: tagged guard: %w", err)
 	}
-	return &taggedGuard{obj: f.NewCAS(name, codec.Encode(init, 0)), codec: codec, n: n, m: newMetrics()}, nil
+	return &taggedGuard{obj: f.NewCAS(name, codec.Encode(init, 0)), codec: codec, n: n}, nil
 }
 
 func (g *taggedGuard) Handle(pid int) (Handle, error) {
 	if err := checkPid(pid, g.n); err != nil {
 		return nil, err
 	}
-	return &taggedHandle{g: g, pid: pid, lane: shmem.StripeFor(pid)}, nil
+	return &taggedHandle{g: g, pid: pid}, nil
 }
 
 func (g *taggedGuard) NumProcs() int     { return g.n }
@@ -119,7 +118,6 @@ func (g *taggedGuard) Metrics() Metrics  { return g.m.snapshot() }
 type taggedHandle struct {
 	g      *taggedGuard
 	pid    int
-	lane   int  // metrics stripe, shmem.StripeFor(pid)
 	last   Word // the full packed word, tag included
 	loaded bool
 }
@@ -128,7 +126,7 @@ func (h *taggedHandle) Load() (Word, bool) {
 	w := h.g.obj.Read(h.pid)
 	dirty := h.loaded && w != h.last
 	if dirty {
-		h.g.m.addDirty(h.lane)
+		h.g.m.dirtyLoads.Add(1)
 	}
 	h.last, h.loaded = w, true
 	return h.g.codec.Value(w), dirty
@@ -137,13 +135,13 @@ func (h *taggedHandle) Load() (Word, bool) {
 func (h *taggedHandle) Commit(v Word) bool {
 	next := h.g.codec.Encode(v, h.g.codec.Tag(h.last)+1)
 	if h.g.obj.CompareAndSwap(h.pid, h.last, next) {
-		h.g.m.addCommit(h.lane)
+		h.g.m.commits.Add(1)
 		return true
 	}
-	h.g.m.addRejected(h.lane)
+	h.g.m.rejected.Add(1)
 	// Observer read: metrics are instrumentation, not model steps.
 	if cur := h.g.obj.Read(-1); h.g.codec.Value(cur) == h.g.codec.Value(h.last) {
-		h.g.m.addNearMiss(h.lane) // same value, different tag: the tag saved us
+		h.g.m.nearMisses.Add(1) // same value, different tag: the tag saved us
 	}
 	return false
 }
@@ -187,7 +185,7 @@ func newLLSCGuard(obj llsc.Object, regime Regime) (Guard, error) {
 	if obj == nil {
 		return nil, fmt.Errorf("guard: %s guard needs a non-nil LL/SC/VL object", regime)
 	}
-	return &llscGuard{obj: obj, regime: regime, m: newMetrics()}, nil
+	return &llscGuard{obj: obj, regime: regime}, nil
 }
 
 func (g *llscGuard) Handle(pid int) (Handle, error) {
@@ -195,7 +193,7 @@ func (g *llscGuard) Handle(pid int) (Handle, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &llscHandle{g: g, h: h, lane: shmem.StripeFor(pid)}, nil
+	return &llscHandle{g: g, h: h}, nil
 }
 
 func (g *llscGuard) NumProcs() int     { return g.obj.NumProcs() }
@@ -207,7 +205,6 @@ func (g *llscGuard) Metrics() Metrics  { return g.m.snapshot() }
 type llscHandle struct {
 	g      *llscGuard
 	h      llsc.Handle
-	lane   int  // metrics stripe, shmem.StripeFor(pid)
 	old    Word // cached value, valid while the link is
 	linked bool // false until this handle's first LL
 }
@@ -233,19 +230,19 @@ func (h *llscHandle) Load() (Word, bool) {
 	if h.h.VL() {
 		return h.old, false
 	}
-	h.g.m.addDirty(h.lane)
+	h.g.m.dirtyLoads.Add(1)
 	h.old = h.h.LL()
 	return h.old, true
 }
 
 func (h *llscHandle) Commit(v Word) bool {
 	if h.h.SC(v) {
-		h.g.m.addCommit(h.lane)
+		h.g.m.commits.Add(1)
 		return true
 	}
-	h.g.m.addRejected(h.lane)
+	h.g.m.rejected.Add(1)
 	if h.g.obj.Peek(-1) == h.old {
-		h.g.m.addNearMiss(h.lane) // value restored, link gone: a prevented ABA
+		h.g.m.nearMisses.Add(1) // value restored, link gone: a prevented ABA
 	}
 	return false
 }
@@ -284,7 +281,7 @@ func NewDetectionOnly(det core.Detector, init Word) (Guard, error) {
 	if det == nil {
 		return nil, fmt.Errorf("guard: detection-only guard needs a non-nil detector")
 	}
-	g := &detectionGuard{det: det, m: newMetrics()}
+	g := &detectionGuard{det: det}
 	g.shadow.Store(init)
 	return g, nil
 }
@@ -294,7 +291,7 @@ func (g *detectionGuard) Handle(pid int) (Handle, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &detectionHandle{g: g, h: h, lane: shmem.StripeFor(pid)}, nil
+	return &detectionHandle{g: g, h: h}, nil
 }
 
 func (g *detectionGuard) NumProcs() int     { return g.det.NumProcs() }
@@ -304,15 +301,14 @@ func (g *detectionGuard) Peek(int) Word     { return g.shadow.Load() }
 func (g *detectionGuard) Metrics() Metrics  { return g.m.snapshot() }
 
 type detectionHandle struct {
-	g    *detectionGuard
-	h    core.Handle
-	lane int // metrics stripe, shmem.StripeFor(pid)
+	g *detectionGuard
+	h core.Handle
 }
 
 func (h *detectionHandle) Load() (Word, bool) {
 	v, dirty := h.h.DRead()
 	if dirty {
-		h.g.m.addDirty(h.lane)
+		h.g.m.dirtyLoads.Add(1)
 	}
 	return v, dirty
 }
@@ -327,7 +323,7 @@ func (h *detectionHandle) Validate() bool {
 	// Load reports clean and must not be the only place DirtyLoads grows.
 	_, dirty := h.h.DRead()
 	if dirty {
-		h.g.m.addDirty(h.lane)
+		h.g.m.dirtyLoads.Add(1)
 	}
 	return !dirty
 }

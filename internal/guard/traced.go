@@ -67,14 +67,16 @@ func (h *tracedHandle) Commit(v Word) bool {
 	}
 	// Classify the rejection the way the regimes' own near-miss counters
 	// do: an observer read comparing equal to the loaded value means the
-	// value cycled back and the regime caught it.  (A raw guard can never
-	// land here with an equal value — its CAS would have succeeded — so raw
-	// rejections always trace as plain rejects.)
-	if cur := h.g.Peek(-1); cur == h.last {
-		h.ring.Record(trace.KindGuardNearMiss, h.g.name, uint64(v), uint64(cur))
-	} else {
-		h.ring.Record(trace.KindGuardReject, h.g.name, uint64(v), uint64(cur))
+	// value cycled back and the regime caught it.  A raw guard's CAS fails
+	// only on an unequal word, so an equal read here means another process
+	// restored the word after the failed CAS; the guard counted a plain
+	// rejection, and so does the trace.
+	kind := trace.KindGuardReject
+	cur := h.g.Peek(-1)
+	if cur == h.last && h.g.Regime() != Raw {
+		kind = trace.KindGuardNearMiss
 	}
+	h.ring.Record(kind, h.g.name, uint64(v), uint64(cur))
 	return false
 }
 

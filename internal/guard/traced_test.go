@@ -50,6 +50,53 @@ func TestTracedGuardEvents(t *testing.T) {
 	}
 }
 
+// failOnceFactory hands out CAS words whose first CompareAndSwap fails
+// without writing, as if another process had moved the word and restored it
+// around the caller's CAS.
+type failOnceFactory struct{ shmem.NativeFactory }
+
+func (f *failOnceFactory) NewCAS(name string, init Word) shmem.WritableCAS {
+	return &failOnceCAS{WritableCAS: f.NativeFactory.NewCAS(name, init)}
+}
+
+type failOnceCAS struct {
+	shmem.WritableCAS
+	failed bool
+}
+
+func (c *failOnceCAS) CompareAndSwap(pid int, old, new Word) bool {
+	if !c.failed {
+		c.failed = true
+		return false
+	}
+	return c.WritableCAS.CompareAndSwap(pid, old, new)
+}
+
+// TestTracedRawReject checks that a raw guard's rejection traces as a
+// reject even when the word reads equal to the loaded value afterwards: the
+// raw regime never counts a near-miss, and the dump must agree with its
+// metrics.
+func TestTracedRawReject(t *testing.T) {
+	rec := trace.New(1, 32)
+	mk := TracedMaker(NewMaker(&failOnceFactory{}, 1, Raw, 0), rec)
+	g, err := mk("x", 16, 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	h, _ := g.Handle(0)
+	h.Load()
+	if h.Commit(6) {
+		t.Fatal("commit succeeded through a failing CAS")
+	}
+	evs := rec.Events(0)
+	if len(evs) != 2 || evs[1].Kind != trace.KindGuardReject || evs[1].A != 6 || evs[1].B != 5 {
+		t.Fatalf("events: %v, want a load then a reject of 6 over 5", evs)
+	}
+	if m := g.Metrics(); m.Rejected != 1 || m.NearMisses != 0 {
+		t.Fatalf("metrics: %v, want one rejection and no near-miss", m)
+	}
+}
+
 // TestTracedGuardDirtyLoad checks the dirty-load classification: a reload
 // after interference records KindGuardDirtyLoad instead of KindGuardLoad.
 func TestTracedGuardDirtyLoad(t *testing.T) {

@@ -59,8 +59,8 @@ func BenchmarkMapOps(b *testing.B) {
 // ceiling, one handle.  Each iteration grows a fresh map as far as the step
 // goes: Append runs segment appends to the ceiling (4,064 nodes), Split runs
 // directory doublings to the largest directory (480 buckets).  Besides the
-// per-iteration figures, each reports ns and allocs per appended node or
-// per split bucket.
+// per-iteration figures, each reports ns, allocs and bytes per appended node
+// or per split bucket.
 func BenchmarkMapGrow(b *testing.B) {
 	const capacity, ceiling = 32, 4096
 	for _, bc := range []struct {
@@ -79,7 +79,7 @@ func BenchmarkMapGrow(b *testing.B) {
 		}},
 	} {
 		b.Run(bc.name, func(b *testing.B) {
-			var added, mallocs uint64
+			var added, mallocs, bytes uint64
 			var before, after runtime.MemStats
 			b.ReportAllocs()
 			b.StopTimer()
@@ -99,9 +99,11 @@ func BenchmarkMapGrow(b *testing.B) {
 				b.StopTimer()
 				runtime.ReadMemStats(&after)
 				mallocs += after.Mallocs - before.Mallocs
+				bytes += after.TotalAlloc - before.TotalAlloc
 			}
 			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(added), "ns/"+bc.unit)
 			b.ReportMetric(float64(mallocs)/float64(added), "allocs/"+bc.unit)
+			b.ReportMetric(float64(bytes)/float64(added), "B/"+bc.unit)
 		})
 	}
 }

@@ -3,6 +3,7 @@ package kv
 import (
 	"fmt"
 	"math/bits"
+	"runtime"
 	"sync"
 	"testing"
 
@@ -433,18 +434,32 @@ var _ = fmt.Sprintf // keep fmt for debug edits
 
 // TestMapNodeBuildAllocs gates what a segment append pays per node on an
 // untraced LL/SC map: two registers and one link guard, and no label
-// formatted for a recorder that is not there.
+// formatted for a recorder that is not there.  The byte bound holds at any
+// GOMAXPROCS, since a guard's counters are four words inline rather than a
+// cache line per stripe: a node takes 168 B, or 192 B under -race, which
+// gives each 8-byte base object its own 16-byte block.
 func TestMapNodeBuildAllocs(t *testing.T) {
 	const capacity, ceiling = 32, 4096
+	const maxAllocs, maxBytes = 5, 192
 	m := growMap(t, 2, capacity, ceiling, apps.LLSC, 0, apps.WithReclaimer(reclaim.NewHazard))
 	i := capacity
-	allocs := testing.AllocsPerRun(1000, func() {
+	build := func() {
 		i++
 		if _, err := m.buildNode(i); err != nil {
 			t.Fatal(err)
 		}
-	})
-	if allocs > 6 {
-		t.Errorf("building one node allocates %.1f times, want at most 6", allocs)
+	}
+	if allocs := testing.AllocsPerRun(1000, build); allocs > maxAllocs {
+		t.Errorf("building one node allocates %.1f times, want at most %d", allocs, maxAllocs)
+	}
+	const nodes = 1000
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for range nodes {
+		build()
+	}
+	runtime.ReadMemStats(&after)
+	if perNode := (after.TotalAlloc - before.TotalAlloc) / nodes; perNode > maxBytes {
+		t.Errorf("building one node allocates %d B, want at most %d", perNode, maxBytes)
 	}
 }

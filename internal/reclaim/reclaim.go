@@ -176,20 +176,6 @@ type Metrics struct {
 // Deferred returns the nodes currently in limbo (retired, not yet freed).
 func (m Metrics) Deferred() int64 { return m.Retired - m.Freed }
 
-// Add returns the field-wise sum of two snapshots.
-func (m Metrics) Add(o Metrics) Metrics {
-	return Metrics{
-		Retired:  m.Retired + o.Retired,
-		Freed:    m.Freed + o.Freed,
-		Scans:    m.Scans + o.Scans,
-		Stalls:   m.Stalls + o.Stalls,
-		Batches:  m.Batches + o.Batches,
-		Pressure: m.Pressure + o.Pressure,
-		Tightens: m.Tightens + o.Tightens,
-		Relaxes:  m.Relaxes + o.Relaxes,
-	}
-}
-
 // String renders the counters.
 func (m Metrics) String() string {
 	return fmt.Sprintf("retired=%d freed=%d deferred=%d scans=%d stalls=%d batches=%d pressure=%d tightens=%d relaxes=%d",

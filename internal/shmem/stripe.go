@@ -5,17 +5,12 @@ import (
 	"sync/atomic"
 )
 
-// CacheLineBytes is the assumed coherence granularity, exported for the
-// striped seams (guard metrics, pool stats) that pad their per-stripe state
-// to whole lines.
-const CacheLineBytes = cacheLineBytes
-
 // stripeCount is the number of counter stripes, fixed at init: the next
-// power of two covering GOMAXPROCS, capped so a structure with thousands of
-// guards does not multiply its metrics footprint past reason.  A power of
-// two makes StripeFor a mask instead of a modulo.  GOMAXPROCS changes after
-// init keep the mapping valid (stripes are a contention hint, not a
-// correctness property) — they only shift which pids share a stripe.
+// power of two covering GOMAXPROCS, capped at 16 so one counter stays within
+// 1 KB.  A power of two makes StripeFor a mask instead of a modulo.
+// GOMAXPROCS changes after init keep the mapping valid (stripes are a
+// contention hint, not a correctness property) — they only shift which pids
+// share a stripe.
 var stripeCount = func() int {
 	n := 1
 	for n < runtime.GOMAXPROCS(0) && n < 16 {
@@ -23,9 +18,6 @@ var stripeCount = func() int {
 	}
 	return n
 }()
-
-// Stripes returns the process-wide stripe count used by StripeFor.
-func Stripes() int { return stripeCount }
 
 // StripeFor maps a process id to its counter stripe.  The observer pid (-1)
 // and any other out-of-band pid land on stripe 0.
@@ -41,12 +33,14 @@ func StripeFor(pid int) int {
 // invalidate each other's lines, and readers sum the stripes.  It is the
 // instrumentation counterpart of the paper's RMR lens — a shared atomic
 // counter turns every bump into a remote memory reference under contention,
-// which is exactly the serialization the hot stats paths (guard metrics,
-// pool hit counters) must not charge to the operations they observe.
+// which is exactly the serialization a structure-wide count (a map's live
+// keys and read retries, a pool's exhaustions) must not charge to the
+// operations it observes.  A counter costs stripeCount cache lines, so it
+// suits a count kept once per structure, not once per node.
 //
 // The zero value is NOT ready; build with NewStripedCounter.  Counters are
 // instrumentation, not base objects: they live outside the paper's
-// shared-memory cost model, like the guard metrics they back.
+// shared-memory cost model.
 type StripedCounter struct {
 	lanes []stripedLane
 }
@@ -54,10 +48,10 @@ type StripedCounter struct {
 // stripedLane pads one stripe's word to a full cache line.
 type stripedLane struct {
 	v atomic.Int64
-	_ [CacheLineBytes - 8]byte
+	_ [cacheLineBytes - 8]byte
 }
 
-// NewStripedCounter returns a counter with Stripes() lanes.
+// NewStripedCounter returns a counter with stripeCount lanes.
 func NewStripedCounter() *StripedCounter {
 	return &StripedCounter{lanes: make([]stripedLane, stripeCount)}
 }

@@ -7,12 +7,12 @@ import (
 )
 
 func TestStripesShape(t *testing.T) {
-	n := Stripes()
+	n := stripeCount
 	if n < 1 || n&(n-1) != 0 {
-		t.Fatalf("Stripes() = %d, want a positive power of two", n)
+		t.Fatalf("stripeCount = %d, want a positive power of two", n)
 	}
 	if n > 16 {
-		t.Fatalf("Stripes() = %d, want the cap at 16", n)
+		t.Fatalf("stripeCount = %d, want the cap at 16", n)
 	}
 	if got := StripeFor(-1); got != 0 {
 		t.Fatalf("StripeFor(-1) = %d, want the observer on stripe 0", got)
@@ -25,8 +25,8 @@ func TestStripesShape(t *testing.T) {
 }
 
 func TestStripedLanePadding(t *testing.T) {
-	if sz := unsafe.Sizeof(stripedLane{}); sz != CacheLineBytes {
-		t.Fatalf("stripedLane is %d bytes, want one full cache line (%d)", sz, CacheLineBytes)
+	if sz := unsafe.Sizeof(stripedLane{}); sz != cacheLineBytes {
+		t.Fatalf("stripedLane is %d bytes, want one full cache line (%d)", sz, cacheLineBytes)
 	}
 }
 

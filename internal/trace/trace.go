@@ -61,8 +61,6 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
-
-	"abadetect/internal/shmem"
 )
 
 // Kind names an event type — the trace vocabulary of the guard, reclaim,
@@ -292,7 +290,7 @@ type Ring struct {
 	stamps []int64       // one UnixNano stamp per cohort of tsEvery events
 	rec    *Recorder
 	pid    int32
-	_      [shmem.CacheLineBytes]byte
+	_      [64]byte // one cache line
 }
 
 // Record appends one event, evicting the oldest when the ring is full.  A

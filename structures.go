@@ -65,11 +65,11 @@ func publicMetrics(m guard.Metrics) GuardMetrics {
 // StructureAudit is a quiescent-state structural check of a stack or queue,
 // together with the allocator's observability counters.
 //
-// Snapshot semantics, made explicit: GuardMetrics and FreelistMetrics are
-// assembled from independent atomic loads of cache-line-striped lanes, so
-// they are safe to read under live traffic but deliberately relaxed — no
-// individual counter is ever torn, yet related counters can be caught
-// between the bumps of one in-flight operation.  The full Audit additionally
+// Snapshot semantics, made explicit: GuardMetrics and FreelistMetrics sum
+// independent atomic loads of each guard's four counters, so they are safe
+// to read under live traffic but deliberately relaxed — no individual
+// counter is ever torn, yet related counters can be caught between the
+// bumps of one in-flight operation.  The full Audit additionally
 // walks the reclaimer's pending lists and the structure's links, which is
 // why it (unchanged from its contract) requires quiescence.  At quiescence
 // every snapshot is exact and repeatable: two back-to-back audits are deeply
