@@ -79,7 +79,6 @@ type options struct {
 	valueBits uint
 	initial   Word
 	backend   Backend
-	shardImpl string
 
 	// Structure options (structures.go); base-object constructors ignore
 	// them.

@@ -40,7 +40,7 @@ func NativeBackend() Backend { return nativeBackend{} }
 // slabBackend allocates contiguous slab words.
 type slabBackend struct{}
 
-func (slabBackend) newFactory() shmem.Factory { return shmem.NewSlabFactory(1) }
+func (slabBackend) newFactory() shmem.Factory { return shmem.NewSlabFactory() }
 
 // SlabBackend returns a substrate that lays all of an object's base objects
 // out in one contiguous slab of atomic words — register X and the announce
@@ -62,8 +62,8 @@ func (paddedBackend) newFactory() shmem.Factory { return shmem.NewPaddedFactory(
 // PaddedBackend returns a substrate whose base objects each occupy a full
 // cache line, so operations on distinct objects never contend for a line.
 // It is the striped preset of the slab substrate — contiguous, allocation-
-// free, devirtualized — and the layout ShardedDetectingArray uses by
-// default; the paper's space measure counts objects, not bytes, so padding
+// free, devirtualized — for several registers under heavy multi-core write
+// traffic; the paper's space measure counts objects, not bytes, so padding
 // costs nothing in the model.
 func PaddedBackend() Backend { return paddedBackend{} }
 

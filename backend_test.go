@@ -1,135 +1,6 @@
 package abadetect
 
-import (
-	"sync"
-	"testing"
-)
-
-func TestShardedArrayBasics(t *testing.T) {
-	const n, shards = 4, 8
-	a, err := NewShardedDetectingArray(n, shards, WithValueBits(16))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if a.NumProcs() != n || a.Shards() != shards {
-		t.Fatalf("NumProcs=%d Shards=%d", a.NumProcs(), a.Shards())
-	}
-	// Aggregate footprint: shards x (n+1) Figure 4 registers.
-	if fp := a.Footprint(); fp.Registers != shards*(n+1) || fp.CASObjects != 0 {
-		t.Errorf("footprint = %v, want %d registers", fp, shards*(n+1))
-	}
-
-	w, err := a.Handle(0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	r, err := a.Handle(1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if w.Shards() != shards {
-		t.Errorf("handle Shards = %d", w.Shards())
-	}
-	// Independence: traffic on shard 3 is invisible on every other shard,
-	// and the shard-local ABA is still detected.
-	for s := 0; s < shards; s++ {
-		r.DRead(s)
-	}
-	w.DWrite(3, 9)
-	w.DWrite(3, 5)
-	w.DWrite(3, 9)
-	for s := 0; s < shards; s++ {
-		v, dirty := r.DRead(s)
-		if s == 3 && (v != 9 || !dirty) {
-			t.Errorf("shard 3: DRead = (%d,%v), want (9,true)", v, dirty)
-		}
-		if s != 3 && dirty {
-			t.Errorf("shard %d dirtied by shard 3 traffic", s)
-		}
-	}
-}
-
-func TestShardedArrayValidation(t *testing.T) {
-	if _, err := NewShardedDetectingArray(0, 4); err == nil {
-		t.Error("want error for n=0")
-	}
-	if _, err := NewShardedDetectingArray(2, 0); err == nil {
-		t.Error("want error for shards=0")
-	}
-	if _, err := NewShardedDetectingArray(2, 4, WithShardImpl("no-such-impl")); err == nil {
-		t.Error("want error for unknown shard implementation")
-	}
-	if _, err := NewShardedDetectingArray(2, 4, WithShardImpl("fig3")); err == nil {
-		t.Error("want error for an llsc-kind shard implementation")
-	}
-	a, err := NewShardedDetectingArray(2, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := a.Handle(5); err == nil {
-		t.Error("want error for pid out of range")
-	}
-}
-
-func TestShardedArrayShardImplOption(t *testing.T) {
-	// Every registered correct detector must work as the shard type.
-	for _, info := range Implementations() {
-		if info.Kind != "detector" || !info.Correct {
-			continue
-		}
-		a, err := NewShardedDetectingArray(2, 3, WithShardImpl(info.ID), WithValueBits(8))
-		if err != nil {
-			t.Fatalf("%s: %v", info.ID, err)
-		}
-		if got, want := a.Footprint().Objects(), 3*info.Objects(2); got != want {
-			t.Errorf("%s: footprint %d objects, want 3 x m(2) = %d", info.ID, got, want)
-		}
-		w, err := a.Handle(0)
-		if err != nil {
-			t.Fatal(err)
-		}
-		r, err := a.Handle(1)
-		if err != nil {
-			t.Fatal(err)
-		}
-		w.DWrite(2, 5)
-		w.DWrite(2, 5) // same value: only metadata reveals the second write
-		if v, dirty := r.DRead(2); v != 5 || !dirty {
-			t.Errorf("%s: DRead = (%d,%v), want (5,true)", info.ID, v, dirty)
-		}
-		if _, dirty := r.DRead(2); dirty {
-			t.Errorf("%s: spurious dirty on quiet shard", info.ID)
-		}
-	}
-}
-
-func TestShardedArrayConcurrent(t *testing.T) {
-	const n, shards = 4, 4
-	a, err := NewShardedDetectingArray(n, shards, WithValueBits(16))
-	if err != nil {
-		t.Fatal(err)
-	}
-	var wg sync.WaitGroup
-	for pid := 0; pid < n; pid++ {
-		h, err := a.Handle(pid)
-		if err != nil {
-			t.Fatal(err)
-		}
-		wg.Add(1)
-		go func(pid int, h *ShardedArrayHandle) {
-			defer wg.Done()
-			for i := 0; i < 300; i++ {
-				s := (pid + i) % shards
-				if pid%2 == 0 {
-					h.DWrite(s, Word(i&0xffff))
-				} else if _, dirty := h.DRead(s); dirty {
-					_ = dirty
-				}
-			}
-		}(pid, h)
-	}
-	wg.Wait()
-}
+import "testing"
 
 func TestCountingBackend(t *testing.T) {
 	be := NewCountingBackend(4)

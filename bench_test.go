@@ -1,10 +1,11 @@
 package abadetect
 
-// One testing.B benchmark per experiment of DESIGN.md's index (E1-E9), plus
-// head-to-head throughput comparisons of every implementation.  The heavy
-// experiment machinery (model checking, adversarial schedules, exhaustive
-// linearizability) is measured per iteration; the object benchmarks measure
-// per-operation cost on the native substrate.
+// Benchmarks for the experiments of README's Experiment index (E1–E17): one
+// testing.B benchmark each for E1–E9, BenchmarkSuiteTables for the whole
+// suite, plus head-to-head throughput comparisons of every implementation.
+// The heavy experiment machinery (model checking, adversarial schedules,
+// exhaustive linearizability) is measured per iteration; the object
+// benchmarks measure per-operation cost on the native substrate.
 //
 // Run with: go test -bench=. -benchmem
 
@@ -345,45 +346,6 @@ func BenchmarkE9_ConstantTimeLLSC(b *testing.B) {
 		}
 		benchLLSCContended(b, obj)
 	})
-}
-
-// BenchmarkE10_ShardedArray measures the sharded detecting array through the
-// public API: all goroutines on one shard (the contended baseline) vs one
-// striped shard per goroutine.
-func BenchmarkE10_ShardedArray(b *testing.B) {
-	// Fig4 shards have no packing limit on n, so cover every RunParallel
-	// worker directly instead of borrowing maxProcs()'s Figure 3 cap.
-	n := runtime.GOMAXPROCS(0) * 2
-	if n < 8 {
-		n = 8
-	}
-	for _, shards := range []int{1, n} {
-		b.Run(fmt.Sprintf("shards=%d", shards), func(b *testing.B) {
-			arr, err := NewShardedDetectingArray(n, shards, WithValueBits(16))
-			if err != nil {
-				b.Fatal(err)
-			}
-			var pids atomic.Int64
-			b.RunParallel(func(pb *testing.PB) {
-				pid := int(pids.Add(1)-1) % n // n >= workers: no pid is shared
-				h, err := arr.Handle(pid)
-				if err != nil {
-					b.Error(err)
-					return
-				}
-				shard := pid % shards
-				i := 0
-				for pb.Next() {
-					if pid%2 == 0 {
-						h.DWrite(shard, Word(i&0xffff))
-					} else {
-						h.DRead(shard)
-					}
-					i++
-				}
-			})
-		})
-	}
 }
 
 // BenchmarkBaseline_UnboundedTag measures the trivial unbounded solution the

@@ -62,9 +62,9 @@
 //
 // The paper's §1 motivation ships as a public application layer: NewStack
 // (Treiber stack), NewQueue (Michael–Scott queue), NewEventFlag (the
-// resettable busy-wait flag), and NewMap (a sharded lock-free hash map).
-// Each structure's mutable references — stack head, queue head/tail and
-// per-node next pointers, the flag itself, the map's bucket heads and
+// resettable busy-wait flag), and NewMap (a split-ordered lock-free hash
+// map).  Each structure's mutable references — stack head, queue head/tail
+// and per-node next pointers, the flag itself, the map's bucket heads and
 // marked next links — are Guards (internal/guard): a unified Load /
 // conditional-Commit / Validate abstraction whose regime is a constructor
 // option.  WithProtection selects
@@ -258,14 +258,6 @@
 // exports live metrics (expvar, Prometheus text, pprof, and the current
 // trace as JSON) from a structure under churn.
 //
-// # Scaling out
-//
-// NewShardedDetectingArray builds an array of independent detecting
-// registers — per key, per queue head, per session slot — with per-shard
-// detection state, cache-line striped layout by default, an aggregate
-// Footprint, and any registered implementation as the shard type
-// (WithShardImpl).
-//
 // # Process model
 //
 // Every object is created for a fixed number of processes n; each process
@@ -281,6 +273,6 @@
 // adversarial schedules (internal/sim), a linearizability checker
 // (internal/check), a configuration-space model checker reproducing the
 // lower-bound proofs as searches (internal/machine, internal/lowerbound),
-// and application workloads (internal/apps).  See DESIGN.md and
-// EXPERIMENTS.md.
+// and application workloads (internal/apps).  README's Experiment index
+// lists the experiments E1–E17 and what each reproduces.
 package abadetect

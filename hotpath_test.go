@@ -30,6 +30,17 @@ func hotBackends() map[string]Backend {
 
 const hotProcs = 8
 
+// hotPools are the two node pools a structure can run on: the default mutex
+// FIFO pool, whose free ring is preallocated, and the guarded lock-free
+// pool (WithGuardedPool).
+var hotPools = []struct {
+	name string
+	opts []Option
+}{
+	{"fifo", nil},
+	{"guarded", []Option{WithGuardedPool()}},
+}
+
 // TestHotPathAllocs asserts that every hot operation of every registered
 // implementation — DWrite and DRead for detectors, LL, SC, and VL for
 // LL/SC/VL objects — performs zero heap allocations per call on both direct
@@ -98,68 +109,13 @@ func TestHotPathAllocs(t *testing.T) {
 	}
 }
 
-// structureAllocs pins the guarded structures' steady-state operations to
-// zero allocations: push/pop and enq/deq pairs over the guarded (lock-free)
-// pool, signal/reset/poll for the event flag.  The mutex FIFO pool is
-// exempt — its free queue reslices — which is why the guarded pool is used
-// here.
+// structureAllocs pins the structures' steady-state operations to zero
+// allocations: push/pop and enq/deq pairs and the map's put/get/delete
+// cycle on each of hotPools, and signal/reset/poll for the event flag,
+// which has no pool.
 func structureAllocs(t *testing.T, id string, be Backend) {
 	t.Helper()
-	opts := []Option{WithBackend(be), WithGuardedPool()}
-	switch id {
-	case "stack":
-		s, err := NewStack(hotProcs, 8, opts...)
-		if err != nil {
-			t.Fatal(err)
-		}
-		h, err := s.Handle(0)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var i Word
-		if got := testing.AllocsPerRun(200, func() {
-			h.Push(i)
-			h.Pop()
-			i++
-		}); got != 0 {
-			t.Errorf("Push+Pop allocates %.1f/op, want 0", got)
-		}
-	case "queue":
-		q, err := NewQueue(hotProcs, 8, opts...)
-		if err != nil {
-			t.Fatal(err)
-		}
-		h, err := q.Handle(0)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var i Word
-		if got := testing.AllocsPerRun(200, func() {
-			h.Enq(i)
-			h.Deq()
-			i++
-		}); got != 0 {
-			t.Errorf("Enq+Deq allocates %.1f/op, want 0", got)
-		}
-	case "map":
-		m, err := NewMap(hotProcs, 16, opts...)
-		if err != nil {
-			t.Fatal(err)
-		}
-		h, err := m.Handle(0)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var i Word
-		if got := testing.AllocsPerRun(200, func() {
-			h.Put(i&7, i)
-			h.Get(i & 7)
-			h.Delete(i & 7)
-			i++
-		}); got != 0 {
-			t.Errorf("Put+Get+Delete allocates %.1f/op, want 0", got)
-		}
-	case "event":
+	if id == "event" {
 		e, err := NewEventFlag(hotProcs, WithBackend(be))
 		if err != nil {
 			t.Fatal(err)
@@ -180,58 +136,47 @@ func structureAllocs(t *testing.T, id string, be Backend) {
 		}); got != 0 {
 			t.Errorf("pulse+poll allocates %.1f/op, want 0", got)
 		}
-	default:
-		t.Fatalf("unknown structure %q", id)
+		return
 	}
-}
-
-// reclaimerAllocs pins the reclamation-wrapped hot path to zero
-// allocations: a raw-guarded stack over the lock-free pool whose every pop
-// publishes a protection (hp slot write / epoch pin), validates, retires,
-// and amortizes a scan — all on preallocated state.  This is the
-// whole-stack version of the reclaim package's own Protect/Clear guard.
-func reclaimerAllocs(t *testing.T, scheme string, be Backend) {
-	t.Helper()
-	s, err := NewStack(hotProcs, 16,
-		WithBackend(be), WithGuardedPool(),
-		WithProtection(ProtectionRaw), WithReclamation(scheme))
-	if err != nil {
-		t.Fatal(err)
-	}
-	h, err := s.Handle(0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var i Word
-	if got := testing.AllocsPerRun(200, func() {
-		h.Push(i)
-		h.Pop()
-		i++
-	}); got != 0 {
-		t.Errorf("Push+Pop under %s reclamation allocates %.1f/op, want 0", scheme, got)
-	}
-}
-
-// TestHotPathAllocsMapRegimes pins the map's Get/Put/Delete cycle at zero
-// allocations on the slab backend under every sound protection regime, both
-// with immediate reuse and through the reclaimers — the traffic layer's hot
-// path must not pay the heap for its guards, its marks, or its hazards.
-func TestHotPathAllocsMapRegimes(t *testing.T) {
-	regimes := []struct {
-		name string
-		opts []Option
-	}{
-		{"tag16", []Option{WithProtection(ProtectionTagged), WithTagBits(16)}},
-		{"llsc", []Option{WithProtection(ProtectionLLSC)}},
-		{"detector", []Option{WithProtection(ProtectionDetector)}},
-	}
-	for _, re := range regimes {
-		// epoch:auto rides along to pin the adaptive cadence bookkeeping and
-		// the kv batched-retire flush (RetireBatch) to the same zero.
-		for _, scheme := range []string{"none", "hp", "epoch", "epoch:auto"} {
-			t.Run(re.name+"+"+scheme, func(t *testing.T) {
-				opts := append([]Option{WithBackend(SlabBackend()), WithGuardedPool(),
-					WithReclamation(scheme)}, re.opts...)
+	for _, pool := range hotPools {
+		t.Run(pool.name, func(t *testing.T) {
+			opts := append([]Option{WithBackend(be)}, pool.opts...)
+			switch id {
+			case "stack":
+				s, err := NewStack(hotProcs, 8, opts...)
+				if err != nil {
+					t.Fatal(err)
+				}
+				h, err := s.Handle(0)
+				if err != nil {
+					t.Fatal(err)
+				}
+				var i Word
+				if got := testing.AllocsPerRun(200, func() {
+					h.Push(i)
+					h.Pop()
+					i++
+				}); got != 0 {
+					t.Errorf("Push+Pop allocates %.1f/op, want 0", got)
+				}
+			case "queue":
+				q, err := NewQueue(hotProcs, 8, opts...)
+				if err != nil {
+					t.Fatal(err)
+				}
+				h, err := q.Handle(0)
+				if err != nil {
+					t.Fatal(err)
+				}
+				var i Word
+				if got := testing.AllocsPerRun(200, func() {
+					h.Enq(i)
+					h.Deq()
+					i++
+				}); got != 0 {
+					t.Errorf("Enq+Deq allocates %.1f/op, want 0", got)
+				}
+			case "map":
 				m, err := NewMap(hotProcs, 16, opts...)
 				if err != nil {
 					t.Fatal(err)
@@ -247,7 +192,87 @@ func TestHotPathAllocsMapRegimes(t *testing.T) {
 					h.Delete(i & 7)
 					i++
 				}); got != 0 {
-					t.Errorf("map cycle allocates %.1f/op, want 0", got)
+					t.Errorf("Put+Get+Delete allocates %.1f/op, want 0", got)
+				}
+			default:
+				t.Fatalf("unknown structure %q", id)
+			}
+		})
+	}
+}
+
+// reclaimerAllocs pins the reclamation-wrapped hot path to zero
+// allocations: a raw-guarded stack on each of hotPools whose every pop
+// publishes a protection (hp slot write / epoch pin), validates, retires,
+// and amortizes a scan — all on preallocated state.  This is the
+// whole-stack version of the reclaim package's own Protect/Clear guard.
+func reclaimerAllocs(t *testing.T, scheme string, be Backend) {
+	t.Helper()
+	for _, pool := range hotPools {
+		t.Run(pool.name, func(t *testing.T) {
+			opts := append([]Option{WithBackend(be),
+				WithProtection(ProtectionRaw), WithReclamation(scheme)}, pool.opts...)
+			s, err := NewStack(hotProcs, 16, opts...)
+			if err != nil {
+				t.Fatal(err)
+			}
+			h, err := s.Handle(0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var i Word
+			if got := testing.AllocsPerRun(200, func() {
+				h.Push(i)
+				h.Pop()
+				i++
+			}); got != 0 {
+				t.Errorf("Push+Pop under %s reclamation allocates %.1f/op, want 0", scheme, got)
+			}
+		})
+	}
+}
+
+// TestHotPathAllocsMapRegimes pins the map's Get/Put/Delete cycle at zero
+// allocations on the slab backend under every sound protection regime, both
+// with immediate reuse and through the reclaimers, on each of hotPools —
+// the traffic layer's hot path must not pay the heap for its guards, its
+// marks, or its hazards.
+func TestHotPathAllocsMapRegimes(t *testing.T) {
+	regimes := []struct {
+		name string
+		opts []Option
+	}{
+		{"tag16", []Option{WithProtection(ProtectionTagged), WithTagBits(16)}},
+		{"llsc", []Option{WithProtection(ProtectionLLSC)}},
+		{"detector", []Option{WithProtection(ProtectionDetector)}},
+	}
+	for _, re := range regimes {
+		// epoch:auto rides along to pin the adaptive cadence bookkeeping and
+		// the kv batched-retire flush (RetireBatch) to the same zero.
+		for _, scheme := range []string{"none", "hp", "epoch", "epoch:auto"} {
+			t.Run(re.name+"+"+scheme, func(t *testing.T) {
+				for _, pool := range hotPools {
+					t.Run(pool.name, func(t *testing.T) {
+						opts := append([]Option{WithBackend(SlabBackend()),
+							WithReclamation(scheme)}, re.opts...)
+						m, err := NewMap(hotProcs, 16, append(opts, pool.opts...)...)
+						if err != nil {
+							t.Fatal(err)
+						}
+						h, err := m.Handle(0)
+						if err != nil {
+							t.Fatal(err)
+						}
+						var i Word
+						if got := testing.AllocsPerRun(200, func() {
+							h.Put(i&7, i)
+							h.Get(i & 7)
+							h.Delete(i & 7)
+							i++
+						}); got != 0 {
+							t.Errorf("map cycle allocates %.1f/op, want 0", got)
+						}
+					})
 				}
 			})
 		}
@@ -257,32 +282,36 @@ func TestHotPathAllocsMapRegimes(t *testing.T) {
 	// recycles, and every node its walks pass, lie past the first segment —
 	// the grown-segment path of every node and handle lookup.
 	t.Run("llsc+hp+grown", func(t *testing.T) {
-		m, err := NewMap(hotProcs, 16, WithBackend(SlabBackend()), WithGuardedPool(),
-			WithReclamation("hp"), WithGrowth(256))
-		if err != nil {
-			t.Fatal(err)
-		}
-		h, err := m.Handle(0)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for k := Word(1000); k < 1200; k++ {
-			if !h.Put(k, k) {
-				t.Fatalf("fill Put(%d) failed", k)
-			}
-		}
-		if a := m.Audit(); a.Splits == 0 || a.SegmentAppends == 0 {
-			t.Fatalf("fill did not grow the map: splits=%d appends=%d", a.Splits, a.SegmentAppends)
-		}
-		var i Word
-		if got := testing.AllocsPerRun(200, func() {
-			h.Put(i&7, i)
-			h.Get(i & 7)
-			h.Get(1000 + i&127)
-			h.Delete(i & 7)
-			i++
-		}); got != 0 {
-			t.Errorf("grown map cycle allocates %.1f/op, want 0", got)
+		for _, pool := range hotPools {
+			t.Run(pool.name, func(t *testing.T) {
+				opts := []Option{WithBackend(SlabBackend()), WithReclamation("hp"), WithGrowth(256)}
+				m, err := NewMap(hotProcs, 16, append(opts, pool.opts...)...)
+				if err != nil {
+					t.Fatal(err)
+				}
+				h, err := m.Handle(0)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for k := Word(1000); k < 1200; k++ {
+					if !h.Put(k, k) {
+						t.Fatalf("fill Put(%d) failed", k)
+					}
+				}
+				if a := m.Audit(); a.Splits == 0 || a.SegmentAppends == 0 {
+					t.Fatalf("fill did not grow the map: splits=%d appends=%d", a.Splits, a.SegmentAppends)
+				}
+				var i Word
+				if got := testing.AllocsPerRun(200, func() {
+					h.Put(i&7, i)
+					h.Get(i & 7)
+					h.Get(1000 + i&127)
+					h.Delete(i & 7)
+					i++
+				}); got != 0 {
+					t.Errorf("grown map cycle allocates %.1f/op, want 0", got)
+				}
+			})
 		}
 	})
 }
@@ -355,31 +384,6 @@ func TestHotPathAllocsLoadRecord(t *testing.T) {
 		h.Quantile(0.99)
 	}); got != 0 {
 		t.Errorf("Hist.Quantile allocates %.1f/op, want 0", got)
-	}
-}
-
-// TestHotPathAllocsSharded extends the zero-allocation guard to the sharded
-// array's per-shard operations.
-func TestHotPathAllocsSharded(t *testing.T) {
-	for beName, be := range hotBackends() {
-		t.Run(beName, func(t *testing.T) {
-			arr, err := NewShardedDetectingArray(hotProcs, 4, WithValueBits(16), WithBackend(be))
-			if err != nil {
-				t.Fatal(err)
-			}
-			h, err := arr.Handle(0)
-			if err != nil {
-				t.Fatal(err)
-			}
-			var i Word
-			if got := testing.AllocsPerRun(200, func() {
-				h.DWrite(int(i)%4, i&0xffff)
-				h.DRead(int(i) % 4)
-				i++
-			}); got != 0 {
-				t.Errorf("sharded DWrite+DRead allocates %.1f/op, want 0", got)
-			}
-		})
 	}
 }
 

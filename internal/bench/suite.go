@@ -27,7 +27,7 @@ func Experiments() []Experiment {
 		{"E7", "bounded vs unbounded domain growth (§1)", fixed(E7Separation)},
 		{"E8", "Figure 4 ablations refuted (App. C)", fixed(E8Ablations)},
 		{"E9", "constant-time LL/SC from one CAS + n registers ([2,15])", fixed(E9ConstantTime)},
-		{"E10", "registry throughput: every implementation + sharded array", fixed(E10Throughput)},
+		{"E10", "registry throughput: every implementation", fixed(E10Throughput)},
 		{"E11", "application throughput: structure × guard matrix (§1)", E11Apps},
 		{"E12", "reclamation matrix: structure × regime × reclaimer (SMR as the ABA defense)", E12Reclaim},
 		{"E13", "traffic matrix: map+stack × regime × reclaimer × load profile, with latency percentiles", E13LoadMatrix},

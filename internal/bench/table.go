@@ -1,10 +1,10 @@
 // Package bench is the experiment harness: one runner per experiment of
-// DESIGN.md's index (E1-E9), each regenerating the table that corresponds to
-// a paper claim — lower-bound witnesses, time-space products, step
-// complexities, space footprints, domain growth, and application-level
-// corruption.  cmd/abalab prints them all; bench_test.go at the repository
-// root exposes each as a testing.B benchmark; EXPERIMENTS.md records
-// paper-vs-measured.
+// README's Experiment index (E1–E17), each regenerating the table that
+// corresponds to a paper claim — lower-bound witnesses, time-space
+// products, step complexities, space footprints, domain growth, and
+// application-level corruption — or a throughput, reclamation, traffic or
+// tracing matrix.  cmd/abalab prints them all; bench_test.go at the
+// repository root exposes them as testing.B benchmarks.
 package bench
 
 import (

@@ -14,11 +14,11 @@ import (
 type Word = shmem.Word
 
 // E10Throughput measures, on the native substrate, the sequential
-// throughput of every registered implementation plus the concurrent
-// throughput of the sharded detecting array — the repository's scaling
-// trajectory.  Every row is derived from the registry; a new
-// implementation shows up here (and in abalab -json / BENCH_baseline.json)
-// without any edit to this file.
+// throughput of every registered implementation, plus the concurrent
+// throughput of Figure 4 registers on padded cache lines with goroutines
+// spread over K of them (the "sharded" rows).  Every sequential row is
+// derived from the registry; a new implementation shows up here (and in
+// abalab -json / BENCH_baseline.json) without any edit to this file.
 func E10Throughput() (*Table, error) {
 	t := &Table{
 		ID:     "E10",
@@ -40,8 +40,8 @@ func E10Throughput() (*Table, error) {
 		addThroughputRow(t, im, workload, pairs, elapsed)
 	}
 
-	// The sharded array under concurrent traffic: K=1 is one contended
-	// register, K=workers gives every goroutine its own striped shard.
+	// Figure 4 registers under concurrent traffic: K=1 is one contended
+	// register, K=workers gives every goroutine a register of its own.
 	const workers = 4
 	const perWorker = 100_000
 	for _, shards := range []int{1, workers} {
@@ -60,7 +60,7 @@ func E10Throughput() (*Table, error) {
 		)
 	}
 	t.AddNote("sequential rows: one handle, no contention — the constant factors behind the paper's t(n).")
-	t.AddNote("sharded rows: K=1 is all goroutines on one register; K=%d gives each its own cache-line striped shard.", workers)
+	t.AddNote("sharded rows: K=1 is all goroutines on one register; K=%d gives each its own register, no two sharing a cache line.", workers)
 	return t, nil
 }
 
@@ -151,20 +151,23 @@ func addThroughputRow(t *Table, im registry.Impl, workload string, ops int, elap
 }
 
 // shardedThroughput times `workers` goroutines each performing ops
-// operations against a padded, fig4-backed sharded array with K shards;
-// worker w works shard w mod K.
+// operations against K Figure 4 registers built from one padded factory, so
+// no two registers share a cache line; worker w runs as process w on
+// register w mod K.
 func shardedThroughput(n, shards, workers, ops int) (time.Duration, error) {
 	f := shmem.NewPaddedFactory()
 	fig4 := registry.MustLookup("fig4")
-	arr, err := core.NewShardedArray(n, shards, func(int) (core.Detector, error) {
-		return fig4.NewDetector(f, n, 16, 0)
-	})
-	if err != nil {
-		return 0, err
+	regs := make([]core.Detector, shards)
+	for i := range regs {
+		d, err := fig4.NewDetector(f, n, 16, 0)
+		if err != nil {
+			return 0, err
+		}
+		regs[i] = d
 	}
-	handles := make([]*core.ShardedHandle, workers)
+	handles := make([]core.Handle, workers)
 	for w := range handles {
-		h, err := arr.Handle(w)
+		h, err := regs[w%shards].Handle(w)
 		if err != nil {
 			return 0, err
 		}
@@ -174,14 +177,13 @@ func shardedThroughput(n, shards, workers, ops int) (time.Duration, error) {
 	start := time.Now()
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
-		go func(w int, h *core.ShardedHandle) {
+		go func(w int, h core.Handle) {
 			defer wg.Done()
-			shard := w % shards
 			for i := 0; i < ops; i++ {
 				if w%2 == 0 {
-					h.DWrite(shard, Word(i&0xffff))
+					h.DWrite(Word(i & 0xffff))
 				} else {
-					h.DRead(shard)
+					h.DRead()
 				}
 			}
 		}(w, handles[w])

@@ -123,16 +123,6 @@ func New(pid, n int, codec shmem.TripleCodec, a []shmem.Register) (*Picker, erro
 	return p, nil
 }
 
-// NewUnchecked is New for callers that have already validated the
-// parameters; it panics on invalid input.
-func NewUnchecked(pid, n int, codec shmem.TripleCodec, a []shmem.Register) *Picker {
-	p, err := New(pid, n, codec, a)
-	if err != nil {
-		panic(err)
-	}
-	return p
-}
-
 // pushFree appends s to the candidate ring unless it is already queued.
 // The ring indices wrap with compares, not modulo: an integer division per
 // draw would cost more than the rest of the bookkeeping combined.

@@ -43,16 +43,6 @@ func TestNewValidation(t *testing.T) {
 	}
 }
 
-func TestNewUncheckedPanics(t *testing.T) {
-	codec, a := newEnv(t, 3)
-	defer func() {
-		if recover() == nil {
-			t.Error("want panic from NewUnchecked with bad pid")
-		}
-	}()
-	NewUnchecked(99, 3, codec, a)
-}
-
 func TestNextStaysInDomain(t *testing.T) {
 	for _, n := range []int{1, 2, 3, 8} {
 		codec, a := newEnv(t, n)

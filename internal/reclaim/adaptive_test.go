@@ -315,7 +315,7 @@ func TestHotPathBatchAllocFree(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			// n=16 puts the hp snapshot (32 slots) over the sort cutover, so
 			// the sorted binary-search path is the one being pinned.
-			r, err := tc.mk(shmem.NewSlabFactory(1), "t", 16, 256)
+			r, err := tc.mk(shmem.NewSlabFactory(), "t", 16, 256)
 			if err != nil {
 				t.Fatal(err)
 			}

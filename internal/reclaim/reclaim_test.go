@@ -281,7 +281,7 @@ func TestHotPathAllocFree(t *testing.T) {
 		{"none", NewNone},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			r, err := tc.mk(shmem.NewSlabFactory(1), "t", 4, 64)
+			r, err := tc.mk(shmem.NewSlabFactory(), "t", 4, 64)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -87,9 +87,6 @@ func (c TripleCodec) Bits() int { return int(1 + c.valueBits + c.pidBits + c.seq
 // SeqVals returns the size of the sequence-number domain.
 func (c TripleCodec) SeqVals() int { return c.seqVals }
 
-// ValueBits returns the width of the value field.
-func (c TripleCodec) ValueBits() uint { return c.valueBits }
-
 // MaxValue returns the largest encodable value.
 func (c TripleCodec) MaxValue() Word { return c.maxValue }
 
@@ -170,9 +167,6 @@ func (c TripleCodec) DecodePair(w Word) (pid, seq int) {
 	seq = int(w & c.seqMask)
 	return pid, seq
 }
-
-// PairBits returns the width of a packed announcement pair in bits.
-func (c TripleCodec) PairBits() int { return int(1 + c.pidBits + c.seqBits) }
 
 // Layout accessors.  Hot paths (getseq.Picker's announce scan) bind these
 // constants into their per-process state once, at Handle() time: even an

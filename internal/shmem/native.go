@@ -8,9 +8,9 @@ import "sync/atomic"
 //
 // The zero value is ready to use.  Allocation is safe for concurrent use and
 // lock-free — the footprint is kept in atomic counters, so goroutines
-// building objects in parallel (e.g. the shards of a sharded array) never
-// serialize on a mutex.  The allocated objects are safe for concurrent use
-// by any number of goroutines.
+// building objects in parallel (e.g. several registers from one factory)
+// never serialize on a mutex.  The allocated objects are safe for
+// concurrent use by any number of goroutines.
 type NativeFactory struct {
 	registers  atomic.Int64
 	casObjects atomic.Int64

@@ -2,8 +2,8 @@ package shmem
 
 // PaddedFactory allocates base objects so that two objects never share a
 // cache line: under heavy multi-core traffic, operations on unrelated
-// objects (e.g. distinct shards of a ShardedArray) stop invalidating each
-// other's lines.
+// objects (e.g. distinct registers built from one factory) stop
+// invalidating each other's lines.
 //
 // It is the cache-line striped preset of SlabFactory — one slab, one object
 // per 64-byte line — so padded objects live in contiguous slabs, cost no

@@ -13,13 +13,10 @@ import (
 // steps of a Figure 4 DRead touch one or two cache lines instead of n+1
 // scattered heap objects.
 //
-// Stride selects the layout:
-//
-//   - stride 1 packs objects densely, eight per cache line — best for the
-//     sequential and read-mostly paths the paper's t(n) counts;
-//   - stride 8 (cacheLineWords) places each object alone on its cache line —
-//     the striped layout that PaddedFactory now delegates to, best under
-//     heavy multi-core write traffic on unrelated objects.
+// A SlabFactory packs objects densely, eight per cache line — best for the
+// sequential and read-mostly paths the paper's t(n) counts.  PaddedFactory
+// reuses the same slabs at a stride of one cache line per object, the
+// layout for heavy multi-core write traffic on unrelated objects.
 //
 // Slabs are fixed-size arrays that never move once allocated, so the
 // *slabWord handles stay valid for the life of the factory; growing the
@@ -27,12 +24,10 @@ import (
 // space measure m counts base objects, not bytes, so the layout is free in
 // the model — it is purely a hardware-throughput choice.
 //
-// The zero value is a packed (stride 1) factory ready to use.  Allocation is
-// safe for concurrent use; the allocated objects are safe for concurrent use
-// by any number of goroutines.
+// The zero value is ready to use.  Allocation is safe for concurrent use;
+// the allocated objects are safe for concurrent use by any number of
+// goroutines.
 type SlabFactory struct {
-	stride int // words between consecutive objects; <=1 means packed
-
 	mu       sync.Mutex // guards slab growth, not the footprint counters
 	slab     []slabWord // current slab; older full slabs stay referenced by their words
 	next     int        // next free index in slab
@@ -50,41 +45,20 @@ const cacheLineWords = cacheLineBytes / 8
 // Slab sizing: each factory backs one constructed object (a fresh factory
 // per constructor call), so the first slab is small — a one-word Moir CAS
 // must not pin kilobytes — and subsequent slabs double up to the cap, so
-// large objects (sharded arrays, big announce arrays) still amortize to a
-// few allocations with long contiguous runs.
+// large objects (big announce arrays) and factories shared by several
+// objects still amortize to a few allocations with long contiguous runs.
 const (
 	slabMinWords   = 16  // first slab: 128 bytes packed, 2 striped objects
 	slabChunkWords = 512 // cap: 4 KiB, 512 packed objects or 64 striped ones
 )
 
-// NewSlabFactory returns a factory that lays base objects out contiguously,
-// stride words apart (stride <= 1 packs them densely; NewStripedSlabFactory
-// is the cache-line striped preset).
-func NewSlabFactory(stride int) *SlabFactory {
-	return &SlabFactory{stride: stride}
-}
-
-// NewStripedSlabFactory returns a slab factory whose objects each occupy a
-// full cache line, so operations on distinct objects never contend for a
-// line.
-func NewStripedSlabFactory() *SlabFactory {
-	return NewSlabFactory(cacheLineWords)
-}
-
-// alloc reserves the next slot of the current slab using the factory's own
-// stride.
-func (f *SlabFactory) alloc(init Word) *slabWord {
-	stride := f.stride
-	if stride < 1 {
-		stride = 1
-	}
-	return f.allocStride(stride, init)
-}
+// NewSlabFactory returns a factory that packs base objects contiguously.
+func NewSlabFactory() *SlabFactory { return &SlabFactory{} }
 
 // allocStride reserves the next slot stride words after the previous one,
 // starting a new slab when the current one is full.  The stride is a
-// parameter, not read from the factory, so wrappers with a fixed layout
-// (PaddedFactory) stay correct even as zero values.
+// parameter, not stored in the factory: the packed methods pass 1 and
+// PaddedFactory passes a cache line, so both layouts hold as zero values.
 func (f *SlabFactory) allocStride(stride int, init Word) *slabWord {
 	f.mu.Lock()
 	if f.next >= len(f.slab) {
@@ -94,9 +68,6 @@ func (f *SlabFactory) allocStride(stride int, init Word) *slabWord {
 		}
 		if size > slabChunkWords {
 			size = slabChunkWords
-		}
-		if stride > size {
-			size = stride
 		}
 		f.nextSize = size * 2
 		if stride%cacheLineWords == 0 {
@@ -121,13 +92,13 @@ func (f *SlabFactory) allocStride(stride int, init Word) *slabWord {
 // NewRegister allocates a slab-resident register.
 func (f *SlabFactory) NewRegister(name string, init Word) Register {
 	f.registers.Add(1)
-	return f.alloc(init)
+	return f.allocStride(1, init)
 }
 
 // NewCAS allocates a slab-resident writable CAS object.
 func (f *SlabFactory) NewCAS(name string, init Word) WritableCAS {
 	f.casObjects.Add(1)
-	return f.alloc(init)
+	return f.allocStride(1, init)
 }
 
 // Footprint reports the objects allocated so far.

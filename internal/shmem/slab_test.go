@@ -7,7 +7,7 @@ import (
 )
 
 func TestSlabFactoryBasics(t *testing.T) {
-	f := NewSlabFactory(1)
+	f := NewSlabFactory()
 	r := f.NewRegister("R", 7)
 	c := f.NewCAS("C", 9)
 	if got := r.Read(0); got != 7 {
@@ -45,7 +45,7 @@ func TestSlabZeroValueIsPacked(t *testing.T) {
 }
 
 func TestSlabContiguousLayout(t *testing.T) {
-	f := NewSlabFactory(1)
+	f := NewSlabFactory()
 	words := make([]*slabWord, 16)
 	for i := range words {
 		words[i] = f.NewRegister("r", Word(i)).(*slabWord)
@@ -80,7 +80,7 @@ func TestPaddedZeroValueStillPads(t *testing.T) {
 }
 
 func TestStripedSlabLayout(t *testing.T) {
-	f := NewStripedSlabFactory()
+	f := NewPaddedFactory()
 	a := Direct(f.NewRegister("a", 0))
 	b := Direct(f.NewRegister("b", 0))
 	d := uintptr(unsafe.Pointer(b)) - uintptr(unsafe.Pointer(a))
@@ -98,7 +98,7 @@ func TestStripedSlabLayout(t *testing.T) {
 }
 
 func TestSlabGrowthKeepsOldWordsValid(t *testing.T) {
-	f := NewSlabFactory(1)
+	f := NewSlabFactory()
 	var words []Register
 	const count = 3*slabChunkWords + 5 // forces several slab rollovers
 	for i := 0; i < count; i++ {
@@ -117,7 +117,7 @@ func TestSlabGrowthKeepsOldWordsValid(t *testing.T) {
 func TestSlabFirstChunkIsSmall(t *testing.T) {
 	// Every constructed object gets a fresh factory, so a one-word object
 	// must not pin a full 4 KiB chunk.
-	f := NewSlabFactory(1)
+	f := NewSlabFactory()
 	f.NewCAS("X", 0)
 	if got := len(f.slab); got > slabMinWords {
 		t.Errorf("first slab holds %d words, want <= %d", got, slabMinWords)
@@ -125,7 +125,7 @@ func TestSlabFirstChunkIsSmall(t *testing.T) {
 }
 
 func TestSlabConcurrentAllocation(t *testing.T) {
-	f := NewStripedSlabFactory()
+	f := NewPaddedFactory()
 	const goroutines, perG = 8, 200
 	words := make([][]WritableCAS, goroutines)
 	var wg sync.WaitGroup
@@ -162,7 +162,7 @@ func TestDirectResolvesOnlyDirectSubstrates(t *testing.T) {
 	if Direct(NewNativeFactory().NewRegister("r", 0)) == nil {
 		t.Error("native register must devirtualize")
 	}
-	if Direct(NewSlabFactory(1).NewCAS("c", 0)) == nil {
+	if Direct(NewSlabFactory().NewCAS("c", 0)) == nil {
 		t.Error("slab CAS must devirtualize")
 	}
 	if Direct(NewPaddedFactory().NewRegister("r", 0)) == nil {

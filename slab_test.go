@@ -1,9 +1,9 @@
 package abadetect
 
-// Race-enabled coverage for the slab backend, mirroring sharded_test.go:
-// the slab substrate changes the memory layout of every base object, so the
-// same concurrent traffic that exercises the padded sharded array must run
-// against packed slabs under -race.
+// Race-enabled coverage for the slab substrates: SlabBackend packs every
+// base object into contiguous slabs and PaddedBackend strides the same slabs
+// one cache line per object, so concurrent traffic must run over both
+// layouts under -race.
 
 import (
 	"sync"
@@ -75,66 +75,41 @@ func TestSlabBackendEveryImplementation(t *testing.T) {
 	}
 }
 
-func TestSlabShardedArrayConcurrent(t *testing.T) {
-	// TestShardedArrayConcurrent over packed slabs instead of padded lines.
-	const n, shards = 4, 4
-	a, err := NewShardedDetectingArray(n, shards, WithValueBits(16), WithBackend(SlabBackend()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if fp := a.Footprint(); fp.Registers != shards*(n+1) {
-		t.Errorf("slab sharded footprint = %v, want %d registers", fp, shards*(n+1))
-	}
-	var wg sync.WaitGroup
-	for pid := 0; pid < n; pid++ {
-		h, err := a.Handle(pid)
-		if err != nil {
-			t.Fatal(err)
-		}
-		wg.Add(1)
-		go func(pid int, h *ShardedArrayHandle) {
-			defer wg.Done()
-			for i := 0; i < 300; i++ {
-				s := (pid + i) % shards
-				if pid%2 == 0 {
-					h.DWrite(s, Word(i&0xffff))
-				} else if _, dirty := h.DRead(s); dirty {
-					_ = dirty
-				}
-			}
-		}(pid, h)
-	}
-	wg.Wait()
-}
-
 func TestSlabRegisterConcurrent(t *testing.T) {
-	// All processes on ONE slab register: writers and readers share the
-	// packed slab's cache lines, the hardest case for the devirtualized
-	// paths under -race.
+	// All processes on ONE slab register: over packed slabs writers and
+	// readers share cache lines, the hardest case for the devirtualized
+	// paths under -race; over padded slabs every word has a line of its own.
 	const n = 8
-	reg, err := NewDetectingRegister(n, WithValueBits(16), WithBackend(SlabBackend()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	var wg sync.WaitGroup
-	for pid := 0; pid < n; pid++ {
-		h, err := reg.Handle(pid)
-		if err != nil {
-			t.Fatal(err)
-		}
-		wg.Add(1)
-		go func(pid int, h DetectHandle) {
-			defer wg.Done()
-			for i := 0; i < 500; i++ {
-				if pid%2 == 0 {
-					h.DWrite(Word(i & 0xffff))
-				} else {
-					h.DRead()
-				}
+	for _, tc := range []struct {
+		name string
+		be   Backend
+	}{{"slab", SlabBackend()}, {"padded", PaddedBackend()}} {
+		t.Run(tc.name, func(t *testing.T) {
+			reg, err := NewDetectingRegister(n, WithValueBits(16), WithBackend(tc.be))
+			if err != nil {
+				t.Fatal(err)
 			}
-		}(pid, h)
+			var wg sync.WaitGroup
+			for pid := 0; pid < n; pid++ {
+				h, err := reg.Handle(pid)
+				if err != nil {
+					t.Fatal(err)
+				}
+				wg.Add(1)
+				go func(pid int, h DetectHandle) {
+					defer wg.Done()
+					for i := 0; i < 500; i++ {
+						if pid%2 == 0 {
+							h.DWrite(Word(i & 0xffff))
+						} else {
+							h.DRead()
+						}
+					}
+				}(pid, h)
+			}
+			wg.Wait()
+		})
 	}
-	wg.Wait()
 }
 
 func TestSlabLLSCConcurrent(t *testing.T) {
