@@ -233,22 +233,29 @@
 // structure: one single-writer event ring per process, capacity (rounded up
 // to a power of two) events deep, recording the guard, allocator,
 // reclaimer, and operation transitions as they happen.  In the paper's
-// vocabulary the recorder costs m(n) = n rings × (capacity+1) four-word
-// slots plus n·(capacity/256+2) cohort-stamp words — allocated once at
-// construction, never grown — and t(n) = O(1) steps per event, none of
-// them a lock: a fetch-add on a global ticket for an event that orders
-// processes (a commit, reject or near-miss, an alloc, exhaust, release or
-// retire, a grow, an epoch advance), drawn after the traced transition
-// completes, or a load of that counter for one that only observes; then
-// four ring-local slot stores and one store that publishes the slot.  One
-// monotonic clock read per 256 events stamps a cohort.  Sorting a merged
+// vocabulary the recorder costs m(n) = n rings × (capacity+lagMax)
+// four-word slots, lagMax = 16, plus n·(capacity/256+2) cohort-stamp words
+// — allocated once at construction, never grown — and t(n) = O(1) steps
+// per event, none of them a lock: a fetch-add on a global ticket for an
+// event that orders processes (a commit, reject or near-miss, an alloc,
+// exhaust, release or retire, a grow, an epoch advance), drawn after the
+// traced transition completes, or a load of that counter for one that only
+// observes; then four ring-local slot stores.  On top of that comes one
+// store of the ring's count per operation, which publishes all of its
+// events when it returns; an event outside an operation, or any event
+// while a watch is armed, pays that store itself.  Readers see an
+// operation's events when it returns, once lagMax of them are pending, or
+// at once under an armed watch, so an unwatched dump of a process stalled
+// mid-operation misses at most lagMax-1 of its events.  One monotonic
+// clock read per 256 events stamps a cohort.  Sorting a merged
 // dump by (ticket, ticketed first, process, sequence) keeps each process's
 // order and is consistent with happens-before for every pair of events of
 // which one is ticketed, without stopping any writer; only two
 // observations of different processes with no ticket between them may
 // trade places.
-// Untraced structures carry a nil recorder and every hook compiles to an
-// inlined nil check — the hot paths stay allocation-free and within noise
+// Untraced structures carry a nil recorder, and every hook and every
+// operation's bracket compiles to an inlined nil check — the hot paths
+// stay allocation-free and within noise
 // of the untraced build (pinned by the hot-path tests and experiment E17).
 // StructureTrace returns the merged dump; the deterministic ABA scenarios
 // arm a Watch that freezes the rings at the first near-miss (or attaches

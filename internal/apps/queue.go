@@ -192,6 +192,16 @@ func (h *QueueHandle) spent(spins int) bool {
 // Enq appends v.  It returns false when the node pool is exhausted (or a
 // MaxSpin budget ran out).
 func (h *QueueHandle) Enq(v Word) bool {
+	if h.ring == nil {
+		return h.enq(v)
+	}
+	h.ring.Begin()
+	ok := h.enq(v)
+	h.ring.End()
+	return ok
+}
+
+func (h *QueueHandle) enq(v Word) bool {
 	idx := h.pool.Alloc()
 	if idx == 0 {
 		return false
@@ -244,6 +254,16 @@ func (h *QueueHandle) Enq(v Word) bool {
 // Deq removes the oldest value.  It returns false when the queue is empty
 // (or a MaxSpin budget ran out).
 func (h *QueueHandle) Deq() (Word, bool) {
+	if h.ring == nil {
+		return h.deq()
+	}
+	h.ring.Begin()
+	v, ok := h.deq()
+	h.ring.End()
+	return v, ok
+}
+
+func (h *QueueHandle) deq() (Word, bool) {
 	for spins := 0; ; spins++ {
 		if h.spent(spins) {
 			if h.smr {
@@ -295,7 +315,18 @@ func (h *QueueHandle) Peek() (Word, bool) {
 			}
 		}
 	}
-	return h.peekGuarded()
+	return h.peekFallback()
+}
+
+// peekFallback runs peekGuarded as one traced operation.
+func (h *QueueHandle) peekFallback() (Word, bool) {
+	if h.ring == nil {
+		return h.peekGuarded()
+	}
+	h.ring.Begin()
+	v, ok := h.peekGuarded()
+	h.ring.End()
+	return v, ok
 }
 
 // peekGuarded is the fallback read: the DeqBegin fence without the commit,
@@ -339,7 +370,7 @@ func (h *QueueHandle) IsEmpty() bool {
 			}
 		}
 	}
-	_, ok := h.peekGuarded()
+	_, ok := h.peekFallback()
 	return !ok
 }
 
@@ -349,6 +380,16 @@ func (h *QueueHandle) IsEmpty() bool {
 // experiments.  It returns empty=true on a consistent empty snapshot (or an
 // exhausted MaxSpin budget), in which case there is nothing to commit.
 func (h *QueueHandle) DeqBegin() (head, next int, empty bool) {
+	if h.ring == nil {
+		return h.deqBegin()
+	}
+	h.ring.Begin()
+	head, next, empty = h.deqBegin()
+	h.ring.End()
+	return head, next, empty
+}
+
+func (h *QueueHandle) deqBegin() (head, next int, empty bool) {
 	for spins := 0; ; spins++ {
 		if h.spent(spins) {
 			if h.smr {
@@ -381,7 +422,13 @@ func (h *QueueHandle) DeqCommit() (Word, bool) {
 	if h.pendingNext == 0 {
 		return 0, false
 	}
-	return h.deqCommit(h.pendingHead, h.pendingNext)
+	if h.ring == nil {
+		return h.deqCommit(h.pendingHead, h.pendingNext)
+	}
+	h.ring.Begin()
+	v, ok := h.deqCommit(h.pendingHead, h.pendingNext)
+	h.ring.End()
+	return v, ok
 }
 
 // deqSnapshot reads (head, tail, next[head]) and validates the head.  It

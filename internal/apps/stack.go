@@ -143,6 +143,16 @@ type StackHandle struct {
 
 // Push pushes v.  It returns false when the node pool is exhausted.
 func (h *StackHandle) Push(v Word) bool {
+	if h.ring == nil {
+		return h.push(v)
+	}
+	h.ring.Begin()
+	ok := h.push(v)
+	h.ring.End()
+	return ok
+}
+
+func (h *StackHandle) push(v Word) bool {
 	idx := h.pool.Alloc()
 	if idx == 0 {
 		return false
@@ -159,8 +169,18 @@ func (h *StackHandle) Push(v Word) bool {
 
 // Pop pops the top value.  It returns false when the stack is empty.
 func (h *StackHandle) Pop() (Word, bool) {
+	if h.ring == nil {
+		return h.pop()
+	}
+	h.ring.Begin()
+	v, ok := h.pop()
+	h.ring.End()
+	return v, ok
+}
+
+func (h *StackHandle) pop() (Word, bool) {
 	for {
-		top, next, empty := h.PopBegin()
+		top, next, empty := h.popBegin()
 		if empty {
 			return 0, false
 		}
@@ -183,6 +203,16 @@ func (h *StackHandle) Pop() (Word, bool) {
 // until the protection clears.  The protection stays up through the stall
 // and is withdrawn by the commit (either outcome).
 func (h *StackHandle) PopBegin() (top, next int, empty bool) {
+	if h.ring == nil {
+		return h.popBegin()
+	}
+	h.ring.Begin()
+	top, next, empty = h.popBegin()
+	h.ring.End()
+	return top, next, empty
+}
+
+func (h *StackHandle) popBegin() (top, next int, empty bool) {
 	for {
 		topW, _ := h.head.Load()
 		top = int(topW)
@@ -222,7 +252,13 @@ func (h *StackHandle) PopCommit() (Word, bool) {
 	if h.pending == 0 {
 		return 0, false
 	}
-	return h.popCommit(h.pending, h.next)
+	if h.ring == nil {
+		return h.popCommit(h.pending, h.next)
+	}
+	h.ring.Begin()
+	v, ok := h.popCommit(h.pending, h.next)
+	h.ring.End()
+	return v, ok
 }
 
 func (h *StackHandle) popCommit(top, next int) (Word, bool) {
@@ -277,7 +313,13 @@ func (h *StackHandle) Peek() (Word, bool) {
 			return v, top != 0
 		}
 	}
-	return h.peekGuarded()
+	if h.ring == nil {
+		return h.peekGuarded()
+	}
+	h.ring.Begin()
+	v, ok := h.peekGuarded()
+	h.ring.End()
+	return v, ok
 }
 
 // peekGuarded is the fallback read: the PopBegin fence (publish a protection,

@@ -92,7 +92,7 @@ func E17ObservabilityMatrix(opts Options) (*Table, error) {
 		return nil, err
 	}
 	t.AddNote("each off/on pair runs the identical closed-loop churn (%d workers, %d-node pool); overhead = traced ns/op ÷ untraced ns/op from the same run, so it diffs meaningfully across machines.", e17Workers, e17Capacity)
-	t.AddNote("trace-off rows are report-only trajectory rows: tracing disabled should cost nothing (no guard or pool is wrapped; an operation mark or a reclaimer scan is one inlined nil check), and -bench-compare diffs these rows against a committed snapshot without gating on them.")
+	t.AddNote("trace-off rows are report-only trajectory rows: tracing disabled should cost nothing (no guard or pool is wrapped; an operation's bracket, an operation mark or a reclaimer scan is one inlined nil check), and -bench-compare diffs these rows against a committed snapshot without gating on them.  Traced rows pay per event a ticket fetch-add or load and four slot stores, and per operation one store that publishes its events.")
 	t.AddNote("events counts the merged dump of the traced run — ring-capped at %d per process, so it measures retention, not total traffic; every guard load/commit, alloc/release/retire, and reclaimer scan/advance lands in a ring.", e17RingCap)
 	return t, nil
 }

@@ -68,14 +68,17 @@ type Picker struct {
 	// usedQ slots) currently blocking s.  free is a FIFO ring of candidate
 	// numbers with lazy invalidation: a number is pushed when its refcnt
 	// drops to zero, popped entries that were re-blocked in the meantime are
-	// discarded, and inFree keeps each number in the ring at most once so
-	// the ring never exceeds the domain size.
-	refcnt   []int32
+	// discarded, and inFree[s] = 1 keeps each number in the ring at most
+	// once so the ring never exceeds the domain size.
+	refcnt   []int
 	free     []int
 	freeHead int
 	freeLen  int
-	inFree   []bool
+	inFree   []int
 }
+
+// lineInts is the number of ints in a 64-byte cache line.
+const lineInts = 64 / 8
 
 // New returns a Picker for process pid over announce array a.  The codec
 // defines the (pid, seq) pair encoding of the announce entries and the
@@ -105,12 +108,16 @@ func New(pid, n int, codec shmem.TripleCodec, a []shmem.Register) (*Picker, erro
 		pidMask:  codec.PidMask(),
 		seqMask:  codec.SeqMask(),
 		seqShift: codec.SeqBits(),
-		na:       make([]int, n),
-		used:     make([]int, n+1),
-		refcnt:   make([]int32, seqVals),
-		free:     make([]int, seqVals),
-		inFree:   make([]bool, seqVals),
 	}
+	// Every Next writes these arrays, so they share one allocation with a
+	// cache line of padding at each end: no line of them is shared with
+	// another object, such as the picker built next for another process.
+	buf := make([]int, lineInts+2*n+1+3*seqVals+lineInts)[lineInts:]
+	p.na, buf = buf[:n:n], buf[n:]
+	p.used, buf = buf[:n+1:n+1], buf[n+1:]
+	p.refcnt, buf = buf[:seqVals:seqVals], buf[seqVals:]
+	p.free, buf = buf[:seqVals:seqVals], buf[seqVals:]
+	p.inFree = buf[:seqVals:seqVals]
 	for i := range p.na {
 		p.na[i] = -1
 	}
@@ -127,7 +134,7 @@ func New(pid, n int, codec shmem.TripleCodec, a []shmem.Register) (*Picker, erro
 // The ring indices wrap with compares, not modulo: an integer division per
 // draw would cost more than the rest of the bookkeeping combined.
 func (p *Picker) pushFree(s int) {
-	if p.inFree[s] {
+	if p.inFree[s] != 0 {
 		return
 	}
 	i := p.freeHead + p.freeLen
@@ -136,7 +143,7 @@ func (p *Picker) pushFree(s int) {
 	}
 	p.free[i] = s
 	p.freeLen++
-	p.inFree[s] = true
+	p.inFree[s] = 1
 }
 
 // popFree returns the oldest candidate with refcnt zero, discarding stale
@@ -149,7 +156,7 @@ func (p *Picker) popFree() int {
 			p.freeHead = 0
 		}
 		p.freeLen--
-		p.inFree[s] = false
+		p.inFree[s] = 0
 		if p.refcnt[s] == 0 {
 			return s
 		}

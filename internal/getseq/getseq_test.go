@@ -1,6 +1,7 @@
 package getseq
 
 import (
+	"reflect"
 	"testing"
 
 	"abadetect/internal/shmem"
@@ -178,14 +179,14 @@ func TestAllSeqValuesEventuallyUsed(t *testing.T) {
 type genRecount struct {
 	gen   uint64
 	stamp []uint64
-	count []int32
+	count []int
 }
 
 func newGenRecount(seqVals int) *genRecount {
-	return &genRecount{stamp: make([]uint64, seqVals), count: make([]int32, seqVals)}
+	return &genRecount{stamp: make([]uint64, seqVals), count: make([]int, seqVals)}
 }
 
-func (g *genRecount) at(s int) int32 {
+func (g *genRecount) at(s int) int {
 	if g.stamp[s] != g.gen {
 		return 0
 	}
@@ -248,7 +249,7 @@ func TestIncrementalForbiddenMatchesRecount(t *testing.T) {
 			if p.refcnt[v] != rec.at(v) {
 				t.Fatalf("call %d: refcnt[%d] = %d, recount = %d", i, v, p.refcnt[v], rec.at(v))
 			}
-			if p.refcnt[v] == 0 && !p.inFree[v] {
+			if p.refcnt[v] == 0 && p.inFree[v] == 0 {
 				t.Fatalf("call %d: free seq %d missing from candidate ring", i, v)
 			}
 		}
@@ -279,6 +280,32 @@ func TestDomainNeverExhausted(t *testing.T) {
 		if i >= n && s < n {
 			// After one full scan all announced seqs are known-blocked.
 			t.Fatalf("call %d returned blocked seq %d", i, s)
+		}
+	}
+}
+
+// TestPickerArraysOwnTheirLines builds the pickers of n = 8 processes back
+// to back, as a Figure 4 register's handles are built, and checks that no
+// two pickers' per-process arrays touch the same 64-byte cache line: every
+// Next writes them, so a shared line would be written by two processes.
+func TestPickerArraysOwnTheirLines(t *testing.T) {
+	const n = 8
+	codec, a := newEnv(t, n)
+	owner := make(map[uintptr]int) // cache line → pid whose arrays touch it
+	for pid := 0; pid < n; pid++ {
+		p, err := New(pid, n, codec, a)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, arr := range [][]int{p.na, p.used, p.refcnt, p.free, p.inFree} {
+			start := reflect.ValueOf(arr).Pointer()
+			end := start + uintptr(len(arr))*8
+			for line := start / 64; line <= (end-1)/64; line++ {
+				if q, ok := owner[line]; ok && q != pid {
+					t.Fatalf("pickers of pids %d and %d share cache line %#x", q, pid, line*64)
+				}
+				owner[line] = pid
+			}
 		}
 	}
 }

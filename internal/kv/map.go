@@ -690,6 +690,16 @@ retry:
 // (counted in MapAudit.ReadFallbacks), which is lock-free and helps unlink,
 // so progress is never worse than before the fast path.
 func (h *Handle) Get(k Word) (Word, bool) {
+	if h.ring == nil {
+		return h.get(k)
+	}
+	h.ring.Begin()
+	v, ok := h.get(k)
+	h.ring.End()
+	return v, ok
+}
+
+func (h *Handle) get(k Word) (Word, bool) {
 	b, sk := h.locate(k)
 	if h.fastOK {
 		for attempt := 0; attempt < fastGetRetries; attempt++ {
@@ -788,6 +798,16 @@ func (h *Handle) tryGetFast(b int, k, sk Word) (v Word, ok, clean bool) {
 // MaxSpin budget ran out) — a fresh node is needed even to overwrite, since
 // keys and values are immutable per node.
 func (h *Handle) Put(k, v Word) bool {
+	if h.ring == nil {
+		return h.put(k, v)
+	}
+	h.ring.Begin()
+	ok := h.put(k, v)
+	h.ring.End()
+	return ok
+}
+
+func (h *Handle) put(k, v Word) bool {
 	idx := h.allocNode()
 	if idx == 0 {
 		h.endOp(true)
@@ -857,6 +877,16 @@ func (h *Handle) killShadowed(idx, cur int, curNext Word) {
 
 // Delete removes k's binding.  It reports whether any binding was removed.
 func (h *Handle) Delete(k Word) bool {
+	if h.ring == nil {
+		return h.delete(k)
+	}
+	h.ring.Begin()
+	ok := h.delete(k)
+	h.ring.End()
+	return ok
+}
+
+func (h *Handle) delete(k Word) bool {
 	b, sk := h.locate(k)
 	spins := 0
 	deleted := h.sweep(b, k, sk, 0, &spins)
@@ -916,6 +946,16 @@ func (h *Handle) sweep(b int, k, sk Word, keep int, spins *int) bool {
 // the stall, so it cannot re-enter the allocator — and therefore cannot be
 // recycled back under the predecessor link — until the commit clears it.
 func (h *Handle) DeleteBegin(k Word) (cur, succ int, found bool) {
+	if h.ring == nil {
+		return h.deleteBegin(k)
+	}
+	h.ring.Begin()
+	cur, succ, found = h.deleteBegin(k)
+	h.ring.End()
+	return cur, succ, found
+}
+
+func (h *Handle) deleteBegin(k Word) (cur, succ int, found bool) {
 	b, sk := h.locate(k)
 	spins := 0
 	for {
@@ -946,6 +986,16 @@ func (h *Handle) DeleteCommit() bool {
 	if h.pendingPrev == nil {
 		return false
 	}
+	if h.ring == nil {
+		return h.deleteCommit()
+	}
+	h.ring.Begin()
+	ok := h.deleteCommit()
+	h.ring.End()
+	return ok
+}
+
+func (h *Handle) deleteCommit() bool {
 	prev, cur, succ := h.pendingPrev, h.pendingCur, h.pendingSucc
 	h.pendingPrev, h.pendingCur, h.pendingSucc = nil, 0, 0
 	if !prev.Commit(succ) {
@@ -1034,7 +1084,13 @@ func (h *Handle) GrowBuckets() bool {
 	if h.m.size == nil {
 		return false
 	}
-	return h.splitFrom(int(h.m.size.Read(h.pid)))
+	if h.ring == nil {
+		return h.splitFrom(int(h.m.size.Read(h.pid)))
+	}
+	h.ring.Begin()
+	ok := h.splitFrom(int(h.m.size.Read(h.pid)))
+	h.ring.End()
+	return ok
 }
 
 // splitFrom doubles a directory of s buckets: it links dummies s..2s-1 into

@@ -2,8 +2,10 @@
 
 package trace
 
-// storeSlot fills a slot with plain stores: the ring's publishing store, not
-// the slot stores themselves, is what readers synchronize on (Ring.Record).
+// storeSlot fills a slot with plain stores: the ring's publishing store of
+// its count — one per operation bracket, or one per event outside a bracket
+// or under an armed watch — not the slot stores themselves, is what readers
+// synchronize on (Ring.record).
 func storeSlot(s *slot, gseq, kn, a, b uint64) {
 	s.gseq = gseq
 	s.kn = kn

@@ -10,16 +10,25 @@
 // the last K events per process before the incident, in order.
 //
 // In the paper's cost vocabulary the recorder is deliberately cheap and
-// deliberately off-model: m(n) is n rings × (capacity+1) four-word event
-// slots, plus n·(capacity/tsEvery+2) cohort-stamp words, of
+// deliberately off-model: m(n) is n rings × (capacity+lagMax) four-word
+// event slots, plus n·(capacity/tsEvery+2) cohort-stamp words, of
 // instrumentation memory (fixed at construction, never grown), and t(n) is
 // O(1) per event — a fetch-add on the recorder-global ticket for an event
 // that orders processes, or a load of that counter for one that only
-// observes, then four plain slot stores and one publishing store — plus one
-// monotonic clock read per tsEvery events.  The recorder allocates nothing
-// after construction: rings are preallocated, an event's object label is a
-// Name interned when the traced guard or pool is built, and Merge/Events
-// write into fresh slices only on the (cold) read side.
+// observes, then four plain slot stores — plus one monotonic clock read per
+// tsEvery events, and one publishing store per operation: a structure
+// brackets each operation with Ring.Begin and Ring.End, and only the
+// outermost End publishes.  An event recorded outside a bracket, or while
+// a watch is armed, pays its own publishing store.  The recorder allocates
+// nothing after construction: rings are preallocated, an event's object
+// label is a Name interned when the traced guard or pool is built, and
+// Merge/Events write into fresh slices only on the (cold) read side.
+//
+// Readers therefore see an operation's events when it returns, once lagMax
+// of them are pending (the ring force-publishes then), or at once under an
+// armed watch.  An unwatched dump of a process stalled mid-operation misses
+// at most lagMax-1 of its events; an incident misses none of the watched
+// ring's.
 //
 // Only events that order processes draw the ticket: those that change
 // shared state or report a failed attempt to change it (guard commit,
@@ -44,11 +53,11 @@
 // Writer discipline is single-writer per ring — the same discipline every
 // handle in this repository already obeys — and it is what makes recording
 // lock-free: the owning process fills the next slot with plain stores and
-// publishes it with one atomic store of the ring's event count, and a
-// reader (Merge, Events, a Watch snapshot) copies back from the published
-// count, then re-reads it and drops every event whose slot the writer
-// reused while the copy ran.  Two processes recording into one ring would
-// corrupt it; no lock catches that.
+// publishes its recorded events with one atomic store of the ring's event
+// count, and a reader (Merge, Events, a Watch snapshot) copies back from
+// the published count, then re-reads it and drops every event whose slot
+// the writer reused while the copy ran.  Two processes recording into one
+// ring would corrupt it; no lock catches that.
 package trace
 
 import (
@@ -277,16 +286,29 @@ type slot struct {
 	a, b uint64
 }
 
+// lagMax bounds the events a ring holds recorded but unpublished inside an
+// operation bracket: record force-publishes once lagMax are pending, so at
+// most lagMax-1 wait between events.  The ring keeps lagMax slots beyond its
+// capacity, which is what lets a pending event be written without touching
+// the slot of any of the last capacity published events (see snapshot).
+const lagMax = 16
+
+// The cohort-stamp ring is sized for lagMax ≤ tsEvery/2+1 (see snapshot);
+// this constant does not compile otherwise.
+const _ uint = tsEvery/2 + 1 - lagMax
+
 // Ring is one process's event buffer: fixed power-of-two capacity,
 // single-writer (the owning process), oldest events evicted in order.  It
-// keeps capacity+1 slots, so the slot being filled is never one of the last
+// keeps capacity+lagMax slots, so no slot being filled is one of the last
 // capacity published events.  The struct is cache-line padded so one
 // ring's count and write index never share a line with another ring's.
 type Ring struct {
 	n      atomic.Uint64 // events published; event Seq s sits in slot (s-1) mod len(slots)
-	w      int           // slot of the next event: n mod len(slots)
-	ts     int           // stamp of the next cohort: (n/tsEvery) mod len(stamps)
-	slots  []slot        // capacity+1
+	m      uint64        // events recorded: n ≤ m < n+lagMax between events
+	open   int           // operation brackets open: Begins minus Ends
+	w      int           // slot of the next event: m mod len(slots)
+	ts     int           // stamp of the next cohort: (m/tsEvery) mod len(stamps)
+	slots  []slot        // capacity+lagMax
 	stamps []int64       // one UnixNano stamp per cohort of tsEvery events
 	rec    *Recorder
 	pid    int32
@@ -302,15 +324,40 @@ func (r *Ring) Record(k Kind, obj Name, a, b uint64) {
 	}
 }
 
+// Begin opens an operation bracket: the events recorded until the matching
+// End are stored at once but published together, by the outermost End, so
+// an operation pays one publishing store instead of one per event.
+// Brackets nest.  A reader sees a bracketed event once its operation
+// returns, once lagMax events are pending, or at once while a watch is
+// armed.  Like Record, Begin and End are nil-safe and inline into their
+// caller.
+func (r *Ring) Begin() {
+	if r != nil {
+		r.open++
+	}
+}
+
+// End closes the bracket Begin opened; the outermost End publishes every
+// event recorded inside it with one atomic store of the ring's count.
+func (r *Ring) End() {
+	if r != nil {
+		if r.open--; r.open == 0 {
+			r.n.Store(r.m)
+		}
+	}
+}
+
 // record is Record's body.  O(1), lock-free and allocation-free: the global
 // ticket's fetch-add for a ticketed kind or a load of it for any other,
-// four plain slot stores, one atomic store that publishes the slot, and a
-// monotonic clock read once per tsEvery events.  Single-writer: only the
-// owning process calls it, and the slot needs no lock: a reader checks its
-// copy against the published count (see snapshot).  The fetch-add or load
-// sits between the previous event's publishing store and this event's slot
-// stores and orders them, so a reader that sees a reused slot also sees
-// the count that flags it.
+// four plain slot stores, and a monotonic clock read once per tsEvery
+// events.  One atomic store of the count publishes the slot at once
+// outside a bracket, when a watch is armed, or when lagMax events are
+// pending; inside a bracket it is otherwise left to End.  Single-writer:
+// only the owning process calls it, and the slot needs no lock: a reader
+// checks its copy against the published count (see snapshot).  The
+// fetch-add or load sits between the ring's last publishing store and this
+// event's slot stores and orders them, so a reader that sees a reused slot
+// also sees the count that flags it.
 func (r *Ring) record(k Kind, obj Name, a, b uint64) {
 	var g uint64
 	if k.Ticketed() {
@@ -318,8 +365,8 @@ func (r *Ring) record(k Kind, obj Name, a, b uint64) {
 	} else {
 		g = r.rec.gseq.Load()
 	}
-	n := r.n.Load()
-	if n%tsEvery == 0 {
+	m := r.m
+	if m%tsEvery == 0 {
 		storeStamp(&r.stamps[r.ts], r.rec.now())
 		if r.ts++; r.ts == len(r.stamps) {
 			r.ts = 0
@@ -329,29 +376,40 @@ func (r *Ring) record(k Kind, obj Name, a, b uint64) {
 	if r.w++; r.w == len(r.slots) {
 		r.w = 0
 	}
-	r.n.Store(n + 1)
-	if r.rec.watching.Load() {
-		r.rec.checkWatch(Event{GSeq: g, Seq: n + 1, Pid: r.pid, Kind: k, Obj: r.rec.name(obj), A: a, B: b})
+	r.m = m + 1
+	watching := r.rec.watching.Load()
+	if r.open == 0 || watching || m+1-r.n.Load() >= lagMax {
+		r.n.Store(m + 1)
+	}
+	if watching {
+		r.rec.checkWatch(Event{GSeq: g, Seq: m + 1, Pid: r.pid, Kind: k, Obj: r.rec.name(obj), A: a, B: b})
 	}
 }
 
-// snapshot appends the ring's live events, oldest first, to dst.  It
-// copies back from the published count, then re-reads the count and drops
-// every copied event whose slot the writer may have reused meanwhile.  The
-// event at position p (Seq p+1) shares its slot with position p+len(slots),
-// which the writer fills only after publishing a count of p+len(slots); so
-// a re-read count below that proves the copy of p clean, and one at or
-// above it drops p.  The cohort stamps wrap the same way: cohort c's stamp
-// shares its word with cohort c+S (S = len(stamps) = capacity/tsEvery+2),
-// which the writer stamps only after publishing a count of (c+S)·tsEvery.
-// A kept event p of cohort c has p < (c+1)·tsEvery and a re-read count of
-// at most p+capacity, and S-1 cohorts span more than capacity events, so
-// that count is below (c+S)·tsEvery and a kept event's TS is clean too.
+// snapshot appends the ring's live published events, oldest first, to dst.
+// It copies back from the published count, then re-reads the count and
+// drops every copied event whose slot the writer may have reused meanwhile.
+// The writer records position q only once it has published a count of at
+// least q-lagMax+1 (at most lagMax-1 events wait unpublished).  The event
+// at position p (Seq p+1) shares its slot with position p+len(slots) =
+// p+capacity+lagMax, which the writer therefore fills only after
+// publishing a count above p+capacity; so a re-read count of at most
+// p+capacity proves the copy of p clean, and one above it drops p.  The
+// cohort stamps wrap the same way: cohort c's stamp shares its word with
+// cohort c+S (S = len(stamps) = capacity/tsEvery+2), which the writer
+// stamps when it records position (c+S)·tsEvery, after publishing a count
+// of at least (c+S)·tsEvery-lagMax+1.  A kept event p of cohort c has
+// p < (c+1)·tsEvery and a re-read count of at most p+capacity, and S-1
+// cohorts span (capacity/tsEvery+1)·tsEvery events — capacity+tsEvery for a
+// capacity of at least tsEvery, and at least 2·capacity for a smaller power
+// of two — which is at least capacity+lagMax-1 while lagMax ≤ tsEvery/2+1.
+// So that count is below (c+S)·tsEvery-lagMax+1, and a kept event's TS is
+// clean too.
 func (r *Ring) snapshot(dst []Event) []Event {
 	n := r.n.Load()
 	names := r.rec.nameTable() // after n: it covers every name a published event uses
 	size := uint64(len(r.slots))
-	capacity := size - 1
+	capacity := size - lagMax
 	lo := n - min(n, capacity)
 	start := len(dst)
 	for p := lo; p < n; p++ {
@@ -420,7 +478,7 @@ func New(n, capacity int) *Recorder {
 	r.names.Store(&names)
 	for pid := range r.rings {
 		r.rings[pid] = &Ring{
-			slots:  make([]slot, c+1),
+			slots:  make([]slot, c+lagMax),
 			stamps: make([]int64, c/tsEvery+2),
 			rec:    r,
 			pid:    int32(pid),
@@ -467,7 +525,7 @@ func (r *Recorder) name(id Name) string {
 func (r *Recorder) NumProcs() int { return len(r.rings) }
 
 // Capacity returns the per-ring event capacity.
-func (r *Recorder) Capacity() int { return len(r.rings[0].slots) - 1 }
+func (r *Recorder) Capacity() int { return len(r.rings[0].slots) - lagMax }
 
 // Ring returns pid's ring (nil for out-of-range pids, so observer handles
 // degrade to no-ops instead of panicking).
@@ -560,7 +618,9 @@ func (r *Recorder) Events(pid int) []Event {
 // (GSeq, ticketed first, Pid, Seq) — a total order that keeps each ring's
 // Seq order and is consistent with happens-before for every pair of events
 // of which one is ticketed: such an event that completed before another
-// began precedes it.  Concurrent writers are safe and never blocked; events
+// began precedes it.  Only published events appear: an event recorded
+// inside an operation bracket shows once its operation returns (see
+// Ring.Begin).  Concurrent writers are safe and never blocked; events
 // recorded *during* the merge may or may not appear, exactly like any
 // racing read of a live counter, and a ring whose writer laps it during its
 // copy loses its oldest events from this dump (every event returned is one

@@ -3,6 +3,7 @@ package trace
 import (
 	"encoding/json"
 	"fmt"
+	"math/rand/v2"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -301,13 +302,15 @@ func TestMergeRace(t *testing.T) {
 	}
 }
 
-// TestMergeLapStress has two writers lap capacity-8 rings continuously
-// while Merge loops, so nearly every copy races a slot reuse.  Every merged
-// event must be one a writer recorded (its payload matches its Pid and
-// Seq), each ring's events must be contiguous in Seq, and no ring may
-// return more than capacity events.
+// TestMergeLapStress has three writers lap capacity-8 rings continuously
+// while Merge loops, so nearly every copy races a slot reuse.  Writer 0
+// publishes every event; writers 1 and 2 record in operation brackets of
+// random length 1..3·lagMax, so their rings also lap with events pending
+// and force-publish mid-bracket.  Every merged event must be one a writer
+// recorded (its payload matches its Pid and Seq), each ring's events must
+// be contiguous in Seq, and no ring may return more than capacity events.
 func TestMergeLapStress(t *testing.T) {
-	const procs, capacity = 2, 8
+	const procs, capacity = 3, 8
 	merges := 20000
 	if testing.Short() {
 		merges = 2000
@@ -320,8 +323,19 @@ func TestMergeLapStress(t *testing.T) {
 		wg.Add(1)
 		go func(pid int) {
 			defer wg.Done()
-			for seq := uint64(0); !stop.Load(); seq += 64 {
-				recordPayloads(r, names, pid, seq, seq+64)
+			ring := r.Ring(pid)
+			rng := rand.New(rand.NewPCG(uint64(pid), 1))
+			for seq := uint64(0); !stop.Load(); {
+				if pid == 0 {
+					recordPayloads(r, names, pid, seq, seq+64)
+					seq += 64
+					continue
+				}
+				k := 1 + rng.Uint64N(3*lagMax)
+				ring.Begin()
+				recordPayloads(r, names, pid, seq, seq+k)
+				ring.End()
+				seq += k
 			}
 		}(pid)
 	}
@@ -351,6 +365,111 @@ func TestMergeLapStress(t *testing.T) {
 				t.Fatalf("merge %d: ring %d returned %d events, capacity %d", i, pid, c, capacity)
 			}
 		}
+	}
+}
+
+// TestBracketPublishesAtEnd pins the operation bracket's contract: events
+// recorded inside an open bracket are absent from Events and Merge, nested
+// brackets publish nothing when the inner one closes, and the outermost End
+// publishes every event at once, in order.
+func TestBracketPublishesAtEnd(t *testing.T) {
+	r := New(2, 16)
+	ring := r.Ring(0)
+	r.Record(0, KindGuardLoad, "x", 1, 0) // outside a bracket: published at once
+	r.Record(1, KindAlloc, "pool", 9, 0)
+	ring.Begin()
+	ring.Record(KindGuardLoad, NameNone, 2, 0)
+	ring.Begin()
+	ring.Record(KindGuardCommit, NameNone, 3, 0)
+	ring.Record(KindRelease, NameNone, 4, 0)
+	ring.End()
+	ring.Record(KindOpCommit, NamePop, 5, 0)
+	if evs := r.Events(0); len(evs) != 1 || evs[0].A != 1 {
+		t.Fatalf("inside the bracket: Events(0) = %v, want only the event recorded before it", evs)
+	}
+	if evs := r.Merge(); len(evs) != 2 {
+		t.Fatalf("inside the bracket: Merge() = %v, want the two events recorded outside it", evs)
+	}
+	ring.End()
+	evs := r.Events(0)
+	if len(evs) != 5 {
+		t.Fatalf("after End: Events(0) = %v, want 5 events", evs)
+	}
+	for i, e := range evs {
+		if e.Seq != uint64(i+1) || e.A != uint64(i+1) {
+			t.Fatalf("after End: event %d = %v, want Seq %d and a=%d", i, e, i+1, i+1)
+		}
+	}
+	if got := len(r.Merge()); got != 6 {
+		t.Fatalf("after End: Merge() has %d events, want 6", got)
+	}
+	// A nil ring's brackets are no-ops, like its Record.
+	var nilRing *Ring
+	nilRing.Begin()
+	nilRing.End()
+}
+
+// TestBracketForcePublish records a bracket three times longer than lagMax
+// on a capacity-8 ring.  The ring must publish every lagMax events and not
+// in between, and before every event it must be about to fill a slot that
+// holds none of the last capacity published events — the condition
+// snapshot's drop rule rests on, which needs capacity+lagMax slots.
+func TestBracketForcePublish(t *testing.T) {
+	const capacity, total = 8, 3*lagMax + 5
+	r := New(1, capacity)
+	ring := r.Ring(0)
+	size := uint64(len(ring.slots))
+	ring.Begin()
+	for i := uint64(1); i <= total; i++ {
+		n := ring.n.Load()
+		for p := n - min(n, capacity); p < n; p++ {
+			if p%size == uint64(ring.w) {
+				t.Fatalf("event %d: the writer is about to fill slot %d, which holds published Seq %d (published %d)", i, ring.w, p+1, n)
+			}
+		}
+		ring.Record(KindGuardLoad, NameNone, i, 0)
+		want := i / lagMax * lagMax
+		evs := r.Events(0)
+		if got := ring.n.Load(); got != want {
+			t.Fatalf("after %d bracketed events: published %d, want %d", i, got, want)
+		}
+		if want > 0 && (len(evs) != min(int(want), capacity) || evs[len(evs)-1].Seq != want) {
+			t.Fatalf("after %d bracketed events: Events = %v, want the last %d of %d published", i, evs, min(int(want), capacity), want)
+		}
+	}
+	ring.End()
+	evs := r.Events(0)
+	if len(evs) != capacity || evs[capacity-1].Seq != total || evs[capacity-1].A != total {
+		t.Fatalf("after End: Events = %v, want Seq %d..%d", evs, total-capacity+1, total)
+	}
+}
+
+// TestWatchInsideBracket arms a watch while a bracket holds a pending
+// event: the next event publishes at once, fires the incident, and the
+// incident holds both.  Once the one-shot watch has fired, the bracket
+// defers publication again.
+func TestWatchInsideBracket(t *testing.T) {
+	r := New(2, 16)
+	ring := r.Ring(0)
+	ring.Begin()
+	ring.Record(KindGuardLoad, NameNone, 1, 0)
+	r.Watch(func(e Event) bool { return e.Kind == KindGuardNearMiss })
+	ring.Record(KindGuardNearMiss, NameNone, 2, 1)
+	ev, fired := r.Fired()
+	if !fired || ev.Kind != KindGuardNearMiss || ev.Seq != 2 {
+		t.Fatalf("watch inside a bracket: fired=%v on %v, want the near-miss, Seq 2", fired, ev)
+	}
+	inc := r.Incident()
+	if len(inc) != 2 || inc[0].Kind != KindGuardLoad || inc[1].Kind != KindGuardNearMiss {
+		t.Fatalf("incident = %v, want the pending load then the near-miss", inc)
+	}
+	ring.Record(KindGuardCommit, NameNone, 3, 0)
+	if got := len(r.Events(0)); got != 2 {
+		t.Fatalf("after the watch fired: %d events published inside the bracket, want 2", got)
+	}
+	ring.End()
+	if got := len(r.Events(0)); got != 3 {
+		t.Fatalf("after End: %d events published, want 3", got)
 	}
 }
 
@@ -485,8 +604,12 @@ func TestIntern(t *testing.T) {
 // BenchmarkRecord prices one event on one ring of capacity 4096.  The
 // ordering case records commits, which draw the ticket's fetch-add; the
 // observation case records guard loads, which load the counter instead.
-// Both pay the slot stores, the publishing store, and a clock read per
-// cohort.
+// Both record outside a bracket, so each event pays the slot stores, its
+// own publishing store, and a clock read per cohort.  The bracketed case
+// records the six events of a stack pop under a reclaimer (guard load,
+// protect, op-begin, guard commit, op-commit, retire) between one Begin and
+// one End, so the six share one publishing store; it too reports ns per
+// event.
 func BenchmarkRecord(b *testing.B) {
 	for _, bc := range []struct {
 		name string
@@ -503,4 +626,21 @@ func BenchmarkRecord(b *testing.B) {
 			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N), "ns/event")
 		})
 	}
+	b.Run("bracketed", func(b *testing.B) {
+		r := New(1, 4096)
+		ring := r.Ring(0)
+		head, pool := r.Intern("head"), r.Intern("pool")
+		b.ReportAllocs()
+		for i := uint64(0); b.Loop(); i++ {
+			ring.Begin()
+			ring.Record(KindGuardLoad, head, i, 0)
+			ring.Record(KindProtect, pool, 0, i)
+			ring.Record(KindOpBegin, NamePop, i, i+1)
+			ring.Record(KindGuardCommit, head, i+1, 0)
+			ring.Record(KindOpCommit, NamePop, 1, i)
+			ring.Record(KindRetire, pool, i, 0)
+			ring.End()
+		}
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(6*b.N), "ns/event")
+	})
 }

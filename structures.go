@@ -233,18 +233,24 @@ func WithGrowth(maxCapacity int) Option {
 // lock-free and single-writer per ring; StructureTrace() merges the rings
 // into one dump consistent with happens-before for every pair of events of
 // which one orders processes (see TraceEvent.GSeq).  Without this option
-// tracing costs one inlined nil check per recording site (an operation
-// mark, a reclaimer scan) and nothing else: no guard or pool is wrapped,
-// and the hot paths allocate nothing.  The m(n) price is explicit: n rings ×
-// (capacity+1) four-word slots plus n·(capacity/256+2) stamp words of fixed
-// space, and O(1) steps per event — a ticket fetch-add for an event that
-// orders processes or a counter load for one that only observes, four slot
-// stores, one publishing store — plus one clock read per 256 events.
-// Object labels are indexed only
-// on a traced build: a traced map names node 7's link guard "mnext[7]",
-// an untraced one formats no per-node name at all, and registers, which
-// are never traced, carry only their family label ("mkey") either way.  A
-// negative capacity is a constructor error; 0 builds no recorder.
+// tracing costs one inlined nil check per operation and per recording site
+// (an operation mark, a reclaimer scan) and nothing else: no guard or pool
+// is wrapped, and the hot paths allocate nothing.  The m(n) price is
+// explicit: n rings × (capacity+16) four-word slots plus n·(capacity/256+2)
+// stamp words of fixed space.  The t(n) price is O(1) steps per event — a
+// ticket fetch-add for an event that orders processes or a counter load for
+// one that only observes, then four slot stores — plus one clock read per
+// 256 events, and one store of the ring's count that publishes a whole
+// operation's events when it returns.  An event outside an operation, or
+// any event while a Watch is armed, pays that store itself.  So a dump
+// shows an operation's events once it returns, once 16 of them are
+// pending, or at once under an armed Watch: an unwatched dump of a process
+// stalled mid-operation misses at most 15 of its events.  Object labels
+// are indexed only on a traced build: a traced map names node 7's link
+// guard "mnext[7]", an untraced one formats no per-node name at all, and
+// registers, which are never traced, carry only their family label
+// ("mkey") either way.  A negative capacity is a constructor error; 0
+// builds no recorder.
 func WithTracing(capacity int) Option {
 	return func(o *options) { o.traceCap = capacity }
 }
