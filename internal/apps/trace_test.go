@@ -18,6 +18,11 @@ type visibilityStep struct {
 	last trace.Kind
 }
 
+// lagMax is the flight recorder's force-publish threshold (trace's lagMax,
+// documented in doc.go): an operation that records more events than this
+// publishes some of them mid-operation.
+const lagMax = 16
+
 // checkVisibility runs the steps as process pid and checks that, once each
 // operation has returned, pid's newest merged event is the one the
 // operation recorded last.  The newest event must be of the step's kind,
@@ -49,6 +54,14 @@ func checkVisibility(t *testing.T, rec *trace.Recorder, pid int, steps []visibil
 				s.name, pid, last.Seq, probe.Seq-1, trace.Format(evs))
 		}
 	}
+}
+
+// newestSeq returns the Seq of pid's newest published event, 0 if none.
+func newestSeq(rec *trace.Recorder, pid int) uint64 {
+	if evs := rec.Events(pid); len(evs) > 0 {
+		return evs[len(evs)-1].Seq
+	}
+	return 0
 }
 
 // reclaimed lists the configurations the visibility tests run: LL/SC, whose
@@ -136,8 +149,10 @@ func TestQueueOpsPublishOnReturn(t *testing.T) {
 // TestMapOpsPublishOnReturn is TestStackOpsPublishOnReturn for the map, on
 // a two-node map that grows: a Put that appends a node segment, Get hit and
 // miss (fast on LL/SC, the guarded traversal on raw), an overwriting Put,
-// a Delete long enough to force-publish mid-operation, both split halves,
-// a directory split, and a missing Delete.
+// Puts that lengthen the one-bucket run, a Delete of the deepest of them —
+// it walks past at least ten nodes, so it records more than lagMax events
+// and force-publishes mid-operation — both split halves, a directory split,
+// and a missing Delete.
 func TestMapOpsPublishOnReturn(t *testing.T) {
 	for _, c := range reclaimed {
 		t.Run(c.name, func(t *testing.T) {
@@ -156,6 +171,8 @@ func TestMapOpsPublishOnReturn(t *testing.T) {
 			if c.prot == apps.Raw {
 				miss = trace.KindDrain
 			}
+			fillers := []uint64{4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14}
+			var deep, deleteEvents uint64
 			checkVisibility(t, rec, 0, []visibilityStep{
 				{"Put", func() { h.Put(1, 10) }, trace.KindGuardLoad},
 				{"Put", func() { h.Put(2, 20) }, trace.KindGuardLoad},
@@ -163,15 +180,43 @@ func TestMapOpsPublishOnReturn(t *testing.T) {
 				{"Get", func() { h.Get(1) }, trace.KindGuardLoad},
 				{"Get miss", func() { h.Get(99) }, miss},
 				{"Put overwrite", func() { h.Put(1, 11) }, trace.KindRetire},
-				{"Delete", func() { h.Delete(2) }, trace.KindRetire},
+				{"Puts that lengthen the run", func() {
+					for _, k := range fillers {
+						h.Put(k, 10*k)
+					}
+				}, trace.KindGuardLoad},
+				{"Gets that find the deepest filler", func() { deep = deepest(rec, h, fillers) }, trace.KindGuardLoad},
+				{"Delete of the deepest filler", func() {
+					before := newestSeq(rec, 0)
+					h.Delete(deep)
+					deleteEvents = newestSeq(rec, 0) - before
+				}, trace.KindRetire},
 				{"DeleteBegin", func() { h.DeleteBegin(3) }, trace.KindOpBegin},
 				{"DeleteCommit", func() { h.DeleteCommit() }, trace.KindRetire},
 				{"GrowBuckets", func() { h.GrowBuckets() }, trace.KindGuardCommit},
 				{"Delete miss", func() { h.Delete(99) }, trace.KindDrain},
 			})
+			if deleteEvents <= lagMax {
+				t.Errorf("the Delete of the deepest filler recorded %d events, want more than %d: it no longer publishes mid-operation", deleteEvents, lagMax)
+			}
 			if m.Capacity() <= 2 || m.Buckets() <= 1 {
 				t.Fatalf("map did not grow: capacity %d, buckets %d", m.Capacity(), m.Buckets())
 			}
 		})
 	}
+}
+
+// deepest returns the key of keys that sits deepest in h's one-bucket run:
+// the one whose Get records the most events, as every node a walk passes
+// adds at least the load of its link.
+func deepest(rec *trace.Recorder, h *kv.Handle, keys []uint64) uint64 {
+	var best, most uint64
+	for _, k := range keys {
+		before := newestSeq(rec, 0)
+		h.Get(k)
+		if n := newestSeq(rec, 0) - before; n > most {
+			best, most = k, n
+		}
+	}
+	return best
 }

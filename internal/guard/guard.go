@@ -103,7 +103,11 @@ type Metrics struct {
 	// DirtyLoads is the number of Loads that reported interference since
 	// the handle's previous Load — plus, on a detection-only guard, each
 	// Validate that consumed a detected write (its DRead is destructive,
-	// so the following Load reports clean and would never count it).
+	// so the following Load reports clean and would never count it).  The
+	// handle's own writes count too: a successful Commit or Store leaves
+	// the handle armed at the word it replaced, so its next Load reports
+	// dirty (under LL/SC it re-links with a full LL).  With one process
+	// every dirty load is one of its own writes.
 	DirtyLoads int64
 }
 

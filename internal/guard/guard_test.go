@@ -83,6 +83,37 @@ func TestStoreAndValidate(t *testing.T) {
 	}
 }
 
+// TestOwnWriteDirtiesNextLoad pins that a handle's own successful Commit or
+// Store leaves it armed at the word it replaced, on every regime: the
+// handle's next Load reports dirty and bumps DirtyLoads, and only the Load
+// after that is clean again.  A structure that wants its next read of a
+// link it wrote to be clean re-arms the handle with a Load inside the write.
+func TestOwnWriteDirtiesNextLoad(t *testing.T) {
+	for name, mk := range allMakers(2) {
+		t.Run(name, func(t *testing.T) {
+			g := mustGuard(t, mk, "ref", 8, 5)
+			h := mustHandle(t, g, 0)
+			h.Load()
+			if !h.Commit(7) {
+				t.Fatal("uncontended Commit failed")
+			}
+			if v, dirty := h.Load(); v != 7 || !dirty {
+				t.Fatalf("Load after own Commit = (%d,%v), want (7,true)", v, dirty)
+			}
+			if _, dirty := h.Load(); dirty {
+				t.Fatal("second Load after own Commit reported dirty")
+			}
+			h.Store(9)
+			if v, dirty := h.Load(); v != 9 || !dirty {
+				t.Fatalf("Load after own Store = (%d,%v), want (9,true)", v, dirty)
+			}
+			if m := g.Metrics(); m.DirtyLoads != 2 {
+				t.Fatalf("metrics = %s, want 2 dirty loads", m)
+			}
+		})
+	}
+}
+
 // TestABALadder is the §1 story at guard level: an adversary restores the
 // loaded value with exactly 4 writes while the victim is poised; the raw
 // guard's stale commit is accepted, a 1- or 2-bit tag wraps and is fooled

@@ -1,6 +1,7 @@
 package kv
 
 import (
+	"math/rand"
 	"runtime"
 	"testing"
 
@@ -9,26 +10,40 @@ import (
 	"abadetect/internal/shmem"
 )
 
-// BenchmarkMapOps prices the map's hot operations on map-read's shape:
-// 2,048 nodes and buckets, 1,024 bound keys, LL/SC guards and hazard
-// pointers, one handle.  Each sub-benchmark reports ns/op and allocs/op.
+// BenchmarkMapOps prices the map's hot operations on one handle of a
+// 2,048-node, 2,048-bucket map with hazard pointers.  GetHit, GetMiss,
+// PutOverwrite and DeletePut run on map-read's shape: LL/SC guards and 1,024
+// bound keys.  Churn runs on map-churn's: 16-bit tags, 512 prepopulated
+// keys, and a seeded uniform mix of Puts and Deletes.  Each sub-benchmark
+// reports ns/op and allocs/op.
 func BenchmarkMapOps(b *testing.B) {
-	const capacity, keys = 2048, 1024
+	const capacity, readKeys, churnKeys = 2048, 1024, 512
 	for _, bc := range []struct {
-		name string
-		op   func(h *Handle, i int)
+		name    string
+		prot    Protection
+		tagBits uint
+		keys    int
+		churn   bool // keys come and go; otherwise every key stays bound
+		op      func(h *Handle, r *rand.Rand, i int)
 	}{
-		{"GetHit", func(h *Handle, i int) { h.Get(Word(i%keys + 1)) }},
-		{"GetMiss", func(h *Handle, i int) { h.Get(Word(keys + 1 + i%keys)) }},
-		{"PutOverwrite", func(h *Handle, i int) { h.Put(Word(i%keys+1), Word(i)) }},
-		{"DeletePut", func(h *Handle, i int) {
-			k := Word(i%keys + 1)
+		{"GetHit", apps.LLSC, 0, readKeys, false, func(h *Handle, _ *rand.Rand, i int) { h.Get(Word(i%readKeys + 1)) }},
+		{"GetMiss", apps.LLSC, 0, readKeys, false, func(h *Handle, _ *rand.Rand, i int) { h.Get(Word(readKeys + 1 + i%readKeys)) }},
+		{"PutOverwrite", apps.LLSC, 0, readKeys, false, func(h *Handle, _ *rand.Rand, i int) { h.Put(Word(i%readKeys+1), Word(i)) }},
+		{"DeletePut", apps.LLSC, 0, readKeys, false, func(h *Handle, _ *rand.Rand, i int) {
+			k := Word(i%readKeys + 1)
 			h.Delete(k)
 			h.Put(k, Word(i))
 		}},
+		{"Churn", apps.Tagged, 16, churnKeys, true, func(h *Handle, r *rand.Rand, i int) {
+			if k := Word(r.Intn(churnKeys) + 1); r.Intn(2) == 0 {
+				h.Put(k, Word(i))
+			} else {
+				h.Delete(k)
+			}
+		}},
 	} {
 		b.Run(bc.name, func(b *testing.B) {
-			m, err := NewMap(shmem.NewNativeFactory(), 2, capacity, capacity, apps.LLSC, 0, apps.WithReclaimer(reclaim.NewHazard))
+			m, err := NewMap(shmem.NewNativeFactory(), 2, capacity, capacity, bc.prot, bc.tagBits, apps.WithReclaimer(reclaim.NewHazard))
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -36,18 +51,19 @@ func BenchmarkMapOps(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			for k := Word(1); k <= keys; k++ {
-				if !h.Put(k, k) {
+			for k := 1; k <= bc.keys; k++ {
+				if !h.Put(Word(k), Word(k)) {
 					b.Fatalf("prepopulate Put(%d) failed", k)
 				}
 			}
+			r := rand.New(rand.NewSource(1))
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				bc.op(h, i)
+				bc.op(h, r, i)
 			}
 			b.StopTimer()
-			if a := m.Audit(); a.Corrupt() || a.Live != keys {
+			if a := m.Audit(); a.Corrupt() || a.Live > bc.keys || !bc.churn && a.Live != bc.keys {
 				b.Fatalf("audit after the run: %s", a)
 			}
 		})

@@ -26,8 +26,16 @@
 //     conditional commit so the link freezes before the node is unlinked;
 //   - a Put links a fresh node immediately before the first live node of its
 //     key (or of any later sort key), so the newest binding shadows every
-//     older one, and then kills the older ones; a node's key and value are
-//     immutable from link to unlink — reads never race updates;
+//     older one, and then kills the binding it shadowed through the links
+//     its walk left armed; a node's key and value are immutable from link
+//     to unlink — reads never race updates;
+//   - each write walks its run once in the common case: since no Put links
+//     behind a live node of its key, a live duplicate sits behind the
+//     binding only while a Put is between its link and its kill, and only
+//     among nodes of its key, so a Delete or Put walks the run again only
+//     when the node it kills has a node of the same key behind it (sweep);
+//     a write ends by re-loading the links it committed through, so it
+//     leaves no handle dirty for the next Get;
 //   - traversals help: a walker that finds a marked node unlinks it
 //     (conditionally, against the predecessor link it has loaded and, under
 //     a reclaimer, protected) and releases it to the pool.
@@ -796,7 +804,10 @@ func (h *Handle) tryGetFast(b int, k, sk Word) (v Word, ok, clean bool) {
 
 // Put binds k to v.  It returns false when the node pool is exhausted (or a
 // MaxSpin budget ran out) — a fresh node is needed even to overwrite, since
-// keys and values are immutable per node.
+// keys and values are immutable per node.  In the common case it walks k's
+// run once: the walk finds the insert position, an overwrite kills the
+// binding it shadows through the links the walk left armed, and two closing
+// Loads re-arm the links the Put wrote.
 func (h *Handle) Put(k, v Word) bool {
 	if h.ring == nil {
 		return h.put(k, v)
@@ -819,12 +830,12 @@ func (h *Handle) put(k, v Word) bool {
 	b, sk := h.locate(k)
 	spins := 0
 	var (
+		prev    guard.Handle
 		cur     int
 		curNext Word
 		found   bool
 	)
 	for {
-		var prev guard.Handle
 		var ok bool
 		if prev, cur, curNext, found, ok = h.seek(b, k, sk, 0, &spins); !ok {
 			h.retire(idx) // never linked: hand the node straight back
@@ -848,13 +859,24 @@ func (h *Handle) put(k, v Word) bool {
 		}
 	}
 	h.addLive(1)
+	// The insert shadows cur when cur was the binding: kill it through the
+	// armed links.  Only a failed commit, or an older duplicate that an
+	// interrupted Put left behind cur, needs the keep=1 sweep's walk; it
+	// kills every live k-node behind the first, so the steady state is one
+	// live node per key and the pool cannot leak.  The probe runs first,
+	// while cur's link still validates.
 	if found {
-		h.killShadowed(idx, cur, curNext)
+		dup := h.dupBehind(cur, curNext, k)
+		if !h.killShadowed(idx, cur, curNext) || dup {
+			h.sweep(b, k, sk, 1, &spins)
+		}
 	}
-	// Kill older duplicates: every live k-node behind the first live match
-	// (which may be ours, or an even newer Put's) is marked and unlinked, so
-	// the steady state is one live node per key and the pool cannot leak.
-	h.sweep(b, k, sk, 1, &spins)
+	// Re-arm the two links this Put wrote.  A handle's own Commit or Store
+	// leaves it armed at the word it replaced, so its next Load is dirty (a
+	// shared counter bump, and under LL/SC a full LL): paid here, inside the
+	// write, rather than by the next Get that walks past.
+	prev.Load()
+	h.link(idx).Load()
 	h.endOp(false)
 	h.maybeGrow()
 	return true
@@ -863,16 +885,18 @@ func (h *Handle) put(k, v Word) bool {
 // killShadowed kills cur, the binding Put just linked idx in front of,
 // through links already armed: the mark commits against the insert walk's
 // load of cur's link, and the unlink against Put's load of idx's own link
-// before idx was published.  Either commit fails if its link moved; the
-// sweep that follows then finishes the kill.
-func (h *Handle) killShadowed(idx, cur int, curNext Word) {
+// before idx was published.  It reports whether both commits succeeded;
+// either fails if its link moved, and Put's sweep then finishes the kill.
+func (h *Handle) killShadowed(idx, cur int, curNext Word) bool {
 	if !h.link(cur).Commit(curNext | 1) {
-		return
+		return false
 	}
 	h.addLive(-1)
-	if h.link(idx).Commit(curNext) {
-		h.retire(cur)
+	if !h.link(idx).Commit(curNext) {
+		return false
 	}
+	h.retire(cur)
+	return true
 }
 
 // Delete removes k's binding.  It reports whether any binding was removed.
@@ -894,45 +918,81 @@ func (h *Handle) delete(k Word) bool {
 	return deleted
 }
 
-// sweep marks and unlinks every live k-node past the first `keep` live
-// matches, restarting from the bucket guard after each kill.  It reports
-// whether it killed at least one node.
+// sweep marks and unlinks the live k-nodes past the first `keep` live
+// matches — at keep=0 the binding, at keep=1 the duplicates it shadows —
+// and reports whether it killed one.  A keep=0 sweep counts only its own
+// mark of the binding, not the duplicates its keep=1 pre-pass killed: those
+// remove no binding, and another process may delete the binding they
+// exposed before this sweep reaches it, so counting them would let two
+// Deletes of one binding both report it.
+//
+// The invariant it leans on: a Put links its node only immediately in front
+// of the first live k-node (or, with none, of the first node that sorts
+// after k), so the k-nodes of a run are contiguous, and no Put ever links
+// behind a live k-node.  A live k-node whose successor is the list end, a
+// dummy or a node of another key therefore has no live duplicate behind it,
+// now or later.  dupBehind probes for exactly that, so in the common case a
+// sweep is one walk and one kill; it walks the run again only when a k-node
+// follows the node it kills.
 //
 // Kill order matters: the first live match is the visible binding, and an
 // older live duplicate behind it is shadowed — readers take the first match.
 // Marking the binding while such a duplicate survives would promote the
 // duplicate to first match, resurrecting its stale value for the window
-// until the sweep reaches it.  So a keep=0 sweep first runs itself at
-// keep=1, killing every shadowed duplicate (those deaths are invisible:
-// the binding still shadows the position), and only then touches the
-// binding.  A Put links its node immediately before the first live k-node,
-// so no new duplicate can appear *behind* the binding after that pass — the
-// deep side of the run only ever shrinks.
+// until the sweep reaches it.  So when the probe finds a k-node behind the
+// binding, a keep=0 sweep first runs itself at keep=1, killing every
+// shadowed duplicate (those deaths are invisible: the binding still shadows
+// the position), and only then walks back to the binding.  By the invariant
+// no new duplicate can appear behind the binding after that pass.
 func (h *Handle) sweep(b int, k, sk Word, keep int, spins *int) bool {
 	killed := false
 	for {
-		if keep == 0 && h.sweep(b, k, sk, 1, spins) {
-			killed = true // shadowed duplicates died first; re-probe
-		}
 		prev, cur, curNext, found, ok := h.seek(b, k, sk, keep, spins)
 		if !ok || !found {
 			return killed
 		}
+		dup := h.dupBehind(cur, curNext, k)
+		if dup && keep == 0 {
+			h.sweep(b, k, sk, 1, spins) // shadowed duplicates die first; re-probe
+			continue
+		}
 		// Logical delete: set the mark bit on cur's own next pointer.  The
-		// commit is armed by seek's Load, so it fails if the link moved —
-		// and the mark freezes the link, which is what makes the following
-		// unlink safe against concurrent unlinks of the successor.
+		// commit is armed by seek's Load (a Validate leaves it armed), so it
+		// fails if the link moved — and the mark freezes the link, which is
+		// what makes the following unlink safe against concurrent unlinks of
+		// the successor.
 		if !h.link(cur).Commit(curNext | 1) {
 			continue
 		}
 		h.addLive(-1)
 		killed = true
 		// Physical unlink.  On failure the node stays marked and any later
-		// traversal helps; on success the node is exclusively ours.
+		// traversal helps; on success the node is exclusively ours, and a
+		// Load re-arms prev, as Put's closing Loads do, so the next Get
+		// past it loads clean.
 		if prev.Commit(curNext &^ 1) {
 			h.retire(cur)
+			prev.Load()
+		}
+		if !dup {
+			return true
 		}
 	}
+}
+
+// dupBehind reports whether a k-node may follow cur, a live k-node whose
+// next word seek loaded as curNext (so cur's link is armed).  The list end
+// and a dummy close the run; otherwise it reads the successor's key, which
+// is the successor's own only if cur's link still names the successor
+// after the read — keys are immutable while linked — so a link that moved
+// answers yes.  A marked k-node answers yes too: a live duplicate may sit
+// behind it.
+func (h *Handle) dupBehind(cur int, curNext, k Word) bool {
+	succ := linkIdx(curNext)
+	if succ == 0 || succ > h.m.maxCap {
+		return false
+	}
+	return h.m.node(succ).key.Read(h.pid) == k || !h.link(cur).Validate()
 }
 
 // DeleteBegin performs the vulnerable first half of a delete — seek the

@@ -179,6 +179,58 @@ func TestMapBucketCollisions(t *testing.T) {
 	}
 }
 
+// linkStaleDuplicate builds, through h, the state a Put of k leaves when it
+// is preempted between its insert and its kill, on a one-bucket map whose
+// run holds k's binding first: an older live node of k, valued v, linked
+// directly behind the binding through the binding's own guard handle.
+func linkStaleDuplicate(h *Handle, k, v Word) {
+	m := h.m
+	bound := linkIdx(m.heads.Get(0).Peek(-1)) // observer read
+	old := h.allocNode()
+	n := m.node(old)
+	n.key.Write(h.pid, k)
+	n.val.Write(h.pid, v)
+	bl := h.link(bound)
+	w, _ := bl.Load()
+	h.link(old).Store(w)
+	if !bl.Commit(packLink(old, false)) {
+		panic("kv: linking the stale duplicate failed")
+	}
+}
+
+// TestMapPutKillsDuplicateBehindBinding overwrites a binding that has an
+// older live duplicate behind it.  The Put kills the binding it shadows
+// through its armed links, and its probe of that binding's successor finds
+// the duplicate, so it also sweeps: one live node is left, with the new
+// value.
+func TestMapPutKillsDuplicateBehindBinding(t *testing.T) {
+	for _, tc := range soundConfigs() {
+		t.Run(tc.name, func(t *testing.T) {
+			m := buildMap(t, 1, 4, 1, tc.prot, tc.tagBits, tc.rc)
+			h, err := m.Handle(0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !h.Put(1, 10) {
+				t.Fatal("Put(1) failed")
+			}
+			linkStaleDuplicate(h, 1, 9)
+			if a := m.Audit(); a.Corrupt() || a.Live != 2 {
+				t.Fatalf("audit with the duplicate linked: %s", a)
+			}
+			if !h.Put(1, 11) {
+				t.Fatal("overwrite Put(1) failed")
+			}
+			if v, ok := h.Get(1); !ok || v != 11 {
+				t.Fatalf("Get(1) after the overwrite = (%d,%v), want (11,true)", v, ok)
+			}
+			if a := m.Audit(); a.Corrupt() || a.Live != 1 {
+				t.Fatalf("audit after the overwrite: %s", a)
+			}
+		})
+	}
+}
+
 // TestMapMPMCStrictAccounting is the strict ownership test: every process
 // works a disjoint key range, so each of its Put/Get/Delete cycles must
 // observe exactly its own writes — any miss or stale value is an ABA (or a

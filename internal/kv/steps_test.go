@@ -11,19 +11,22 @@ import (
 	"abadetect/internal/shmem"
 )
 
-// stepMix is a seeded single-handle operation mix over a prepopulated map,
-// shaped like one of the benchmark's map workloads.
+// stepMix is a seeded single-handle operation mix, shaped like one of the
+// benchmark's map workloads.
 type stepMix struct {
-	name    string
-	prot    Protection
-	tagBits uint
-	keys    int     // key space 1..keys, all prepopulated
-	zipfS   float64 // Zipf exponent of key popularity; 0 = uniform
-	readPct int
-	putPct  int // the rest are Deletes
+	name     string
+	prot     Protection
+	tagBits  uint
+	capacity int     // initial nodes, and buckets
+	growTo   int     // apps.WithGrowth ceiling; 0 = the capacity is fixed
+	keys     int     // key space 1..keys
+	prepop   bool    // bind every key before the mix
+	zipfS    float64 // Zipf exponent of key popularity; 0 = uniform
+	readPct  int
+	putPct   int // the rest are Deletes
 
-	// The most steps per op a Get, Put and Delete may take: the counts of
-	// the separate fixed-bucket protocol this map replaced, on the same mix.
+	// The most steps per op a Get, Put and Delete may take: the counts this
+	// protocol takes on the mix, rounded up in the third decimal.
 	maxGet, maxPut, maxDel float64
 }
 
@@ -43,19 +46,38 @@ func zipfKeys(r *rand.Rand, n int, s float64) func() Word {
 // TestMapStepsPerOp prices Get, Put and Delete in shared-memory steps — the
 // paper's t(n), exact for a given seed — on a counting substrate that every
 // base object of the map, its guards and its hp reclaimer is allocated from.
-// Both mixes run 2,048 nodes and 2,048 buckets, like map-read (LL/SC, Zipf
-// keys, 90% Gets) and map-churn (16-bit tags, uniform keys, 80% writes).
+// The mixes are shaped like map-read (2,048 nodes and buckets, LL/SC, Zipf
+// keys, 90% Gets), map-churn (the same map with 16-bit tags, uniform keys,
+// 80% writes) and map-grow (32 nodes and buckets growing to 4,096, LL/SC,
+// uniform keys, not prepopulated).
+//
+// The bounds are the counts of this protocol, where each write walks its
+// run once in the common case: a Delete kills the binding it finds unless a
+// k-node follows it, and a Put kills the binding it shadows through links
+// it already holds armed.  Every step a change adds to an operation fails
+// the test.  The Get bound guards the read path against the writes' own
+// commits: a handle's Commit or Store leaves its next Load of that link
+// dirty, under LL/SC a full LL, so every write re-arms the links it wrote.
+// Gets on map-read and map-churn then take exactly the steps they took when
+// writes re-walked their runs; without Put's closing Loads map-read's Gets
+// take 5.726 steps, and without Delete's 5.379.
 func TestMapStepsPerOp(t *testing.T) {
 	for _, mix := range []stepMix{
-		{name: "map-read", prot: apps.LLSC, keys: 1024, zipfS: 0.99, readPct: 90, putPct: 5,
-			maxGet: 5.866, maxPut: 35.128, maxDel: 25.841},
-		{name: "map-churn", prot: apps.Tagged, tagBits: 16, keys: 512, readPct: 20, putPct: 40,
-			maxGet: 4.734, maxPut: 21.157, maxDel: 15.792},
+		{name: "map-read", prot: apps.LLSC, capacity: 2048, keys: 1024, prepop: true, zipfS: 0.99, readPct: 90, putPct: 5,
+			maxGet: 5.295, maxPut: 27.170, maxDel: 14.229},
+		{name: "map-churn", prot: apps.Tagged, tagBits: 16, capacity: 2048, keys: 512, prepop: true, readPct: 20, putPct: 40,
+			maxGet: 4.141, maxPut: 14.587, maxDel: 8.896},
+		{name: "map-grow", prot: apps.LLSC, capacity: 32, growTo: 4096, keys: 2048, readPct: 40, putPct: 50,
+			maxGet: 11.427, maxPut: 39.770, maxDel: 23.604},
 	} {
 		t.Run(mix.name, func(t *testing.T) {
-			const capacity, ops = 2048, 20_000
+			const ops = 20_000
+			opts := []apps.StructOption{apps.WithReclaimer(reclaim.NewHazard)}
+			if mix.growTo > 0 {
+				opts = append(opts, apps.WithGrowth(mix.growTo))
+			}
 			f := shmem.NewCounting(shmem.NewNativeFactory(), 2)
-			m, err := NewMap(f, 2, capacity, capacity, mix.prot, mix.tagBits, apps.WithReclaimer(reclaim.NewHazard))
+			m, err := NewMap(f, 2, mix.capacity, mix.capacity, mix.prot, mix.tagBits, opts...)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -63,7 +85,7 @@ func TestMapStepsPerOp(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			for k := 1; k <= mix.keys; k++ {
+			for k := 1; mix.prepop && k <= mix.keys; k++ {
 				if !h.Put(Word(k), Word(k)) {
 					t.Fatalf("prepopulate Put(%d) failed", k)
 				}

@@ -54,7 +54,9 @@ type GuardMetrics struct {
 	// equal: ABAs the regime detected and prevented.  Raw guards record
 	// none by construction — that structural zero is the vulnerability.
 	NearMisses int64
-	// DirtyLoads counts loads that observed detectable interference.
+	// DirtyLoads counts loads that observed a write to the reference since
+	// the same handle's previous load, the handle's own writes included: a
+	// successful commit or store leaves the handle's next load dirty.
 	DirtyLoads int64
 }
 
