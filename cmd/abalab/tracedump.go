@@ -31,7 +31,7 @@ var traceDumpScenarios = []struct {
 		return kv.MapABAScenario(shmem.NewNativeFactory(), apps.Raw, 0)
 	}},
 	{"map-grow", "growing map: split armed, delete + recycle restores the link before the new dummy", func() (apps.ScenarioResult, error) {
-		return kv.MapGrowABAScenario(shmem.NewNativeFactory(), apps.Raw, 0)
+		return kv.MapGrowABAScenario(apps.Raw, 0)
 	}},
 }
 

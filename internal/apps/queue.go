@@ -166,17 +166,6 @@ type QueueHandle struct {
 
 	pendingHead int // head loaded by DeqBegin
 	pendingNext int // its successor, as read by DeqBegin
-
-	// testEnqAfterLink, when non-nil, runs right after Enq's linearizing
-	// next-pointer commit and before the tail help — a deterministic stall
-	// point for the helping-interleaving tests.
-	testEnqAfterLink func()
-
-	// ReadStall, when non-nil, runs inside every fast-path Peek attempt
-	// right after the front value read and before the validating fence —
-	// the deterministic stall point the torn-peek scripts interleave a
-	// writer into.  Test/experiment hook, like the map Handle's ReadStall.
-	ReadStall func()
 }
 
 // spent reports whether a bounded handle has used up its spin budget, and
@@ -230,9 +219,6 @@ func (h *QueueHandle) enq(v Word) bool {
 		nt, _ := h.next[t].Load()
 		if nt == 0 {
 			if h.next[t].Commit(Word(idx)) {
-				if h.testEnqAfterLink != nil {
-					h.testEnqAfterLink()
-				}
 				// Linearized.  Help the tail forward using the arm from this
 				// iteration's Load of t: the commit only lands while the tail
 				// is still t, so a helper that already advanced it makes the
@@ -307,9 +293,6 @@ func (h *QueueHandle) Peek() (Word, bool) {
 				continue
 			}
 			v := h.q.value[nhW].Read(h.pid)
-			if h.ReadStall != nil {
-				h.ReadStall()
-			}
 			if h.head.Validate() {
 				return v, true
 			}

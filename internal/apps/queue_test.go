@@ -9,8 +9,10 @@ import (
 	"testing"
 	"time"
 
+	"abadetect/internal/check"
 	"abadetect/internal/guard"
 	"abadetect/internal/shmem"
+	"abadetect/internal/sim"
 	"abadetect/internal/trace"
 )
 
@@ -241,60 +243,92 @@ func TestQueueStressMPMC(t *testing.T) {
 	}
 }
 
-// TestEnqTailHelpCannotSwingBackwards replays the backward-swing hazard in
-// Enq's post-linearization help: A links its node after the tail and stalls;
-// B's enqueue helps the tail past A's node and onto its own; C dequeues
-// both values, freeing A's node.  A's deferred tail help must now fail —
-// it is armed from A's original Load of the tail — rather than re-arm
-// against the current tail and drag it backwards onto the freed node.  A
-// value-blind re-armed commit would succeed under every regime, LL/SC
-// included, because no tail write intervenes between its re-Load and its
-// commit; only arming from the pre-link Load makes the regimes reject it.
+// TestEnqTailHelpCannotSwingBackwards sweeps the backward-swing hazard in
+// Enq's post-linearization help.  After every prefix of A's Enq(5), B
+// enqueues 7, helping the tail past A's node once it is linked and onto
+// its own, and dequeues twice, freeing A's node; then A finishes, and C
+// cycles every node through the pool.  At the cut right after A's linking
+// commit, A's deferred tail help must fail: it is armed from A's original
+// Load of the tail, and re-armed against the current tail it would drag
+// the tail backwards onto the freed node.  A value-blind re-armed commit
+// would succeed under every regime, LL/SC included, because no tail write
+// intervenes between its re-Load and its commit; only arming from the
+// pre-link Load makes the regimes reject it.  At every cut the tail must be
+// on the list when A has finished, and after C's rounds the audit must be
+// clean and the history linearizable.
 func TestEnqTailHelpCannotSwingBackwards(t *testing.T) {
 	for _, tc := range allProtections() {
 		t.Run(tc.name, func(t *testing.T) {
-			q, err := NewQueue(shmem.NewNativeFactory(), 3, 4, tc.prot, tc.tagBits)
-			if err != nil {
-				t.Fatal(err)
-			}
-			a := queueHandle(t, q, 0)
-			b := queueHandle(t, q, 1)
-			c := queueHandle(t, q, 2)
-
-			var tailAfterStall Word
-			a.testEnqAfterLink = func() {
-				a.testEnqAfterLink = nil
-				if !b.Enq(7) {
-					t.Fatal("stalled-window enq failed")
+			for cut, finished := 0, false; !finished; cut++ {
+				runner := sim.NewRunner(3)
+				q, err := NewQueue(runner.Factory(), 3, 4, tc.prot, tc.tagBits)
+				if err != nil {
+					runner.Close()
+					t.Fatal(err)
 				}
-				for _, want := range []Word{5, 7} {
-					if v, ok := c.Deq(); !ok || v != want {
-						t.Fatalf("stalled-window deq = (%d,%v), want (%d,true)", v, ok, want)
+				hs := []*QueueHandle{queueHandle(t, q, 0), queueHandle(t, q, 1), queueHandle(t, q, 2)}
+				enq := func(p *sim.Proc, v Word) {
+					p.Invoke("Enq", v)
+					if !hs[p.ID()].Enq(v) {
+						panic(fmt.Sprintf("p%d: Enq(%d) failed", p.ID(), v))
+					}
+					p.Return()
+				}
+				deq := func(p *sim.Proc) {
+					p.Invoke("Deq")
+					v, ok := hs[p.ID()].Deq()
+					okw := Word(0)
+					if ok {
+						okw = 1
+					}
+					p.Return(v, okw)
+				}
+				progs := []sim.Program{
+					func(p *sim.Proc) { enq(p, 5) },
+					func(p *sim.Proc) { enq(p, 7); deq(p); deq(p) },
+					func(p *sim.Proc) {
+						for round := 0; round < 2*q.Capacity(); round++ {
+							enq(p, Word(100+round))
+							deq(p)
+						}
+					},
+				}
+				for pid, prog := range progs {
+					if err := runner.SetProgram(pid, prog); err != nil {
+						runner.Close()
+						t.Fatal(err)
 					}
 				}
-				tailAfterStall = q.tail.Peek(-1)
-			}
-			if !a.Enq(5) {
-				t.Fatal("enq 5 failed")
-			}
-			if got := q.tail.Peek(-1); got != tailAfterStall {
-				t.Fatalf("tail swung backwards after stale help: %d -> %d", tailAfterStall, got)
-			}
-			if audit := q.Audit(); audit.Corrupt() {
-				t.Fatalf("audit after stale help: %s", audit)
-			}
-			// The pool keeps recycling cleanly afterwards: the node A's stale
-			// help targeted is reallocated and retired several times over.
-			for round := 0; round < 2*q.Capacity(); round++ {
-				if !b.Enq(Word(100 + round)) {
-					t.Fatalf("round %d: enq failed", round)
+				if err := runner.Start(); err != nil {
+					runner.Close()
+					t.Fatal(err)
 				}
-				if v, ok := c.Deq(); !ok || v != Word(100+round) {
-					t.Fatalf("round %d: deq = (%d,%v)", round, v, ok)
+				// A takes cut steps, B runs, then A finishes; the tail must
+				// be on the list before C's rounds could help it on.  (C is
+				// poised inside its first Enq, holding an allocated node.)
+				finished, err = playCut(runner, 0, cut, 1, 0)
+				if audit := q.Audit(); err == nil && !audit.TailValid {
+					runner.Close()
+					t.Fatalf("cut %d: tail off the list after A's Enq: %s", cut, audit)
 				}
-			}
-			if audit := q.Audit(); audit.Corrupt() {
-				t.Fatalf("final audit: %s", audit)
+				if err == nil {
+					_, err = runner.StepUntil(2, sweepLimit, nil)
+				}
+				hist, pending, perr := check.PairOps(runner.History())
+				runner.Close()
+				if err != nil || perr != nil || len(pending) != 0 {
+					t.Fatalf("cut %d: %v, pairing the history: %v, %d pending", cut, err, perr, len(pending))
+				}
+				if res := check.Linearizable(check.QueueSpec{}, hist); !res.Ok {
+					var lines string
+					for _, op := range hist {
+						lines += fmt.Sprintf("  %s\n", op)
+					}
+					t.Fatalf("cut %d: history not linearizable:\n%s", cut, lines)
+				}
+				if audit := q.Audit(); audit.Corrupt() {
+					t.Fatalf("cut %d: audit: %s", cut, audit)
+				}
 			}
 		})
 	}

@@ -1,10 +1,12 @@
 package apps
 
 import (
+	"fmt"
 	"testing"
 
 	"abadetect/internal/reclaim"
 	"abadetect/internal/shmem"
+	"abadetect/internal/sim"
 )
 
 // The wait-free observers (Peek / IsEmpty) must agree with the mutating ops
@@ -179,170 +181,241 @@ func TestPeekAllocsAndNoReclaimerTraffic(t *testing.T) {
 	}
 }
 
-// TestStackPeekTornReadMatrix scripts the torn-peek interleaving: a reader
-// stalls between reading the top node's value and validating the head, while
-// a writer pops that node and recycles it under a new value.  Both the old
-// and the new value are linearizable answers, so the script measures the
-// *detection asymmetry*: the sound regimes must see the recycle (the head
-// guard was committed twice under the stalled reader), reject the attempt,
-// and re-read the current top — only value-blind raw+none accepts the
-// pre-recycle snapshot bit-for-bit, the stack-read shape of the §1 ABA.
-// Raw under a real reclaimer disables the fast path (StackHandle.fastOK), so
-// the stall hook never fires and the guarded peek carries the read.
+// sweepLimit bounds every leg of a cut sweep's schedule.
+const sweepLimit = 10_000
+
+// playCut plays one cut of a sweep on a started runner: process cut takes
+// exactly steps steps (fewer if it finishes), then each process of then runs
+// to its end, in order.  It reports whether cut had finished within its
+// steps, after which no later cut differs.
+func playCut(r *sim.Runner, cut, steps int, then ...int) (bool, error) {
+	if _, err := r.StepUntil(cut, sweepLimit, func(taken int) bool { return taken == steps }); err != nil {
+		return false, err
+	}
+	finished := r.Done(cut)
+	for _, pid := range then {
+		if _, err := r.StepUntil(pid, sweepLimit, nil); err != nil {
+			return finished, err
+		}
+	}
+	return finished, nil
+}
+
+// peekResult is a Peek's return pair.
+type peekResult struct {
+	v  Word
+	ok bool
+}
+
+// peekCut is what one cut of a torn-read sweep saw.
+type peekCut struct {
+	got peekResult
+	// inside: the writer's block ran while the reader's Peek was in
+	// progress (it had not finished within the cut).
+	inside bool
+	// recycled: the writer's recycling write succeeded.  Under raw+hp and
+	// raw+epoch the reader's published protection can hold the node, and
+	// the write starves instead: prevention by allocation discipline.
+	recycled bool
+	// torn: the reader's Load of the head after the writer's block
+	// reported interference; on the fast path, the retry of an attempt the
+	// fence rejected.
+	torn bool
+}
+
+// playPeekCut plays one cut of a torn-read sweep on runner: the writer (p0)
+// runs setUp alone, the reader (p1) takes cut steps of read, the writer
+// runs block, and the reader finishes.  It reports whether the reader had
+// finished within the cut.  The runner is closed on return.
+func playPeekCut(t *testing.T, runner *sim.Runner, cut int, setUp, block, read func()) bool {
+	t.Helper()
+	defer runner.Close()
+	setUpDone := false
+	progs := []sim.Program{
+		func(*sim.Proc) { setUp(); setUpDone = true; block() },
+		func(*sim.Proc) { read() },
+	}
+	for pid, prog := range progs {
+		if err := runner.SetProgram(pid, prog); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := runner.Start(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := runner.StepUntil(0, sweepLimit, func(int) bool { return setUpDone }); err != nil {
+		t.Fatal(err)
+	}
+	finished, err := playCut(runner, 1, cut, 0, 1)
+	if err != nil {
+		t.Fatalf("cut %d: %v", cut, err)
+	}
+	return finished
+}
+
+// checkTornSweep holds a torn-read sweep's cuts to the read path's
+// contract.  Value-blind raw+none returns the pre-recycle snapshot stale
+// at some cut whose block recycled the node inside its Peek.  At every such
+// cut a sound regime returns the post-recycle answer fresh, since its fence
+// rejects the torn attempt (counted at some cut).  Raw under a reclaimer
+// never takes the fast path (checked where the handles are made); it reads
+// through the protected path, whose protection makes the recycle starve at
+// some cut.
+func checkTornSweep(t *testing.T, prot Protection, rc reclaim.Maker, cuts []peekCut, stale, fresh peekResult) {
+	t.Helper()
+	staleCuts, tornCuts, starvedCuts := 0, 0, 0
+	for cut, c := range cuts {
+		if c.torn {
+			tornCuts++
+		}
+		if !c.recycled {
+			starvedCuts++
+		}
+		if !c.inside || !c.recycled {
+			continue
+		}
+		if c.got == stale {
+			staleCuts++
+		}
+		if prot != Raw && c.got != fresh {
+			t.Errorf("cut %d: Peek = %v, want the post-recycle %v", cut, c.got, fresh)
+		}
+	}
+	t.Logf("%d cuts: %d stale, %d torn, %d starved", len(cuts), staleCuts, tornCuts, starvedCuts)
+	switch {
+	case prot == Raw && rc == nil:
+		if staleCuts == 0 {
+			t.Errorf("value-blind raw+none never returned the pre-recycle snapshot %v", stale)
+		}
+	case prot == Raw:
+		if starvedCuts == 0 {
+			t.Error("the reader's protection never held the node")
+		}
+	default:
+		if tornCuts == 0 {
+			t.Error("no cut counted a torn attempt")
+		}
+		if starvedCuts != 0 {
+			t.Errorf("the fast path holds no protection, yet %d cuts starved", starvedCuts)
+		}
+	}
+}
+
+// TestStackPeekTornReadMatrix runs a writer's Pop and recycling Push(999)
+// after every prefix of a reader's Peek of the one-node stack 100.  Both
+// values are linearizable answers, so the sweep measures the detection
+// asymmetry: with the node recycled inside the reader's Peek, the sound
+// regimes see the two head commits, reject the attempt and re-read 999,
+// while value-blind raw+none accepts the pre-recycle snapshot 100 at the
+// cut between its value read and its validating fence.  Raw under a real
+// reclaimer disables the fast path (StackHandle.fastOK), and the guarded
+// peek carries the read.
 func TestStackPeekTornReadMatrix(t *testing.T) {
 	for _, c := range readPathConfigs() {
 		t.Run(c.name, func(t *testing.T) {
-			var opts []StructOption
-			if c.rc != nil {
-				opts = append(opts, WithReclaimer(c.rc))
+			var cuts []peekCut
+			for cut, finished := 0, false; !finished; cut++ {
+				runner := sim.NewRunner(2)
+				var opts []StructOption
+				if c.rc != nil {
+					opts = append(opts, WithReclaimer(c.rc))
+				}
+				// Capacity 1: the writer's push *must* recycle the popped
+				// node, so the head word is restored bit-for-bit.
+				s, err := NewStack(runner.Factory(), 2, 1, c.prot, c.tagBits, opts...)
+				if err != nil {
+					runner.Close()
+					t.Fatal(err)
+				}
+				w, r := stackHandle(t, s, 0), stackHandle(t, s, 1)
+				if r.fastOK != (c.prot != Raw || c.rc == nil) {
+					t.Fatalf("fastOK = %v", r.fastOK)
+				}
+				var pc peekCut
+				var dirty int64
+				finished = playPeekCut(t, runner, cut,
+					func() {
+						if !w.Push(100) {
+							panic("set-up Push(100) failed")
+						}
+					},
+					func() {
+						if v, ok := w.Pop(); !ok || v != 100 {
+							panic(fmt.Sprintf("block Pop = (%d, %v), want (100, true)", v, ok))
+						}
+						pc.recycled = w.Push(999)
+						dirty = s.head.Metrics().DirtyLoads
+					},
+					func() { pc.got.v, pc.got.ok = r.Peek() })
+				pc.inside = !finished
+				pc.torn = s.head.Metrics().DirtyLoads > dirty
+				if a := s.Audit(); a.Corrupt() {
+					t.Fatalf("cut %d: audit: %s", cut, a)
+				}
+				cuts = append(cuts, pc)
 			}
-			// Capacity 1: the writer's push *must* recycle the popped node,
-			// so the head word is restored bit-for-bit for raw to accept.
-			s, err := NewStack(shmem.NewNativeFactory(), 2, 1, c.prot, c.tagBits, opts...)
-			if err != nil {
-				t.Fatal(err)
-			}
-			r := stackHandle(t, s, 0)
-			w := stackHandle(t, s, 1)
-			if !w.Push(100) {
-				t.Fatal("setup Push(100) failed")
-			}
-			fired := false
-			r.ReadStall = func() {
-				if fired {
-					return
-				}
-				fired = true
-				// The writer runs to completion inside the reader's stall:
-				// pop the node the reader is looking at, recycle it under a
-				// new value.  (Under hp/epoch the exhaustion path drains
-				// eagerly — the stalled reader holds no protection, so the
-				// node still recycles.)
-				if v, ok := w.Pop(); !ok || v != 100 {
-					t.Errorf("stall-window Pop = (%d, %v), want (100, true)", v, ok)
-				}
-				if !w.Push(999) {
-					t.Error("stall-window Push(999) failed")
-				}
-			}
-			v, ok := r.Peek()
-			r.ReadStall = nil
-
-			switch {
-			case c.prot == Raw && c.rc == nil:
-				if !fired {
-					t.Fatal("fast path never reached the stall point")
-				}
-				if !ok || v != 100 {
-					t.Errorf("Peek = (%d, %v); value-blind raw is documented to accept the recycled node's pre-recycle snapshot (100, true)", v, ok)
-				}
-			case c.prot == Raw:
-				// fastOK is off: the hook never fires, the writer never runs,
-				// and the guarded peek returns the undisturbed top.
-				if fired {
-					t.Error("raw under a reclaimer must not take the fast path")
-				}
-				if !ok || v != 100 {
-					t.Errorf("guarded Peek = (%d, %v), want (100, true)", v, ok)
-				}
-			default:
-				if !fired {
-					t.Fatal("fast path never reached the stall point")
-				}
-				// The recycle bumped the head guard twice under the reader:
-				// the torn attempt is rejected and the retry sees the
-				// current top.
-				if !ok || v != 999 {
-					t.Errorf("Peek = (%d, %v): a sound regime let the pre-recycle snapshot through, want the post-recycle (999, true)", v, ok)
-				}
-			}
-			if a := s.Audit(); a.Corrupt() {
-				t.Errorf("structural audit after the script: %s", a)
-			}
+			checkTornSweep(t, c.prot, c.rc, cuts, peekResult{100, true}, peekResult{999, true})
 		})
 	}
 }
 
-// TestQueuePeekTornReadMatrix is the queue shape of the same script, with a
-// sharper victim outcome: the reader stalls holding the front value while
-// the writer dequeues it, recycles its node through a second enqueue, and
-// dequeues again — returning the head word to the reader's armed index with
-// the queue now *empty*.  Raw+none validates the restored head and reports
-// the long-dequeued value as the front of an empty queue; the sound regimes
-// reject the attempt and the retry sees a consistent empty snapshot.
+// TestQueuePeekTornReadMatrix is the queue shape of the same sweep, with a
+// sharper victim outcome: after every prefix of a reader's Peek of the
+// queue [100], the writer dequeues 100, recycles its node through
+// Enq(999), and dequeues again, returning the head word to the reader's
+// armed index with the queue now *empty*.  Raw+none validates the restored
+// head and reports the long-dequeued 100 as the front of an empty queue;
+// the sound regimes reject the attempt and the retry sees a consistent
+// empty snapshot.
 func TestQueuePeekTornReadMatrix(t *testing.T) {
 	for _, c := range readPathConfigs() {
 		t.Run(c.name, func(t *testing.T) {
-			var opts []StructOption
-			if c.rc != nil {
-				opts = append(opts, WithReclaimer(c.rc))
+			var cuts []peekCut
+			for cut, finished := 0, false; !finished; cut++ {
+				runner := sim.NewRunner(2)
+				var opts []StructOption
+				if c.rc != nil {
+					opts = append(opts, WithReclaimer(c.rc))
+				}
+				// Capacity 1 (one usable node beyond the dummy): the
+				// writer's enqueue must recycle the retired dummy, and its
+				// second dequeue swings the head back onto that index.
+				q, err := NewQueue(runner.Factory(), 2, 1, c.prot, c.tagBits, opts...)
+				if err != nil {
+					runner.Close()
+					t.Fatal(err)
+				}
+				w, r := queueHandle(t, q, 0), queueHandle(t, q, 1)
+				if r.fastOK != (c.prot != Raw || c.rc == nil) {
+					t.Fatalf("fastOK = %v", r.fastOK)
+				}
+				var pc peekCut
+				var dirty int64
+				finished = playPeekCut(t, runner, cut,
+					func() {
+						if !w.Enq(100) {
+							panic("set-up Enq(100) failed")
+						}
+					},
+					func() {
+						if v, ok := w.Deq(); !ok || v != 100 {
+							panic(fmt.Sprintf("block Deq = (%d, %v), want (100, true)", v, ok))
+						}
+						pc.recycled = w.Enq(999)
+						if v, ok := w.Deq(); ok != pc.recycled || ok && v != 999 {
+							panic(fmt.Sprintf("block Deq = (%d, %v) after Enq(999) = %v", v, ok, pc.recycled))
+						}
+						dirty = q.head.Metrics().DirtyLoads
+					},
+					func() { pc.got.v, pc.got.ok = r.Peek() })
+				pc.inside = !finished
+				pc.torn = q.head.Metrics().DirtyLoads > dirty
+				if a := q.Audit(); a.Corrupt() {
+					t.Fatalf("cut %d: audit: %s", cut, a)
+				}
+				cuts = append(cuts, pc)
 			}
-			// Capacity 1 (one usable node beyond the dummy): the writer's
-			// enqueue must recycle the retired dummy, and its second dequeue
-			// swings the head back onto that original index.
-			q, err := NewQueue(shmem.NewNativeFactory(), 2, 1, c.prot, c.tagBits, opts...)
-			if err != nil {
-				t.Fatal(err)
-			}
-			r, err := q.Handle(0)
-			if err != nil {
-				t.Fatal(err)
-			}
-			w, err := q.Handle(1)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !w.Enq(100) {
-				t.Fatal("setup Enq(100) failed")
-			}
-			fired := false
-			r.ReadStall = func() {
-				if fired {
-					return
-				}
-				fired = true
-				if v, ok := w.Deq(); !ok || v != 100 {
-					t.Errorf("stall-window Deq = (%d, %v), want (100, true)", v, ok)
-				}
-				if !w.Enq(999) {
-					t.Error("stall-window Enq(999) failed")
-				}
-				if v, ok := w.Deq(); !ok || v != 999 {
-					t.Errorf("stall-window Deq = (%d, %v), want (999, true)", v, ok)
-				}
-			}
-			v, ok := r.Peek()
-			r.ReadStall = nil
-
-			switch {
-			case c.prot == Raw && c.rc == nil:
-				if !fired {
-					t.Fatal("fast path never reached the stall point")
-				}
-				if !ok || v != 100 {
-					t.Errorf("Peek = (%d, %v); value-blind raw is documented to report the dequeued value at the head of an empty queue (100, true)", v, ok)
-				}
-			case c.prot == Raw:
-				if fired {
-					t.Error("raw under a reclaimer must not take the fast path")
-				}
-				if !ok || v != 100 {
-					t.Errorf("guarded Peek = (%d, %v), want (100, true)", v, ok)
-				}
-			default:
-				if !fired {
-					t.Fatal("fast path never reached the stall point")
-				}
-				// The queue is empty by the time the stalled attempt
-				// validates: the sound regimes reject it and the retry
-				// reports a consistent miss.
-				if ok {
-					t.Errorf("Peek = (%d, true) on an empty queue: the torn attempt escaped the fence", v)
-				}
-			}
-			if a := q.Audit(); a.Corrupt() {
-				t.Errorf("structural audit after the script: %s", a)
-			}
+			checkTornSweep(t, c.prot, c.rc, cuts, peekResult{100, true}, peekResult{0, false})
 		})
 	}
 }

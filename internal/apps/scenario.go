@@ -44,10 +44,10 @@ type ScenarioResult struct {
 	Incident []trace.Event
 }
 
-// scenarioRecorder builds the per-script flight recorder and its incident
-// predicate: the first detected-and-prevented ABA or the first allocator
-// exhaustion freezes the rings.
-func scenarioRecorder(n int) *trace.Recorder {
+// ScenarioRecorder builds a corruption script's flight recorder for n
+// processes and its incident predicate: the first detected-and-prevented
+// ABA or the first allocator exhaustion freezes the rings.
+func ScenarioRecorder(n int) *trace.Recorder {
 	rec := trace.New(n, 128)
 	rec.Watch(func(e trace.Event) bool {
 		return e.Kind == trace.KindGuardNearMiss || e.Kind == trace.KindExhaust
@@ -55,9 +55,10 @@ func scenarioRecorder(n int) *trace.Recorder {
 	return rec
 }
 
-// scenarioIncident resolves the dump to attach: the frozen watch snapshot
-// when the predicate fired, the final merge otherwise.
-func scenarioIncident(rec *trace.Recorder) []trace.Event {
+// ScenarioIncident resolves the dump a script attaches to its
+// ScenarioResult: the frozen watch snapshot when ScenarioRecorder's
+// predicate fired, the final merge otherwise.
+func ScenarioIncident(rec *trace.Recorder) []trace.Event {
 	if inc := rec.Incident(); inc != nil {
 		return inc
 	}
@@ -75,7 +76,7 @@ func scenarioIncident(rec *trace.Recorder) []trace.Event {
 // detection.
 func StackABAScenario(f shmem.Factory, prot Protection, tagBits uint, opts ...StructOption) (ScenarioResult, error) {
 	var r ScenarioResult
-	rec := scenarioRecorder(2)
+	rec := ScenarioRecorder(2)
 	opts = append(opts, WithTrace(rec))
 	s, err := NewStack(f, 2, 3, prot, tagBits, opts...)
 	if err != nil {
@@ -118,7 +119,7 @@ func StackABAScenario(f shmem.Factory, prot Protection, tagBits uint, opts ...St
 	r.Corrupt, r.Detail = audit.Corrupt(), audit.String()
 	r.Guard = s.GuardMetrics()
 	r.Pool = s.PoolStats()
-	r.Incident = scenarioIncident(rec)
+	r.Incident = ScenarioIncident(rec)
 	return r, nil
 }
 
@@ -134,7 +135,7 @@ func StackABAScenario(f shmem.Factory, prot Protection, tagBits uint, opts ...St
 // adversary's enqueue starves instead of reusing them).
 func QueueABAScenario(f shmem.Factory, prot Protection, tagBits uint, opts ...StructOption) (ScenarioResult, error) {
 	var r ScenarioResult
-	rec := scenarioRecorder(2)
+	rec := ScenarioRecorder(2)
 	opts = append(opts, WithTrace(rec))
 	q, err := NewQueue(f, 2, 2, prot, tagBits, opts...) // 3 nodes: dummy 1, free 2 and 3
 	if err != nil {
@@ -192,6 +193,6 @@ func QueueABAScenario(f shmem.Factory, prot Protection, tagBits uint, opts ...St
 	r.Corrupt, r.Detail = audit.Corrupt(), audit.String()
 	r.Guard = q.GuardMetrics()
 	r.Pool = q.PoolStats()
-	r.Incident = scenarioIncident(rec)
+	r.Incident = ScenarioIncident(rec)
 	return r, nil
 }

@@ -133,12 +133,6 @@ type StackHandle struct {
 
 	pending int // node loaded by PopBegin
 	next    int // its successor, as read by PopBegin
-
-	// ReadStall, when non-nil, runs inside every fast-path Peek attempt
-	// right after the payload read and before the validating fence — the
-	// deterministic stall point the torn-peek scripts interleave a writer
-	// into.  Test/experiment hook, like the map Handle's ReadStall.
-	ReadStall func()
 }
 
 // Push pushes v.  It returns false when the node pool is exhausted.
@@ -304,9 +298,6 @@ func (h *StackHandle) Peek() (Word, bool) {
 		top, clean := guard.ReadConsistent(h.head, peekRetries, func(w Word) {
 			if w != 0 {
 				v = h.s.value[int(w)].Read(h.pid)
-			}
-			if h.ReadStall != nil {
-				h.ReadStall()
 			}
 		})
 		if clean {

@@ -8,10 +8,6 @@
 // recorded returns.  Histories are produced by the deterministic simulator
 // (package sim); sequential specifications for the paper's objects —
 // ABA-detecting registers and LL/SC/VL objects — live in spec.go.
-//
-// For native (really concurrent) executions, where complete histories with
-// total timestamps are unavailable, ghost.go provides a weaker but sound
-// online checker based on ghost epoch counters.
 package check
 
 import (

@@ -5,8 +5,7 @@ import (
 	"sort"
 
 	"abadetect/internal/apps"
-	"abadetect/internal/shmem"
-	"abadetect/internal/trace"
+	"abadetect/internal/sim"
 )
 
 // growScenarioCap is the resize script's capacity and ceiling: the smallest
@@ -35,19 +34,19 @@ func growScenarioKeys() (ka, kr Word, fillers []Word) {
 	return late[0], kr, late[1:]
 }
 
-// MapGrowABAScenario plays the resize-under-traffic corruption script: a
-// victim splitter stalls between walking to a new dummy's position and the
-// commit that links it, while the adversary deletes the node the walk
-// stopped at and recycles it, under a key that sorts *before* the dummy, at
-// the very same position.
+// MapGrowABAScenario plays the resize-under-traffic corruption script on the
+// simulator: a victim splitter is preempted between walking to a new
+// dummy's position and the commit that links it, while the adversary
+// deletes the node the walk stopped at and recycles it, under a key that
+// sorts *before* the dummy, at the very same position.
 //
 // The map starts with one bucket and a full pool at its ceiling (capacity =
 // ceiling = growScenarioCap), so recycling is immediate.  With ka in node 1
 // and the fillers behind it, the list is d0 → 1(ka) → fillers…:
 //
 //  1. the victim doubles the directory: its walk for dummy 1 stops at node
-//     1, the first node sorting after dummy 1, and it stalls holding the
-//     armed commit head[0]: 1 → d1, with d1's own link already naming 1;
+//     1, the first node sorting after dummy 1, and once d1's own link names
+//     1 it is preempted, holding the armed commit head[0]: 1 → d1;
 //  2. the adversary's Delete(ka) marks node 1 and swings head[0] past it,
 //     freeing it;
 //  3. the adversary's Put(kr, ·) allocates node 1 straight back and, since
@@ -68,14 +67,13 @@ func growScenarioKeys() (ka, kr Word, fillers []Word) {
 // runs, and the stale commit fails on plain inequality with zero
 // near-misses — prevention by allocation discipline, before the guard ever
 // sees an ABA.
-func MapGrowABAScenario(f shmem.Factory, prot Protection, tagBits uint, opts ...apps.StructOption) (apps.ScenarioResult, error) {
+func MapGrowABAScenario(prot Protection, tagBits uint, opts ...apps.StructOption) (apps.ScenarioResult, error) {
 	var r apps.ScenarioResult
-	rec := trace.New(2, 128)
-	rec.Watch(func(e trace.Event) bool {
-		return e.Kind == trace.KindGuardNearMiss || e.Kind == trace.KindExhaust
-	})
+	rec := apps.ScenarioRecorder(2)
 	opts = append(opts, apps.WithGrowth(growScenarioCap), apps.WithTrace(rec))
-	m, err := NewMap(f, 2, growScenarioCap, 1, prot, tagBits, opts...)
+	runner := sim.NewRunner(2)
+	defer runner.Close()
+	m, err := NewMap(runner.Factory(), 2, growScenarioCap, 1, prot, tagBits, opts...)
 	if err != nil {
 		return r, err
 	}
@@ -88,50 +86,67 @@ func MapGrowABAScenario(f shmem.Factory, prot Protection, tagBits uint, opts ...
 		return r, err
 	}
 	ka, kr, fillers := growScenarioKeys()
-	// Setup: ka into node 1, then the fillers fill the pool.
-	if !adversary.Put(ka, 101) {
-		return r, fmt.Errorf("kv: grow scenario setup put failed")
-	}
-	for i, k := range fillers {
-		if !adversary.Put(k, Word(200+i)) {
-			return r, fmt.Errorf("kv: grow scenario filler put %d failed", i)
+	put := func(k, v Word) {
+		if !adversary.Put(k, v) {
+			panic(fmt.Sprintf("kv: grow scenario Put(%d) failed", k))
 		}
 	}
-	// The adversary runs inside the victim's first stall; a rejected commit
-	// makes the splitter walk again, which stalls a second time.
-	stalls := 0
-	var setupErr error
-	victim.SplitStall = func() {
-		stalls++
-		if stalls > 1 {
-			return
+	var setUp, grew bool
+	var rejected int64
+	err = runner.SetProgram(0, func(*sim.Proc) {
+		// Set-up: ka into node 1, then the fillers fill the pool.
+		put(ka, 101)
+		for i, k := range fillers {
+			put(k, Word(200+i))
 		}
+		setUp = true
 		if !adversary.Delete(ka) {
-			setupErr = fmt.Errorf("kv: grow scenario Delete(ka) failed")
+			panic("kv: grow scenario Delete(ka) failed")
 		}
 		// The recycle leg: under a reclaimer the victim's protection blocks
 		// node 1, and the pool is at its ceiling, so this put starves.
 		r.Starved = !adversary.Put(kr, 104)
+		rejected = m.heads.Get(0).Metrics().Rejected
+	})
+	if err == nil {
+		err = runner.SetProgram(1, func(*sim.Proc) { grew = victim.GrowBuckets() })
 	}
-	if !victim.GrowBuckets() {
-		return r, fmt.Errorf("kv: grow scenario directory doubling failed")
+	if err == nil {
+		err = runner.Start()
 	}
-	if setupErr != nil {
-		return r, setupErr
+	// The schedule: the adversary's set-up; the victim until its walk has
+	// stored node 1 into d1's own link, arming its commit on head[0]; the
+	// adversary's Delete and Put inside that window; the victim's resume.
+	step := func(pid int, stop func(int) bool) {
+		if err == nil {
+			_, err = runner.StepUntil(pid, growScenarioSteps, stop)
+		}
 	}
-	if stalls == 0 {
-		return r, fmt.Errorf("kv: grow scenario split never stalled")
+	step(0, func(int) bool { return setUp })
+	step(1, func(int) bool { return m.heads.Len() > 1 && linkIdx(m.heads.Get(1).Peek(sim.Observer)) == 1 })
+	if err == nil && runner.Done(1) {
+		err = fmt.Errorf("kv: grow scenario split never reached its commit")
 	}
-	// The stale commit was accepted iff the split needed no second walk.
-	r.Fooled = stalls == 1
+	step(0, nil)
+	step(1, nil)
+	if err == nil && !grew {
+		err = fmt.Errorf("kv: grow scenario directory doubling failed")
+	}
+	if err != nil {
+		return r, err
+	}
+	// The stale commit is the victim's first on head[0] after the window:
+	// accepted, it links the dummy and ends the split, so it was accepted
+	// iff head[0] rejected nothing after the adversary's last step.
+	r.Fooled = m.heads.Get(0).Metrics().Rejected == rejected
 	audit := m.Audit()
 	r.Corrupt, r.Detail = audit.Corrupt(), audit.String()
 	r.Guard = m.GuardMetrics()
 	r.Pool = m.PoolStats()
-	if inc := rec.Incident(); inc != nil {
-		r.Incident = inc
-	} else {
-		r.Incident = rec.Merge()
-	}
+	r.Incident = apps.ScenarioIncident(rec)
 	return r, nil
 }
+
+// growScenarioSteps bounds each leg of the resize script's schedule, far
+// above what any leg takes, so a livelocked leg is an error, not a hang.
+const growScenarioSteps = 100_000

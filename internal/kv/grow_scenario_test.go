@@ -7,7 +7,6 @@ import (
 
 	"abadetect/internal/apps"
 	"abadetect/internal/reclaim"
-	"abadetect/internal/shmem"
 )
 
 // TestMapGrowABAScenarioLadder replays the resize-under-traffic script across
@@ -30,7 +29,7 @@ func TestMapGrowABAScenarioLadder(t *testing.T) {
 		{"detector", apps.Detector, 0, false},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			res, err := MapGrowABAScenario(shmem.NewNativeFactory(), tc.prot, tc.tagBits)
+			res, err := MapGrowABAScenario(tc.prot, tc.tagBits)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -69,7 +68,7 @@ func TestMapGrowReclaimPreventsScenarioWithZeroNearMisses(t *testing.T) {
 		{"epoch", reclaim.NewEpoch},
 	} {
 		t.Run("raw+"+rc.name, func(t *testing.T) {
-			res, err := MapGrowABAScenario(shmem.NewNativeFactory(), apps.Raw, 0, apps.WithReclaimer(rc.mk))
+			res, err := MapGrowABAScenario(apps.Raw, 0, apps.WithReclaimer(rc.mk))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -85,7 +84,7 @@ func TestMapGrowReclaimPreventsScenarioWithZeroNearMisses(t *testing.T) {
 		})
 	}
 	// The control arm: the pass-through reclaimer reproduces the corruption.
-	res, err := MapGrowABAScenario(shmem.NewNativeFactory(), apps.Raw, 0, apps.WithReclaimer(reclaim.NewNone))
+	res, err := MapGrowABAScenario(apps.Raw, 0, apps.WithReclaimer(reclaim.NewNone))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -105,7 +104,7 @@ func TestMapGrowABAScenarioTagLadder(t *testing.T) {
 		wantFooled bool
 	}{{1, true}, {8, false}, {16, false}} {
 		t.Run(fmt.Sprintf("tag%d", tc.bits), func(t *testing.T) {
-			res, err := MapGrowABAScenario(shmem.NewNativeFactory(), apps.Tagged, tc.bits)
+			res, err := MapGrowABAScenario(apps.Tagged, tc.bits)
 			if err != nil {
 				t.Fatal(err)
 			}

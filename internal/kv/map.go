@@ -38,7 +38,8 @@
 //     leaves no handle dirty for the next Get;
 //   - traversals help: a walker that finds a marked node unlinks it
 //     (conditionally, against the predecessor link it has loaded and, under
-//     a reclaimer, protected) and releases it to the pool.
+//     a reclaimer, protected) and releases it to the pool, and restarts from
+//     the bucket if that predecessor was marked meanwhile.
 //
 // The ABA lives exactly where the paper says it lives: between loading a
 // predecessor link and committing past it, the successor node can be
@@ -449,18 +450,6 @@ type Handle struct {
 
 	growTick int // Puts since this handle's last threshold check
 
-	// ReadStall, when non-nil, runs inside every fast-path read attempt
-	// right after the key load and before the validating fence — the
-	// deterministic stall point the torn-read scripts interleave a writer
-	// into.  Test/experiment hook, like DeleteBegin's split.
-	ReadStall func()
-
-	// SplitStall, when non-nil, runs inside every attempt to link a new
-	// dummy during a directory split, after the walk has armed the
-	// predecessor link and before the commit — the stall point of the resize
-	// corruption script.  Test/experiment hook.
-	SplitStall func()
-
 	// MaxSpin bounds the traversal/retry steps of one operation, and of each
 	// dummy link of a split; 0 means unbounded (the lock-free default).  A
 	// raw-guarded map that has been ABA-corrupted can acquire a cycle
@@ -666,7 +655,13 @@ retry:
 					continue retry
 				}
 				h.retire(cur)
-				prevW, _ = prev.Load() // re-arm prev, continue in place
+				// Re-arm prev and continue in place, unless prev's own
+				// node was marked meanwhile: a commit through a deleted
+				// node's link would clear its mark, and its deleter's
+				// unlink would then drop whatever was linked behind it.
+				if prevW, _ = prev.Load(); linkMarked(prevW) {
+					continue retry
+				}
 				continue
 			}
 			if cs := sortKeyData(ck); after(cs, sk) {
@@ -775,9 +770,6 @@ func (h *Handle) tryGetFast(b int, k, sk Word) (v Word, ok, clean bool) {
 		n := m.node(cur)
 		curNext, _ := h.link(cur).Load()
 		ck := n.key.Read(h.pid)
-		if h.ReadStall != nil {
-			h.ReadStall()
-		}
 		hit := ck == k && !linkMarked(curNext)
 		if hit {
 			v = n.val.Read(h.pid)
@@ -939,32 +931,15 @@ func (h *Handle) delete(k Word) bool {
 // older live duplicate behind it is shadowed — readers take the first match.
 // Marking the binding while such a duplicate survives would promote the
 // duplicate to first match, resurrecting its stale value for the window
-// until the sweep reaches it.  So when the probe finds a k-node behind the
-// binding, a keep=0 sweep first runs itself at keep=1, killing every
-// shadowed duplicate (those deaths are invisible: the binding still shadows
-// the position), and only then walks back to the binding.  By the invariant
-// no new duplicate can appear behind the binding after that pass.
+// until the sweep reaches it.  markMatch, which a split delete shares, puts
+// the shadowed duplicates first.
 func (h *Handle) sweep(b int, k, sk Word, keep int, spins *int) bool {
 	killed := false
 	for {
-		prev, cur, curNext, found, ok := h.seek(b, k, sk, keep, spins)
-		if !ok || !found {
+		prev, cur, curNext, dup, ok := h.markMatch(b, k, sk, keep, spins)
+		if !ok {
 			return killed
 		}
-		dup := h.dupBehind(cur, curNext, k)
-		if dup && keep == 0 {
-			h.sweep(b, k, sk, 1, spins) // shadowed duplicates die first; re-probe
-			continue
-		}
-		// Logical delete: set the mark bit on cur's own next pointer.  The
-		// commit is armed by seek's Load (a Validate leaves it armed), so it
-		// fails if the link moved — and the mark freezes the link, which is
-		// what makes the following unlink safe against concurrent unlinks of
-		// the successor.
-		if !h.link(cur).Commit(curNext | 1) {
-			continue
-		}
-		h.addLive(-1)
 		killed = true
 		// Physical unlink.  On failure the node stays marked and any later
 		// traversal helps; on success the node is exclusively ours, and a
@@ -976,6 +951,38 @@ func (h *Handle) sweep(b int, k, sk Word, keep int, spins *int) bool {
 		}
 		if !dup {
 			return true
+		}
+	}
+}
+
+// markMatch seeks the first live k-node past the first `keep`, probes
+// behind it, and marks it; it returns what seek returned for the node and
+// the probe's answer, or ok=false when there is no such node (or the spin
+// budget ran out).  When the probe finds a k-node behind the binding
+// (keep=0), it first runs a keep=1 sweep, killing every shadowed duplicate
+// (those deaths are invisible: the binding still shadows the position), and
+// then walks back to the binding.  By sweep's invariant no new duplicate
+// can appear behind the binding after that pass, so a binding it marks has
+// nothing live of its key behind it.
+func (h *Handle) markMatch(b int, k, sk Word, keep int, spins *int) (prev guard.Handle, cur int, curNext Word, dup, ok bool) {
+	for {
+		var found bool
+		if prev, cur, curNext, found, ok = h.seek(b, k, sk, keep, spins); !ok || !found {
+			return nil, 0, 0, false, false
+		}
+		dup = h.dupBehind(cur, curNext, k)
+		if dup && keep == 0 {
+			h.sweep(b, k, sk, 1, spins) // shadowed duplicates die first; re-probe
+			continue
+		}
+		// Logical delete: set the mark bit on cur's own next pointer.  The
+		// commit is armed by seek's Load (a Validate leaves it armed), so it
+		// fails if the link moved — and the mark freezes the link, which is
+		// what makes the following unlink safe against concurrent unlinks of
+		// the successor.
+		if h.link(cur).Commit(curNext | 1) {
+			h.addLive(-1)
+			return prev, cur, curNext, dup, true
 		}
 	}
 }
@@ -996,8 +1003,9 @@ func (h *Handle) dupBehind(cur int, curNext, k Word) bool {
 }
 
 // DeleteBegin performs the vulnerable first half of a delete — seek the
-// first live k-node and logically delete it (mark its next pointer) — and
-// stops right before the physical unlink of the predecessor link, exposing
+// binding of k and logically delete it (mark its next pointer), after
+// killing any shadowed duplicate behind it, as Delete does — and stops
+// right before the physical unlink of the predecessor link, exposing
 // the ABA window for the deterministic corruption experiments.  It returns
 // the marked node and its successor, or found=false if k was absent.
 //
@@ -1018,21 +1026,15 @@ func (h *Handle) DeleteBegin(k Word) (cur, succ int, found bool) {
 func (h *Handle) deleteBegin(k Word) (cur, succ int, found bool) {
 	b, sk := h.locate(k)
 	spins := 0
-	for {
-		prev, c, curNext, found, ok := h.seek(b, k, sk, 0, &spins)
-		if !ok || !found {
-			h.pendingPrev, h.pendingCur, h.pendingSucc = nil, 0, 0
-			h.endOp(true)
-			return 0, 0, false
-		}
-		if !h.link(c).Commit(curNext | 1) {
-			continue
-		}
-		h.addLive(-1)
-		h.pendingPrev, h.pendingCur, h.pendingSucc = prev, c, curNext&^1
-		h.ring.Record(trace.KindOpBegin, trace.NameDelete, uint64(c), uint64(linkIdx(curNext)))
-		return c, linkIdx(curNext), true
+	prev, cur, curNext, _, ok := h.markMatch(b, k, sk, 0, &spins)
+	if !ok {
+		h.pendingPrev, h.pendingCur, h.pendingSucc = nil, 0, 0
+		h.endOp(true)
+		return 0, 0, false
 	}
+	h.pendingPrev, h.pendingCur, h.pendingSucc = prev, cur, curNext&^1
+	h.ring.Record(trace.KindOpBegin, trace.NameDelete, uint64(cur), uint64(linkIdx(curNext)))
+	return cur, linkIdx(curNext), true
 }
 
 // DeleteCommit performs the second half of the delete begun by DeleteBegin:
@@ -1205,9 +1207,6 @@ func (h *Handle) linkDummy(b int) bool {
 			return true // linked by an earlier split that ran out of budget
 		}
 		own.Store(packLink(cur, false))
-		if h.SplitStall != nil {
-			h.SplitStall()
-		}
 		if prev.Commit(packLink(d, false)) {
 			return true
 		}

@@ -6,28 +6,33 @@ import (
 	"abadetect/internal/apps"
 	"abadetect/internal/reclaim"
 	"abadetect/internal/shmem"
+	"abadetect/internal/sim"
 )
 
-// TestWaitFreeGetTornReadMatrix scripts the exact interleaving the seqlock
-// fence exists for: a reader stalls between loading a node's key and
-// validating the link it hangs off, while a writer deletes that binding and
-// recycles the node under a *different* key in the same bucket.  A reader
-// that accepts its pre-stall key match with the post-stall value would
-// return a (key, value) pair that never coexisted.
+// TestWaitFreeGetTornReadMatrix sweeps the interleaving the seqlock fence
+// exists for: after every prefix of a reader's Get(1) on the one-node,
+// one-bucket map 1=100, a writer deletes that binding and recycles the
+// node under a *different* key, Put(5, 999).  A reader that accepts a key
+// match read before the recycle with a value read after it returns a
+// (key, value) pair that never coexisted, (999, true).
 //
-// The sound regimes must turn the stall into a torn attempt (counted in
-// MapAudit.ReadRetries) and re-read; raw+none is the documented §1 victim —
-// the recycled node restores the head link bit-for-bit, the value-blind
-// Validate accepts it, and the mixed pair escapes.  Raw under a real
-// reclaimer disables the fast path entirely (Handle.fastOK), so the stall
-// hook never fires and the guarded read stays sound.
+// Value-blind raw+none is the documented §1 victim: at the cut between its
+// key load and its fence the recycled node restores the head link
+// bit-for-bit, Validate accepts it, and the mixed pair escapes.  The sound
+// regimes never return it, and at every cut whose block recycled the node
+// inside the Get they miss, since the fence turns the attempt torn (counted
+// in MapAudit.ReadRetries) and the re-read finds key 1 gone.  Raw under a
+// reclaimer disables the fast path (Handle.fastOK) and reads through the
+// protected path: its protection makes the writer's Put starve at some
+// cuts, which is prevention, and it never returns the mixed pair either.
+// Whatever the reader saw, the writer's operations were well formed, and
+// the map must audit clean at every cut.
 func TestWaitFreeGetTornReadMatrix(t *testing.T) {
 	type cfg struct {
 		name    string
 		prot    Protection
 		tagBits uint
 		rc      reclaim.Maker
-		victim  bool // the mixed read is the expected outcome
 	}
 	var cfgs []cfg
 	prots := []struct {
@@ -50,75 +55,90 @@ func TestWaitFreeGetTornReadMatrix(t *testing.T) {
 	}
 	for _, p := range prots {
 		for _, r := range rcs {
-			cfgs = append(cfgs, cfg{
-				name: p.name + "+" + r.name, prot: p.prot, tagBits: p.tagBits, rc: r.mk,
-				victim: p.prot == apps.Raw && r.mk == nil,
-			})
+			cfgs = append(cfgs, cfg{name: p.name + "+" + r.name, prot: p.prot, tagBits: p.tagBits, rc: r.mk})
 		}
 	}
 
 	for _, c := range cfgs {
 		t.Run(c.name, func(t *testing.T) {
-			// One bucket and one node: key 5 *must* recycle key 1's node at
-			// the same index (the allocator prefers untouched nodes over
-			// recycled ones, so spare capacity would dodge the reuse this
-			// script depends on).  Under hp/epoch the exhaustion path drains
-			// eagerly — the stalled reader holds no protection, so the node
-			// still recycles, just behind a bumped guard the fence catches.
-			m := buildMap(t, 2, 1, 1, c.prot, c.tagBits, c.rc)
-			r, err := m.Handle(0)
-			if err != nil {
-				t.Fatal(err)
-			}
-			w, err := m.Handle(1)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !w.Put(1, 100) {
-				t.Fatal("setup Put(1, 100) failed")
-			}
-			fired := false
-			r.ReadStall = func() {
-				if fired {
-					return
-				}
-				fired = true
-				// The writer runs to completion inside the reader's stall:
-				// remove the binding, then recycle its node under key 5.
-				if !w.Delete(1) {
-					t.Error("stall-window Delete(1) failed")
-				}
-				if !w.Put(5, 999) {
-					t.Error("stall-window Put(5, 999) failed")
-				}
-			}
-			v, ok := r.Get(1)
-
-			if c.victim {
-				if !fired {
-					t.Fatal("fast path never reached the stall point")
-				}
-				if !ok || v != 999 {
-					t.Errorf("Get(1) = (%d, %v); the value-blind raw guard is documented to accept the recycled node's value (999, true)", v, ok)
-				}
-			} else {
-				// Linearizable outcomes only: the old binding's value, or a
-				// miss (the Get overlaps the Delete).  999 is bound to key 5
-				// and must never surface from Get(1).
-				if ok && v != 100 {
-					t.Errorf("Get(1) = (%d, %v): mixed (key, value) snapshot escaped the fence", v, ok)
-				}
-				if fired {
-					if a := m.Audit(); a.ReadRetries == 0 {
-						t.Error("torn attempt was not counted in ReadRetries")
+			victim := c.prot == apps.Raw && c.rc == nil
+			cuts, mixedCuts, tornCuts, starvedCuts := 0, 0, 0, 0
+			for cut, finished := 0, false; !finished; cut++ {
+				// One bucket and one node: key 5 *must* recycle key 1's
+				// node at the same index.  Under hp/epoch the exhaustion
+				// path drains eagerly, so a reader holding no protection
+				// leaves the node free to recycle.
+				setUp, recycled := false, false
+				var v Word
+				var ok bool
+				runner, m := simMap(t, c.prot, c.tagBits, c.rc, 1, 2, func(hs []*Handle) []sim.Program {
+					if hs[1].fastOK != (c.prot != apps.Raw || c.rc == nil) {
+						t.Errorf("fastOK = %v", hs[1].fastOK)
 					}
+					return []sim.Program{
+						func(*sim.Proc) {
+							if !hs[0].Put(1, 100) {
+								panic("set-up Put(1, 100) failed")
+							}
+							setUp = true
+							if !hs[0].Delete(1) {
+								panic("block Delete(1) failed")
+							}
+							recycled = hs[0].Put(5, 999)
+						},
+						func(*sim.Proc) { v, ok = hs[1].Get(1) },
+					}
+				})
+				// The writer's set-up, then the reader's cut, the writer's
+				// block, and the reader's end.
+				_, err := runner.StepUntil(0, sweepLimit, func(int) bool { return setUp })
+				if err == nil {
+					finished, err = playCut(runner, 1, cut, 0, 1)
+				}
+				runner.Close()
+				if err != nil {
+					t.Fatalf("cut %d: %v", cut, err)
+				}
+				cuts++
+				a := m.Audit()
+				if a.Corrupt() {
+					t.Fatalf("cut %d: audit: %s", cut, a)
+				}
+				if a.ReadRetries > 0 {
+					tornCuts++
+				}
+				if !recycled {
+					starvedCuts++
+				}
+				if ok && v == 999 {
+					mixedCuts++
+					if !victim {
+						t.Errorf("cut %d: Get(1) = (999, true): mixed (key, value) snapshot escaped the fence", cut)
+					}
+				} else if ok && v != 100 {
+					t.Errorf("cut %d: Get(1) = (%d, true), a value never bound to key 1", cut, v)
+				}
+				if c.prot != apps.Raw && !finished && recycled && ok {
+					t.Errorf("cut %d: Get(1) = (%d, true) across the recycle, want the re-read's miss", cut, v)
 				}
 			}
-			// The writer's ops were well-formed in every cell; whatever the
-			// reader saw, the structure itself must audit clean.
-			r.ReadStall = nil
-			if a := m.Audit(); a.Corrupt() {
-				t.Errorf("structural audit after the script: %s", a)
+			t.Logf("%d cuts: %d mixed, %d torn, %d starved", cuts, mixedCuts, tornCuts, starvedCuts)
+			switch {
+			case victim:
+				if mixedCuts == 0 {
+					t.Error("value-blind raw+none never returned the mixed pair (999, true)")
+				}
+			case c.prot == apps.Raw:
+				if starvedCuts == 0 {
+					t.Error("the reader's protection never held the node")
+				}
+			default:
+				if tornCuts == 0 {
+					t.Error("no cut counted a torn attempt")
+				}
+				if starvedCuts != 0 {
+					t.Errorf("the fast path holds no protection, yet %d cuts starved", starvedCuts)
+				}
 			}
 		})
 	}

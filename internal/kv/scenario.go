@@ -6,7 +6,6 @@ import (
 
 	"abadetect/internal/apps"
 	"abadetect/internal/shmem"
-	"abadetect/internal/trace"
 )
 
 // mapScenarioKeys returns the script's four keys, picked from 1..4 by split
@@ -48,10 +47,7 @@ func mapScenarioKeys() (k1, k2, k3, k4 Word) {
 // no ABA left for the guard to see.
 func MapABAScenario(f shmem.Factory, prot Protection, tagBits uint, opts ...apps.StructOption) (apps.ScenarioResult, error) {
 	var r apps.ScenarioResult
-	rec := trace.New(2, 128)
-	rec.Watch(func(e trace.Event) bool {
-		return e.Kind == trace.KindGuardNearMiss || e.Kind == trace.KindExhaust
-	})
+	rec := apps.ScenarioRecorder(2)
 	opts = append(opts, apps.WithTrace(rec))
 	m, err := NewMap(f, 2, 3, 1, prot, tagBits, opts...) // one bucket: every key collides
 	if err != nil {
@@ -98,10 +94,6 @@ func MapABAScenario(f shmem.Factory, prot Protection, tagBits uint, opts ...apps
 	r.Corrupt, r.Detail = audit.Corrupt(), audit.String()
 	r.Guard = m.GuardMetrics()
 	r.Pool = m.PoolStats()
-	if inc := rec.Incident(); inc != nil {
-		r.Incident = inc
-	} else {
-		r.Incident = rec.Merge()
-	}
+	r.Incident = apps.ScenarioIncident(rec)
 	return r, nil
 }

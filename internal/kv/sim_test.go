@@ -2,6 +2,7 @@ package kv
 
 import (
 	"fmt"
+	"sort"
 	"testing"
 
 	"abadetect/internal/apps"
@@ -136,68 +137,50 @@ func (s boundMapSpec) Initial() check.State {
 // preempted between its insert and its kill (linkStaleDuplicate): in a
 // one-bucket map, the binding of key 1 (value 10) with an older live node
 // of key 1 (value 9) directly behind it.  p0 builds that state and then
-// runs Delete(1); p1 runs ops over key 1 ('g' Get, 'd' Delete).  The runner
-// returned has stepped p0 alone through the set-up, so it is poised at p0's
-// first Delete step.
-func dupWindowRun(t *testing.T, prot Protection, tagBits uint, rc reclaim.Maker, ops string) (*sim.Runner, *Map) {
+// deletes key 1, with Delete(1) or, when split, with DeleteBegin(1) and
+// DeleteCommit recorded as one Delete; p1 runs ops over key 1 ('g' Get,
+// 'd' Delete).  The runner returned has stepped p0 alone through the
+// set-up, so it is poised at p0's first delete step.
+func dupWindowRun(t *testing.T, prot Protection, tagBits uint, rc reclaim.Maker, split bool, ops string) (*sim.Runner, *Map) {
 	t.Helper()
-	runner := sim.NewRunner(2)
-	var opts []apps.StructOption
-	if rc != nil {
-		opts = append(opts, apps.WithReclaimer(rc))
-	}
-	m, err := NewMap(runner.Factory(), 2, 4, 1, prot, tagBits, opts...)
-	if err != nil {
-		runner.Close()
-		t.Fatal(err)
-	}
-	hs := make([]*Handle, 2)
-	for pid := range hs {
-		if hs[pid], err = m.Handle(pid); err != nil {
-			runner.Close()
-			t.Fatal(err)
-		}
-	}
 	ready := false
-	progs := []sim.Program{
-		func(p *sim.Proc) {
-			if !hs[0].Put(1, 10) {
-				panic("set-up Put failed")
-			}
-			linkStaleDuplicate(hs[0], 1, 9)
-			ready = true
-			p.Invoke("Delete", 1)
-			p.Return(boolWord(hs[0].Delete(1)))
-		},
-		func(p *sim.Proc) {
-			for _, c := range ops {
-				switch c {
-				case 'g':
-					p.Invoke("Get", 1)
-					v, ok := hs[1].Get(1)
-					p.Return(v, boolWord(ok))
-				case 'd':
-					p.Invoke("Delete", 1)
-					p.Return(boolWord(hs[1].Delete(1)))
+	runner, m := simMap(t, prot, tagBits, rc, 4, 2, func(hs []*Handle) []sim.Program {
+		return []sim.Program{
+			func(p *sim.Proc) {
+				if !hs[0].Put(1, 10) {
+					panic("set-up Put failed")
 				}
-			}
-		},
-	}
-	for pid, prog := range progs {
-		if err := runner.SetProgram(pid, prog); err != nil {
-			runner.Close()
-			t.Fatal(err)
+				linkStaleDuplicate(hs[0], 1, 9)
+				ready = true
+				p.Invoke("Delete", 1)
+				if !split {
+					p.Return(boolWord(hs[0].Delete(1)))
+					return
+				}
+				// The mark is the split delete's linearization point; the
+				// commit only unlinks.
+				_, _, found := hs[0].DeleteBegin(1)
+				hs[0].DeleteCommit()
+				p.Return(boolWord(found))
+			},
+			func(p *sim.Proc) {
+				for _, c := range ops {
+					switch c {
+					case 'g':
+						p.Invoke("Get", 1)
+						v, ok := hs[1].Get(1)
+						p.Return(v, boolWord(ok))
+					case 'd':
+						p.Invoke("Delete", 1)
+						p.Return(boolWord(hs[1].Delete(1)))
+					}
+				}
+			},
 		}
-	}
-	if err := runner.Start(); err != nil {
+	})
+	if _, err := runner.StepUntil(0, sweepLimit, func(int) bool { return ready }); err != nil {
 		runner.Close()
 		t.Fatal(err)
-	}
-	for !ready {
-		if err := runner.Step(0); err != nil {
-			runner.Close()
-			t.Fatal(err)
-		}
 	}
 	return runner, m
 }
@@ -205,29 +188,30 @@ func dupWindowRun(t *testing.T, prot Protection, tagBits uint, rc reclaim.Maker,
 // TestMapDeleteDuplicateWindow deletes a binding that has an older live
 // duplicate behind it — the window between a Put's insert and its kill —
 // while p1 reads (and then deletes) the same key.  p1's operations run as
-// one block inserted after every prefix of p0's Delete, the cut right
-// after p0's first mark included.  The Delete must kill the shadowed
-// duplicate before it marks the binding: marked first, the binding would
-// promote the duplicate to first match, and a Get in between would return
-// its stale value 9, which no linearization allows.  A Delete reports true
-// only when it marked the binding itself, so p1's Delete and p0's cannot
-// both succeed.  Whatever the cut, no live node may be left.
+// one block inserted after every prefix of p0's delete, the cut right
+// after p0's first mark included.  The delete, whole or split into
+// DeleteBegin and DeleteCommit, must kill the shadowed duplicate before it
+// marks the binding: marked first, the binding would promote the duplicate
+// to first match, and a Get in between would return its stale value 9,
+// which no linearization allows.  A delete reports true only when it
+// marked the binding itself, so p1's Delete and p0's cannot both succeed.
+// Whatever the cut, no live node may be left.  p1 reads through its own
+// handle: an operation on p0's handle between DeleteBegin and DeleteCommit
+// would re-arm the pending unlink's predecessor link.
 func TestMapDeleteDuplicateWindow(t *testing.T) {
 	spec := boundMapSpec{k: 1, v: 10}
 	for _, tc := range soundConfigs() {
-		for _, ops := range []string{"g", "gd"} {
-			t.Run(tc.name+"/"+ops, func(t *testing.T) {
+		for _, in := range []struct {
+			name  string
+			split bool
+			ops   string
+		}{{"g", false, "g"}, {"gd", false, "gd"}, {"split-g", true, "g"}, {"split-gd", true, "gd"}} {
+			t.Run(tc.name+"/"+in.name, func(t *testing.T) {
 				for cut, early := 0, false; !early; cut++ {
-					runner, m := dupWindowRun(t, tc.prot, tc.tagBits, tc.rc, ops)
+					runner, m := dupWindowRun(t, tc.prot, tc.tagBits, tc.rc, in.split, in.ops)
 					// p0 takes cut steps, then p1 runs to the end, then p0.
-					err := stepFor(runner, 0, cut)
-					early = runner.Done(0) // no later cut differs
-					if err == nil {
-						err = stepFor(runner, 1, -1)
-					}
-					if err == nil {
-						err = stepFor(runner, 0, -1)
-					}
+					var err error
+					early, err = playCut(runner, 0, cut, 1, 0)
 					hist, pending, perr := check.PairOps(runner.History())
 					runner.Close()
 					if err != nil || perr != nil || len(pending) != 0 {
@@ -249,17 +233,125 @@ func TestMapDeleteDuplicateWindow(t *testing.T) {
 	}
 }
 
-// stepFor steps pid until it finishes or, when steps >= 0, has taken that
-// many steps; a process that runs 10,000 steps without finishing is an
-// error.
-func stepFor(r *sim.Runner, pid, steps int) error {
-	for taken := 0; !r.Done(pid) && taken != steps; taken++ {
-		if taken == 10_000 {
-			return fmt.Errorf("p%d did not finish", pid)
-		}
-		if err := r.Step(pid); err != nil {
-			return err
+// TestMapSeekRestartsAtMarkedPredecessor sweeps the window between a
+// walk's helped unlink and its re-load of the predecessor link.  In a
+// one-bucket map holding a and b (list order a, b, c), p2 leaves b marked
+// by a pending DeleteBegin.  p0's Put(c) walks past a, helps unlink b
+// through a's link and re-loads that link; then p0 reads c back.  p1's
+// Delete(a) runs after every prefix of p0's program.  Run inside the
+// window, the Delete marks a and unlinks it, so the re-loaded link is
+// marked: a walk that continued from a would link c behind a node already
+// off the list, clearing its mark, and c would be lost.  Every history must
+// be linearizable from a's binding, and c must be the one live node left.
+func TestMapSeekRestartsAtMarkedPredecessor(t *testing.T) {
+	ks := []Word{1, 2, 3}
+	sort.Slice(ks, func(i, j int) bool { return after(sortKeyData(ks[j]), sortKeyData(ks[i])) })
+	a, b, c := ks[0], ks[1], ks[2]
+	spec := boundMapSpec{k: a, v: 10}
+	for _, tc := range soundConfigs() {
+		t.Run(tc.name, func(t *testing.T) {
+			for cut, early := 0, false; !early; cut++ {
+				runner, m := simMap(t, tc.prot, tc.tagBits, tc.rc, 4, 3, func(hs []*Handle) []sim.Program {
+					return []sim.Program{
+						func(p *sim.Proc) {
+							p.Invoke("Put", c, 30)
+							p.Return(boolWord(hs[0].Put(c, 30)))
+							p.Invoke("Get", c)
+							v, ok := hs[0].Get(c)
+							p.Return(v, boolWord(ok))
+						},
+						func(p *sim.Proc) {
+							p.Invoke("Delete", a)
+							p.Return(boolWord(hs[1].Delete(a)))
+						},
+						func(*sim.Proc) {
+							if !hs[2].Put(a, 10) || !hs[2].Put(b, 20) {
+								panic("set-up Put failed")
+							}
+							if _, _, found := hs[2].DeleteBegin(b); !found {
+								panic("set-up DeleteBegin(b) missed")
+							}
+						},
+					}
+				})
+				// p2's set-up, then p0 takes cut steps, p1 runs, and p0 ends.
+				_, err := runner.StepUntil(2, sweepLimit, nil)
+				if err == nil {
+					early, err = playCut(runner, 0, cut, 1, 0)
+				}
+				hist, pending, perr := check.PairOps(runner.History())
+				runner.Close()
+				if err != nil || perr != nil || len(pending) != 0 {
+					t.Fatalf("cut %d: %v, pairing the history: %v, %d pending", cut, err, perr, len(pending))
+				}
+				if res := check.Linearizable(spec, hist); !res.Ok {
+					var lines string
+					for _, op := range hist {
+						lines += fmt.Sprintf("  %s\n", op)
+					}
+					t.Fatalf("cut %d: history not linearizable from %d=10:\n%s", cut, a, lines)
+				}
+				if au := m.Audit(); au.Corrupt() || au.Live != 1 {
+					t.Fatalf("cut %d: audit at the end: %s", cut, au)
+				}
+			}
+		})
+	}
+}
+
+// simMap builds a one-bucket map of the given capacity for n processes on a
+// fresh runner, makes one handle per process, and starts the programs that
+// progs returns for those handles.
+func simMap(t *testing.T, prot Protection, tagBits uint, rc reclaim.Maker, capacity, n int, progs func(hs []*Handle) []sim.Program) (*sim.Runner, *Map) {
+	t.Helper()
+	runner := sim.NewRunner(n)
+	var opts []apps.StructOption
+	if rc != nil {
+		opts = append(opts, apps.WithReclaimer(rc))
+	}
+	m, err := NewMap(runner.Factory(), n, capacity, 1, prot, tagBits, opts...)
+	if err != nil {
+		runner.Close()
+		t.Fatal(err)
+	}
+	hs := make([]*Handle, n)
+	for pid := range hs {
+		if hs[pid], err = m.Handle(pid); err != nil {
+			runner.Close()
+			t.Fatal(err)
 		}
 	}
-	return nil
+	for pid, prog := range progs(hs) {
+		if err = runner.SetProgram(pid, prog); err != nil {
+			break
+		}
+	}
+	if err == nil {
+		err = runner.Start()
+	}
+	if err != nil {
+		runner.Close()
+		t.Fatal(err)
+	}
+	return runner, m
+}
+
+// sweepLimit bounds every leg of a cut sweep's schedule.
+const sweepLimit = 10_000
+
+// playCut plays one cut of a sweep on a started runner: process cut takes
+// exactly steps steps (fewer if it finishes), then each process of then runs
+// to its end, in order.  It reports whether cut had finished within its
+// steps, after which no later cut differs.
+func playCut(r *sim.Runner, cut, steps int, then ...int) (bool, error) {
+	if _, err := r.StepUntil(cut, sweepLimit, func(taken int) bool { return taken == steps }); err != nil {
+		return false, err
+	}
+	finished := r.Done(cut)
+	for _, pid := range then {
+		if _, err := r.StepUntil(pid, sweepLimit, nil); err != nil {
+			return finished, err
+		}
+	}
+	return finished, nil
 }

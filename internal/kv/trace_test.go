@@ -10,55 +10,67 @@ import (
 )
 
 // TestMapScenarioIncidentOrder is the flight recorder's acceptance test:
-// the raw+none MapABAScenario must attach an incident dump whose merged
-// event sequence tells the whole §1 story in happens-before order —
+// each raw+none map script must attach an incident dump whose merged event
+// sequence tells the whole §1 story in happens-before order —
 //
-//  1. the victim's armed load of the bucket head (the reference it will
-//     later commit against),
-//  2. the adversary's release of node 3 (the helped unlink frees it),
-//  3. the adversary's re-allocation of node 3 (the recycle that restores
-//     the head word),
-//  4. the victim's corrupting commit on the bucket head, *accepted* —
-//     because for a raw guard the recycled word compares equal.
+//  1. the victim's armed load of the bucket head mhead[0] (the reference it
+//     will later commit against);
+//  2. the adversary's release of the recycled node (node 3, freed by the
+//     helped unlink, in MapABAScenario; node 1, freed by the adversary's
+//     Delete, in MapGrowABAScenario);
+//  3. the adversary's re-allocation of that node (the recycle that restores
+//     the head word);
+//  4. the victim's corrupting commit on mhead[0], *accepted* — because for
+//     a raw guard the recycled word compares equal.
 func TestMapScenarioIncidentOrder(t *testing.T) {
-	r, err := MapABAScenario(shmem.NewNativeFactory(), apps.Raw, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !r.Fooled || !r.Corrupt {
-		t.Fatalf("raw+none scenario no longer corrupts: fooled=%v corrupt=%v", r.Fooled, r.Corrupt)
-	}
-	if len(r.Incident) == 0 {
-		t.Fatal("scenario attached no incident dump")
-	}
-
-	// pid 0 is the adversary, pid 1 the victim (scenario construction order).
-	armedLoad, release, realloc, commit := -1, -1, -1, -1
-	for i, e := range r.Incident {
-		switch {
-		case e.Pid == 1 && e.Kind == trace.KindGuardLoad && e.Obj == "mhead[0]" && armedLoad < 0:
-			armedLoad = i // the victim's first head load is the armed one
-		case e.Pid == 0 && e.Kind == trace.KindRelease && e.A == 3:
-			release = i
-		case e.Pid == 0 && e.Kind == trace.KindAlloc && e.A == 3 && release >= 0:
-			realloc = i // node 3's re-allocation after its release
-		case e.Pid == 1 && e.Kind == trace.KindGuardCommit && e.Obj == "mhead[0]":
-			commit = i // the victim's accepted unlink commit
+	for _, in := range []struct {
+		name     string
+		run      func() (apps.ScenarioResult, error)
+		recycled uint64
+	}{
+		{"delete", func() (apps.ScenarioResult, error) { return MapABAScenario(shmem.NewNativeFactory(), apps.Raw, 0) }, 3},
+		{"grow", func() (apps.ScenarioResult, error) { return MapGrowABAScenario(apps.Raw, 0) }, 1},
+	} {
+		r, err := in.run()
+		if err != nil {
+			t.Fatalf("%s: %v", in.name, err)
 		}
-	}
-	if armedLoad < 0 || release < 0 || realloc < 0 || commit < 0 {
-		t.Fatalf("incident dump missing legs: armedLoad=%d release=%d realloc=%d commit=%d\n%s",
-			armedLoad, release, realloc, commit, trace.Format(r.Incident))
-	}
-	if !(armedLoad < release && release < realloc && realloc < commit) {
-		t.Fatalf("incident legs out of happens-before order: armedLoad=%d release=%d realloc=%d commit=%d\n%s",
-			armedLoad, release, realloc, commit, trace.Format(r.Incident))
-	}
-	// The dump itself must be strictly ascending in (GSeq, ticketed first,
-	// Pid, Seq) (Merge's contract).
-	for i := 1; i < len(r.Incident); i++ {
-		if !mergeKeyLess(r.Incident[i-1], r.Incident[i]) {
-			t.Fatalf("incident dump not in (GSeq, ticketed first, Pid, Seq) order at %d\n%s", i, trace.Format(r.Incident))
+		if !r.Fooled || !r.Corrupt {
+			t.Fatalf("%s: raw+none scenario no longer corrupts: fooled=%v corrupt=%v", in.name, r.Fooled, r.Corrupt)
+		}
+		if len(r.Incident) == 0 {
+			t.Fatalf("%s: scenario attached no incident dump", in.name)
+		}
+
+		// pid 0 is the adversary, pid 1 the victim (scenario construction
+		// order).
+		armedLoad, release, realloc, commit := -1, -1, -1, -1
+		for i, e := range r.Incident {
+			switch {
+			case e.Pid == 1 && e.Kind == trace.KindGuardLoad && e.Obj == "mhead[0]" && armedLoad < 0:
+				armedLoad = i // the victim's first head load is the armed one
+			case e.Pid == 0 && e.Kind == trace.KindRelease && e.A == in.recycled:
+				release = i
+			case e.Pid == 0 && e.Kind == trace.KindAlloc && e.A == in.recycled && release >= 0:
+				realloc = i // the node's re-allocation after its release
+			case e.Pid == 1 && e.Kind == trace.KindGuardCommit && e.Obj == "mhead[0]":
+				commit = i // the victim's accepted commit
+			}
+		}
+		if armedLoad < 0 || release < 0 || realloc < 0 || commit < 0 {
+			t.Fatalf("%s: incident dump missing legs: armedLoad=%d release=%d realloc=%d commit=%d\n%s",
+				in.name, armedLoad, release, realloc, commit, trace.Format(r.Incident))
+		}
+		if !(armedLoad < release && release < realloc && realloc < commit) {
+			t.Fatalf("%s: incident legs out of happens-before order: armedLoad=%d release=%d realloc=%d commit=%d\n%s",
+				in.name, armedLoad, release, realloc, commit, trace.Format(r.Incident))
+		}
+		// The dump itself must be strictly ascending in (GSeq, ticketed
+		// first, Pid, Seq) (Merge's contract).
+		for i := 1; i < len(r.Incident); i++ {
+			if !mergeKeyLess(r.Incident[i-1], r.Incident[i]) {
+				t.Fatalf("%s: incident dump not in (GSeq, ticketed first, Pid, Seq) order at %d\n%s", in.name, i, trace.Format(r.Incident))
+			}
 		}
 	}
 }

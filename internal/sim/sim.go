@@ -131,7 +131,9 @@ func (r *Runner) NumProcs() int { return r.n }
 func (r *Runner) SetRecording(on bool) { r.record = on }
 
 // Factory returns the base-object factory whose objects are gated by this
-// runner's scheduler.  Objects must be created before Start.
+// runner's scheduler.  Objects are created before Start, or by a program
+// inside its own step, as a growing map builds its new buckets and nodes;
+// creating an object is not a step.
 func (r *Runner) Factory() shmem.Factory { return &simFactory{r: r} }
 
 // SetProgram assigns the program run by process pid.  It must be called
@@ -264,6 +266,30 @@ func (r *Runner) Step(pid int) error {
 		}
 	}
 	return nil
+}
+
+// StepUntil grants process pid steps, one at a time, until it finishes or
+// stop reports true.  stop is asked before every step with the number of
+// steps granted so far, and a nil stop runs pid to completion; so a caller
+// cuts a process after an exact prefix of its steps, or at the first state
+// an Observer read recognises.  It returns the number of steps granted.  A
+// process still running after limit steps is an error, so a livelocked
+// program fails its caller instead of hanging it.
+func (r *Runner) StepUntil(pid, limit int, stop func(taken int) bool) (int, error) {
+	if pid < 0 || pid >= r.n {
+		return 0, fmt.Errorf("sim: pid %d out of range [0,%d)", pid, r.n)
+	}
+	taken := 0
+	for !r.procs[pid].done && (stop == nil || !stop(taken)) {
+		if taken == limit {
+			return taken, fmt.Errorf("sim: process %d still running after %d steps", pid, limit)
+		}
+		if err := r.Step(pid); err != nil {
+			return taken, err
+		}
+		taken++
+	}
+	return taken, nil
 }
 
 // Run drives the schedule chosen by strategy until all programs finish, the

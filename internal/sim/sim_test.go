@@ -79,6 +79,37 @@ func TestSoloRunIsSequential(t *testing.T) {
 	}
 }
 
+func TestStepUntil(t *testing.T) {
+	r, ctr := buildIncrementers(t, 2, 3)
+	defer r.Close()
+	// A cut: exactly three of process 0's steps, the second increment's read.
+	if n, err := r.StepUntil(0, 100, func(taken int) bool { return taken == 3 }); err != nil || n != 3 {
+		t.Fatalf("cut = (%d, %v), want (3, nil)", n, err)
+	}
+	// A state predicate, checked before every step: process 1 stops as soon
+	// as its first increment is visible to the observer.
+	if n, err := r.StepUntil(1, 100, func(int) bool { return ctr.Read(Observer) == 2 }); err != nil || n != 2 {
+		t.Fatalf("predicate stop = (%d, %v), want (2, nil)", n, err)
+	}
+	// Process 0's pending CAS fails against process 1's write and retries.
+	if n, err := r.StepUntil(0, 100, nil); err != nil || n != 5 || !r.Done(0) {
+		t.Fatalf("run to the end = (%d, %v), done=%v; want (5, nil), done", n, err, r.Done(0))
+	}
+	// A finished process takes no step; a process past its limit is an error.
+	if n, err := r.StepUntil(0, 100, nil); err != nil || n != 0 {
+		t.Fatalf("finished process = (%d, %v), want (0, nil)", n, err)
+	}
+	if _, err := r.StepUntil(1, 1, nil); err == nil {
+		t.Error("a process still running at its limit should be an error")
+	}
+	if _, err := r.StepUntil(2, 1, nil); err == nil {
+		t.Error("StepUntil with a bad pid should fail")
+	}
+	if got := ctr.Read(Observer); got != 4 {
+		t.Errorf("counter = %d, want 4", got)
+	}
+}
+
 func TestContendedCASFails(t *testing.T) {
 	// Schedule both processes' Reads before either CAS: exactly one CAS
 	// must fail, demonstrating real interleaving.
