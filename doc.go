@@ -223,7 +223,9 @@
 // n+1-register m(n) while tracking hp's alloc-miss behavior under
 // write-leaning churn.  The map's retirement is batched (RetireBatch
 // through the pool seam: each operation's kill set is flushed at guard
-// release), and every hp threshold sweep reads all n·H hazard registers.
+// release), so is the return trip (the nodes one reclaimer call frees
+// reach the pool as one batch), and every hp threshold sweep reads all
+// n·H hazard registers.
 // The reclamation-pressure matrix (experiment E16, abalab -run E16) prices
 // all of this.
 //

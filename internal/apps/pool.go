@@ -60,10 +60,11 @@ type PoolHandle interface {
 	// Release returns a node to the pool — immediately, or through the
 	// reclaimer's deferred-free path when one is attached.
 	Release(idx int)
-	// ReleaseBatch returns a whole batch of nodes in one call, preserving
-	// order, with the per-release bookkeeping (mutex acquisitions, free-list
-	// commits, reclaimer stamping) amortized over the batch.  The slice is
-	// copied out, never retained.
+	// ReleaseBatch returns a whole batch of nodes in one call: the pool is
+	// left as the same Release calls in sequence would leave it, with the
+	// per-release bookkeeping (mutex acquisitions, free-list commits,
+	// reclaimer stamping) amortized over the batch.  The slice is copied
+	// out, never retained.
 	ReleaseBatch(idxs []int)
 	// Protect publishes that this process may still dereference idx
 	// (reclaim slot semantics); a no-op without a reclaimer.
@@ -436,22 +437,22 @@ func (h *guardedPoolHandle) Release(idx int) {
 	}
 }
 
-// ReleaseBatch chains the batch locally — idxs[0] -> ... -> idxs[last] —
+// ReleaseBatch chains the batch locally — idxs[last] -> ... -> idxs[0] —
 // and swings the free-list head once: one guard commit per batch instead of
-// one per node.  The internal links are writes to allocator-owned nodes no
+// one per node.  idxs[last] lands on top, as the same Releases in sequence
+// would leave it.  The internal links are writes to allocator-owned nodes no
 // other process can reach, so only the head swing needs the retry loop.
 func (h *guardedPoolHandle) ReleaseBatch(idxs []int) {
 	if len(idxs) == 0 {
 		return
 	}
-	for i := 0; i < len(idxs)-1; i++ {
-		h.p.next.Get(idxs[i]).Write(h.pid, Word(idxs[i+1]))
+	for i := len(idxs) - 1; i > 0; i-- {
+		h.p.next.Get(idxs[i]).Write(h.pid, Word(idxs[i-1]))
 	}
-	last := idxs[len(idxs)-1]
 	for {
 		top, _ := h.h.Load()
-		h.p.next.Get(last).Write(h.pid, top)
-		if h.h.Commit(Word(idxs[0])) {
+		h.p.next.Get(idxs[0]).Write(h.pid, top)
+		if h.h.Commit(Word(idxs[len(idxs)-1])) {
 			return
 		}
 	}
@@ -464,8 +465,9 @@ func (h *guardedPoolHandle) Reclaiming() bool { return false }
 
 // reclaimedPool routes Release through a reclaim.Reclaimer: nodes retire
 // into limbo and re-enter the inner pool only once no process protection
-// can cover them.  Alloc drains the reclaimer before reporting exhaustion,
-// so a full limbo triggers reclamation instead of failure.
+// can cover them, together with the other nodes the same reclaimer call
+// freed.  Alloc drains the reclaimer before reporting exhaustion, so a full
+// limbo triggers reclamation instead of failure.
 type reclaimedPool struct {
 	inner Pool
 	rec   reclaim.Reclaimer
@@ -489,12 +491,11 @@ func (p *reclaimedPool) Handle(pid int) (PoolHandle, error) {
 	if err != nil {
 		return nil, err
 	}
-	rh, err := p.rec.Handle(pid, ih.Release)
-	if err != nil {
+	h := &reclaimedHandle{p: p, inner: ih, lane: shmem.StripeFor(pid)}
+	if h.rh, err = p.rec.Handle(pid, h.collect); err != nil {
 		return nil, err
 	}
-	press, _ := rh.(reclaim.Pressured)
-	h := &reclaimedHandle{p: p, inner: ih, rh: rh, press: press, lane: shmem.StripeFor(pid)}
+	h.press, _ = h.rh.(reclaim.Pressured)
 	if p.handles == nil {
 		p.handles = make(map[int]*reclaimedHandle)
 	}
@@ -537,6 +538,27 @@ type reclaimedHandle struct {
 	rh    reclaim.Handle
 	press reclaim.Pressured // rh's backpressure hook; nil when not offered
 	lane  int               // counter stripe, shmem.StripeFor(pid)
+
+	// freed collects, in free order, the nodes the reclaimer frees during
+	// one call into it; flush hands them to the inner pool after the call,
+	// so a reclamation pass costs one pool call however many nodes it
+	// frees.  It grows to the largest pass this process has run.
+	freed []int
+}
+
+// collect is the reclaimer's free callback.
+func (h *reclaimedHandle) collect(idx int) { h.freed = append(h.freed, idx) }
+
+// flush returns the nodes the last reclaimer call freed to the inner pool.
+// One node goes back through Release: the pass-through reclaimer frees one
+// node per call, and a one-node batch would only add the batch's set-up.
+func (h *reclaimedHandle) flush() {
+	if len(h.freed) == 1 {
+		h.inner.Release(h.freed[0])
+	} else {
+		h.inner.ReleaseBatch(h.freed)
+	}
+	h.freed = h.freed[:0]
 }
 
 // Alloc takes a free node; on exhaustion it reports the miss to the
@@ -548,7 +570,7 @@ func (h *reclaimedHandle) Alloc() int {
 		if h.press != nil {
 			h.press.AllocMiss()
 		}
-		if h.rh.Drain() > 0 {
+		if h.Drain() > 0 {
 			idx = h.inner.Alloc()
 		}
 		if idx == 0 {
@@ -558,9 +580,28 @@ func (h *reclaimedHandle) Alloc() int {
 	return idx
 }
 
-func (h *reclaimedHandle) Release(idx int)         { h.rh.Retire(idx) }
-func (h *reclaimedHandle) ReleaseBatch(idxs []int) { h.rh.RetireBatch(idxs) }
-func (h *reclaimedHandle) Protect(slot, idx int)   { h.rh.Protect(slot, idx) }
-func (h *reclaimedHandle) Clear()                  { h.rh.Clear() }
-func (h *reclaimedHandle) Drain() int              { return h.rh.Drain() }
-func (h *reclaimedHandle) Reclaiming() bool        { return true }
+func (h *reclaimedHandle) Release(idx int) {
+	h.rh.Retire(idx)
+	if len(h.freed) > 0 {
+		h.flush()
+	}
+}
+
+func (h *reclaimedHandle) ReleaseBatch(idxs []int) {
+	h.rh.RetireBatch(idxs)
+	if len(h.freed) > 0 {
+		h.flush()
+	}
+}
+
+func (h *reclaimedHandle) Drain() int {
+	n := h.rh.Drain()
+	if len(h.freed) > 0 {
+		h.flush()
+	}
+	return n
+}
+
+func (h *reclaimedHandle) Protect(slot, idx int) { h.rh.Protect(slot, idx) }
+func (h *reclaimedHandle) Clear()                { h.rh.Clear() }
+func (h *reclaimedHandle) Reclaiming() bool      { return true }

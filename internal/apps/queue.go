@@ -282,6 +282,16 @@ func (h *QueueHandle) deq() (Word, bool) {
 // validation on the sound regimes.  After peekRetries torn attempts Peek
 // falls back to the protected deqSnapshot path, which helps and is lock-free.
 func (h *QueueHandle) Peek() (Word, bool) {
+	if h.ring == nil {
+		return h.peek()
+	}
+	h.ring.Begin()
+	v, ok := h.peek()
+	h.ring.End()
+	return v, ok
+}
+
+func (h *QueueHandle) peek() (Word, bool) {
 	if h.fastOK {
 		for attempt := 0; attempt < peekRetries; attempt++ {
 			hdW, _ := h.head.Load()
@@ -298,18 +308,7 @@ func (h *QueueHandle) Peek() (Word, bool) {
 			}
 		}
 	}
-	return h.peekFallback()
-}
-
-// peekFallback runs peekGuarded as one traced operation.
-func (h *QueueHandle) peekFallback() (Word, bool) {
-	if h.ring == nil {
-		return h.peekGuarded()
-	}
-	h.ring.Begin()
-	v, ok := h.peekGuarded()
-	h.ring.End()
-	return v, ok
+	return h.peekGuarded()
 }
 
 // peekGuarded is the fallback read: the DeqBegin fence without the commit,
@@ -344,6 +343,16 @@ func (h *QueueHandle) peekGuarded() (Word, bool) {
 // a consistent (head, next[head]==0) snapshot.  Wait-free via the same fast
 // path as Peek, falling back to the full snapshot loop only on torn reads.
 func (h *QueueHandle) IsEmpty() bool {
+	if h.ring == nil {
+		return h.isEmpty()
+	}
+	h.ring.Begin()
+	empty := h.isEmpty()
+	h.ring.End()
+	return empty
+}
+
+func (h *QueueHandle) isEmpty() bool {
 	if h.fastOK {
 		for attempt := 0; attempt < peekRetries; attempt++ {
 			hdW, _ := h.head.Load()
@@ -353,7 +362,7 @@ func (h *QueueHandle) IsEmpty() bool {
 			}
 		}
 	}
-	_, ok := h.peekFallback()
+	_, ok := h.peekGuarded()
 	return !ok
 }
 

@@ -461,7 +461,8 @@ type Handle struct {
 	// for this handle, and matrix workers stop issuing operations on it.
 	spunOut bool
 
-	// pending unlink armed by DeleteBegin (the experiment hook).
+	// pending unlink armed by DeleteBegin (the experiment hook); every other
+	// operation on the handle drops it (dropPending).
 	pendingPrev guard.Handle
 	pendingCur  int
 	pendingSucc Word
@@ -693,6 +694,9 @@ retry:
 // (counted in MapAudit.ReadFallbacks), which is lock-free and helps unlink,
 // so progress is never worse than before the fast path.
 func (h *Handle) Get(k Word) (Word, bool) {
+	if h.pendingPrev != nil {
+		h.dropPending()
+	}
 	if h.ring == nil {
 		return h.get(k)
 	}
@@ -801,6 +805,9 @@ func (h *Handle) tryGetFast(b int, k, sk Word) (v Word, ok, clean bool) {
 // binding it shadows through the links the walk left armed, and two closing
 // Loads re-arm the links the Put wrote.
 func (h *Handle) Put(k, v Word) bool {
+	if h.pendingPrev != nil {
+		h.dropPending()
+	}
 	if h.ring == nil {
 		return h.put(k, v)
 	}
@@ -893,6 +900,9 @@ func (h *Handle) killShadowed(idx, cur int, curNext Word) bool {
 
 // Delete removes k's binding.  It reports whether any binding was removed.
 func (h *Handle) Delete(k Word) bool {
+	if h.pendingPrev != nil {
+		h.dropPending()
+	}
 	if h.ring == nil {
 		return h.delete(k)
 	}
@@ -1012,8 +1022,12 @@ func (h *Handle) dupBehind(cur int, curNext, k Word) bool {
 // Under a reclaimer the window is fenced exactly like a stalled stack pop:
 // the marked node stays published in this process's protection slot through
 // the stall, so it cannot re-enter the allocator — and therefore cannot be
-// recycled back under the predecessor link — until the commit clears it.
+// recycled back under the predecessor link — until the commit, or the next
+// operation on this handle, clears it.
 func (h *Handle) DeleteBegin(k Word) (cur, succ int, found bool) {
+	if h.pendingPrev != nil {
+		h.dropPending()
+	}
 	if h.ring == nil {
 		return h.deleteBegin(k)
 	}
@@ -1028,7 +1042,6 @@ func (h *Handle) deleteBegin(k Word) (cur, succ int, found bool) {
 	spins := 0
 	prev, cur, curNext, _, ok := h.markMatch(b, k, sk, 0, &spins)
 	if !ok {
-		h.pendingPrev, h.pendingCur, h.pendingSucc = nil, 0, 0
 		h.endOp(true)
 		return 0, 0, false
 	}
@@ -1041,9 +1054,13 @@ func (h *Handle) deleteBegin(k Word) (cur, succ int, found bool) {
 // the conditional unlink of the predecessor link.  Under ProtectionRaw a
 // stale commit can succeed after a remove–recycle–reinsert cycle restored
 // the link word — swinging the bucket onto a freed node; the other regimes
-// reject it.  Each DeleteBegin arms at most one DeleteCommit.  Either way
-// the node was already logically deleted, so on failure the caller leaves
-// the unlink to the helping traversals.
+// reject it.  Each DeleteBegin arms at most one DeleteCommit, and any other
+// operation on this handle in between (Get, Put, Delete, DeleteBegin,
+// GrowBuckets) disarms it: that operation's walk re-arms the predecessor
+// link and may itself unlink the marked node, so DeleteCommit then returns
+// false without a commit.  Either way the node was already logically
+// deleted, so on failure the caller leaves the unlink to the helping
+// traversals.
 func (h *Handle) DeleteCommit() bool {
 	if h.pendingPrev == nil {
 		return false
@@ -1055,6 +1072,15 @@ func (h *Handle) DeleteCommit() bool {
 	ok := h.deleteCommit()
 	h.ring.End()
 	return ok
+}
+
+// dropPending disarms the unlink DeleteBegin left pending, before another
+// operation re-arms its predecessor link, and closes the split delete's
+// window as a failed DeleteCommit does.  The marked node is left to the
+// helping traversals.
+func (h *Handle) dropPending() {
+	h.pendingPrev, h.pendingCur, h.pendingSucc = nil, 0, 0
+	h.endOp(false)
 }
 
 func (h *Handle) deleteCommit() bool {
@@ -1143,6 +1169,9 @@ func (h *Handle) maybeGrow() {
 // the directory doubled.  It is the forced form of Put's threshold split,
 // for tests and scripts.
 func (h *Handle) GrowBuckets() bool {
+	if h.pendingPrev != nil {
+		h.dropPending()
+	}
 	if h.m.size == nil {
 		return false
 	}

@@ -197,7 +197,7 @@ func dupWindowRun(t *testing.T, prot Protection, tagBits uint, rc reclaim.Maker,
 // marked the binding itself, so p1's Delete and p0's cannot both succeed.
 // Whatever the cut, no live node may be left.  p1 reads through its own
 // handle: an operation on p0's handle between DeleteBegin and DeleteCommit
-// would re-arm the pending unlink's predecessor link.
+// would abandon the pending unlink.
 func TestMapDeleteDuplicateWindow(t *testing.T) {
 	spec := boundMapSpec{k: 1, v: 10}
 	for _, tc := range soundConfigs() {

@@ -54,7 +54,8 @@ func zipfKeys(r *rand.Rand, n int, s float64) func() Word {
 // The bounds are the counts of this protocol, where each write walks its
 // run once in the common case: a Delete kills the binding it finds unless a
 // k-node follows it, and a Put kills the binding it shadows through links
-// it already holds armed.  Every step a change adds to an operation fails
+// it already holds armed, and hp's Clear writes only the hazard slots the
+// operation published.  Every step a change adds to an operation fails
 // the test.  The Get bound guards the read path against the writes' own
 // commits: a handle's Commit or Store leaves its next Load of that link
 // dirty, under LL/SC a full LL, so every write re-arms the links it wrote.
@@ -64,11 +65,11 @@ func zipfKeys(r *rand.Rand, n int, s float64) func() Word {
 func TestMapStepsPerOp(t *testing.T) {
 	for _, mix := range []stepMix{
 		{name: "map-read", prot: apps.LLSC, capacity: 2048, keys: 1024, prepop: true, zipfS: 0.99, readPct: 90, putPct: 5,
-			maxGet: 5.295, maxPut: 27.170, maxDel: 14.229},
+			maxGet: 5.295, maxPut: 26.237, maxDel: 13.317},
 		{name: "map-churn", prot: apps.Tagged, tagBits: 16, capacity: 2048, keys: 512, prepop: true, readPct: 20, putPct: 40,
-			maxGet: 4.141, maxPut: 14.587, maxDel: 8.896},
+			maxGet: 4.141, maxPut: 13.297, maxDel: 7.607},
 		{name: "map-grow", prot: apps.LLSC, capacity: 32, growTo: 4096, keys: 2048, readPct: 40, putPct: 50,
-			maxGet: 11.427, maxPut: 39.770, maxDel: 23.604},
+			maxGet: 11.427, maxPut: 39.494, maxDel: 23.331},
 	} {
 		t.Run(mix.name, func(t *testing.T) {
 			const ops = 20_000

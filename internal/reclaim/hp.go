@@ -15,12 +15,13 @@ import (
 //
 // Space is n·Slots registers — the paper's m(n) = O(n·H) for this scheme —
 // plus at most capacity deferred indices per process.  Time is one register
-// write per Protect and Slots writes per Clear, and every `threshold`
-// retires a scan reads all n·Slots registers once.  Each pending node is
-// then probed linearly against that local snapshot of at most n·Slots
-// words: local work, which the paper's t(n) does not count.  Robustness is
-// hp's selling point over epochs: a stalled process defers at most the
-// Slots nodes it protects; everything else keeps draining.
+// write per Protect, one per Clear for each slot published since the last
+// Clear, and every `threshold` retires a scan reads all n·Slots registers
+// once.  Each pending node is then probed linearly against that local
+// snapshot of at most n·Slots words: local work, which the paper's t(n)
+// does not count.  Robustness is hp's selling point over epochs: a stalled
+// process defers at most the Slots nodes it protects; everything else keeps
+// draining.
 type hpReclaimer struct {
 	n        int
 	capacity int // construction ceiling; pre-sizes the deferred lists
@@ -94,6 +95,9 @@ func (r *hpReclaimer) Handle(pid int, free Free) (Handle, error) {
 		snap:    make([]Word, 0, r.n*Slots),
 		ring:    r.tr.Ring(pid),
 	}
+	for s := range h.marked {
+		h.marked[s] = true
+	}
 	r.limboT.register(func() []int { return h.retired })
 	return h, nil
 }
@@ -108,9 +112,15 @@ func (r *hpReclaimer) Limbo() []int     { return r.limboT.limbo() }
 func (r *hpReclaimer) Metrics() Metrics { return r.m.snapshot() }
 
 type hpHandle struct {
-	r       *hpReclaimer
-	pid     int
-	free    Free
+	r    *hpReclaimer
+	pid  int
+	free Free
+	// marked[s] is set when slot s may hold a published index: Protect
+	// marks its slot and Clear withdraws only the marked slots.  A new handle
+	// starts with every slot marked, so its first Clear also withdraws what
+	// an earlier handle of this process left published.  Plain per-slot
+	// stores, not a bit mask, so Protect adds no read-modify-write.
+	marked  [Slots]bool
 	retired []int       // deferred nodes, in retire (FIFO) order
 	snap    []Word      // hazard snapshot; reused so scans never allocate
 	ring    *trace.Ring // nil without a tracer; Record on nil is a no-op
@@ -121,14 +131,19 @@ type hpHandle struct {
 // ordering (publish, then re-check reachability) is what guarantees a
 // validated node stays allocated until Clear.
 func (h *hpHandle) Protect(slot, idx int) {
+	h.marked[slot] = true
 	h.r.hazards[h.pid*Slots+slot].Write(h.pid, Word(idx))
 }
 
-// Clear withdraws this process's protections.
+// Clear withdraws this process's protections: one write per slot published
+// since the last Clear, none when the operation protected nothing.
 func (h *hpHandle) Clear() {
 	base := h.pid * Slots
-	for s := 0; s < Slots; s++ {
-		h.r.hazards[base+s].Write(h.pid, 0)
+	for s := range h.marked {
+		if h.marked[s] {
+			h.r.hazards[base+s].Write(h.pid, 0)
+			h.marked[s] = false
+		}
 	}
 }
 

@@ -69,7 +69,10 @@ type Word = shmem.Word
 const Slots = 2
 
 // Free returns a retired node to the allocator's free pool.  The reclaimer
-// invokes it only when no process protection can cover the node.
+// invokes it only when no process protection can cover the node, and only
+// from inside a call of the handle it was given to (Retire, RetireBatch or
+// Drain).  A pool may therefore collect one call's frees and return them
+// together, in free order, after the call returns.
 type Free func(idx int)
 
 // Handle is a process's reclamation endpoint.  A handle must be used by at

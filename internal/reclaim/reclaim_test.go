@@ -133,10 +133,12 @@ func TestHPStalledProcessDefersOnlyItsSlots(t *testing.T) {
 }
 
 // TestHPStepsPerCall pins hp's shared-memory steps per call on the counting
-// backend: Protect is one register write, Clear is Slots writes, a drain
-// with nodes pending reads all n·Slots hazard registers — whether or not a
-// hazard changed since the last drain — and a drain with nothing pending
-// reads none.
+// backend: Protect is one register write; Clear is one write per slot
+// published since the last Clear, and Slots on a fresh handle's first Clear,
+// which withdraws whatever an earlier handle of its process left published;
+// a drain with nodes pending reads all n·Slots hazard registers — whether
+// or not a hazard changed since the last drain — and a drain with nothing
+// pending reads none.
 func TestHPStepsPerCall(t *testing.T) {
 	const n = 3
 	cf := shmem.NewCounting(shmem.NewNativeFactory(), n)
@@ -175,13 +177,48 @@ func TestHPStepsPerCall(t *testing.T) {
 	h0.Retire(50)
 	h0.Drain()
 	if got := steps(1, h1.Clear); got != Slots {
-		t.Errorf("Clear took %d steps, want Slots = %d", got, Slots)
+		t.Errorf("a fresh handle's first Clear took %d steps, want Slots = %d", got, Slots)
 	}
 	if got := steps(0, drain); got != n*Slots {
 		t.Errorf("drain after a Clear took %d steps, want n·Slots = %d", got, n*Slots)
 	}
 	if !slices.Equal(c0.freed, []int{1, 2, 50}) {
 		t.Errorf("freed %v, want [1 2 50]", c0.freed)
+	}
+	for _, tc := range []struct {
+		name     string
+		protects []int // the slots protected since the last Clear
+		want     int64
+	}{
+		{"none published", nil, 0},
+		{"slot 0", []int{0}, 1},
+		{"slot 0 twice", []int{0, 0}, 1},
+		{"slot 1", []int{1}, 1},
+		{"both slots", []int{0, 1}, 2},
+	} {
+		for _, slot := range tc.protects {
+			h1.Protect(slot, 60+slot)
+		}
+		if got := steps(1, h1.Clear); got != tc.want {
+			t.Errorf("Clear with %s took %d steps, want %d", tc.name, got, tc.want)
+		}
+	}
+	// Whatever a Clear skipped was never published: every hazard reads 0.
+	for i, hz := range r.(*hpReclaimer).hazards {
+		if w := hz.Read(-1); w != 0 {
+			t.Errorf("hazard %d reads %d after the Clears, want 0", i, w)
+		}
+	}
+	// A new handle of pid 1 withdraws what the old one left published.
+	h1.Protect(1, 70)
+	h1b, _ := r.Handle(1, c1.free)
+	if got := steps(1, h1b.Clear); got != Slots {
+		t.Errorf("a new handle's first Clear took %d steps, want Slots = %d", got, Slots)
+	}
+	h0.Retire(70)
+	h0.Drain()
+	if !slices.Equal(c0.freed, []int{1, 2, 50, 70}) {
+		t.Errorf("freed %v, want [1 2 50 70]: the new handle's Clear left 70 published", c0.freed)
 	}
 }
 

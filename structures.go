@@ -687,7 +687,10 @@ func (h *MapHandle) DeleteBegin(k Word) (cur, succ int, found bool) { return h.i
 // DeleteCommit completes the delete begun by DeleteBegin.  Under
 // ProtectionRaw a stale commit can succeed after a recycle restored the
 // link word — the demonstration; the other regimes reject it (the marked
-// node is then unlinked by later traversals).
+// node is then unlinked by later traversals).  Any other operation on this
+// handle between the two halves (Get, Put, Delete, DeleteBegin) abandons
+// the pending unlink: DeleteCommit then returns false and leaves the marked
+// node to the helping traversals, so a stale commit never double-fires.
 func (h *MapHandle) DeleteCommit() bool { return h.inner.DeleteCommit() }
 
 // EventFlag is the §1 busy-wait scenario: a signaler pulses (Signal, then
