@@ -6,7 +6,6 @@ import (
 
 	"abadetect/internal/apps"
 	"abadetect/internal/kv"
-	"abadetect/internal/shmem"
 	"abadetect/internal/trace"
 )
 
@@ -22,13 +21,13 @@ var traceDumpScenarios = []struct {
 	run         func() (apps.ScenarioResult, error)
 }{
 	{"stack", "Treiber stack: pop armed, 3 pops + 1 push recycle the head node", func() (apps.ScenarioResult, error) {
-		return apps.StackABAScenario(shmem.NewNativeFactory(), apps.Raw, 0)
+		return apps.StackABAScenario(apps.Raw, 0)
 	}},
 	{"queue", "Michael–Scott queue: deq armed, drain + re-enqueue restores the head index", func() (apps.ScenarioResult, error) {
-		return apps.QueueABAScenario(shmem.NewNativeFactory(), apps.Raw, 0)
+		return apps.QueueABAScenario(apps.Raw, 0)
 	}},
 	{"map", "split-list map: delete armed, help-unlink + recycle restores the bucket head", func() (apps.ScenarioResult, error) {
-		return kv.MapABAScenario(shmem.NewNativeFactory(), apps.Raw, 0)
+		return kv.MapABAScenario(apps.Raw, 0)
 	}},
 	{"map-grow", "growing map: split armed, delete + recycle restores the link before the new dummy", func() (apps.ScenarioResult, error) {
 		return kv.MapGrowABAScenario(apps.Raw, 0)

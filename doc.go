@@ -76,8 +76,9 @@
 // the same regime, making free-list ABA observable.  GuardMetrics exposes
 // commits, rejections, near-misses (detected-and-prevented ABAs), and dirty
 // loads; Audit checks structural integrity at quiescence; the StackHandle's
-// PopBegin/PopCommit and MapHandle's DeleteBegin/DeleteCommit hooks replay
-// the deterministic corruption scripts.  abalab -run E11 runs the whole
+// PopBegin/PopCommit hooks open the §1 window by hand (the queue and map
+// scripts stop a whole Deq or Delete at the same point on the simulator,
+// internal/sim).  abalab -run E11 runs the whole
 // structure × guard × implementation matrix (experiment E11).
 //
 // The map (internal/kv) is the keyed cache shape: one split-ordered list of

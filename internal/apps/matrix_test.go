@@ -400,7 +400,7 @@ func TestStackFoilDifferential(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			res, err := StackABAScenario(shmem.NewNativeFactory(), tc.prot, tc.tagBits)
+			res, err := StackABAScenario(tc.prot, tc.tagBits)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -428,7 +428,7 @@ func TestQueueFoilDifferential(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			res, err := QueueABAScenario(shmem.NewNativeFactory(), tc.prot, tc.tagBits)
+			res, err := QueueABAScenario(tc.prot, tc.tagBits)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -598,8 +598,8 @@ func TestGuardedPoolNearMissDeterministic(t *testing.T) {
 	}
 }
 
-// TestCommitWithoutPending: PopCommit/DeqCommit after an empty Begin (or
-// with no Begin at all) must report failure, not dereference node 0.
+// TestCommitWithoutPending: PopCommit after an empty PopBegin (or with no
+// PopBegin at all) must report failure, not dereference node 0.
 func TestCommitWithoutPending(t *testing.T) {
 	s := newStack(t, 1, 3, LLSC, 0)
 	sh := stackHandle(t, s, 0)
@@ -638,51 +638,5 @@ func TestCommitWithoutPending(t *testing.T) {
 	}
 	if _, ok := sh.PopCommit(); ok {
 		t.Error("PopCommit after Pop consumed the snapshot succeeded")
-	}
-
-	q, err := NewQueue(shmem.NewNativeFactory(), 1, 3, LLSC, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	qh, err := q.Handle(0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, ok := qh.DeqCommit(); ok {
-		t.Error("DeqCommit with no DeqBegin succeeded")
-	}
-	qh.Enq(1)
-	qh.Deq()
-	if _, _, empty := qh.DeqBegin(); !empty {
-		t.Fatal("queue should be empty")
-	}
-	if _, ok := qh.DeqCommit(); ok {
-		t.Error("DeqCommit after an empty DeqBegin succeeded")
-	}
-	// A stale pending from before an empty Begin must not resurface either.
-	qh.Enq(2)
-	if _, nh, empty := qh.DeqBegin(); empty || nh == 0 {
-		t.Fatal("queue should have one value")
-	}
-	if v, ok := qh.DeqCommit(); !ok || v != 2 {
-		t.Fatalf("DeqCommit = (%d,%v), want (2,true)", v, ok)
-	}
-	if _, ok := qh.DeqCommit(); ok {
-		t.Error("second DeqCommit without a fresh DeqBegin succeeded")
-	}
-	// Deq's internal commit path must disarm too: a DeqBegin snapshot that
-	// Deq consumed cannot be replayed by a later bare DeqCommit.
-	qh.Enq(3)
-	if _, nh, empty := qh.DeqBegin(); empty || nh == 0 {
-		t.Fatal("queue should have one value")
-	}
-	if v, ok := qh.Deq(); !ok || v != 3 {
-		t.Fatalf("Deq = (%d,%v), want (3,true)", v, ok)
-	}
-	if _, ok := qh.DeqCommit(); ok {
-		t.Error("DeqCommit after Deq consumed the snapshot succeeded")
-	}
-	if a := q.Audit(); a.Corrupt() {
-		t.Errorf("audit: %s", a)
 	}
 }

@@ -163,9 +163,6 @@ type QueueHandle struct {
 	// spunOut records that a MaxSpin budget ran out: the queue is livelocked
 	// for this handle, and matrix workers stop issuing operations on it.
 	spunOut bool
-
-	pendingHead int // head loaded by DeqBegin
-	pendingNext int // its successor, as read by DeqBegin
 }
 
 // spent reports whether a bounded handle has used up its spin budget, and
@@ -311,7 +308,7 @@ func (h *QueueHandle) peek() (Word, bool) {
 	return h.peekGuarded()
 }
 
-// peekGuarded is the fallback read: the DeqBegin fence without the commit,
+// peekGuarded is the fallback read: Deq's snapshot fence without the commit,
 // exactly as sound as a dequeue under the active configuration.
 func (h *QueueHandle) peekGuarded() (Word, bool) {
 	for spins := 0; ; spins++ {
@@ -366,63 +363,6 @@ func (h *QueueHandle) isEmpty() bool {
 	return !ok
 }
 
-// DeqBegin performs the vulnerable first half of a dequeue — snapshot the
-// head, tail, and the head's successor — and stops right before the head
-// commit, exposing the ABA window for the deterministic corruption
-// experiments.  It returns empty=true on a consistent empty snapshot (or an
-// exhausted MaxSpin budget), in which case there is nothing to commit.
-func (h *QueueHandle) DeqBegin() (head, next int, empty bool) {
-	if h.ring == nil {
-		return h.deqBegin()
-	}
-	h.ring.Begin()
-	head, next, empty = h.deqBegin()
-	h.ring.End()
-	return head, next, empty
-}
-
-func (h *QueueHandle) deqBegin() (head, next int, empty bool) {
-	for spins := 0; ; spins++ {
-		if h.spent(spins) {
-			if h.smr {
-				h.pool.Clear()
-			}
-			h.pendingHead, h.pendingNext = 0, 0
-			return 0, 0, true
-		}
-		hd, nh, empty, ok := h.deqSnapshot()
-		if !ok {
-			continue
-		}
-		if empty {
-			h.pendingHead, h.pendingNext = 0, 0
-			return 0, 0, true
-		}
-		h.pendingHead, h.pendingNext = hd, nh
-		h.ring.Record(trace.KindOpBegin, trace.NameDeq, uint64(hd), uint64(nh))
-		return hd, nh, false
-	}
-}
-
-// DeqCommit performs the second half of the dequeue begun by DeqBegin: the
-// conditional swing of the head past the old dummy.  On failure nothing
-// changes in the queue; the caller may retry with a fresh DeqBegin.  Each
-// DeqBegin arms at most one DeqCommit — with no pending dequeue (an empty
-// DeqBegin, a prior DeqCommit, or no DeqBegin at all) it reports failure,
-// so a stale snapshot can never be committed twice.
-func (h *QueueHandle) DeqCommit() (Word, bool) {
-	if h.pendingNext == 0 {
-		return 0, false
-	}
-	if h.ring == nil {
-		return h.deqCommit(h.pendingHead, h.pendingNext)
-	}
-	h.ring.Begin()
-	v, ok := h.deqCommit(h.pendingHead, h.pendingNext)
-	h.ring.End()
-	return v, ok
-}
-
 // deqSnapshot reads (head, tail, next[head]) and validates the head.  It
 // returns ok=false when the snapshot was stale and must be retried, and
 // empty=true on a consistent empty queue; as a side effect it helps a
@@ -432,8 +372,8 @@ func (h *QueueHandle) DeqCommit() (Word, bool) {
 // protected before its next pointer is read, and the successor nh is
 // protected before the value read in deqCommit — each publish followed by a
 // head re-validation that proves the protected node was still reachable
-// with the protection visible.  The protections persist through a DeqBegin
-// stall and are withdrawn by the commit.
+// with the protection visible.  The protections persist through a stall
+// before the commit, and the commit withdraws them.
 func (h *QueueHandle) deqSnapshot() (hd, nh int, empty, ok bool) {
 	hdW, _ := h.head.Load()
 	if h.smr {
@@ -474,9 +414,6 @@ func (h *QueueHandle) deqSnapshot() (hd, nh int, empty, ok bool) {
 }
 
 func (h *QueueHandle) deqCommit(hd, nh int) (Word, bool) {
-	// Any commit attempt — DeqCommit's or Deq's own — consumes whatever
-	// snapshot a DeqBegin armed, so a later bare DeqCommit cannot replay it.
-	h.pendingHead, h.pendingNext = 0, 0
 	v := h.q.value[nh].Read(h.pid)
 	if h.head.Commit(Word(nh)) {
 		h.ring.Record(trace.KindOpCommit, trace.NameDeq, 1, uint64(hd))

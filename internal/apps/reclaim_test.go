@@ -34,7 +34,7 @@ func reclaimSchemes() []struct {
 func TestReclaimPreventsStackABA(t *testing.T) {
 	for _, tc := range reclaimSchemes() {
 		t.Run("raw+"+tc.name, func(t *testing.T) {
-			res, err := StackABAScenario(shmem.NewNativeFactory(), Raw, 0, WithReclaimer(tc.mk))
+			res, err := StackABAScenario(Raw, 0, WithReclaimer(tc.mk))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -50,7 +50,7 @@ func TestReclaimPreventsStackABA(t *testing.T) {
 		})
 	}
 	t.Run("raw+none", func(t *testing.T) {
-		res, err := StackABAScenario(shmem.NewNativeFactory(), Raw, 0, WithReclaimer(reclaim.NewNone))
+		res, err := StackABAScenario(Raw, 0, WithReclaimer(reclaim.NewNone))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -67,7 +67,7 @@ func TestReclaimPreventsStackABA(t *testing.T) {
 func TestReclaimPreventsQueueABA(t *testing.T) {
 	for _, tc := range reclaimSchemes() {
 		t.Run("raw+"+tc.name, func(t *testing.T) {
-			res, err := QueueABAScenario(shmem.NewNativeFactory(), Raw, 0, WithReclaimer(tc.mk))
+			res, err := QueueABAScenario(Raw, 0, WithReclaimer(tc.mk))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -86,7 +86,7 @@ func TestReclaimPreventsQueueABA(t *testing.T) {
 		})
 	}
 	t.Run("raw+none", func(t *testing.T) {
-		res, err := QueueABAScenario(shmem.NewNativeFactory(), Raw, 0, WithReclaimer(reclaim.NewNone))
+		res, err := QueueABAScenario(Raw, 0, WithReclaimer(reclaim.NewNone))
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -5,6 +5,7 @@ import (
 
 	"abadetect/internal/guard"
 	"abadetect/internal/shmem"
+	"abadetect/internal/sim"
 	"abadetect/internal/trace"
 )
 
@@ -74,11 +75,11 @@ func ScenarioIncident(rec *trace.Recorder) []trace.Event {
 // *different* index (hp) or starves (epoch, all nodes in limbo): the word
 // never repeats and the stale commit is rejected without any guard-level
 // detection.
-func StackABAScenario(f shmem.Factory, prot Protection, tagBits uint, opts ...StructOption) (ScenarioResult, error) {
+func StackABAScenario(prot Protection, tagBits uint, opts ...StructOption) (ScenarioResult, error) {
 	var r ScenarioResult
 	rec := ScenarioRecorder(2)
 	opts = append(opts, WithTrace(rec))
-	s, err := NewStack(f, 2, 3, prot, tagBits, opts...)
+	s, err := NewStack(shmem.NewNativeFactory(), 2, 3, prot, tagBits, opts...)
 	if err != nil {
 		return r, err
 	}
@@ -123,21 +124,30 @@ func StackABAScenario(f shmem.Factory, prot Protection, tagBits uint, opts ...St
 	return r, nil
 }
 
-// QueueABAScenario plays the classic Michael–Scott recycling ABA: the
-// victim snapshots (head, next[head]) and stalls before the head commit;
-// the adversary drains the queue, enqueues through the recycled nodes, and
-// dequeues again so the head *index* is restored (3 successful head swings)
-// while the chain underneath has moved on.  A raw-guarded queue with
-// immediate reuse accepts the victim's stale commit — dequeuing a value a
-// second time and stranding the head on a free node; tag, LL/SC, and
-// detector guards reject it, and a reclaimer prevents the recycling leg
-// outright (the victim's protections cover both snapshotted nodes, so the
-// adversary's enqueue starves instead of reusing them).
-func QueueABAScenario(f shmem.Factory, prot Protection, tagBits uint, opts ...StructOption) (ScenarioResult, error) {
+// QueueABAScenario plays the classic Michael–Scott recycling ABA on the
+// simulator: the victim's Deq snapshots (head, next[head]) and is preempted
+// before the head commit; the adversary drains the queue, enqueues through
+// the recycled nodes, and dequeues again so the head *index* is restored (3
+// successful head swings) while the chain underneath has moved on.  A
+// raw-guarded queue with immediate reuse accepts the victim's stale commit —
+// dequeuing a value a second time and stranding the head on a free node;
+// tag, LL/SC, and detector guards reject it, and a reclaimer prevents the
+// recycling leg outright (the victim's protections cover both snapshotted
+// nodes, so the adversary's enqueue starves instead of reusing them).
+//
+// The window writes nothing an Observer read could see: it ends between the
+// victim's last head Validate and its read of the successor's value, so the
+// schedule cuts the victim once it is poised on that value register
+// (sim.Runner.PoisedOn).  The results are read as soon as the victim's head
+// commit resolves: a rejected Deq retries, finds the queue empty, and
+// drains the deferred nodes its protections held.
+func QueueABAScenario(prot Protection, tagBits uint, opts ...StructOption) (ScenarioResult, error) {
 	var r ScenarioResult
 	rec := ScenarioRecorder(2)
 	opts = append(opts, WithTrace(rec))
-	q, err := NewQueue(f, 2, 2, prot, tagBits, opts...) // 3 nodes: dummy 1, free 2 and 3
+	runner := sim.NewRunner(2)
+	defer runner.Close()
+	q, err := NewQueue(runner.Factory(), 2, 2, prot, tagBits, opts...) // 3 nodes: dummy 1, free 2 and 3
 	if err != nil {
 		return r, err
 	}
@@ -149,46 +159,62 @@ func QueueABAScenario(f shmem.Factory, prot Protection, tagBits uint, opts ...St
 	if err != nil {
 		return r, err
 	}
-	step := func(cond bool, format string, args ...any) error {
-		if !cond {
-			return fmt.Errorf("apps: queue scenario: "+format, args...)
+	var setUp bool
+	err = runner.SetProgram(0, func(*sim.Proc) {
+		// Set-up: dummy node 1, then A in node 2 and B in node 3.
+		if !adversary.Enq(601) || !adversary.Enq(602) {
+			panic("apps: queue scenario set-up Enq failed")
 		}
-		return nil
-	}
-	// Setup: dummy node 1, then A in node 2 and B in node 3.
-	if err := step(adversary.Enq(601), "setup enq A failed"); err != nil {
-		return r, err
-	}
-	if err := step(adversary.Enq(602), "setup enq B failed"); err != nil {
-		return r, err
-	}
-	// Victim: snapshots head (dummy 1) and its successor (node 2), stalls.
-	hd, nh, empty := victim.DeqBegin()
-	if err := step(!empty && hd == 1 && nh == 2, "DeqBegin = (%d,%d,%v), want (1,2,false)", hd, nh, empty); err != nil {
-		return r, err
-	}
-	// Adversary: drain both values (head swings 1->2->3, nodes 1 and 2
-	// retire), enqueue C through recycled node 1, and dequeue it (head
-	// swings 3->1).  With immediate reuse the head index is 1 again, but
-	// node 2 is free and node 1's next is nil.  Under a reclaimer nodes 1
-	// and 2 sit in limbo behind the victim's protections, so the enqueue
-	// starves and the head parks on node 3.
-	if _, ok := adversary.Deq(); !ok {
-		return r, fmt.Errorf("apps: queue scenario: drain A failed")
-	}
-	if _, ok := adversary.Deq(); !ok {
-		return r, fmt.Errorf("apps: queue scenario: drain B failed")
-	}
-	if adversary.Enq(603) {
-		if _, ok := adversary.Deq(); !ok {
-			return r, fmt.Errorf("apps: queue scenario: deq C failed")
+		setUp = true
+		// Drain both values (head swings 1->2->3, nodes 1 and 2 retire),
+		// enqueue C through recycled node 1, and dequeue it (head swings
+		// 3->1).  With immediate reuse the head index is 1 again, but node 2
+		// is free and node 1's next is nil.  Under a reclaimer nodes 1 and 2
+		// sit in limbo behind the victim's protections, so the enqueue
+		// starves and the head parks on node 3.
+		for i := 0; i < 2; i++ {
+			if _, ok := adversary.Deq(); !ok {
+				panic("apps: queue scenario drain Deq failed")
+			}
 		}
-	} else {
-		r.Starved = true
+		if !adversary.Enq(603) {
+			r.Starved = true
+		} else if _, ok := adversary.Deq(); !ok {
+			panic("apps: queue scenario Deq of C failed")
+		}
+	})
+	if err == nil {
+		err = runner.SetProgram(1, func(*sim.Proc) { victim.Deq() })
 	}
-	// Victim resumes: committing head 1 -> 2 re-dequeues the long-gone A
-	// and parks the head on free node 2 iff the guard is fooled.
-	_, r.Fooled = victim.DeqCommit()
+	if err == nil {
+		err = runner.Start()
+	}
+	// The schedule: the adversary's set-up; the victim until it is about to
+	// read A's value out of node 2, holding the armed head commit 1 -> 2; the
+	// adversary's legs inside that window; the victim until its commit
+	// resolves.
+	step := func(pid int, stop func(int) bool) {
+		if err == nil {
+			_, err = runner.StepUntil(pid, scenarioSteps, stop)
+		}
+	}
+	step(0, func(int) bool { return setUp })
+	step(1, func(int) bool { return runner.PoisedOn(1, q.value[2]) })
+	if err == nil && runner.Done(1) {
+		err = fmt.Errorf("apps: queue scenario Deq never reached its commit")
+	}
+	step(0, nil)
+	before := q.head.Metrics()
+	step(1, func(int) bool {
+		m := q.head.Metrics()
+		return m.Commits != before.Commits || m.Rejected != before.Rejected
+	})
+	if err != nil {
+		return r, err
+	}
+	// Committing head 1 -> 2 re-dequeues the long-gone A and parks the head
+	// on free node 2 iff the guard is fooled.
+	r.Fooled = q.head.Metrics().Rejected == before.Rejected
 	audit := q.Audit()
 	r.Corrupt, r.Detail = audit.Corrupt(), audit.String()
 	r.Guard = q.GuardMetrics()
@@ -196,3 +222,7 @@ func QueueABAScenario(f shmem.Factory, prot Protection, tagBits uint, opts ...St
 	r.Incident = ScenarioIncident(rec)
 	return r, nil
 }
+
+// scenarioSteps bounds each leg of a simulated script's schedule, far above
+// what any leg takes, so a livelocked leg is an error, not a hang.
+const scenarioSteps = 100_000

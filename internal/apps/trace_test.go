@@ -110,7 +110,7 @@ func TestStackOpsPublishOnReturn(t *testing.T) {
 }
 
 // TestQueueOpsPublishOnReturn is TestStackOpsPublishOnReturn for the queue:
-// Enq, Deq, both split halves, and the reads.
+// Enq, Deq, and the reads.
 func TestQueueOpsPublishOnReturn(t *testing.T) {
 	for _, c := range reclaimed {
 		t.Run(c.name, func(t *testing.T) {
@@ -135,8 +135,7 @@ func TestQueueOpsPublishOnReturn(t *testing.T) {
 				{"Enq", func() { h.Enq(2) }, trace.KindGuardCommit},
 				{"Peek", func() { h.Peek() }, peek},
 				{"IsEmpty", func() { h.IsEmpty() }, peek},
-				{"DeqBegin", func() { h.DeqBegin() }, trace.KindOpBegin},
-				{"DeqCommit", func() { h.DeqCommit() }, trace.KindRetire},
+				{"Deq", func() { h.Deq() }, trace.KindRetire},
 				{"Deq", func() { h.Deq() }, trace.KindRetire},
 				{"Peek on empty", func() { h.Peek() }, empty},
 				{"IsEmpty on empty", func() { h.IsEmpty() }, empty},
@@ -151,8 +150,8 @@ func TestQueueOpsPublishOnReturn(t *testing.T) {
 // miss (fast on LL/SC, the guarded traversal on raw), an overwriting Put,
 // Puts that lengthen the one-bucket run, a Delete of the deepest of them —
 // it walks past at least ten nodes, so it records more than lagMax events
-// and force-publishes mid-operation — both split halves, a directory split,
-// and a missing Delete.
+// and force-publishes mid-operation — a directory split, and a missing
+// Delete.
 func TestMapOpsPublishOnReturn(t *testing.T) {
 	for _, c := range reclaimed {
 		t.Run(c.name, func(t *testing.T) {
@@ -191,8 +190,6 @@ func TestMapOpsPublishOnReturn(t *testing.T) {
 					h.Delete(deep)
 					deleteEvents = newestSeq(rec, 0) - before
 				}, trace.KindRetire},
-				{"DeleteBegin", func() { h.DeleteBegin(3) }, trace.KindOpBegin},
-				{"DeleteCommit", func() { h.DeleteCommit() }, trace.KindRetire},
 				{"GrowBuckets", func() { h.GrowBuckets() }, trace.KindGuardCommit},
 				{"Delete miss", func() { h.Delete(99) }, trace.KindDrain},
 			})

@@ -38,7 +38,7 @@ func E6Stack() (*Table, error) {
 		{"detector (Fig 5 over Fig 3)", apps.Detector, 0, false},
 	}
 	for _, l := range ladder {
-		res, err := apps.StackABAScenario(shmem.NewNativeFactory(), l.prot, l.tagBits)
+		res, err := apps.StackABAScenario(l.prot, l.tagBits)
 		if err != nil {
 			return nil, err
 		}
@@ -59,7 +59,7 @@ func E6Stack() (*Table, error) {
 	// near-misses (there was no ABA left to detect).
 	for _, scheme := range []string{"hp", "epoch"} {
 		mk := registry.MustLookup(scheme).NewReclaimer
-		res, err := apps.StackABAScenario(shmem.NewNativeFactory(), apps.Raw, 0, apps.WithReclaimer(mk))
+		res, err := apps.StackABAScenario(apps.Raw, 0, apps.WithReclaimer(mk))
 		if err != nil {
 			return nil, err
 		}
@@ -89,7 +89,7 @@ func E6Stack() (*Table, error) {
 		{"detector (Fig 5 over Fig 3)", apps.Detector, 0, false},
 	}
 	for _, l := range queueLadder {
-		res, err := apps.QueueABAScenario(shmem.NewNativeFactory(), l.prot, l.tagBits)
+		res, err := apps.QueueABAScenario(l.prot, l.tagBits)
 		if err != nil {
 			return nil, err
 		}
@@ -108,7 +108,7 @@ func E6Stack() (*Table, error) {
 	// starves instead of recycling them; the head index never returns.
 	for _, scheme := range []string{"hp", "epoch"} {
 		mk := registry.MustLookup(scheme).NewReclaimer
-		res, err := apps.QueueABAScenario(shmem.NewNativeFactory(), apps.Raw, 0, apps.WithReclaimer(mk))
+		res, err := apps.QueueABAScenario(apps.Raw, 0, apps.WithReclaimer(mk))
 		if err != nil {
 			return nil, err
 		}
@@ -147,7 +147,7 @@ func E6Stack() (*Table, error) {
 	if llscAudit.Corrupt() {
 		return nil, fmt.Errorf("bench: LL/SC stack corrupted under stress: %s", llscAudit)
 	}
-	t.AddNote("the ladder is fully deterministic: PopBegin stalls the victim inside the ABA window.")
+	t.AddNote("the ladders are fully deterministic: PopBegin stalls the stack's victim inside the ABA window, and a simulator schedule stops the queue's victim's whole Deq just before its head commit.")
 	t.AddNote("raw-CAS stress corruption is probabilistic by nature — precisely the paper's point about tagging 'in practice'.")
 	return t, nil
 }

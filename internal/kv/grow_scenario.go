@@ -119,7 +119,7 @@ func MapGrowABAScenario(prot Protection, tagBits uint, opts ...apps.StructOption
 	// adversary's Delete and Put inside that window; the victim's resume.
 	step := func(pid int, stop func(int) bool) {
 		if err == nil {
-			_, err = runner.StepUntil(pid, growScenarioSteps, stop)
+			_, err = runner.StepUntil(pid, scenarioSteps, stop)
 		}
 	}
 	step(0, func(int) bool { return setUp })
@@ -146,7 +146,3 @@ func MapGrowABAScenario(prot Protection, tagBits uint, opts ...apps.StructOption
 	r.Incident = apps.ScenarioIncident(rec)
 	return r, nil
 }
-
-// growScenarioSteps bounds each leg of the resize script's schedule, far
-// above what any leg takes, so a livelocked leg is an error, not a hang.
-const growScenarioSteps = 100_000

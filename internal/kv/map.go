@@ -461,12 +461,6 @@ type Handle struct {
 	// for this handle, and matrix workers stop issuing operations on it.
 	spunOut bool
 
-	// pending unlink armed by DeleteBegin (the experiment hook); every other
-	// operation on the handle drops it (dropPending).
-	pendingPrev guard.Handle
-	pendingCur  int
-	pendingSucc Word
-
 	// retireBuf batches this operation's unlinked nodes (the helped unlinks
 	// of a traversal plus the sweep's own kills) into one RetireBatch at the
 	// operation boundary — one epoch stamp and one cadence check for the
@@ -694,9 +688,6 @@ retry:
 // (counted in MapAudit.ReadFallbacks), which is lock-free and helps unlink,
 // so progress is never worse than before the fast path.
 func (h *Handle) Get(k Word) (Word, bool) {
-	if h.pendingPrev != nil {
-		h.dropPending()
-	}
 	if h.ring == nil {
 		return h.get(k)
 	}
@@ -805,9 +796,6 @@ func (h *Handle) tryGetFast(b int, k, sk Word) (v Word, ok, clean bool) {
 // binding it shadows through the links the walk left armed, and two closing
 // Loads re-arm the links the Put wrote.
 func (h *Handle) Put(k, v Word) bool {
-	if h.pendingPrev != nil {
-		h.dropPending()
-	}
 	if h.ring == nil {
 		return h.put(k, v)
 	}
@@ -900,9 +888,6 @@ func (h *Handle) killShadowed(idx, cur int, curNext Word) bool {
 
 // Delete removes k's binding.  It reports whether any binding was removed.
 func (h *Handle) Delete(k Word) bool {
-	if h.pendingPrev != nil {
-		h.dropPending()
-	}
 	if h.ring == nil {
 		return h.delete(k)
 	}
@@ -941,15 +926,33 @@ func (h *Handle) delete(k Word) bool {
 // older live duplicate behind it is shadowed — readers take the first match.
 // Marking the binding while such a duplicate survives would promote the
 // duplicate to first match, resurrecting its stale value for the window
-// until the sweep reaches it.  markMatch, which a split delete shares, puts
-// the shadowed duplicates first.
+// until the sweep reaches it.  So when the probe finds a k-node behind the
+// binding (keep=0), a keep=1 sweep first kills every shadowed duplicate
+// (those deaths are invisible: the binding still shadows the position), and
+// the walk then returns to the binding.  By the invariant no new duplicate
+// can appear behind the binding after that pass, so a binding this sweep
+// marks has nothing live of its key behind it.
 func (h *Handle) sweep(b int, k, sk Word, keep int, spins *int) bool {
 	killed := false
 	for {
-		prev, cur, curNext, dup, ok := h.markMatch(b, k, sk, keep, spins)
-		if !ok {
+		prev, cur, curNext, found, ok := h.seek(b, k, sk, keep, spins)
+		if !ok || !found {
 			return killed
 		}
+		dup := h.dupBehind(cur, curNext, k)
+		if dup && keep == 0 {
+			h.sweep(b, k, sk, 1, spins) // shadowed duplicates die first; re-probe
+			continue
+		}
+		// Logical delete: set the mark bit on cur's own next pointer.  The
+		// commit is armed by seek's Load (a Validate leaves it armed), so it
+		// fails if the link moved — and the mark freezes the link, which is
+		// what makes the following unlink safe against concurrent unlinks of
+		// the successor.
+		if !h.link(cur).Commit(curNext | 1) {
+			continue
+		}
+		h.addLive(-1)
 		killed = true
 		// Physical unlink.  On failure the node stays marked and any later
 		// traversal helps; on success the node is exclusively ours, and a
@@ -961,38 +964,6 @@ func (h *Handle) sweep(b int, k, sk Word, keep int, spins *int) bool {
 		}
 		if !dup {
 			return true
-		}
-	}
-}
-
-// markMatch seeks the first live k-node past the first `keep`, probes
-// behind it, and marks it; it returns what seek returned for the node and
-// the probe's answer, or ok=false when there is no such node (or the spin
-// budget ran out).  When the probe finds a k-node behind the binding
-// (keep=0), it first runs a keep=1 sweep, killing every shadowed duplicate
-// (those deaths are invisible: the binding still shadows the position), and
-// then walks back to the binding.  By sweep's invariant no new duplicate
-// can appear behind the binding after that pass, so a binding it marks has
-// nothing live of its key behind it.
-func (h *Handle) markMatch(b int, k, sk Word, keep int, spins *int) (prev guard.Handle, cur int, curNext Word, dup, ok bool) {
-	for {
-		var found bool
-		if prev, cur, curNext, found, ok = h.seek(b, k, sk, keep, spins); !ok || !found {
-			return nil, 0, 0, false, false
-		}
-		dup = h.dupBehind(cur, curNext, k)
-		if dup && keep == 0 {
-			h.sweep(b, k, sk, 1, spins) // shadowed duplicates die first; re-probe
-			continue
-		}
-		// Logical delete: set the mark bit on cur's own next pointer.  The
-		// commit is armed by seek's Load (a Validate leaves it armed), so it
-		// fails if the link moved — and the mark freezes the link, which is
-		// what makes the following unlink safe against concurrent unlinks of
-		// the successor.
-		if h.link(cur).Commit(curNext | 1) {
-			h.addLive(-1)
-			return prev, cur, curNext, dup, true
 		}
 	}
 }
@@ -1010,91 +981,6 @@ func (h *Handle) dupBehind(cur int, curNext, k Word) bool {
 		return false
 	}
 	return h.m.node(succ).key.Read(h.pid) == k || !h.link(cur).Validate()
-}
-
-// DeleteBegin performs the vulnerable first half of a delete — seek the
-// binding of k and logically delete it (mark its next pointer), after
-// killing any shadowed duplicate behind it, as Delete does — and stops
-// right before the physical unlink of the predecessor link, exposing
-// the ABA window for the deterministic corruption experiments.  It returns
-// the marked node and its successor, or found=false if k was absent.
-//
-// Under a reclaimer the window is fenced exactly like a stalled stack pop:
-// the marked node stays published in this process's protection slot through
-// the stall, so it cannot re-enter the allocator — and therefore cannot be
-// recycled back under the predecessor link — until the commit, or the next
-// operation on this handle, clears it.
-func (h *Handle) DeleteBegin(k Word) (cur, succ int, found bool) {
-	if h.pendingPrev != nil {
-		h.dropPending()
-	}
-	if h.ring == nil {
-		return h.deleteBegin(k)
-	}
-	h.ring.Begin()
-	cur, succ, found = h.deleteBegin(k)
-	h.ring.End()
-	return cur, succ, found
-}
-
-func (h *Handle) deleteBegin(k Word) (cur, succ int, found bool) {
-	b, sk := h.locate(k)
-	spins := 0
-	prev, cur, curNext, _, ok := h.markMatch(b, k, sk, 0, &spins)
-	if !ok {
-		h.endOp(true)
-		return 0, 0, false
-	}
-	h.pendingPrev, h.pendingCur, h.pendingSucc = prev, cur, curNext&^1
-	h.ring.Record(trace.KindOpBegin, trace.NameDelete, uint64(cur), uint64(linkIdx(curNext)))
-	return cur, linkIdx(curNext), true
-}
-
-// DeleteCommit performs the second half of the delete begun by DeleteBegin:
-// the conditional unlink of the predecessor link.  Under ProtectionRaw a
-// stale commit can succeed after a remove–recycle–reinsert cycle restored
-// the link word — swinging the bucket onto a freed node; the other regimes
-// reject it.  Each DeleteBegin arms at most one DeleteCommit, and any other
-// operation on this handle in between (Get, Put, Delete, DeleteBegin,
-// GrowBuckets) disarms it: that operation's walk re-arms the predecessor
-// link and may itself unlink the marked node, so DeleteCommit then returns
-// false without a commit.  Either way the node was already logically
-// deleted, so on failure the caller leaves the unlink to the helping
-// traversals.
-func (h *Handle) DeleteCommit() bool {
-	if h.pendingPrev == nil {
-		return false
-	}
-	if h.ring == nil {
-		return h.deleteCommit()
-	}
-	h.ring.Begin()
-	ok := h.deleteCommit()
-	h.ring.End()
-	return ok
-}
-
-// dropPending disarms the unlink DeleteBegin left pending, before another
-// operation re-arms its predecessor link, and closes the split delete's
-// window as a failed DeleteCommit does.  The marked node is left to the
-// helping traversals.
-func (h *Handle) dropPending() {
-	h.pendingPrev, h.pendingCur, h.pendingSucc = nil, 0, 0
-	h.endOp(false)
-}
-
-func (h *Handle) deleteCommit() bool {
-	prev, cur, succ := h.pendingPrev, h.pendingCur, h.pendingSucc
-	h.pendingPrev, h.pendingCur, h.pendingSucc = nil, 0, 0
-	if !prev.Commit(succ) {
-		h.ring.Record(trace.KindOpCommit, trace.NameDelete, 0, uint64(cur))
-		h.endOp(false)
-		return false
-	}
-	h.ring.Record(trace.KindOpCommit, trace.NameDelete, 1, uint64(cur))
-	h.retire(cur)
-	h.endOp(false)
-	return true
 }
 
 // allocNode allocates a node, appending a node segment when the pool is
@@ -1169,9 +1055,6 @@ func (h *Handle) maybeGrow() {
 // the directory doubled.  It is the forced form of Put's threshold split,
 // for tests and scripts.
 func (h *Handle) GrowBuckets() bool {
-	if h.pendingPrev != nil {
-		h.dropPending()
-	}
 	if h.m.size == nil {
 		return false
 	}

@@ -231,58 +231,6 @@ func TestMapPutKillsDuplicateBehindBinding(t *testing.T) {
 	}
 }
 
-// TestMapSplitDeleteDroppedByOtherOp runs, on one handle of a one-bucket
-// map, Put(1, 10), DeleteBegin(1), one other operation, then DeleteCommit,
-// under every regime and reclaimer.  The other operation's walk re-arms
-// the pending unlink's predecessor link and may unlink the marked node
-// itself; committing through the re-armed link would retire the node a
-// second time.  So the operation abandons the pending unlink: DeleteCommit
-// reports false, and the audit is clean with no live binding of key 1.
-func TestMapSplitDeleteDroppedByOtherOp(t *testing.T) {
-	for _, p := range []struct {
-		name string
-		prot Protection
-	}{{"raw", apps.Raw}, {"tag16", apps.Tagged}, {"llsc", apps.LLSC}, {"detector", apps.Detector}} {
-		for _, r := range []struct {
-			name string
-			mk   reclaim.Maker
-		}{{"none", reclaim.NewNone}, {"hp", reclaim.NewHazard}, {"epoch", reclaim.NewEpoch}} {
-			for _, op := range []struct {
-				name string
-				run  func(h *Handle)
-			}{
-				{"get", func(h *Handle) { h.Get(1) }},
-				{"put", func(h *Handle) { h.Put(2, 20) }},
-				{"delete", func(h *Handle) { h.Delete(2) }},
-			} {
-				t.Run(p.name+"+"+r.name+"/"+op.name, func(t *testing.T) {
-					m := buildMap(t, 2, 4, 1, p.prot, 16, r.mk)
-					h, err := m.Handle(0)
-					if err != nil {
-						t.Fatal(err)
-					}
-					if !h.Put(1, 10) {
-						t.Fatal("Put(1) failed")
-					}
-					if _, _, found := h.DeleteBegin(1); !found {
-						t.Fatal("DeleteBegin(1) missed the binding")
-					}
-					op.run(h)
-					if h.DeleteCommit() {
-						t.Error("DeleteCommit fired after another operation on its handle")
-					}
-					if _, ok := h.Get(1); ok {
-						t.Error("key 1 still bound after its DeleteBegin")
-					}
-					if a := m.Audit(); a.Corrupt() {
-						t.Errorf("audit: %s", a)
-					}
-				})
-			}
-		}
-	}
-}
-
 // TestMapMPMCStrictAccounting is the strict ownership test: every process
 // works a disjoint key range, so each of its Put/Get/Delete cycles must
 // observe exactly its own writes — any miss or stale value is an ABA (or a

@@ -5,7 +5,6 @@ import (
 
 	"abadetect/internal/apps"
 	"abadetect/internal/reclaim"
-	"abadetect/internal/shmem"
 )
 
 // TestMapABAScenarioLadder replays the deterministic recycling script
@@ -26,7 +25,7 @@ func TestMapABAScenarioLadder(t *testing.T) {
 		{"detector", apps.Detector, 0, false},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			res, err := MapABAScenario(shmem.NewNativeFactory(), tc.prot, tc.tagBits)
+			res, err := MapABAScenario(tc.prot, tc.tagBits)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -56,7 +55,7 @@ func TestMapABAScenarioLadder(t *testing.T) {
 // refutation for the map rides E6's stack ladder, where the swing count is
 // even.
 func TestMapABAScenarioNarrowTagStillPrevented(t *testing.T) {
-	res, err := MapABAScenario(shmem.NewNativeFactory(), apps.Tagged, 1)
+	res, err := MapABAScenario(apps.Tagged, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -81,7 +80,7 @@ func TestMapReclaimPreventsScenarioWithZeroNearMisses(t *testing.T) {
 		{"epoch", reclaim.NewEpoch, true},
 	} {
 		t.Run("raw+"+rc.name, func(t *testing.T) {
-			res, err := MapABAScenario(shmem.NewNativeFactory(), apps.Raw, 0, apps.WithReclaimer(rc.mk))
+			res, err := MapABAScenario(apps.Raw, 0, apps.WithReclaimer(rc.mk))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -97,7 +96,7 @@ func TestMapReclaimPreventsScenarioWithZeroNearMisses(t *testing.T) {
 		})
 	}
 	// The control arm: the pass-through reclaimer reproduces the corruption.
-	res, err := MapABAScenario(shmem.NewNativeFactory(), apps.Raw, 0, apps.WithReclaimer(reclaim.NewNone))
+	res, err := MapABAScenario(apps.Raw, 0, apps.WithReclaimer(reclaim.NewNone))
 	if err != nil {
 		t.Fatal(err)
 	}

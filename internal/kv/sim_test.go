@@ -137,11 +137,10 @@ func (s boundMapSpec) Initial() check.State {
 // preempted between its insert and its kill (linkStaleDuplicate): in a
 // one-bucket map, the binding of key 1 (value 10) with an older live node
 // of key 1 (value 9) directly behind it.  p0 builds that state and then
-// deletes key 1, with Delete(1) or, when split, with DeleteBegin(1) and
-// DeleteCommit recorded as one Delete; p1 runs ops over key 1 ('g' Get,
-// 'd' Delete).  The runner returned has stepped p0 alone through the
-// set-up, so it is poised at p0's first delete step.
-func dupWindowRun(t *testing.T, prot Protection, tagBits uint, rc reclaim.Maker, split bool, ops string) (*sim.Runner, *Map) {
+// deletes key 1; p1 runs ops over key 1 ('g' Get, 'd' Delete).  The runner
+// returned has stepped p0 alone through the set-up, so it is poised at p0's
+// first delete step.
+func dupWindowRun(t *testing.T, prot Protection, tagBits uint, rc reclaim.Maker, ops string) (*sim.Runner, *Map) {
 	t.Helper()
 	ready := false
 	runner, m := simMap(t, prot, tagBits, rc, 4, 2, func(hs []*Handle) []sim.Program {
@@ -153,15 +152,7 @@ func dupWindowRun(t *testing.T, prot Protection, tagBits uint, rc reclaim.Maker,
 				linkStaleDuplicate(hs[0], 1, 9)
 				ready = true
 				p.Invoke("Delete", 1)
-				if !split {
-					p.Return(boolWord(hs[0].Delete(1)))
-					return
-				}
-				// The mark is the split delete's linearization point; the
-				// commit only unlinks.
-				_, _, found := hs[0].DeleteBegin(1)
-				hs[0].DeleteCommit()
-				p.Return(boolWord(found))
+				p.Return(boolWord(hs[0].Delete(1)))
 			},
 			func(p *sim.Proc) {
 				for _, c := range ops {
@@ -185,19 +176,33 @@ func dupWindowRun(t *testing.T, prot Protection, tagBits uint, rc reclaim.Maker,
 	return runner, m
 }
 
+// bindingMarked reports, by Observer reads of a one-bucket map, whether the
+// first node of key k on the list has a marked link: k's binding is
+// logically deleted, and its deleter has not unlinked it yet.
+func bindingMarked(m *Map, k Word) bool {
+	i := linkIdx(m.heads.Get(0).Peek(sim.Observer))
+	for hops := 0; i != 0 && i <= m.maxCap && hops <= m.maxCap; hops++ {
+		w := m.node(i).next.Peek(sim.Observer)
+		if m.node(i).key.Read(sim.Observer) == k {
+			return linkMarked(w)
+		}
+		i = linkIdx(w)
+	}
+	return false
+}
+
 // TestMapDeleteDuplicateWindow deletes a binding that has an older live
 // duplicate behind it — the window between a Put's insert and its kill —
 // while p1 reads (and then deletes) the same key.  p1's operations run as
-// one block inserted after every prefix of p0's delete, the cut right
-// after p0's first mark included.  The delete, whole or split into
-// DeleteBegin and DeleteCommit, must kill the shadowed duplicate before it
-// marks the binding: marked first, the binding would promote the duplicate
-// to first match, and a Get in between would return its stale value 9,
-// which no linearization allows.  A delete reports true only when it
-// marked the binding itself, so p1's Delete and p0's cannot both succeed.
-// Whatever the cut, no live node may be left.  p1 reads through its own
-// handle: an operation on p0's handle between DeleteBegin and DeleteCommit
-// would abandon the pending unlink.
+// one block inserted after every prefix of p0's delete.  The split inputs
+// play one cut instead: p0's Delete split at its linearization point, the
+// mark of the binding, found by an Observer read rather than a step count.
+// The delete must kill the shadowed duplicate before it marks the binding:
+// marked first, the binding would promote the duplicate to first match, and
+// a Get in between would return its stale value 9, which no linearization
+// allows.  A delete reports true only when it marked the binding itself, so
+// p1's Delete and p0's cannot both succeed.  Whatever the cut, no live node
+// may be left.
 func TestMapDeleteDuplicateWindow(t *testing.T) {
 	spec := boundMapSpec{k: 1, v: 10}
 	for _, tc := range soundConfigs() {
@@ -208,10 +213,21 @@ func TestMapDeleteDuplicateWindow(t *testing.T) {
 		}{{"g", false, "g"}, {"gd", false, "gd"}, {"split-g", true, "g"}, {"split-gd", true, "gd"}} {
 			t.Run(tc.name+"/"+in.name, func(t *testing.T) {
 				for cut, early := 0, false; !early; cut++ {
-					runner, m := dupWindowRun(t, tc.prot, tc.tagBits, tc.rc, in.split, in.ops)
-					// p0 takes cut steps, then p1 runs to the end, then p0.
+					runner, m := dupWindowRun(t, tc.prot, tc.tagBits, tc.rc, in.ops)
+					// p0 takes cut steps, or runs until the binding reads
+					// marked; then p1 runs to the end, then p0.
+					stop := func(taken int) bool { return taken == cut }
+					if in.split {
+						stop = func(int) bool { return bindingMarked(m, 1) }
+					}
 					var err error
-					early, err = playCut(runner, 0, cut, 1, 0)
+					early, err = playStop(runner, 0, stop, 1, 0)
+					if in.split {
+						if err == nil && early {
+							err = fmt.Errorf("p0's Delete ended before its binding read marked")
+						}
+						early = true
+					}
 					hist, pending, perr := check.PairOps(runner.History())
 					runner.Close()
 					if err != nil || perr != nil || len(pending) != 0 {
@@ -233,16 +249,103 @@ func TestMapDeleteDuplicateWindow(t *testing.T) {
 	}
 }
 
+// TestMapSplitDeleteDroppedByOtherOp splits p0's Delete(1) at its mark, in
+// a one-bucket map holding only key 1, and runs one other operation on p1
+// in the window between the mark and p0's unlink, under every regime and
+// reclaimer: a Get(1), which must miss; a Put(2, 20); or a Get(1) and a
+// Delete(1), which must report false, since it only helps unlink the node
+// p0 killed.  The Put's and the Delete's walks unlink the marked node
+// themselves and so drop p0's pending unlink: p0's commit through its stale
+// predecessor link must fail rather than retire the node a second time.
+// Then p0 resumes and its Delete reports true, and the audit is clean with
+// only p1's binding, if any, live.
+func TestMapSplitDeleteDroppedByOtherOp(t *testing.T) {
+	for _, p := range []struct {
+		name string
+		prot Protection
+	}{{"raw", apps.Raw}, {"tag16", apps.Tagged}, {"llsc", apps.LLSC}, {"detector", apps.Detector}} {
+		for _, r := range []struct {
+			name string
+			mk   reclaim.Maker
+		}{{"none", reclaim.NewNone}, {"hp", reclaim.NewHazard}, {"epoch", reclaim.NewEpoch}} {
+			for _, op := range []struct {
+				name string
+				run  func(h *Handle)
+				live int
+			}{
+				{"get", getMisses, 0},
+				{"put", func(h *Handle) {
+					if !h.Put(2, 20) {
+						panic("Put(2) failed")
+					}
+				}, 1},
+				{"delete", func(h *Handle) {
+					getMisses(h)
+					if h.Delete(1) {
+						panic("a helping Delete(1) claimed the kill it only helped unlink")
+					}
+				}, 0},
+			} {
+				t.Run(p.name+"+"+r.name+"/"+op.name, func(t *testing.T) {
+					var ready, deleted bool
+					runner, m := simMap(t, p.prot, 16, r.mk, 4, 2, func(hs []*Handle) []sim.Program {
+						return []sim.Program{
+							func(*sim.Proc) {
+								if !hs[0].Put(1, 10) {
+									panic("set-up Put failed")
+								}
+								ready = true
+								deleted = hs[0].Delete(1)
+							},
+							func(*sim.Proc) { op.run(hs[1]) },
+						}
+					})
+					defer runner.Close()
+					// p0's set-up, p0 until key 1 reads marked, p1's
+					// operation, and p0's resumed unlink.
+					_, err := runner.StepUntil(0, sweepLimit, func(int) bool { return ready })
+					if err == nil {
+						_, err = runner.StepUntil(0, sweepLimit, func(int) bool { return bindingMarked(m, 1) })
+					}
+					if err == nil && runner.Done(0) {
+						err = fmt.Errorf("Delete(1) ended without a window at its mark")
+					}
+					if err == nil {
+						_, err = playStop(runner, 1, nil, 0)
+					}
+					if err != nil {
+						t.Fatal(err)
+					}
+					if !deleted {
+						t.Error("Delete(1) reported no binding after marking it")
+					}
+					if a := m.Audit(); a.Corrupt() || a.Live != op.live {
+						t.Errorf("audit: %s, want clean with %d live", a, op.live)
+					}
+				})
+			}
+		}
+	}
+}
+
+// getMisses runs Get(1) and panics unless it misses.
+func getMisses(h *Handle) {
+	if v, ok := h.Get(1); ok {
+		panic(fmt.Sprintf("Get(1) = (%d, true) after the binding was marked", v))
+	}
+}
+
 // TestMapSeekRestartsAtMarkedPredecessor sweeps the window between a
 // walk's helped unlink and its re-load of the predecessor link.  In a
-// one-bucket map holding a and b (list order a, b, c), p2 leaves b marked
-// by a pending DeleteBegin.  p0's Put(c) walks past a, helps unlink b
-// through a's link and re-loads that link; then p0 reads c back.  p1's
-// Delete(a) runs after every prefix of p0's program.  Run inside the
-// window, the Delete marks a and unlinks it, so the re-loaded link is
-// marked: a walk that continued from a would link c behind a node already
-// off the list, clearing its mark, and c would be lost.  Every history must
-// be linearizable from a's binding, and c must be the one live node left.
+// one-bucket map holding a and b (list order a, b, c), p2's Delete(b) is
+// stopped once it has marked b, and never resumed.  p0's Put(c) walks past
+// a, helps unlink b through a's link and re-loads that link; then p0 reads
+// c back.  p1's Delete(a) runs after every prefix of p0's program.  Run
+// inside the window, the Delete marks a and unlinks it, so the re-loaded
+// link is marked: a walk that continued from a would link c behind a node
+// already off the list, clearing its mark, and c would be lost.  Every
+// history must be linearizable from a's binding, and c must be the one live
+// node left.
 func TestMapSeekRestartsAtMarkedPredecessor(t *testing.T) {
 	ks := []Word{1, 2, 3}
 	sort.Slice(ks, func(i, j int) bool { return after(sortKeyData(ks[j]), sortKeyData(ks[i])) })
@@ -268,14 +371,16 @@ func TestMapSeekRestartsAtMarkedPredecessor(t *testing.T) {
 							if !hs[2].Put(a, 10) || !hs[2].Put(b, 20) {
 								panic("set-up Put failed")
 							}
-							if _, _, found := hs[2].DeleteBegin(b); !found {
-								panic("set-up DeleteBegin(b) missed")
-							}
+							hs[2].Delete(b)
 						},
 					}
 				})
-				// p2's set-up, then p0 takes cut steps, p1 runs, and p0 ends.
-				_, err := runner.StepUntil(2, sweepLimit, nil)
+				// p2's set-up, stopped once b reads marked and never resumed;
+				// then p0 takes cut steps, p1 runs, and p0 ends.
+				_, err := runner.StepUntil(2, sweepLimit, func(int) bool { return bindingMarked(m, b) })
+				if err == nil && runner.Done(2) {
+					err = fmt.Errorf("Delete(b) ended without a window at its mark")
+				}
 				if err == nil {
 					early, err = playCut(runner, 0, cut, 1, 0)
 				}
@@ -344,7 +449,13 @@ const sweepLimit = 10_000
 // to its end, in order.  It reports whether cut had finished within its
 // steps, after which no later cut differs.
 func playCut(r *sim.Runner, cut, steps int, then ...int) (bool, error) {
-	if _, err := r.StepUntil(cut, sweepLimit, func(taken int) bool { return taken == steps }); err != nil {
+	return playStop(r, cut, func(taken int) bool { return taken == steps }, then...)
+}
+
+// playStop is playCut with the cut given as a sim.Runner.StepUntil stop
+// predicate: process cut runs until stop holds or it finishes.
+func playStop(r *sim.Runner, cut int, stop func(taken int) bool, then ...int) (bool, error) {
+	if _, err := r.StepUntil(cut, sweepLimit, stop); err != nil {
 		return false, err
 	}
 	finished := r.Done(cut)

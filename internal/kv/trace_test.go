@@ -28,7 +28,7 @@ func TestMapScenarioIncidentOrder(t *testing.T) {
 		run      func() (apps.ScenarioResult, error)
 		recycled uint64
 	}{
-		{"delete", func() (apps.ScenarioResult, error) { return MapABAScenario(shmem.NewNativeFactory(), apps.Raw, 0) }, 3},
+		{"delete", func() (apps.ScenarioResult, error) { return MapABAScenario(apps.Raw, 0) }, 3},
 		{"grow", func() (apps.ScenarioResult, error) { return MapGrowABAScenario(apps.Raw, 0) }, 1},
 	} {
 		r, err := in.run()
@@ -93,7 +93,7 @@ func mergeKeyLess(x, y trace.Event) bool {
 // the same script detects the ABA, so the incident is the *frozen* watch
 // snapshot ending at the near-miss, not the end-of-run merge.
 func TestMapScenarioWatchFiresOnNearMiss(t *testing.T) {
-	r, err := MapABAScenario(shmem.NewNativeFactory(), apps.Tagged, 8)
+	r, err := MapABAScenario(apps.Tagged, 8)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -97,6 +97,7 @@ type proc struct {
 	aborted bool // set by the scheduler before the abort resume
 	done    bool // scheduler-side view
 	err     error
+	at      any // the object the process is poised on, set at its gate
 }
 
 type pauseKind int
@@ -191,12 +192,14 @@ func (r *Runner) runProgram(p *proc) {
 const Observer = -1
 
 // gate blocks the calling process goroutine until the scheduler grants it a
-// step.  It is called by the simulated base objects before every operation.
-func (r *Runner) gate(pid int) {
+// step on obj.  It is called by the simulated base objects before every
+// operation.
+func (r *Runner) gate(pid int, obj *simObject) {
 	if pid < 0 {
 		return // observer access, see Observer
 	}
 	p := r.procs[pid]
+	p.at = obj
 	p.pause <- pausedAtGate
 	<-p.resume
 	if p.aborted {
@@ -216,6 +219,15 @@ func (r *Runner) Poised() []int {
 		}
 	}
 	return out
+}
+
+// PoisedOn reports whether process pid is paused at a gate whose step is an
+// operation on obj, an object made by this runner's Factory: its next step
+// touches obj.  A stop predicate uses it to cut a process just before an
+// access that writes nothing an Observer read could see.
+func (r *Runner) PoisedOn(pid int, obj any) bool {
+	p := r.procs[pid]
+	return !p.done && p.at == obj
 }
 
 // Done reports whether process pid has finished its program (or was never
@@ -415,17 +427,17 @@ var (
 )
 
 func (o *simObject) Read(pid int) Word {
-	o.r.gate(pid)
+	o.r.gate(pid, o)
 	return o.v
 }
 
 func (o *simObject) Write(pid int, v Word) {
-	o.r.gate(pid)
+	o.r.gate(pid, o)
 	o.v = v
 }
 
 func (o *simObject) CompareAndSwap(pid int, old, new Word) bool {
-	o.r.gate(pid)
+	o.r.gate(pid, o)
 	if o.v != old {
 		return false
 	}

@@ -110,6 +110,46 @@ func TestStepUntil(t *testing.T) {
 	}
 }
 
+func TestPoisedOn(t *testing.T) {
+	r := NewRunner(2)
+	defer r.Close()
+	f := r.Factory()
+	a, b := f.NewRegister("a", 0), f.NewCAS("b", 0)
+	if err := r.SetProgram(0, func(p *Proc) {
+		a.Write(p.ID(), 1)
+		a.Read(p.ID())
+		b.CompareAndSwap(p.ID(), 0, 2)
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if r.PoisedOn(0, a) {
+		t.Error("a process that has not started is poised on nothing")
+	}
+	if err := r.Start(); err != nil {
+		t.Fatal(err)
+	}
+	if !r.PoisedOn(0, a) || r.PoisedOn(0, b) || r.PoisedOn(1, a) {
+		t.Error("after Start process 0 should be poised on a, and process 1, which has no program, on nothing")
+	}
+	// A stop on the object a step touches, not on what it writes: the cut
+	// lands before the CAS with a read in between that changes nothing.
+	if n, err := r.StepUntil(0, 100, func(int) bool { return r.PoisedOn(0, b) }); err != nil || n != 2 {
+		t.Fatalf("stop before the CAS = (%d, %v), want (2, nil)", n, err)
+	}
+	if got := b.Read(Observer); got != 0 {
+		t.Errorf("b = %d before the CAS, want 0", got)
+	}
+	if r.PoisedOn(0, []int{}) {
+		t.Error("a value that is not an object of the runner matched")
+	}
+	if _, err := r.StepUntil(0, 100, nil); err != nil {
+		t.Fatal(err)
+	}
+	if r.PoisedOn(0, b) {
+		t.Error("a finished process is poised on nothing")
+	}
+}
+
 func TestContendedCASFails(t *testing.T) {
 	// Schedule both processes' Reads before either CAS: exactly one CAS
 	// must fail, demonstrating real interleaving.

@@ -134,15 +134,16 @@ const (
 	// KindExhaust is an allocation that found no free node.
 	KindExhaust
 
-	// Structure-level operation marks (the experiment hooks' begin/commit
-	// split, so a dump shows where a victim armed and where it resumed).
+	// Structure-level operation marks, so a dump shows where a victim
+	// armed and where its commit resolved.
 
-	// KindOpBegin marks the vulnerable first half of a split operation
-	// (PopBegin, DeqBegin, DeleteBegin).  A is kind-specific (the key, the
-	// loaded node).
+	// KindOpBegin marks a stack pop that has loaded the head and its
+	// successor (Pop, and the PopBegin hook that stops there).  A is the
+	// loaded head node, B its successor.
 	KindOpBegin
-	// KindOpCommit marks the completion of a split operation.  A is 1 when
-	// the commit was accepted, 0 when rejected.
+	// KindOpCommit marks a stack pop's or a queue dequeue's head commit.  A
+	// is 1 when the commit was accepted, 0 when rejected; B is the node the
+	// commit swings the head off.
 	KindOpCommit
 
 	kindCount // sentinel
@@ -264,17 +265,16 @@ type Name uint32
 const (
 	// NameNone is the empty label.
 	NameNone Name = iota
-	// NamePop, NameDeq and NameDelete label the stack's, the queue's and
-	// the map's split-operation marks.
+	// NamePop and NameDeq label the stack's and the queue's operation
+	// marks.
 	NamePop
 	NameDeq
-	NameDelete
 	// NameHP and NameEpoch label the reclaimers' own events.
 	NameHP
 	NameEpoch
 )
 
-var fixedNames = []string{"", "pop", "deq", "delete", "hp", "epoch"}
+var fixedNames = []string{"", "pop", "deq", "hp", "epoch"}
 
 // slot is one event as a ring stores it: four words, two slots per cache
 // line, no pointers — the GC never scans a ring and slot stores need no

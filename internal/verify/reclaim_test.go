@@ -37,7 +37,7 @@ func reclaimMakers() []struct {
 func TestReclaimPreventsScenariosWithZeroNearMisses(t *testing.T) {
 	for _, rc := range reclaimMakers() {
 		t.Run("stack/raw+"+rc.name, func(t *testing.T) {
-			res, err := apps.StackABAScenario(shmem.NewNativeFactory(), apps.Raw, 0, apps.WithReclaimer(rc.mk))
+			res, err := apps.StackABAScenario(apps.Raw, 0, apps.WithReclaimer(rc.mk))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -49,7 +49,7 @@ func TestReclaimPreventsScenariosWithZeroNearMisses(t *testing.T) {
 			}
 		})
 		t.Run("queue/raw+"+rc.name, func(t *testing.T) {
-			res, err := apps.QueueABAScenario(shmem.NewNativeFactory(), apps.Raw, 0, apps.WithReclaimer(rc.mk))
+			res, err := apps.QueueABAScenario(apps.Raw, 0, apps.WithReclaimer(rc.mk))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -63,7 +63,7 @@ func TestReclaimPreventsScenariosWithZeroNearMisses(t *testing.T) {
 	}
 	// The control arm: the pass-through reclaimer must reproduce the §1
 	// corruption under a raw guard.
-	res, err := apps.StackABAScenario(shmem.NewNativeFactory(), apps.Raw, 0, apps.WithReclaimer(reclaim.NewNone))
+	res, err := apps.StackABAScenario(apps.Raw, 0, apps.WithReclaimer(reclaim.NewNone))
 	if err != nil {
 		t.Fatal(err)
 	}

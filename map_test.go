@@ -126,57 +126,3 @@ func TestNewMapOptionPlumbing(t *testing.T) {
 		t.Error("want error for a detection-only guard behind a committing structure")
 	}
 }
-
-// TestMapDeleteHooksPublic drives the experiment hooks through the public
-// API: DeleteBegin logically deletes, a helping traversal may finish the
-// unlink, and a stale DeleteCommit can never double-fire.
-func TestMapDeleteHooksPublic(t *testing.T) {
-	m, err := NewMap(2, 8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	a, err := m.Handle(0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := m.Handle(1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !a.Put(5, 50) {
-		t.Fatal("put failed")
-	}
-	// Uncontended: the begun delete commits.
-	if _, _, found := a.DeleteBegin(5); !found {
-		t.Fatal("DeleteBegin missed the binding")
-	}
-	if !a.DeleteCommit() {
-		t.Error("uncontended DeleteCommit failed")
-	}
-	if a.DeleteCommit() {
-		t.Error("a second DeleteCommit replayed a consumed snapshot")
-	}
-	// Helped: readers are wait-free and never write, so a read that passes
-	// the marked node reports the miss without touching the chain; a
-	// *writer's* traversal finishes the unlink, and the stalled deleter's
-	// own commit must then fail instead of double-firing.
-	if !a.Put(6, 60) {
-		t.Fatal("put failed")
-	}
-	if _, _, found := a.DeleteBegin(6); !found {
-		t.Fatal("DeleteBegin missed the binding")
-	}
-	// The logical delete already hides the binding from readers.
-	if _, ok := b.Get(6); ok {
-		t.Error("marked binding still visible")
-	}
-	if b.Delete(6) {
-		t.Error("helping Delete claimed the kill it only helped unlink")
-	}
-	if a.DeleteCommit() {
-		t.Error("DeleteCommit succeeded after a helper already unlinked the node")
-	}
-	if audit := m.Audit(); audit.Corrupt {
-		t.Errorf("audit: %s", audit.Detail)
-	}
-}

@@ -231,7 +231,7 @@ func WithGrowth(maxCapacity int) Option {
 // `capacity` events per process (rounded up to a power of two, minimum 8),
 // recording guard loads/commits/rejects/near-misses, allocator
 // alloc/release/retire/exhaustion, reclaimer scans/epoch advances, and the
-// begin/commit halves of the split operations.  Recording is allocation-free,
+// stack's pop and the queue's dequeue marks.  Recording is allocation-free,
 // lock-free and single-writer per ring; StructureTrace() merges the rings
 // into one dump consistent with happens-before for every pair of events of
 // which one orders processes (see TraceEvent.GSeq).  Without this option
@@ -678,20 +678,6 @@ func (h *MapHandle) Put(k, v Word) bool { return h.inner.Put(k, v) }
 
 // Delete removes k's binding and reports whether one existed.
 func (h *MapHandle) Delete(k Word) bool { return h.inner.Delete(k) }
-
-// DeleteBegin is an experiment hook: it logically deletes the first live
-// k-node (marks its next link) and stops right before the physical unlink,
-// exposing the ABA window the deterministic map corruption script exploits.
-func (h *MapHandle) DeleteBegin(k Word) (cur, succ int, found bool) { return h.inner.DeleteBegin(k) }
-
-// DeleteCommit completes the delete begun by DeleteBegin.  Under
-// ProtectionRaw a stale commit can succeed after a recycle restored the
-// link word — the demonstration; the other regimes reject it (the marked
-// node is then unlinked by later traversals).  Any other operation on this
-// handle between the two halves (Get, Put, Delete, DeleteBegin) abandons
-// the pending unlink: DeleteCommit then returns false and leaves the marked
-// node to the helping traversals, so a stale commit never double-fires.
-func (h *MapHandle) DeleteCommit() bool { return h.inner.DeleteCommit() }
 
 // EventFlag is the §1 busy-wait scenario: a signaler pulses (Signal, then
 // Reset) and waiters Poll.  Whether an in-window pulse is observable is

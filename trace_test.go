@@ -91,29 +91,27 @@ func TestStructureTraceMap(t *testing.T) {
 	if !h.Put(1, 11) || !h.Put(2, 22) {
 		t.Fatal("puts failed")
 	}
-	// The split delete is the instrumented seam: its begin/commit halves
-	// record op events (the inline Delete records only its guard traffic).
-	if _, _, found := h.DeleteBegin(1); !found {
-		t.Fatal("DeleteBegin found nothing")
-	}
-	if !h.DeleteCommit() {
-		t.Fatal("DeleteCommit failed")
+	if !h.Delete(1) {
+		t.Fatal("Delete(1) found nothing")
 	}
 	ev := m.StructureTrace()
 	if len(ev) == 0 {
 		t.Fatal("traced map produced no events")
 	}
-	var sawBegin, sawCommit bool
+	// The Delete marks node 1's link, unlinks node 1 through the guard of
+	// its bucket, which it heads, and releases the node, in that order.
+	want := []func(e TraceEvent) bool{
+		func(e TraceEvent) bool { return e.Kind == "guard-commit" && e.Obj == "mnext[1]" && e.A&1 == 1 },
+		func(e TraceEvent) bool { return e.Kind == "guard-commit" && strings.HasPrefix(e.Obj, "mhead[") },
+		func(e TraceEvent) bool { return e.Kind == "release" && e.A == 1 },
+	}
 	for _, e := range ev {
-		if e.Obj == "delete" && e.Kind == "op-begin" {
-			sawBegin = true
-		}
-		if e.Obj == "delete" && e.Kind == "op-commit" && e.A == 1 {
-			sawCommit = true
+		if len(want) > 0 && want[0](e) {
+			want = want[1:]
 		}
 	}
-	if !sawBegin || !sawCommit {
-		t.Errorf("dump missing delete op events: begin=%v commit=%v", sawBegin, sawCommit)
+	if len(want) > 0 {
+		t.Errorf("Delete(1) recorded no mark, bucket-guard unlink and release in order (%d missing): %v", len(want), ev)
 	}
 
 	q, err := NewQueue(2, 8, WithTracing(64))
