@@ -39,10 +39,20 @@
 // Guards allocate their base objects from a shmem.Factory, so the same
 // guarded structure runs on the native, slab, padded, instrumented, and
 // simulator substrates unchanged.
+//
+// A handle is one allocation that binds what its calls read at Handle()
+// time.  Raw and tagged handles bind the guarded word (shmem.Direct) and the
+// tag shift; LL/SC and detector handles over Figure 3 (llsc.CASBased, the
+// default) hold its per-process link state by value (llsc.CASBased.Bind).
+// So on the direct substrates a clean Load or a Validate reads the handle
+// and the guarded word and nothing else.  Handles over other LL/SC objects
+// reach them through llsc.Handle, and on the instrumented substrates every
+// step stays a dynamic call, so step counts are the same on every substrate.
 package guard
 
 import (
 	"fmt"
+	"math"
 	"sync/atomic"
 
 	"abadetect/internal/shmem"
@@ -232,8 +242,11 @@ func NewMaker(f shmem.Factory, n int, regime Regime, tagBits uint) Maker {
 	}
 }
 
+// checkPid validates pid for a guard of n processes.  Raw and tagged
+// handles keep their pid as an int32, so a pid beyond that is out of range
+// too.
 func checkPid(pid, n int) error {
-	if pid < 0 || pid >= n {
+	if pid < 0 || pid >= n || pid > math.MaxInt32 {
 		return fmt.Errorf("guard: pid %d out of range [0,%d)", pid, n)
 	}
 	return nil

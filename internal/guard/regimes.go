@@ -16,13 +16,74 @@ func llscNewCASBased(f shmem.Factory, n int, valueBits uint, init Word) (llsc.Ob
 }
 
 // ---------------------------------------------------------------------------
-// Raw: bare CAS on the reference word.
+// Raw and Tagged: the reference in one CAS word.
 
-type rawGuard struct {
-	obj shmem.WritableCAS
-	n   int
-	m   metrics
+// wordGuard is what raw and tagged guards share: the CAS word holding the
+// reference (packed beside its tag, for a tagged guard) and the metrics its
+// handles bump.
+type wordGuard struct {
+	obj  shmem.WritableCAS
+	tags *shmem.TagCodec // a tagged guard's own codec, so raw guards carry none
+	n    int
+	m    metrics
 }
+
+func (g *wordGuard) NumProcs() int     { return g.n }
+func (g *wordGuard) Conditional() bool { return true }
+func (g *wordGuard) Metrics() Metrics  { return g.m.snapshot() }
+
+// handle binds process pid's handle to the word: on a direct substrate every
+// step of the handle is one atomic instruction on w, and a clean Load or a
+// Validate reads only the handle and the word.  shift is the tag width, the
+// shift that takes a loaded word to its value (0 for a raw guard).
+func (g *wordGuard) handle(pid int, shift uint) (wordHandle, error) {
+	if err := checkPid(pid, g.n); err != nil {
+		return wordHandle{}, err
+	}
+	return wordHandle{g: g, w: shmem.Direct(g.obj), pid: int32(pid), shift: uint8(shift)}, nil
+}
+
+// wordHandle is a raw or tagged handle's state: the word it last loaded,
+// tag included, and the guard's word bound at Handle() time.
+type wordHandle struct {
+	g      *wordGuard
+	w      *atomic.Uint64 // the word devirtualized, nil on instrumented substrates
+	last   Word
+	pid    int32
+	loaded bool
+	shift  uint8
+}
+
+// read performs one shared read of the word.
+func (h *wordHandle) read() Word {
+	if h.w != nil {
+		return h.w.Load()
+	}
+	return h.g.obj.Read(int(h.pid))
+}
+
+// cas performs one shared CAS of the word.
+func (h *wordHandle) cas(old, new Word) bool {
+	if h.w != nil {
+		return h.w.CompareAndSwap(old, new)
+	}
+	return h.g.obj.CompareAndSwap(int(h.pid), old, new)
+}
+
+func (h *wordHandle) Load() (Word, bool) {
+	w := h.read()
+	dirty := h.loaded && w != h.last
+	if dirty {
+		h.g.m.dirtyLoads.Add(1)
+	}
+	h.last, h.loaded = w, true
+	return w >> h.shift, dirty
+}
+
+func (h *wordHandle) Validate() bool { return h.read() == h.last }
+
+// rawGuard is a bare CAS on the reference word.
+type rawGuard struct{ wordGuard }
 
 // NewRaw builds the unprotected baseline: a bare CAS on the reference.
 // Commit succeeds whenever the word compares equal — the classic ABA
@@ -31,41 +92,24 @@ func NewRaw(f shmem.Factory, n int, name string, init Word) (Guard, error) {
 	if n < 1 {
 		return nil, fmt.Errorf("guard: raw guard needs n >= 1, got %d", n)
 	}
-	return &rawGuard{obj: f.NewCAS(name, init), n: n}, nil
+	return &rawGuard{wordGuard{obj: f.NewCAS(name, init), n: n}}, nil
 }
 
 func (g *rawGuard) Handle(pid int) (Handle, error) {
-	if err := checkPid(pid, g.n); err != nil {
+	h, err := g.handle(pid, 0)
+	if err != nil {
 		return nil, err
 	}
-	return &rawHandle{g: g, pid: pid}, nil
+	return &rawHandle{h}, nil
 }
 
-func (g *rawGuard) NumProcs() int     { return g.n }
 func (g *rawGuard) Regime() Regime    { return Raw }
-func (g *rawGuard) Conditional() bool { return true }
 func (g *rawGuard) Peek(pid int) Word { return g.obj.Read(pid) }
-func (g *rawGuard) Metrics() Metrics  { return g.m.snapshot() }
 
-type rawHandle struct {
-	g      *rawGuard
-	pid    int
-	last   Word
-	loaded bool
-}
-
-func (h *rawHandle) Load() (Word, bool) {
-	v := h.g.obj.Read(h.pid)
-	dirty := h.loaded && v != h.last
-	if dirty {
-		h.g.m.dirtyLoads.Add(1)
-	}
-	h.last, h.loaded = v, true
-	return v, dirty
-}
+type rawHandle struct{ wordHandle }
 
 func (h *rawHandle) Commit(v Word) bool {
-	if h.g.obj.CompareAndSwap(h.pid, h.last, v) {
+	if h.cas(h.last, v) {
 		h.g.m.commits.Add(1)
 		return true
 	}
@@ -74,18 +118,18 @@ func (h *rawHandle) Commit(v Word) bool {
 	return false
 }
 
-func (h *rawHandle) Validate() bool { return h.g.obj.Read(h.pid) == h.last }
+func (h *rawHandle) Store(v Word) {
+	if h.w != nil {
+		h.w.Store(v)
+		return
+	}
+	h.g.obj.Write(int(h.pid), v)
+}
 
-func (h *rawHandle) Store(v Word) { h.g.obj.Write(h.pid, v) }
-
-// ---------------------------------------------------------------------------
-// Tagged: a k-bit wrap-around tag packed beside the reference.
-
+// taggedGuard packs a k-bit wrap-around tag beside the reference.
 type taggedGuard struct {
-	obj   shmem.WritableCAS
+	wordGuard
 	codec shmem.TagCodec
-	n     int
-	m     metrics
 }
 
 // NewTagged builds the folklore k-bit tag scheme (tagBits = k): every write
@@ -99,59 +143,43 @@ func NewTagged(f shmem.Factory, n int, name string, valueBits, tagBits uint, ini
 	if err != nil {
 		return nil, fmt.Errorf("guard: tagged guard: %w", err)
 	}
-	return &taggedGuard{obj: f.NewCAS(name, codec.Encode(init, 0)), codec: codec, n: n}, nil
+	g := &taggedGuard{codec: codec}
+	g.wordGuard = wordGuard{obj: f.NewCAS(name, codec.Encode(init, 0)), tags: &g.codec, n: n}
+	return g, nil
 }
 
 func (g *taggedGuard) Handle(pid int) (Handle, error) {
-	if err := checkPid(pid, g.n); err != nil {
+	h, err := g.handle(pid, g.codec.TagBits())
+	if err != nil {
 		return nil, err
 	}
-	return &taggedHandle{g: g, pid: pid}, nil
+	return &taggedHandle{h}, nil
 }
 
-func (g *taggedGuard) NumProcs() int     { return g.n }
 func (g *taggedGuard) Regime() Regime    { return Tagged }
-func (g *taggedGuard) Conditional() bool { return true }
 func (g *taggedGuard) Peek(pid int) Word { return g.codec.Value(g.obj.Read(pid)) }
-func (g *taggedGuard) Metrics() Metrics  { return g.m.snapshot() }
 
-type taggedHandle struct {
-	g      *taggedGuard
-	pid    int
-	last   Word // the full packed word, tag included
-	loaded bool
-}
-
-func (h *taggedHandle) Load() (Word, bool) {
-	w := h.g.obj.Read(h.pid)
-	dirty := h.loaded && w != h.last
-	if dirty {
-		h.g.m.dirtyLoads.Add(1)
-	}
-	h.last, h.loaded = w, true
-	return h.g.codec.Value(w), dirty
-}
+type taggedHandle struct{ wordHandle }
 
 func (h *taggedHandle) Commit(v Word) bool {
-	next := h.g.codec.Encode(v, h.g.codec.Tag(h.last)+1)
-	if h.g.obj.CompareAndSwap(h.pid, h.last, next) {
+	c := h.g.tags
+	if h.cas(h.last, c.Encode(v, c.Tag(h.last)+1)) {
 		h.g.m.commits.Add(1)
 		return true
 	}
 	h.g.m.rejected.Add(1)
 	// Observer read: metrics are instrumentation, not model steps.
-	if cur := h.g.obj.Read(-1); h.g.codec.Value(cur) == h.g.codec.Value(h.last) {
+	if cur := h.g.obj.Read(-1); c.Value(cur) == c.Value(h.last) {
 		h.g.m.nearMisses.Add(1) // same value, different tag: the tag saved us
 	}
 	return false
 }
 
-func (h *taggedHandle) Validate() bool { return h.g.obj.Read(h.pid) == h.last }
-
 func (h *taggedHandle) Store(v Word) {
+	c := h.g.tags
 	for {
-		w := h.g.obj.Read(h.pid)
-		if h.g.obj.CompareAndSwap(h.pid, w, h.g.codec.Encode(v, h.g.codec.Tag(w)+1)) {
+		w := h.read()
+		if h.cas(w, c.Encode(v, c.Tag(w)+1)) {
 			return
 		}
 	}
@@ -162,6 +190,7 @@ func (h *taggedHandle) Store(v Word) {
 
 type llscGuard struct {
 	obj    llsc.Object
+	fig3   *llsc.CASBased // obj, when it is Figure 3
 	regime Regime
 	m      metrics
 }
@@ -185,10 +214,22 @@ func newLLSCGuard(obj llsc.Object, regime Regime) (Guard, error) {
 	if obj == nil {
 		return nil, fmt.Errorf("guard: %s guard needs a non-nil LL/SC/VL object", regime)
 	}
-	return &llscGuard{obj: obj, regime: regime}, nil
+	fig3, _ := obj.(*llsc.CASBased)
+	return &llscGuard{obj: obj, fig3: fig3, regime: regime}, nil
 }
 
+// Handle returns process pid's handle.  Over Figure 3 the handle holds the
+// object's per-process state by value (llsc.CASBased.Bind), so it is one
+// allocation and a clean Load calls VL directly; any other object's handle
+// is held through the llsc.Handle interface.
 func (g *llscGuard) Handle(pid int) (Handle, error) {
+	if g.fig3 != nil {
+		h := &fig3Handle{g: g}
+		if err := g.fig3.Bind(&h.h, pid); err != nil {
+			return nil, err
+		}
+		return h, nil
+	}
 	h, err := g.obj.Handle(pid)
 	if err != nil {
 		return nil, err
@@ -202,6 +243,16 @@ func (g *llscGuard) Conditional() bool { return true }
 func (g *llscGuard) Peek(pid int) Word { return g.obj.Peek(pid) }
 func (g *llscGuard) Metrics() Metrics  { return g.m.snapshot() }
 
+// reject counts a failed Commit by a handle that loaded old.
+func (g *llscGuard) reject(old Word) {
+	g.m.rejected.Add(1)
+	if g.obj.Peek(-1) == old {
+		g.m.nearMisses.Add(1) // value restored, link gone: a prevented ABA
+	}
+}
+
+// llscHandle is a guard handle over any LL/SC/VL object, held through the
+// llsc.Handle interface.
 type llscHandle struct {
 	g      *llscGuard
 	h      llsc.Handle
@@ -222,17 +273,15 @@ func (h *llscHandle) Load() (Word, bool) {
 	// state is per *process*, so a fresh handle for a pid whose earlier
 	// handle left a clean link would otherwise serve its stale
 	// initial-value cache.
-	if !h.linked {
-		h.old = h.h.LL()
-		h.linked = true
+	if h.linked && h.h.VL() {
 		return h.old, false
 	}
-	if h.h.VL() {
-		return h.old, false
+	dirty := h.linked
+	if dirty {
+		h.g.m.dirtyLoads.Add(1)
 	}
-	h.g.m.dirtyLoads.Add(1)
-	h.old = h.h.LL()
-	return h.old, true
+	h.old, h.linked = h.h.LL(), true
+	return h.old, dirty
 }
 
 func (h *llscHandle) Commit(v Word) bool {
@@ -240,16 +289,55 @@ func (h *llscHandle) Commit(v Word) bool {
 		h.g.m.commits.Add(1)
 		return true
 	}
-	h.g.m.rejected.Add(1)
-	if h.g.obj.Peek(-1) == h.old {
-		h.g.m.nearMisses.Add(1) // value restored, link gone: a prevented ABA
-	}
+	h.g.reject(h.old)
 	return false
 }
 
 func (h *llscHandle) Validate() bool { return h.h.VL() }
 
 func (h *llscHandle) Store(v Word) {
+	for {
+		h.h.LL()
+		if h.h.SC(v) {
+			return
+		}
+	}
+}
+
+// fig3Handle is llscHandle over Figure 3 with the object's handle held by
+// value: its methods are llscHandle's, calling Figure 3's LL, SC and VL
+// directly instead of through the interface.
+type fig3Handle struct {
+	g      *llscGuard
+	h      llsc.CASBasedHandle
+	old    Word
+	linked bool
+}
+
+func (h *fig3Handle) Load() (Word, bool) {
+	if h.linked && h.h.VL() {
+		return h.old, false
+	}
+	dirty := h.linked
+	if dirty {
+		h.g.m.dirtyLoads.Add(1)
+	}
+	h.old, h.linked = h.h.LL(), true
+	return h.old, dirty
+}
+
+func (h *fig3Handle) Commit(v Word) bool {
+	if h.h.SC(v) {
+		h.g.m.commits.Add(1)
+		return true
+	}
+	h.g.reject(h.old)
+	return false
+}
+
+func (h *fig3Handle) Validate() bool { return h.h.VL() }
+
+func (h *fig3Handle) Store(v Word) {
 	for {
 		h.h.LL()
 		if h.h.SC(v) {

@@ -20,9 +20,12 @@ import (
 // LLs can only clear bits, and there are only n of them — so p may linearize
 // its LL early and remember in the local flag b that its link is already
 // invalid.
+//
 // On the direct substrates (native, slab, padded) every read and CAS of X
 // binds to a raw *atomic.Uint64 at construction time; on instrumented or
-// simulated substrates each step stays a dynamic call.
+// simulated substrates each step stays a dynamic call.  A process's state is
+// a CASBasedHandle value that Bind fills in place: Handle allocates one, and
+// a caller with per-process state of its own embeds one instead.
 type CASBased struct {
 	n       int
 	codec   shmem.MaskCodec
@@ -66,27 +69,41 @@ func (o *CASBased) Initial() Word { return o.initial }
 // Peek returns the current value without linking.
 func (o *CASBased) Peek(pid int) Word { return o.codec.Value(o.x.Read(pid)) }
 
-// Handle returns process pid's handle.
+// Handle returns process pid's handle: a new CASBasedHandle bound by Bind.
 func (o *CASBased) Handle(pid int) (Handle, error) {
-	if pid < 0 || pid >= o.n {
-		return nil, fmt.Errorf("llsc: pid %d out of range [0,%d)", pid, o.n)
+	h := new(CASBasedHandle)
+	if err := o.Bind(h, pid); err != nil {
+		return nil, err
 	}
-	return &casBasedHandle{o: o, pid: pid, xd: o.xd}, nil
+	return h, nil
 }
 
-// casBasedHandle carries the paper's local flag b plus the direct accessor
-// to X, bound at Handle() time when the substrate devirtualizes.
-type casBasedHandle struct {
+// Bind makes *h process pid's handle, discarding any link it held.  A caller
+// that keeps per-process state of its own (an LL/SC guard's handle) embeds a
+// CASBasedHandle by value and binds it in place, so one allocation carries
+// both and a VL reads only the handle and X.
+func (o *CASBased) Bind(h *CASBasedHandle, pid int) error {
+	if pid < 0 || pid >= o.n {
+		return fmt.Errorf("llsc: pid %d out of range [0,%d)", pid, o.n)
+	}
+	*h = CASBasedHandle{o: o, xd: o.xd, pid: pid}
+	return nil
+}
+
+// CASBasedHandle is one process's handle on a CASBased object: the paper's
+// local flag b plus the direct accessor to X, bound by Bind when the
+// substrate devirtualizes.  The zero value is unbound; Bind it before use.
+type CASBasedHandle struct {
 	o   *CASBased
+	xd  *atomic.Uint64
 	pid int
 	b   bool
-	xd  *atomic.Uint64
 }
 
-var _ Handle = (*casBasedHandle)(nil)
+var _ Handle = (*CASBasedHandle)(nil)
 
 // read performs one shared read of X.
-func (h *casBasedHandle) read() Word {
+func (h *CASBasedHandle) read() Word {
 	if h.xd != nil {
 		return h.xd.Load()
 	}
@@ -94,7 +111,7 @@ func (h *casBasedHandle) read() Word {
 }
 
 // cas performs one shared CAS of X.
-func (h *casBasedHandle) cas(old, new Word) bool {
+func (h *CASBasedHandle) cas(old, new Word) bool {
 	if h.xd != nil {
 		return h.xd.CompareAndSwap(old, new)
 	}
@@ -102,7 +119,7 @@ func (h *casBasedHandle) cas(old, new Word) bool {
 }
 
 // LL implements Figure 3 lines 14-25.
-func (h *casBasedHandle) LL() Word {
+func (h *CASBasedHandle) LL() Word {
 	o := h.o
 	w := h.read()               // line 14
 	if !o.codec.Bit(w, h.pid) { // line 15: p's bit is 0
@@ -123,7 +140,7 @@ func (h *casBasedHandle) LL() Word {
 }
 
 // SC implements Figure 3 lines 1-8.
-func (h *casBasedHandle) SC(v Word) bool {
+func (h *CASBasedHandle) SC(v Word) bool {
 	o := h.o
 	if h.b { // line 1
 		return false
@@ -140,8 +157,10 @@ func (h *casBasedHandle) SC(v Word) bool {
 	return false // line 8
 }
 
-// VL implements Figure 3 lines 9-13.
-func (h *casBasedHandle) VL() bool {
-	w := h.read()                           // line 9
-	return !h.o.codec.Bit(w, h.pid) && !h.b // lines 10-13
+// VL implements Figure 3 lines 9-13.  It tests p's bit in the word itself
+// (MaskCodec.Bit's arithmetic) rather than through o.codec, so on a direct
+// substrate a VL touches the handle and X and never the shared CASBased.
+func (h *CASBasedHandle) VL() bool {
+	w := h.read()                        // line 9
+	return w>>uint(h.pid)&1 == 0 && !h.b // lines 10-13
 }

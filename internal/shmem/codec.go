@@ -337,6 +337,10 @@ func (c TagCodec) Bits() int { return int(c.valueBits + c.tagBits) }
 // MaxValue returns the largest encodable value.
 func (c TagCodec) MaxValue() Word { return c.maxValue }
 
+// TagBits returns the tag width, the shift that takes a packed word to its
+// value.
+func (c TagCodec) TagBits() uint { return c.tagBits }
+
 // TagVals returns the size of the tag domain, 2^tagBits.
 func (c TagCodec) TagVals() Word { return c.tagMask + 1 }
 
