@@ -28,22 +28,13 @@
 // map/tag16+hp/steady); in a -cell glob, * matches any run of characters,
 // / included.
 //
-// Benchmark regression check: re-run the throughput experiments (E10 base
-// objects, E11 application matrix, E12 reclamation matrix, E13 traffic
-// matrix, E14 read-scaling matrix, E15 growth matrix, E16 pressure matrix,
-// E17 observability matrix) and diff them against a committed snapshot
-// (BENCH_baseline.json is the seed, BENCH_pr2.json the slab/devirtualized
-// substrate, BENCH_pr3.json adds the application matrix, BENCH_pr4.json the
-// reclamation matrix, BENCH_pr5.json the map and traffic matrices,
-// BENCH_pr6.json the backpressure profiles (plus since-retired fast-path
-// variants), BENCH_pr7.json the wait-free read paths and the read-scaling
-// matrix, BENCH_pr8.json the growth matrix, BENCH_pr9.json the
-// reclamation-pressure matrix, BENCH_pr10.json the observability matrix —
-// and, from pr10 on, a Machine header identifying the recording host,
-// echoed by -bench-compare):
+// Benchmark regression check: re-run every throughput experiment (E10–E17)
+// a committed BENCH_*.json snapshot carries and diff the fresh tables
+// against it, after echoing the snapshot's and the current host's machine
+// headers (README's Experiment index lists the snapshots):
 //
 //	abalab -bench-compare BENCH_pr10.json
-//	abalab -json > BENCH_pr11.json   # record a new snapshot
+//	abalab -json > snapshot.json   # record a new snapshot
 package main
 
 import (
@@ -119,7 +110,7 @@ func run(args []string, out io.Writer) error {
 		if err != nil {
 			return err
 		}
-		tables, _, err := bench.CompareThroughput(snap.Tables)
+		tables, err := bench.CompareThroughput(snap.Tables)
 		if err != nil {
 			return err
 		}
@@ -127,7 +118,7 @@ func run(args []string, out io.Writer) error {
 			// A cross-machine or cross-toolchain diff is context every
 			// verdict below depends on — print both headers first.
 			if snap.Machine == (bench.Machine{}) {
-				fmt.Fprintln(out, "snapshot machine: unrecorded (pre-envelope snapshot)")
+				fmt.Fprintln(out, "snapshot machine: unrecorded")
 			} else {
 				fmt.Fprintf(out, "snapshot machine: %s\n", snap.Machine)
 			}

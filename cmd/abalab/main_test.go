@@ -14,34 +14,23 @@ import (
 	"abadetect/internal/registry"
 )
 
-// table is one table of abalab's -json output.
-type table struct {
-	ID     string
-	Header []string
-	Rows   [][]string
-}
-
-// runJSON runs abalab with args plus -json and decodes the Tables array out
+// runJSON runs abalab with args plus -json and decodes the typed tables out
 // of the machine-header envelope every -json table output carries
 // (bench.WriteJSON).
-func runJSON(t *testing.T, args ...string) []table {
+func runJSON(t *testing.T, args ...string) []*bench.Table {
 	t.Helper()
 	var buf bytes.Buffer
 	if err := run(append(args, "-json"), &buf); err != nil {
 		t.Fatal(err)
 	}
-	var snap struct{ Tables json.RawMessage }
+	var snap bench.Snapshot
 	if err := json.Unmarshal(buf.Bytes(), &snap); err != nil {
 		t.Fatalf("-json output is not a snapshot envelope: %v", err)
 	}
 	if snap.Tables == nil {
 		t.Fatalf("-json envelope has no Tables: %s", buf.Bytes())
 	}
-	var tables []table
-	if err := json.Unmarshal(snap.Tables, &tables); err != nil {
-		t.Fatalf("snapshot Tables do not decode: %v", err)
-	}
-	return tables
+	return snap.Tables
 }
 
 func TestList(t *testing.T) {
@@ -215,7 +204,7 @@ var freshThroughput = sync.OnceValues(func() ([]*bench.Table, error) {
 
 // compareSnapshot diffs a committed snapshot against the shared fresh run,
 // as -bench-compare does, and checks the comparison (checkComparison).
-func compareSnapshot(t *testing.T, name string, wantIDs []string, withRetired bool, postdates func(tableID, key string) bool) []table {
+func compareSnapshot(t *testing.T, name string, wantIDs []string, withRetired bool, postdates func(tableID, key string) bool) []*bench.Table {
 	t.Helper()
 	fresh, err := freshThroughput()
 	if err != nil {
@@ -225,13 +214,9 @@ func compareSnapshot(t *testing.T, name string, wantIDs []string, withRetired bo
 	if err != nil {
 		t.Fatal(err)
 	}
-	cmp, _, err := bench.DiffThroughput(snap.Tables, fresh)
+	tables, err := bench.DiffThroughput(snap.Tables, fresh)
 	if err != nil {
 		t.Fatal(err)
-	}
-	tables := make([]table, len(cmp))
-	for i, c := range cmp {
-		tables[i] = table{ID: c.ID, Header: c.Header, Rows: c.Rows}
 	}
 	checkComparison(t, name, tables, wantIDs, withRetired, postdates)
 	return tables
@@ -243,7 +228,7 @@ func compareSnapshot(t *testing.T, name string, wantIDs []string, withRetired bo
 // (postdates(tableID, key)), "removed" only for a retired tuned variant,
 // and only when withRetired says the snapshot carries them — in which case
 // at least one must be reported.
-func checkComparison(t *testing.T, name string, tables []table, wantIDs []string, withRetired bool, postdates func(tableID, key string) bool) {
+func checkComparison(t *testing.T, name string, tables []*bench.Table, wantIDs []string, withRetired bool, postdates func(tableID, key string) bool) {
 	t.Helper()
 	if len(tables) != len(wantIDs) {
 		t.Fatalf("comparison has %d tables, want %d", len(tables), len(wantIDs))
@@ -257,10 +242,11 @@ func checkComparison(t *testing.T, name string, tables []table, wantIDs []string
 			t.Errorf("%s has no rows", tbl.ID)
 		}
 		for _, row := range tbl.Rows {
+			key, verdict := row[0].Text(), row[4].Text()
 			switch {
-			case row[4] == "removed" && withRetired && retiredRow(tbl.ID, row[0]):
+			case verdict == "removed" && withRetired && retiredRow(tbl.ID, key):
 				retired++
-			case row[4] == "removed", row[4] == "new" && !postdates(tbl.ID, row[0]):
+			case verdict == "removed", verdict == "new" && !postdates(tbl.ID, key):
 				t.Errorf("%s row %v does not line up with %s", tbl.ID, row, name)
 			}
 		}
@@ -272,7 +258,7 @@ func checkComparison(t *testing.T, name string, tables []table, wantIDs []string
 
 // wantTail checks that the header of comparison table id ends with want,
 // the columns compare adds after the throughput diff.
-func wantTail(t *testing.T, tables []table, id string, want ...string) {
+func wantTail(t *testing.T, tables []*bench.Table, id string, want ...string) {
 	t.Helper()
 	for _, tbl := range tables {
 		if tbl.ID == id && !slices.Equal(tbl.Header[max(len(tbl.Header)-len(want), 0):], want) {
@@ -284,13 +270,16 @@ func wantTail(t *testing.T, tables []table, id string, want ...string) {
 func TestBenchCompare(t *testing.T) {
 	// The committed BENCH_pr2.json must be loadable and comparable through
 	// the CLI end to end: every E10 row of the snapshot reappears in a
-	// fresh run with a parsed speedup.
+	// fresh run with a typed speedup.
 	tables := runJSON(t, "-bench-compare", "../../BENCH_pr2.json")
 	checkComparison(t, "BENCH_pr2.json", tables, []string{"E10-compare"}, false,
 		func(_, _ string) bool { return false })
 	for _, row := range tables[0].Rows {
 		if len(row) != 5 {
 			t.Errorf("comparison row %v has %d cells, want 5", row, len(row))
+		}
+		if speedup, ok := row[4].Num(); !ok || speedup <= 0 {
+			t.Errorf("comparison row %v has no speedup", row)
 		}
 	}
 }
@@ -370,10 +359,11 @@ func TestBenchPR8SnapshotCarriesGrowthMatrix(t *testing.T) {
 	// pin the committed snapshot's shape instead — all six throughput tables
 	// present, and the E15 table carrying the growth columns the comparison
 	// keys on — so a regenerated snapshot can't silently drop the matrix.
-	snapshot, err := bench.LoadTables("../../BENCH_pr8.json")
+	snap, err := bench.LoadSnapshot("../../BENCH_pr8.json")
 	if err != nil {
 		t.Fatal(err)
 	}
+	snapshot := snap.Tables
 	for _, id := range []string{"E10", "E11", "E12", "E13", "E14", "E15"} {
 		if _, ok := bench.FindTable(snapshot, id); !ok {
 			t.Errorf("BENCH_pr8.json lacks the %s table", id)
@@ -399,9 +389,9 @@ func TestBenchPR8SnapshotCarriesGrowthMatrix(t *testing.T) {
 		t.Errorf("E15 snapshot has %d rows, want 18", len(e15.Rows))
 	}
 	for _, row := range e15.Rows {
-		outcome := row[len(row)-1]
-		if !strings.HasPrefix(row[0], "map/raw") && strings.Contains(outcome, "corrupt=true") {
-			t.Errorf("snapshot sound cell %s corrupted: %s", row[0], outcome)
+		outcome := row[len(row)-1].Text()
+		if !strings.HasPrefix(row[0].Text(), "map/raw") && strings.Contains(outcome, "corrupt=true") {
+			t.Errorf("snapshot sound cell %s corrupted: %s", row[0].Text(), outcome)
 		}
 	}
 }
@@ -413,10 +403,11 @@ func TestBenchPR9SnapshotCarriesPressureMatrix(t *testing.T) {
 	// E16 table carrying the pressure columns the comparison keys on, and
 	// the headline contrast recorded: the lazy fixed cadence starves
 	// allocations on the write-leaning cells while epoch:auto does not.
-	snapshot, err := bench.LoadTables("../../BENCH_pr9.json")
+	snap, err := bench.LoadSnapshot("../../BENCH_pr9.json")
 	if err != nil {
 		t.Fatal(err)
 	}
+	snapshot := snap.Tables
 	for _, id := range []string{"E10", "E11", "E12", "E13", "E14", "E15", "E16"} {
 		if _, ok := bench.FindTable(snapshot, id); !ok {
 			t.Errorf("BENCH_pr9.json lacks the %s table", id)
@@ -439,19 +430,19 @@ func TestBenchPR9SnapshotCarriesPressureMatrix(t *testing.T) {
 	if len(e16.Rows) != 15 {
 		t.Errorf("E16 snapshot has %d rows, want 15", len(e16.Rows))
 	}
-	miss := map[string]string{}
+	miss := map[string]bench.Cell{}
 	for _, row := range e16.Rows {
-		if strings.Contains(row[cols["outcome"]], "corrupt=true") {
-			t.Errorf("snapshot cell %s corrupted under sound guards: %s", row[0], row[cols["outcome"]])
+		if outcome := row[cols["outcome"]].Text(); strings.Contains(outcome, "corrupt=true") {
+			t.Errorf("snapshot cell %s corrupted under sound guards: %s", row[0].Text(), outcome)
 		}
-		miss[row[0]] = row[cols["alloc-miss"]]
+		miss[row[0].Text()] = row[cols["alloc-miss"]]
 	}
 	for _, structID := range []string{"stack", "map"} {
-		if miss[structID+"/epoch:64/write-lean"] == "0" {
+		if v, ok := miss[structID+"/epoch:64/write-lean"].Num(); ok && v == 0 {
 			t.Errorf("%s: snapshot's lazy-cadence foil recorded no alloc-misses", structID)
 		}
-		if got := miss[structID+"/epoch:auto/write-lean"]; got != "0" {
-			t.Errorf("%s: snapshot records %s epoch:auto alloc-misses, want 0", structID, got)
+		if v, ok := miss[structID+"/epoch:auto/write-lean"].Num(); !ok || v != 0 {
+			t.Errorf("%s: snapshot records %v epoch:auto alloc-misses, want 0", structID, v)
 		}
 	}
 }
@@ -466,16 +457,16 @@ func TestMatrixRun(t *testing.T) {
 		rows  int // 0: check only that there are rows
 		label func(string) bool
 		cols  []string
-		check func(t *testing.T, rows [][]string)
+		check func(t *testing.T, rows [][]bench.Cell)
 	}{
 		{
 			name: "E11", args: []string{"-run", "E11"},
 			label: func(string) bool { return true },
-			check: func(t *testing.T, rows [][]string) {
+			check: func(t *testing.T, rows [][]bench.Cell) {
 				// Every structure runs over every guard spec in the registry.
 				seen := map[string]bool{}
 				for _, row := range rows {
-					seen[row[0]] = true
+					seen[row[0].Text()] = true
 				}
 				for _, im := range registry.Structures() {
 					for _, spec := range registry.GuardSpecs(im.ID != "event") {
@@ -506,10 +497,10 @@ func TestMatrixRun(t *testing.T) {
 			name: "E14-stack-none", args: []string{"-run", "E14", "-cell", "stack/*+none"},
 			rows:  16, // 4 regimes × 1 scheme × 4 worker counts
 			label: func(l string) bool { return strings.HasPrefix(l, "stack/") && strings.HasSuffix(l, "+none") },
-			check: func(t *testing.T, rows [][]string) {
+			check: func(t *testing.T, rows [][]bench.Cell) {
 				for _, row := range rows {
-					if !strings.HasSuffix(row[6], "x") {
-						t.Errorf("row %q scale column %q is not a ratio", row[0], row[6])
+					if scale, ok := row[6].Num(); !ok || scale <= 0 {
+						t.Errorf("row %q scale column %v is not a ratio", row[0].Text(), row[6])
 					}
 				}
 			},
@@ -526,10 +517,10 @@ func TestMatrixRun(t *testing.T) {
 			rows:  15, // stack × 5 schemes + map × 5 schemes × 2 profiles
 			label: func(string) bool { return true },
 			cols:  []string{"limbo", "alloc-miss", "scans", "batches", "tune"},
-			check: func(t *testing.T, rows [][]string) {
+			check: func(t *testing.T, rows [][]bench.Cell) {
 				schemes := map[string]bool{}
 				for _, row := range rows {
-					schemes[strings.SplitN(row[0], "/", 3)[1]] = true
+					schemes[strings.SplitN(row[0].Text(), "/", 3)[1]] = true
 				}
 				for _, s := range []string{"none", "hp", "epoch", "epoch:64", "epoch:auto"} {
 					if !schemes[s] {
@@ -549,8 +540,8 @@ func TestMatrixRun(t *testing.T) {
 				t.Fatalf("%v gave %d rows, want %d", tc.args, len(rows), tc.rows)
 			}
 			for _, row := range rows {
-				if !tc.label(row[0]) {
-					t.Errorf("unexpected row label %q", row[0])
+				if !tc.label(row[0].Text()) {
+					t.Errorf("unexpected row label %q", row[0].Text())
 				}
 			}
 			for _, col := range tc.cols {

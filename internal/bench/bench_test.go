@@ -2,7 +2,6 @@ package bench
 
 import (
 	"bytes"
-	"strconv"
 	"strings"
 	"testing"
 )
@@ -39,16 +38,16 @@ func TestE2TimeSpaceShape(t *testing.T) {
 	// Figure 3 rows must show t = 2n+1.
 	found := 0
 	for _, row := range tbl.Rows {
-		if row[1] == "fig3 (1 CAS)" {
+		if row[1].Text() == "fig3 (1 CAS)" {
 			found++
-			switch row[0] {
+			switch row[0].Text() {
 			case "2":
-				if row[3] != "5" {
-					t.Errorf("n=2: t = %s, want 5", row[3])
+				if row[3].Text() != "5" {
+					t.Errorf("n=2: t = %s, want 5", row[3].Text())
 				}
 			case "4":
-				if row[3] != "9" {
-					t.Errorf("n=4: t = %s, want 9", row[3])
+				if row[3].Text() != "9" {
+					t.Errorf("n=4: t = %s, want 9", row[3].Text())
 				}
 			}
 		}
@@ -67,11 +66,11 @@ func TestE7SeparationShape(t *testing.T) {
 		t.Fatalf("rows = %d", len(tbl.Rows))
 	}
 	first, last := tbl.Rows[0], tbl.Rows[len(tbl.Rows)-1]
-	if first[1] >= last[1] && len(first[1]) >= len(last[1]) {
-		t.Errorf("unbounded bits did not grow: %s -> %s", first[1], last[1])
+	if f, l := first[1].Text(), last[1].Text(); f >= l && len(f) >= len(l) {
+		t.Errorf("unbounded bits did not grow: %s -> %s", f, l)
 	}
 	if first[2] != last[2] {
-		t.Errorf("Figure 4 bits changed: %s -> %s", first[2], last[2])
+		t.Errorf("Figure 4 bits changed: %s -> %s", first[2].Text(), last[2].Text())
 	}
 }
 
@@ -86,9 +85,9 @@ func TestE1AndE8Verdicts(t *testing.T) {
 	refuted, survived := 0, 0
 	for _, row := range e1.Rows {
 		switch {
-		case strings.HasPrefix(row[3], "REFUTED"):
+		case strings.HasPrefix(row[3].Text(), "REFUTED"):
 			refuted++
-		case strings.HasPrefix(row[3], "no witness"):
+		case strings.HasPrefix(row[3].Text(), "no witness"):
 			survived++
 		}
 	}
@@ -103,11 +102,11 @@ func TestE1AndE8Verdicts(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(e8.Rows[0][4], "no witness") {
+	if !strings.Contains(e8.Rows[0][4].Text(), "no witness") {
 		t.Errorf("E8: paper variant did not survive: %v", e8.Rows[0])
 	}
 	for i := 1; i < len(e8.Rows); i++ {
-		if !strings.HasPrefix(e8.Rows[i][4], "REFUTED") {
+		if !strings.HasPrefix(e8.Rows[i][4].Text(), "REFUTED") {
 			t.Errorf("E8: ablation %d not refuted: %v", i, e8.Rows[i])
 		}
 	}
@@ -146,9 +145,10 @@ func TestE10ThroughputShape(t *testing.T) {
 	if len(tbl.Rows) < 9+2 {
 		t.Fatalf("rows = %d", len(tbl.Rows))
 	}
+	checkTyped(t, tbl)
 	ids := map[string]bool{}
 	for _, row := range tbl.Rows {
-		ids[row[0]] = true
+		ids[row[0].Text()] = true
 	}
 	for _, want := range []string{"fig4", "fig3", "constant", "moir", "unbounded", "sharded[fig4] K=1"} {
 		if !ids[want] {
@@ -157,8 +157,28 @@ func TestE10ThroughputShape(t *testing.T) {
 	}
 }
 
+// checkTyped checks that every row of tbl has a cell per column, that each
+// label column holds text, and that each metric column holds numbers or
+// absent cells.
+func checkTyped(t *testing.T, tbl *Table) {
+	t.Helper()
+	if len(tbl.Units) != len(tbl.Header) {
+		t.Fatalf("%s has %d units for %d columns", tbl.ID, len(tbl.Units), len(tbl.Header))
+	}
+	for _, row := range tbl.Rows {
+		if len(row) != len(tbl.Header) {
+			t.Fatalf("row %v has %d cells, want %d", row, len(row), len(tbl.Header))
+		}
+		for i, c := range row {
+			if _, isText := c.v.(string); isText != (tbl.Units[i] == Label) {
+				t.Errorf("%s row %q: %s cell %v does not fit unit %s", tbl.ID, row[0].Text(), tbl.Header[i], c.v, tbl.Units[i])
+			}
+		}
+	}
+}
+
 func TestE13LoadMatrixShape(t *testing.T) {
-	// One profile, one scheme: one row per regime with parseable latency
+	// One profile, one scheme: one row per regime with typed latency
 	// columns; a glob that matches no cell is an error.
 	tbl, err := E13LoadMatrix(Options{Cell: "map/*+none/steady"})
 	if err != nil {
@@ -167,12 +187,12 @@ func TestE13LoadMatrixShape(t *testing.T) {
 	if len(tbl.Rows) != 4 {
 		t.Fatalf("rows = %d, want 4 (one per regime)", len(tbl.Rows))
 	}
+	checkTyped(t, tbl)
 	for _, row := range tbl.Rows {
-		if len(row) != len(tbl.Header) {
-			t.Fatalf("row %v has %d cells, want %d", row, len(row), len(tbl.Header))
-		}
-		if row[6] == "" || row[7] == "" || row[8] == "" {
-			t.Errorf("row %v lacks latency percentiles", row)
+		for _, c := range row[6:9] {
+			if _, ok := c.Num(); !ok {
+				t.Errorf("row %v lacks latency percentiles", row)
+			}
 		}
 	}
 	for _, glob := range []string{"no-such-structure/*", "map/*+no-such-scheme/*", "map/*/no-such-profile"} {
@@ -194,10 +214,11 @@ func TestE13TrafficFilterAndTuningPin(t *testing.T) {
 	}
 	structs := map[string]bool{}
 	for _, row := range tbl.Rows {
-		if !strings.HasSuffix(row[0], "+none/steady") {
-			t.Errorf("row %q is not a baseline steady/none cell", row[0])
+		label := row[0].Text()
+		if !strings.HasSuffix(label, "+none/steady") {
+			t.Errorf("row %q is not a baseline steady/none cell", label)
 		}
-		structs[strings.SplitN(row[0], "/", 2)[0]] = true
+		structs[strings.SplitN(label, "/", 2)[0]] = true
 	}
 	if !structs["map"] || !structs["stack"] {
 		t.Errorf("default sweep covered %v, want map and stack", structs)
@@ -207,18 +228,19 @@ func TestE13TrafficFilterAndTuningPin(t *testing.T) {
 func TestE13BackpressureProfile(t *testing.T) {
 	// The poisson-shed profile runs behind a 4-deep admission queue: the
 	// shed column must account for every non-admitted arrival (ops + shed =
-	// offered is checked inside load; here the column must parse and the
-	// sound cells must stay clean).
+	// offered is checked inside load; here the column must be a count and
+	// the sound cells must stay clean).
 	tbl, err := E13LoadMatrix(Options{Cell: "map/*+none/poisson-shed"})
 	if err != nil {
 		t.Fatal(err)
 	}
+	checkTyped(t, tbl)
 	for _, row := range tbl.Rows {
-		if _, err := strconv.Atoi(row[9]); err != nil {
-			t.Errorf("row %q shed column %q is not a count: %v", row[0], row[9], err)
+		if _, ok := row[9].Num(); !ok {
+			t.Errorf("row %q shed column %v is not a count", row[0].Text(), row[9])
 		}
-		if strings.HasPrefix(row[0], "map/llsc") && strings.Contains(row[10], "corrupt=true") {
-			t.Errorf("row %q corrupted under llsc: %s", row[0], row[10])
+		if strings.HasPrefix(row[0].Text(), "map/llsc") && strings.Contains(row[10].Text(), "corrupt=true") {
+			t.Errorf("row %q corrupted under llsc: %s", row[0].Text(), row[10].Text())
 		}
 	}
 }
@@ -233,24 +255,27 @@ func TestE14ReadScalingShape(t *testing.T) {
 	if len(tbl.Rows) != 16 {
 		t.Fatalf("rows = %d, want 16 (4 regimes × 4 worker counts)", len(tbl.Rows))
 	}
+	checkTyped(t, tbl)
 	for i, row := range tbl.Rows {
-		if i%4 == 0 && row[6] != "1.00x" {
-			t.Errorf("1-worker row %q scale = %q, want 1.00x", row[0], row[6])
+		label := row[0].Text()
+		scale, ok := row[6].Num()
+		if !ok {
+			t.Errorf("row %q has no scale", label)
 		}
-		if !strings.HasSuffix(row[6], "x") {
-			t.Errorf("row %q scale %q not a ratio", row[0], row[6])
+		if i%4 == 0 && scale != 1 {
+			t.Errorf("1-worker row %q scale = %v, want 1", label, scale)
 		}
-		if _, err := strconv.ParseFloat(row[4], 64); err != nil {
-			t.Errorf("row %q ns/op %q: %v", row[0], row[4], err)
+		if _, ok := row[4].Num(); !ok {
+			t.Errorf("row %q has no ns/op", label)
 		}
-		if !strings.Contains(row[2], ", w") {
-			t.Errorf("row %q workload %q does not encode the worker count", row[0], row[2])
+		if !strings.Contains(row[2].Text(), ", w") {
+			t.Errorf("row %q workload %q does not encode the worker count", label, row[2].Text())
 		}
 		// The stack's peeks are wait-free under every regime and "none"
 		// reclamation never recycles under this trickle, so even raw must
 		// audit clean here — the read protocol is regime-independent.
-		if strings.Contains(row[7], "corrupt=true") {
-			t.Errorf("row %q corrupted under the read-mostly trickle: %q", row[0], row[7])
+		if strings.Contains(row[7].Text(), "corrupt=true") {
+			t.Errorf("row %q corrupted under the read-mostly trickle: %q", label, row[7].Text())
 		}
 	}
 	// The event flag has no read fast path, so it contributes no cells.
@@ -262,7 +287,8 @@ func TestE14ReadScalingShape(t *testing.T) {
 }
 
 func TestWriteJSON(t *testing.T) {
-	tbl := &Table{ID: "EX", Title: "demo", Header: []string{"a"}, Rows: [][]string{{"1"}}}
+	tbl := &Table{ID: "EX", Title: "demo", Header: []string{"a"}}
+	tbl.AddRow("1")
 	var buf bytes.Buffer
 	if err := WriteJSON(&buf, []*Table{tbl}); err != nil {
 		t.Fatal(err)

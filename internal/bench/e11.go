@@ -23,6 +23,7 @@ func E11Apps(opts Options) (*Table, error) {
 		ID:     "E11",
 		Title:  "application throughput over the structure × guard matrix (§1, registry-driven)",
 		Header: []string{"implementation", "kind", "workload", "ops", "ns/op", "Mops/s", "outcome"},
+		Units:  []Unit{Label, Label, Label, Count, Ns, Rate, Label},
 	}
 	var cells []cell
 	for _, im := range registry.Structures() {
@@ -31,7 +32,7 @@ func E11Apps(opts Options) (*Table, error) {
 			// guard regime; the event flag has no pool.
 			io := apps.InstanceOptions{GuardedPool: spec.Conditional()}
 			label := im.ID + "/" + spec.String()
-			cells = append(cells, cell{label, func() ([][]string, error) {
+			cells = append(cells, cell{label, func() ([][]Cell, error) {
 				return opMixRun(label, im, spec, io, 20_000, nil)
 			}})
 		}
@@ -56,7 +57,7 @@ const (
 // perWorker ops of the structure's fixed op mix through the lean closed loop
 // — and renders its row; counters, when non-nil, adds the matrix's own
 // outcome counters.
-func opMixRun(label string, im registry.Impl, spec registry.GuardSpec, io apps.InstanceOptions, perWorker int, counters func(apps.Instance) string) ([][]string, error) {
+func opMixRun(label string, im registry.Impl, spec registry.GuardSpec, io apps.InstanceOptions, perWorker int, counters func(apps.Instance) string) ([][]Cell, error) {
 	inst, err := build(im, spec, opMixWorkers, opMixCapacity, io)
 	if err != nil {
 		return nil, err
@@ -69,15 +70,15 @@ func opMixRun(label string, im registry.Impl, spec registry.GuardSpec, io apps.I
 	if counters != nil {
 		extra = counters(inst)
 	}
-	return [][]string{{
+	return [][]Cell{row(
 		label,
 		string(im.Kind),
 		fmt.Sprintf("%d goroutines, op mix", opMixWorkers),
-		fmt.Sprintf("%d", res.Ops),
-		fmt.Sprintf("%.1f", float64(res.Elapsed.Nanoseconds())/float64(res.Ops)),
-		fmt.Sprintf("%.2f", float64(res.Ops)/res.Elapsed.Seconds()/1e6),
+		res.Ops,
+		float64(res.Elapsed.Nanoseconds())/float64(res.Ops),
+		float64(res.Ops)/res.Elapsed.Seconds()/1e6,
 		outcome(inst, extra),
-	}}, nil
+	)}, nil
 }
 
 // AppSequentialProbe times `pairs` single-process ops of a registered

@@ -22,6 +22,7 @@ func E12Reclaim(opts Options) (*Table, error) {
 		ID:     "E12",
 		Title:  "reclamation matrix: structure × protection regime × reclaimer (SMR as the ABA defense)",
 		Header: []string{"implementation", "kind", "workload", "ops", "ns/op", "Mops/s", "outcome"},
+		Units:  []Unit{Label, Label, Label, Count, Ns, Rate, Label},
 	}
 	var cells []cell
 	for _, im := range registry.Structures() {
@@ -29,7 +30,7 @@ func E12Reclaim(opts Options) (*Table, error) {
 			for _, rim := range registry.Reclaimers() {
 				io := apps.InstanceOptions{Reclaim: rim.NewReclaimer}
 				label := im.ID + "/" + spec.String() + "+" + rim.ID
-				cells = append(cells, cell{label, func() ([][]string, error) {
+				cells = append(cells, cell{label, func() ([][]Cell, error) {
 					return opMixRun(label, im, spec, io, 10_000, func(inst apps.Instance) string {
 						ps := inst.PoolStats()
 						return fmt.Sprintf("retired=%d freed=%d deferred=%d exhausted=%d",

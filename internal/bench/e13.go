@@ -33,6 +33,7 @@ func E13LoadMatrix(opts Options) (*Table, error) {
 		ID:     "E13",
 		Title:  "traffic matrix: structure × regime × reclaimer × load profile, with latency percentiles",
 		Header: []string{"implementation", "kind", "workload", "ops", "ns/op", "goodput", "p50", "p99", "p999", "shed", "outcome"},
+		Units:  []Unit{Label, Label, Label, Count, Ns, Rate, Duration, Duration, Duration, Count, Label},
 	}
 	var cells []cell
 	for _, structID := range []string{"stack", "map"} {
@@ -44,7 +45,7 @@ func E13LoadMatrix(opts Options) (*Table, error) {
 						continue
 					}
 					label := im.ID + "/" + spec.String() + "+" + rim.ID + "/" + p.ID
-					cells = append(cells, cell{label, func() ([][]string, error) {
+					cells = append(cells, cell{label, func() ([][]Cell, error) {
 						return loadRun(label, im, spec, rim, p)
 					}})
 				}
@@ -64,7 +65,7 @@ func E13LoadMatrix(opts Options) (*Table, error) {
 
 // loadRun drives one (structure, regime, reclaimer, profile) cell and
 // audits at quiescence.
-func loadRun(label string, im registry.Impl, spec registry.GuardSpec, rim registry.Impl, p load.Profile) ([][]string, error) {
+func loadRun(label string, im registry.Impl, spec registry.GuardSpec, rim registry.Impl, p load.Profile) ([][]Cell, error) {
 	inst, err := build(im, spec, p.Workers, trafficCapacity, apps.InstanceOptions{Reclaim: rim.NewReclaimer})
 	if err != nil {
 		return nil, err
@@ -83,22 +84,10 @@ func loadRun(label string, im registry.Impl, spec registry.GuardSpec, rim regist
 		out += " backlog-dominated"
 	}
 	p50, p99, p999 := res.Latency.Percentiles()
-	nsPer, goodput := "-", "-"
+	var nsPer, goodput any // absent when the cell admitted nothing
 	if res.Ops > 0 {
-		nsPer = fmt.Sprintf("%.1f", float64(res.Elapsed.Nanoseconds())/float64(res.Ops))
-		goodput = fmt.Sprintf("%.2f", res.Goodput()/1e6)
+		nsPer = float64(res.Elapsed.Nanoseconds()) / float64(res.Ops)
+		goodput = res.Goodput() / 1e6
 	}
-	return [][]string{{
-		label,
-		string(im.Kind),
-		p.Workload(),
-		fmt.Sprintf("%d", res.Ops),
-		nsPer,
-		goodput,
-		fmt.Sprintf("%v", p50),
-		fmt.Sprintf("%v", p99),
-		fmt.Sprintf("%v", p999),
-		fmt.Sprintf("%d", res.Shed),
-		out,
-	}}, nil
+	return [][]Cell{row(label, string(im.Kind), p.Workload(), res.Ops, nsPer, goodput, p50, p99, p999, res.Shed, out)}, nil
 }

@@ -36,6 +36,7 @@ func E14ReadScaling(opts Options) (*Table, error) {
 		ID:     "E14",
 		Title:  "read scaling: read-mostly traffic × regime × reclaimer × workers, per-worker throughput",
 		Header: []string{"implementation", "kind", "workload", "ops", "ns/op", "Mops/s", "scale", "outcome"},
+		Units:  []Unit{Label, Label, Label, Count, Ns, Rate, Ratio, Label},
 	}
 	base, ok := load.LookupProfile("read-heavy")
 	if !ok {
@@ -49,7 +50,7 @@ func E14ReadScaling(opts Options) (*Table, error) {
 		for _, spec := range regimes {
 			for _, rim := range registry.Reclaimers() {
 				label := im.ID + "/" + spec.String() + "+" + rim.ID
-				cells = append(cells, cell{label, func() ([][]string, error) {
+				cells = append(cells, cell{label, func() ([][]Cell, error) {
 					return readRun(label, im, spec, rim, base)
 				}})
 			}
@@ -79,8 +80,8 @@ func readMostlyStructure(im registry.Impl) bool {
 // readRun drives one (structure, regime, reclaimer) cell of the
 // read-scaling matrix across the e14Workers sweep, auditing each run at
 // quiescence; the scale column needs the whole sweep.
-func readRun(label string, im registry.Impl, spec registry.GuardSpec, rim registry.Impl, base load.Profile) ([][]string, error) {
-	var rows [][]string
+func readRun(label string, im registry.Impl, spec registry.GuardSpec, rim registry.Impl, base load.Profile) ([][]Cell, error) {
+	var rows [][]Cell
 	var soloPerWorker float64
 	for _, workers := range e14Workers {
 		p := base
@@ -98,20 +99,20 @@ func readRun(label string, im registry.Impl, spec registry.GuardSpec, rim regist
 		if workers == e14Workers[0] {
 			soloPerWorker = perWorker
 		}
-		scale := "-"
+		var scale any // absent when the 1-worker cell measured nothing
 		if soloPerWorker > 0 {
-			scale = fmt.Sprintf("%.2fx", perWorker/soloPerWorker)
+			scale = perWorker / soloPerWorker
 		}
-		rows = append(rows, []string{
+		rows = append(rows, row(
 			label,
 			string(im.Kind),
 			fmt.Sprintf("%s, w%d", p.Workload(), workers),
-			fmt.Sprintf("%d", res.Ops),
-			fmt.Sprintf("%.1f", float64(res.Elapsed.Nanoseconds())/float64(res.Ops)),
-			fmt.Sprintf("%.2f", opsPerSec/1e6),
+			res.Ops,
+			float64(res.Elapsed.Nanoseconds())/float64(res.Ops),
+			opsPerSec/1e6,
 			scale,
 			outcome(inst, ""),
-		})
+		))
 	}
 	return rows, nil
 }

@@ -64,6 +64,7 @@ func E15GrowthMatrix(opts Options) (*Table, error) {
 		ID:     "E15",
 		Title:  "growth matrix: split-ordered map growth + geometric pool expansion under live traffic, keys 10k→1M",
 		Header: []string{"implementation", "kind", "workload", "keys", "ops", "ns/op", "goodput", "p999", "splits", "appends", "resize-stalls", "outcome"},
+		Units:  []Unit{Label, Label, Label, Count, Count, Ns, Rate, Duration, Count, Count, Count, Label},
 	}
 	im := registry.MustLookup("map")
 	tiers := e15Tiers
@@ -76,12 +77,12 @@ func E15GrowthMatrix(opts Options) (*Table, error) {
 		for _, spec := range tier.regimes {
 			for _, scheme := range tier.schemes {
 				rim := registry.MustLookup(scheme)
-				cells = append(cells, cell{im.ID + "/" + spec.String() + "+" + rim.ID, func() ([][]string, error) {
-					row, err := growRun(im, spec, rim, tier, e15Workers)
+				cells = append(cells, cell{im.ID + "/" + spec.String() + "+" + rim.ID, func() ([][]Cell, error) {
+					r, err := growRun(im, spec, rim, tier, e15Workers)
 					if err != nil {
 						return nil, fmt.Errorf("keys=%d: %w", tier.keys, err)
 					}
-					return [][]string{row}, nil
+					return [][]Cell{r}, nil
 				}})
 			}
 		}
@@ -100,7 +101,7 @@ func E15GrowthMatrix(opts Options) (*Table, error) {
 const e15Workers = 2
 
 // growRun drives one growth cell and audits at quiescence.
-func growRun(im registry.Impl, spec registry.GuardSpec, rim registry.Impl, tier e15Tier, workers int) ([]string, error) {
+func growRun(im registry.Impl, spec registry.GuardSpec, rim registry.Impl, tier e15Tier, workers int) ([]Cell, error) {
 	inst, err := build(im, spec, workers, e15InitialCapacity, apps.InstanceOptions{
 		Reclaim: rim.NewReclaimer,
 		GrowTo:  tier.keys + tier.keys/2,
@@ -120,18 +121,18 @@ func growRun(im registry.Impl, spec registry.GuardSpec, rim registry.Impl, tier 
 		splits, appends, retries, capNow = gs.GrowthStats()
 	}
 	_, _, p999 := res.Latency.Percentiles()
-	return []string{
-		im.ID + "/" + spec.String() + "+" + rim.ID,
+	return row(
+		im.ID+"/"+spec.String()+"+"+rim.ID,
 		string(im.Kind),
 		fmt.Sprintf("%s, %dk keys", p.Workload(), tier.keys/1000),
-		fmt.Sprintf("%d", tier.keys),
-		fmt.Sprintf("%d", res.Ops),
-		fmt.Sprintf("%.1f", float64(res.Elapsed.Nanoseconds())/float64(res.Ops)),
-		fmt.Sprintf("%.2f", res.Goodput()/1e6),
-		fmt.Sprintf("%v", p999),
-		fmt.Sprintf("%d", splits),
-		fmt.Sprintf("%d", appends),
-		fmt.Sprintf("%d", retries),
+		tier.keys,
+		res.Ops,
+		float64(res.Elapsed.Nanoseconds())/float64(res.Ops),
+		res.Goodput()/1e6,
+		p999,
+		splits,
+		appends,
+		retries,
 		outcome(inst, fmt.Sprintf("exhausted=%d cap=%d→%d", ps.Exhaustions, e15InitialCapacity, capNow)),
-	}, nil
+	), nil
 }

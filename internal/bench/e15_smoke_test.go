@@ -22,10 +22,13 @@ func TestE15SmokeTier(t *testing.T) {
 	if len(tbl.Rows) != 12 { // 4 regimes × 3 schemes
 		t.Fatalf("10k tier has %d rows, want 12", len(tbl.Rows))
 	}
+	checkTyped(t, tbl)
 	for _, row := range tbl.Rows {
-		impl, splits, appends, outcome := row[0], row[8], row[9], row[11]
-		if splits == "0" || appends == "0" {
-			t.Errorf("%s did not grow: splits=%s appends=%s", impl, splits, appends)
+		impl, outcome := row[0].Text(), row[11].Text()
+		splits, _ := row[8].Num()
+		appends, _ := row[9].Num()
+		if splits == 0 || appends == 0 {
+			t.Errorf("%s did not grow: splits=%v appends=%v", impl, splits, appends)
 		}
 		if !strings.Contains(outcome, "cap=1024→15000") {
 			t.Errorf("%s did not reach the ceiling: %s", impl, outcome)
@@ -55,7 +58,7 @@ func TestE15HeadlineTierReachesOneMillionKeys(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	outcome := row[11]
+	outcome := row[11].Text()
 	if strings.Contains(outcome, "corrupt=true") {
 		t.Fatalf("headline cell corrupted: %s", outcome)
 	}
@@ -68,7 +71,8 @@ func TestE15HeadlineTierReachesOneMillionKeys(t *testing.T) {
 		t.Errorf("headline cell capacity %d never covered the %d-key space: %s",
 			finalCap, tier.keys, outcome)
 	}
-	appends, _ := strconv.Atoi(row[9])
+	appendCount, _ := row[9].Num()
+	appends := int(appendCount)
 	if appends == 0 {
 		t.Error("headline cell reports zero segment appends")
 	}

@@ -72,9 +72,13 @@ func e16Profiles(opsPerWorker int) []load.Profile {
 	}
 }
 
-// e16Header is E16's column layout; pressureRun emits a row's cells in
-// this order.
-var e16Header = []string{"implementation", "kind", "workload", "ops", "ns/op", "p999", "limbo", "alloc-miss", "scans", "batches", "tune", "outcome"}
+// e16Header and e16Units are E16's column layout; pressureRun emits a
+// row's cells in this order.  tune is a tightens/relaxes pair, so it is a
+// label.
+var (
+	e16Header = []string{"implementation", "kind", "workload", "ops", "ns/op", "p999", "limbo", "alloc-miss", "scans", "batches", "tune", "outcome"}
+	e16Units  = []Unit{Label, Label, Label, Count, Ns, Duration, Count, Count, Count, Count, Label, Label}
+)
 
 // E16PressureMatrix measures reclamation at line rate: scheme × structure ×
 // profile under a sound guard regime, with the allocator-side counters as
@@ -95,6 +99,7 @@ func E16PressureMatrix(opts Options) (*Table, error) {
 		ID:     "E16",
 		Title:  "reclamation-pressure matrix: scheme × structure × profile, limbo occupancy and alloc-miss lag",
 		Header: e16Header,
+		Units:  e16Units,
 	}
 	opsPerWorker := 25_000
 	if opts.Smoke {
@@ -111,9 +116,9 @@ func E16PressureMatrix(opts Options) (*Table, error) {
 				if im.ID != "map" && p.ID != "write-lean" {
 					continue
 				}
-				cells = append(cells, cell{im.ID + "/" + scheme + "/" + p.ID, func() ([][]string, error) {
-					row, err := pressureRun(im, spec, scheme, p)
-					return [][]string{row}, err
+				cells = append(cells, cell{im.ID + "/" + scheme + "/" + p.ID, func() ([][]Cell, error) {
+					r, err := pressureRun(im, spec, scheme, p)
+					return [][]Cell{r}, err
 				}})
 			}
 		}
@@ -130,7 +135,7 @@ func E16PressureMatrix(opts Options) (*Table, error) {
 
 // pressureRun drives one (structure, scheme, profile) cell and reads the
 // reclamation counters at quiescence.
-func pressureRun(im registry.Impl, spec registry.GuardSpec, scheme string, p load.Profile) ([]string, error) {
+func pressureRun(im registry.Impl, spec registry.GuardSpec, scheme string, p load.Profile) ([]Cell, error) {
 	mkr, err := e16Maker(scheme)
 	if err != nil {
 		return nil, err
@@ -149,18 +154,18 @@ func pressureRun(im registry.Impl, spec registry.GuardSpec, scheme string, p loa
 		tune = fmt.Sprintf("%d/%d", ps.Reclaim.Tightens, ps.Reclaim.Relaxes)
 	}
 	_, _, p999 := res.Latency.Percentiles()
-	return []string{
-		im.ID + "/" + scheme + "/" + p.ID,
+	return row(
+		im.ID+"/"+scheme+"/"+p.ID,
 		string(im.Kind),
 		p.Workload(),
-		fmt.Sprintf("%d", res.Ops),
-		fmt.Sprintf("%.1f", float64(res.Elapsed.Nanoseconds())/float64(res.Ops)),
-		fmt.Sprintf("%v", p999),
-		fmt.Sprintf("%d", ps.Reclaim.Deferred()),
-		fmt.Sprintf("%d", ps.Exhaustions),
-		fmt.Sprintf("%d", ps.Reclaim.Scans),
-		fmt.Sprintf("%d", ps.Reclaim.Batches),
+		res.Ops,
+		float64(res.Elapsed.Nanoseconds())/float64(res.Ops),
+		p999,
+		ps.Reclaim.Deferred(),
+		ps.Exhaustions,
+		ps.Reclaim.Scans,
+		ps.Reclaim.Batches,
 		tune,
 		outcome(inst, fmt.Sprintf("retired=%d freed=%d stalls=%d", ps.Reclaim.Retired, ps.Reclaim.Freed, ps.Reclaim.Stalls)),
-	}, nil
+	), nil
 }

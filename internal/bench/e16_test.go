@@ -2,7 +2,6 @@ package bench
 
 import (
 	"slices"
-	"strconv"
 	"strings"
 	"testing"
 
@@ -12,13 +11,24 @@ import (
 
 // cellAt returns row's cell under the column name of header, so the tests
 // read E16's counters by name, never by position.
-func cellAt(t *testing.T, header, row []string, name string) string {
+func cellAt(t *testing.T, header []string, row []Cell, name string) Cell {
 	t.Helper()
 	i := slices.Index(header, name)
 	if i < 0 || i >= len(row) {
 		t.Fatalf("no %q cell: header %v, row %v", name, header, row)
 	}
 	return row[i]
+}
+
+// countAt returns row's counter under the column name of header, failing
+// the test when the cell holds no number.
+func countAt(t *testing.T, header []string, row []Cell, name string) int64 {
+	t.Helper()
+	v, ok := cellAt(t, header, row, name).Num()
+	if !ok {
+		t.Fatalf("%s cell of %v is not a count", name, row)
+	}
+	return int64(v)
 }
 
 // pressureCell runs one smoke-scale E16 cell and returns its limbo and
@@ -30,19 +40,10 @@ func pressureCell(t *testing.T, structID, scheme string) (limbo, miss int64, tun
 	if err != nil {
 		t.Fatal(err)
 	}
-	limboCell, missCell := cellAt(t, e16Header, row, "limbo"), cellAt(t, e16Header, row, "alloc-miss")
-	limbo, err = strconv.ParseInt(limboCell, 10, 64)
-	if err != nil {
-		t.Fatalf("limbo cell %q: %v", limboCell, err)
-	}
-	miss, err = strconv.ParseInt(missCell, 10, 64)
-	if err != nil {
-		t.Fatalf("alloc-miss cell %q: %v", missCell, err)
-	}
-	if out := cellAt(t, e16Header, row, "outcome"); strings.Contains(out, "corrupt=true") {
+	if out := cellAt(t, e16Header, row, "outcome").Text(); strings.Contains(out, "corrupt=true") {
 		t.Fatalf("%s/%s corrupted under sound guards: %s", structID, scheme, out)
 	}
-	return limbo, miss, cellAt(t, e16Header, row, "tune")
+	return countAt(t, e16Header, row, "limbo"), countAt(t, e16Header, row, "alloc-miss"), cellAt(t, e16Header, row, "tune").Text()
 }
 
 // TestLimboLagRegression is the alloc-miss gate from the adaptive-cadence
@@ -97,7 +98,7 @@ func TestLimboLagRegression(t *testing.T) {
 
 // TestE16PressureMatrixShape checks the smoke matrix covers every scheme for
 // both structures (map runs both profiles, the stack only the write-leaning
-// one) and that the counter columns parse.
+// one) and that the counter columns hold counts.
 func TestE16PressureMatrixShape(t *testing.T) {
 	tbl, err := E16PressureMatrix(Options{Smoke: true})
 	if err != nil {
@@ -106,21 +107,16 @@ func TestE16PressureMatrixShape(t *testing.T) {
 	if want := len(e16Schemes) * 3; len(tbl.Rows) != want {
 		t.Fatalf("rows = %d, want %d", len(tbl.Rows), want)
 	}
+	checkTyped(t, tbl)
 	schemes := map[string]bool{}
 	for _, row := range tbl.Rows {
-		if len(row) != len(tbl.Header) {
-			t.Fatalf("row %v has %d cells, want %d", row, len(row), len(tbl.Header))
-		}
 		for _, name := range []string{"limbo", "alloc-miss", "scans", "batches"} {
-			c := cellAt(t, tbl.Header, row, name)
-			if _, err := strconv.ParseInt(c, 10, 64); err != nil {
-				t.Errorf("row %q column %q = %q is not a count", row[0], name, c)
-			}
+			countAt(t, tbl.Header, row, name)
 		}
-		if strings.Contains(cellAt(t, tbl.Header, row, "outcome"), "corrupt=true") {
-			t.Errorf("row %q corrupted under sound guards", row[0])
+		if strings.Contains(cellAt(t, tbl.Header, row, "outcome").Text(), "corrupt=true") {
+			t.Errorf("row %q corrupted under sound guards", row[0].Text())
 		}
-		schemes[strings.SplitN(row[0], "/", 3)[1]] = true
+		schemes[strings.SplitN(row[0].Text(), "/", 3)[1]] = true
 	}
 	for _, s := range e16Schemes {
 		if !schemes[s] {

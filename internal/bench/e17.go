@@ -60,6 +60,7 @@ func E17ObservabilityMatrix(opts Options) (*Table, error) {
 		ID:     "E17",
 		Title:  "observability matrix: flight-recorder overhead, trace off/on × structure × regime × reclaimer",
 		Header: []string{"implementation", "kind", "workload", "ops", "ns/op", "p999", "events", "overhead", "outcome"},
+		Units:  []Unit{Label, Label, Label, Count, Ns, Duration, Count, Ratio, Label},
 	}
 	opsPerWorker := 25_000
 	if opts.Smoke {
@@ -71,7 +72,7 @@ func E17ObservabilityMatrix(opts Options) (*Table, error) {
 		im := registry.MustLookup(structID)
 		for _, spec := range e17Specs {
 			for _, scheme := range e17Schemes {
-				cells = append(cells, cell{im.ID + "/" + spec.String() + "+" + scheme, func() ([][]string, error) {
+				cells = append(cells, cell{im.ID + "/" + spec.String() + "+" + scheme, func() ([][]Cell, error) {
 					offRow, offNs, err := e17Run(im, spec, scheme, p, false)
 					if err != nil {
 						return nil, fmt.Errorf("off: %w", err)
@@ -81,9 +82,9 @@ func E17ObservabilityMatrix(opts Options) (*Table, error) {
 						return nil, fmt.Errorf("on: %w", err)
 					}
 					if offNs > 0 {
-						onRow[len(onRow)-2] = fmt.Sprintf("%.2fx", onNs/offNs)
+						onRow[len(onRow)-2] = Cell{onNs / offNs}
 					}
-					return [][]string{offRow, onRow}, nil
+					return [][]Cell{offRow, onRow}, nil
 				}})
 			}
 		}
@@ -99,7 +100,7 @@ func E17ObservabilityMatrix(opts Options) (*Table, error) {
 
 // e17Run drives one cell and returns its rendered row plus ns/op for the
 // pairwise overhead ratio.
-func e17Run(im registry.Impl, spec registry.GuardSpec, scheme string, p load.Profile, traced bool) ([]string, float64, error) {
+func e17Run(im registry.Impl, spec registry.GuardSpec, scheme string, p load.Profile, traced bool) ([]Cell, float64, error) {
 	mkr, err := registry.NewReclaimMaker(scheme)
 	if err != nil {
 		return nil, 0, err
@@ -118,22 +119,24 @@ func e17Run(im registry.Impl, spec registry.GuardSpec, scheme string, p load.Pro
 	if err != nil {
 		return nil, 0, err
 	}
-	mode, events := "trace-off", "-"
+	mode := "trace-off"
+	var events any // absent: an untraced run records nothing
 	if traced {
 		mode = "trace-on"
-		events = fmt.Sprintf("%d", len(rec.Merge()))
+		events = len(rec.Merge())
 	}
 	_, _, p999 := res.Latency.Percentiles()
 	nsOp := float64(res.Elapsed.Nanoseconds()) / float64(res.Ops)
-	return []string{
-		im.ID + "/" + spec.String() + "+" + scheme + "/" + mode,
+	// The overhead cell stays absent here: it needs the pair's off row.
+	return row(
+		im.ID+"/"+spec.String()+"+"+scheme+"/"+mode,
 		string(im.Kind),
 		p.Workload(),
-		fmt.Sprintf("%d", res.Ops),
-		fmt.Sprintf("%.1f", nsOp),
-		fmt.Sprintf("%v", p999),
+		res.Ops,
+		nsOp,
+		p999,
 		events,
-		"-",
+		nil,
 		outcome(inst, ""),
-	}, nsOp, nil
+	), nsOp, nil
 }

@@ -31,7 +31,7 @@ type Options struct {
 // whole group.
 type cell struct {
 	label string
-	rows  func() ([][]string, error)
+	rows  func() ([][]Cell, error)
 }
 
 // runCells runs the cells whose label matches opts.Cell, in order, and
@@ -50,9 +50,7 @@ func runCells(t *Table, cells []cell, opts Options) error {
 		if err != nil {
 			return fmt.Errorf("bench: %s %s: %w", t.ID, c.label, err)
 		}
-		for _, row := range rows {
-			t.AddRow(row...)
-		}
+		t.Rows = append(t.Rows, rows...)
 	}
 	if !ran {
 		return fmt.Errorf("bench: %s: no cell matches %q (labels look like %q)", t.ID, opts.Cell, cells[0].label)

@@ -24,6 +24,7 @@ func E10Throughput() (*Table, error) {
 		ID:     "E10",
 		Title:  "implementation throughput on the native substrate (registry-driven)",
 		Header: []string{"implementation", "kind", "workload", "ops", "ns/op", "Mops/s"},
+		Units:  []Unit{Label, Label, Label, Count, Ns, Rate},
 	}
 	const n = 8
 	const valueBits = 16
@@ -54,9 +55,9 @@ func E10Throughput() (*Table, error) {
 			fmt.Sprintf("sharded[fig4] K=%d", shards),
 			"detector",
 			fmt.Sprintf("%d goroutines, op per shard", workers),
-			fmt.Sprintf("%d", ops),
-			fmt.Sprintf("%.1f", float64(elapsed.Nanoseconds())/float64(ops)),
-			fmt.Sprintf("%.2f", float64(ops)/elapsed.Seconds()/1e6),
+			ops,
+			float64(elapsed.Nanoseconds())/float64(ops),
+			float64(ops)/elapsed.Seconds()/1e6,
 		)
 	}
 	t.AddNote("sequential rows: one handle, no contention — the constant factors behind the paper's t(n).")
@@ -144,9 +145,9 @@ func addThroughputRow(t *Table, im registry.Impl, workload string, ops int, elap
 		im.ID,
 		kind,
 		workload,
-		fmt.Sprintf("%d", ops),
-		fmt.Sprintf("%.1f", float64(elapsed.Nanoseconds())/float64(ops)),
-		fmt.Sprintf("%.2f", float64(ops)/elapsed.Seconds()/1e6),
+		ops,
+		float64(elapsed.Nanoseconds())/float64(ops),
+		float64(ops)/elapsed.Seconds()/1e6,
 	)
 }
 
